@@ -1,5 +1,11 @@
 open Import
 
+(* Int-specialised: this compiler has no flambda, so [Stdlib.max]/[min]
+   stay polymorphic calls into [caml_greaterequal]/[caml_lessequal],
+   and the kernel takes one per state edge per labelling. *)
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
+
 (* One record per graph vertex. [thread = -1] means the vertex is either
    unscheduled or scheduled free (zero-resource); [scheduled]
    disambiguates. [pos] orders vertices within their thread and is
@@ -43,6 +49,14 @@ module Tel = Telemetry
    replay, unlike signature comparison, must happen exactly once. *)
 type reach_box = { mutable index : Reach.t; mutable gen : int }
 
+(* The kernel scratch ([indeg] .. [stamp]) is indexed by vertex and
+   grown in [sync], so a [schedule] call allocates no per-vertex tables:
+   [label] runs Kahn's algorithm over [indeg], leaving the topological
+   order in [order]; [closure] borrows [order] as its BFS queue and
+   stamps the feasibility window into [up]/[down], where a vertex is
+   marked iff its entry equals [stamp] — bumping the stamp clears every
+   mark at once. Unlike the reach box, the scratch is never shared with
+   a [copy]: the naive scheduler interleaves a state with its trials. *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
@@ -51,6 +65,11 @@ type t = {
   nodes : node Vec.t;
   mutable n_scheduled : int;
   reach : reach_box;
+  mutable indeg : int array;
+  mutable order : int array;
+  mutable up : int array;
+  mutable down : int array;
+  mutable stamp : int;
 }
 
 type position = { thread : int; after : Graph.vertex option }
@@ -77,6 +96,11 @@ let create graph ~resources =
     nodes = Vec.create ~dummy:(fresh_node ()) ();
     n_scheduled = 0;
     reach = { index = Reach.of_graph graph; gen = Graph.generation graph };
+    indeg = [||];
+    order = [||];
+    up = [||];
+    down = [||];
+    stamp = 0;
   }
 
 let graph t = t.graph
@@ -149,12 +173,25 @@ let catch_up_closure t gen =
   end
   else rebuild_closure t gen
 
-(* Grow the node store to match the (possibly mutated) graph, and
-   refresh the reachability index if the graph changed. *)
+(* Fresh mark arrays hold 0 and the stamp is bumped before every use,
+   so no mark survives a regrow. *)
+let grow_scratch t n =
+  if Array.length t.indeg < n then begin
+    let cap = max n (2 * Array.length t.indeg) in
+    t.indeg <- Array.make cap 0;
+    t.order <- Array.make cap 0;
+    t.up <- Array.make cap 0;
+    t.down <- Array.make cap 0
+  end
+
+(* Grow the node store and the kernel scratch to match the (possibly
+   mutated) graph, and refresh the reachability index if the graph
+   changed. *)
 let sync t =
   while Vec.length t.nodes < Graph.n_vertices t.graph do
     ignore (Vec.push t.nodes (fresh_node ()))
   done;
+  grow_scratch t (Graph.n_vertices t.graph);
   let gen = Graph.generation t.graph in
   if gen <> t.reach.gen then
     match !reach_mode with
@@ -184,15 +221,11 @@ let thread_members t k =
   in
   walk t.head.(k) []
 
-(* State successors/predecessors of a scheduled vertex: the implicit
-   thread neighbour plus the explicit cross edges. *)
+(* State successors of a scheduled vertex: the implicit thread
+   neighbour plus the explicit cross edges. *)
 let state_succs t v =
   let n = Vec.get t.nodes v in
   if n.next >= 0 then n.next :: n.succs else n.succs
-
-let state_preds t v =
-  let n = Vec.get t.nodes v in
-  if n.prev >= 0 then n.prev :: n.preds else n.preds
 
 let scheduled_vertices t =
   let acc = ref [] in
@@ -201,88 +234,118 @@ let scheduled_vertices t =
   done;
   !acc
 
+(* Kahn's release of [s]: one fewer unplaced state predecessor; once
+   none is left, [s] joins the order at [tail]. Returns the new tail. *)
+let release t s tail =
+  let d = t.indeg.(s) - 1 in
+  t.indeg.(s) <- d;
+  if d = 0 then begin
+    t.order.(tail) <- s;
+    tail + 1
+  end
+  else tail
+
+let rec release_all t succs tail =
+  match succs with
+  | [] -> tail
+  | s :: rest -> release_all t rest (release t s tail)
+
+let rec max_sdist t vs acc =
+  match vs with
+  | [] -> acc
+  | v :: rest -> max_sdist t rest (max acc (Vec.get t.nodes v).sdist)
+
+let rec max_tdist t vs acc =
+  match vs with
+  | [] -> acc
+  | v :: rest -> max_tdist t rest (max acc (Vec.get t.nodes v).tdist)
+
 (* Forward/backward labelling (the paper's forwardLabel/backwardLabel):
    longest-path distances over the state's partial order, linear in the
-   number of state edges thanks to the degree bound. *)
+   number of state edges thanks to the degree bound. Kahn's algorithm
+   runs over the state's scratch buffers, walking [prev]/[next] and the
+   explicit edge lists in place. Returns the diameter. *)
 let label t =
   sync t;
-  let vertices = scheduled_vertices t in
-  let indeg = Hashtbl.create 64 in
-  List.iter
-    (fun v -> Hashtbl.replace indeg v (List.length (state_preds t v)))
-    vertices;
-  let queue = Queue.create () in
-  List.iter
-    (fun v -> if Hashtbl.find indeg v = 0 then Queue.add v queue)
-    vertices;
-  let order = ref [] in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order := v :: !order;
-    List.iter
-      (fun s ->
-        let d = Hashtbl.find indeg s - 1 in
-        Hashtbl.replace indeg s d;
-        if d = 0 then Queue.add s queue)
-      (state_succs t v)
+  let nodes = t.nodes in
+  let scheduled = ref 0 and tail = ref 0 in
+  for v = 0 to Vec.length nodes - 1 do
+    let nv = Vec.get nodes v in
+    if nv.scheduled then begin
+      incr scheduled;
+      let d = List.length nv.preds + (if nv.prev >= 0 then 1 else 0) in
+      t.indeg.(v) <- d;
+      if d = 0 then begin
+        t.order.(!tail) <- v;
+        incr tail
+      end
+    end
   done;
-  let order = List.rev !order in
-  if List.length order <> List.length vertices then
+  let head = ref 0 in
+  while !head < !tail do
+    let nv = Vec.get nodes t.order.(!head) in
+    incr head;
+    let tl = if nv.next >= 0 then release t nv.next !tail else !tail in
+    tail := release_all t nv.succs tl
+  done;
+  if !tail <> !scheduled then
     failwith "Threaded_graph.label: scheduling state contains a cycle";
-  List.iter
-    (fun v ->
-      let n = Vec.get t.nodes v in
-      let best =
-        List.fold_left
-          (fun acc p -> max acc (Vec.get t.nodes p).sdist)
-          0 (state_preds t v)
-      in
-      n.sdist <- best + Graph.delay t.graph v)
-    order;
-  List.iter
-    (fun v ->
-      let n = Vec.get t.nodes v in
-      let best =
-        List.fold_left
-          (fun acc s -> max acc (Vec.get t.nodes s).tdist)
-          0 (state_succs t v)
-      in
-      n.tdist <- best + Graph.delay t.graph v)
-    (List.rev order)
+  let diameter = ref 0 in
+  for i = 0 to !tail - 1 do
+    let v = t.order.(i) in
+    let nv = Vec.get nodes v in
+    let best = if nv.prev >= 0 then (Vec.get nodes nv.prev).sdist else 0 in
+    nv.sdist <- max_sdist t nv.preds best + Graph.delay t.graph v;
+    diameter := max !diameter nv.sdist
+  done;
+  for i = !tail - 1 downto 0 do
+    let v = t.order.(i) in
+    let nv = Vec.get nodes v in
+    let best = if nv.next >= 0 then (Vec.get nodes nv.next).tdist else 0 in
+    nv.tdist <- max_tdist t nv.succs best + Graph.delay t.graph v
+  done;
+  !diameter
 
-let diameter t =
-  sync t;
-  if t.n_scheduled = 0 then 0
+let diameter = label
+
+(* Mark [x] (ignoring the -1 of an absent thread neighbour) and queue
+   it at [tail] unless already marked. Returns the new tail. *)
+let enqueue t mark x tail =
+  if x < 0 || mark.(x) = t.stamp then tail
   else begin
-    label t;
-    List.fold_left
-      (fun acc v -> max acc (Vec.get t.nodes v).sdist)
-      0 (scheduled_vertices t)
+    mark.(x) <- t.stamp;
+    t.order.(tail) <- x;
+    tail + 1
   end
+
+let rec enqueue_all t mark xs tail =
+  match xs with
+  | [] -> tail
+  | x :: rest -> enqueue_all t mark rest (enqueue t mark x tail)
+
+(* Stamp into [mark] the up-set of [sources] (everything ⪯_S some
+   source), walking state preds; the down-set walks succs. Membership is
+   [mark.(x) = t.stamp]; callers bump the stamp first. The walk may
+   stop early once vertex [until] is marked. *)
+let closure ?(until = -1) t ~backward mark sources =
+  let head = ref 0 and tail = ref (enqueue_all t mark sources 0) in
+  while !head < !tail && (until < 0 || mark.(until) <> t.stamp) do
+    let w = Vec.get t.nodes t.order.(!head) in
+    incr head;
+    tail :=
+      if backward then enqueue_all t mark w.preds (enqueue t mark w.prev !tail)
+      else enqueue_all t mark w.succs (enqueue t mark w.next !tail)
+  done
 
 let precedes t u v =
   sync t;
-  if not ((Vec.get t.nodes u).scheduled && (Vec.get t.nodes v).scheduled)
-  then false
-  else begin
-    (* BFS over state successors. *)
-    let visited = Hashtbl.create 16 in
-    let queue = Queue.create () in
-    Queue.add u queue;
-    let found = ref false in
-    while not (!found || Queue.is_empty queue) do
-      let w = Queue.pop queue in
-      List.iter
-        (fun s ->
-          if s = v then found := true
-          else if not (Hashtbl.mem visited s) then begin
-            Hashtbl.replace visited s ();
-            Queue.add s queue
-          end)
-        (state_succs t w)
-    done;
-    !found
-  end
+  (Vec.get t.nodes u).scheduled
+  && (Vec.get t.nodes v).scheduled
+  && begin
+       t.stamp <- t.stamp + 1;
+       closure ~until:v t ~backward:false t.down (state_succs t u);
+       t.down.(v) = t.stamp
+     end
 
 let state_graph t =
   sync t;
@@ -301,63 +364,39 @@ let state_graph t =
     (scheduled_vertices t);
   g
 
+let rec count_in_threads t = function
+  | [] -> 0
+  | x :: rest ->
+    (if (Vec.get t.nodes x).thread >= 0 then 1 else 0) + count_in_threads t rest
+
 (* Edge count and Lemma-7 degree maxima of the current state — shared by
    [stats] and the telemetry end-of-call summary, so the two can never
-   disagree. *)
+   disagree. A thread neighbour always lives in a thread. *)
 let edge_degree_stats t =
-  let scheduled = scheduled_vertices t in
-  let in_thread v = (Vec.get t.nodes v).thread >= 0 in
-  let n_state_edges =
-    List.fold_left
-      (fun acc v -> acc + List.length (state_succs t v))
-      0 scheduled
-  in
-  let degree_over select =
-    List.fold_left
-      (fun acc v ->
-        max acc (List.length (List.filter in_thread (select t v))))
-      0 scheduled
-  in
-  (n_state_edges, degree_over state_preds, degree_over state_succs)
+  let edges = ref 0 and max_in = ref 0 and max_out = ref 0 in
+  Vec.iter
+    (fun n ->
+      if n.scheduled then begin
+        let prev = if n.prev >= 0 then 1 else 0 in
+        let next = if n.next >= 0 then 1 else 0 in
+        edges := !edges + next + List.length n.succs;
+        max_in := max !max_in (prev + count_in_threads t n.preds);
+        max_out := max !max_out (next + count_in_threads t n.succs)
+      end)
+    t.nodes;
+  (!edges, !max_in, !max_out)
 
 (* --- select ------------------------------------------------------- *)
 
 (* Scheduled graph-ancestors / graph-descendants of v (the paper's
    "∀p, p ≺_G v" — the transitive relation, not just direct preds). *)
 let scheduled_ancestors t v =
-  List.filter
-    (fun p -> (Vec.get t.nodes p).scheduled)
-    (Reach.ancestors t.reach.index v)
+  Reach.ancestors ~among:(fun p -> (Vec.get t.nodes p).scheduled)
+    t.reach.index v
 
 let scheduled_descendants t v =
-  List.filter
-    (fun q -> (Vec.get t.nodes q).scheduled)
-    (Reach.descendants t.reach.index v)
-
-(* Mark the up-set of [sources] (everything ⪯_S some source) walking
-   state preds; the down-set walks succs. Returns a membership table. *)
-let closure t ~backward sources =
-  let mark = Hashtbl.create 64 in
-  let queue = Queue.create () in
-  List.iter
-    (fun v ->
-      if not (Hashtbl.mem mark v) then begin
-        Hashtbl.replace mark v ();
-        Queue.add v queue
-      end)
-    sources;
-  while not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    let neighbours = if backward then state_preds t w else state_succs t w in
-    List.iter
-      (fun x ->
-        if not (Hashtbl.mem mark x) then begin
-          Hashtbl.replace mark x ();
-          Queue.add x queue
-        end)
-      neighbours
-  done;
-  mark
+  Reach.descendants ~among:(fun q -> (Vec.get t.nodes q).scheduled)
+    t.reach.index v
 
 let is_free_op t v =
   Graph.delay t.graph v = 0
@@ -371,12 +410,22 @@ let allowed_threads t v =
       (fun k -> Resources.equal_class t.classes.(k) cls)
       (List.init (n_threads t) Fun.id)
 
-(* All feasible positions with their costs, in deterministic scan order,
-   plus the number of slots examined (the Theorem 3 work measure).
-   Requires [label] to be fresh; [up]/[down] are the feasibility marks.
-   [trace] reports each feasible candidate to the telemetry sink — only
-   the [schedule] path sets it, so introspection helpers stay silent. *)
-let scan_positions ?(trace = false) t v ~up ~down ~intrinsic_src ~intrinsic_snk =
+(* All feasible positions for [v] with their costs, in deterministic
+   scan order, plus the number of slots examined (the Theorem 3 work
+   measure). Labels the state and marks the feasibility window first:
+   a slot is feasible iff the member before it is outside the down-set
+   of v's scheduled [descendants] and the member after it is outside
+   the up-set of its [ancestors]. [trace] reports each feasible
+   candidate to the telemetry sink — only the [schedule] path sets it,
+   so introspection helpers stay silent. *)
+let scan_positions ?(trace = false) t v ~ancestors ~descendants =
+  ignore (label t);
+  t.stamp <- t.stamp + 1;
+  closure t ~backward:true t.up ancestors;
+  closure t ~backward:false t.down descendants;
+  let stamp = t.stamp and up = t.up and down = t.down in
+  let intrinsic_src = max_sdist t ancestors 0 in
+  let intrinsic_snk = max_tdist t descendants 0 in
   let delay_v = Graph.delay t.graph v in
   let result = ref [] in
   let scanned = ref 0 in
@@ -385,7 +434,7 @@ let scan_positions ?(trace = false) t v ~up ~down ~intrinsic_src ~intrinsic_snk 
       (* Position at the head of thread k. *)
       let first = t.head.(k) in
       incr scanned;
-      let head_feasible = first < 0 || not (Hashtbl.mem up first) in
+      let head_feasible = first < 0 || up.(first) <> stamp in
       if head_feasible then begin
         let tdist_next =
           if first < 0 then 0 else (Vec.get t.nodes first).tdist
@@ -405,8 +454,7 @@ let scan_positions ?(trace = false) t v ~up ~down ~intrinsic_src ~intrinsic_snk 
           let next = nw.next in
           incr scanned;
           let feasible =
-            (not (Hashtbl.mem down w))
-            && (next < 0 || not (Hashtbl.mem up next))
+            down.(w) <> stamp && (next < 0 || up.(next) <> stamp)
           in
           if feasible then begin
             let tdist_next =
@@ -429,37 +477,19 @@ let scan_positions ?(trace = false) t v ~up ~down ~intrinsic_src ~intrinsic_snk 
     (allowed_threads t v);
   (List.rev !result, !scanned)
 
-let select_context t v =
-  label t;
-  let ancestors = scheduled_ancestors t v in
-  let descendants = scheduled_descendants t v in
-  let intrinsic_src =
-    List.fold_left (fun acc p -> max acc (Vec.get t.nodes p).sdist) 0 ancestors
-  in
-  let intrinsic_snk =
-    List.fold_left
-      (fun acc q -> max acc (Vec.get t.nodes q).tdist)
-      0 descendants
-  in
-  let up = closure t ~backward:true ancestors in
-  let down = closure t ~backward:false descendants in
-  (up, down, intrinsic_src, intrinsic_snk)
+let costed_positions t v =
+  scan_positions t v ~ancestors:(scheduled_ancestors t v)
+    ~descendants:(scheduled_descendants t v)
 
 let feasible_positions t v =
   sync t;
   if (Vec.get t.nodes v).scheduled then []
   else if is_free_op t v then []
-  else begin
-    let up, down, intrinsic_src, intrinsic_snk = select_context t v in
-    List.map fst
-      (fst (scan_positions t v ~up ~down ~intrinsic_src ~intrinsic_snk))
-  end
+  else List.map fst (fst (costed_positions t v))
 
 let predicted_cost t v position =
   sync t;
-  let up, down, intrinsic_src, intrinsic_snk = select_context t v in
-  let costed, _ = scan_positions t v ~up ~down ~intrinsic_src ~intrinsic_snk in
-  match List.assoc_opt position costed with
+  match List.assoc_opt position (fst (costed_positions t v)) with
   | Some cost -> cost
   | None -> invalid_arg "Threaded_graph.predicted_cost: infeasible position"
 
@@ -477,7 +507,9 @@ let renumber_thread t k =
 
 let add_explicit_edge t p v =
   let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
-  if not (List.mem v np.succs) then begin
+  (* [memq]: on ints physical equality is equality, without the
+     polymorphic [compare] call of [List.mem]. *)
+  if not (List.memq v np.succs) then begin
     np.succs <- v :: np.succs;
     nv.preds <- p :: nv.preds;
     if Tel.enabled () then
@@ -491,12 +523,14 @@ let remove_explicit_edge t p v =
   if Tel.enabled () then
     Tel.emit (fun s -> s.Tel.Sink.edge_removed ~src:p ~dst:v)
 
-(* p's unique explicit successor living in thread k, if any. *)
-let succ_in_thread t p k =
-  List.find_opt (fun x -> (Vec.get t.nodes x).thread = k) (Vec.get t.nodes p).succs
+let rec find_in_thread t k = function
+  | [] -> None
+  | x :: rest ->
+    if (Vec.get t.nodes x).thread = k then Some x else find_in_thread t k rest
 
-let pred_in_thread t q k =
-  List.find_opt (fun x -> (Vec.get t.nodes x).thread = k) (Vec.get t.nodes q).preds
+(* p's unique explicit successor living in thread k, if any. *)
+let succ_in_thread t p k = find_in_thread t k (Vec.get t.nodes p).succs
+let pred_in_thread t q k = find_in_thread t k (Vec.get t.nodes q).preds
 
 (* Tighten edges between the freshly placed [v] and one scheduled
    graph-ancestor [p] (Figure 2 (a)(b)(c), with the same-thread-pred
@@ -597,22 +631,28 @@ let splice t v { thread = k; after } =
     else t.tail.(k) <- v);
   renumber_thread t k
 
-let commit t v position =
+(* Re-tighten the edges between the freshly placed [v] (thread [k], -1
+   if free) and its scheduled graph-ancestors and -descendants. *)
+let link t ~v ~k ~ancestors ~descendants =
+  List.iter (fun p -> link_ancestor t ~v ~k p) ancestors;
+  List.iter (fun q -> link_descendant t ~v ~k q) descendants
+
+(* [ancestors]/[descendants] are v's scheduled ones, as computed for the
+   scan that chose [position]: placing v changes neither list. *)
+let commit t v position ~ancestors ~descendants =
   let nv = Vec.get t.nodes v in
   splice t v position;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  let k = position.thread in
-  List.iter (fun p -> link_ancestor t ~v ~k p) (scheduled_ancestors t v);
-  List.iter (fun q -> link_descendant t ~v ~k q) (scheduled_descendants t v)
+  link t ~v ~k:position.thread ~ancestors ~descendants
 
 let commit_free t v =
   let nv = Vec.get t.nodes v in
   nv.thread <- -1;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  List.iter (fun p -> link_ancestor t ~v ~k:(-1) p) (scheduled_ancestors t v);
-  List.iter (fun q -> link_descendant t ~v ~k:(-1) q) (scheduled_descendants t v)
+  link t ~v ~k:(-1) ~ancestors:(scheduled_ancestors t v)
+    ~descendants:(scheduled_descendants t v)
 
 let commit_at t v position =
   sync t;
@@ -621,10 +661,12 @@ let commit_at t v position =
     invalid_arg "Threaded_graph.commit_at: vertex already scheduled";
   if is_free_op t v then
     invalid_arg "Threaded_graph.commit_at: zero-resource op is placed free";
-  let feasible = feasible_positions t v in
-  if not (List.mem position feasible) then
+  let ancestors = scheduled_ancestors t v in
+  let descendants = scheduled_descendants t v in
+  let costed, _ = scan_positions t v ~ancestors ~descendants in
+  if not (List.mem_assoc position costed) then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
-  commit t v position
+  commit t v position ~ancestors ~descendants
 
 type tie_break = [ `First | `Balance | `Pack ]
 
@@ -681,9 +723,10 @@ let schedule ?(tie = `First) t v =
       if tel then emit_schedule_done t ~v ~thread:None ~scanned:0 ~t0
     end
     else begin
-      let up, down, intrinsic_src, intrinsic_snk = select_context t v in
+      let ancestors = scheduled_ancestors t v in
+      let descendants = scheduled_descendants t v in
       let costed, scanned =
-        scan_positions ~trace:tel t v ~up ~down ~intrinsic_src ~intrinsic_snk
+        scan_positions ~trace:tel t v ~ancestors ~descendants
       in
       match costed with
       | [] ->
@@ -724,7 +767,7 @@ let schedule ?(tie = `First) t v =
           Tel.emit (fun s ->
               s.Tel.Sink.chosen ~v ~thread:best_pos.thread
                 ~after:best_pos.after ~cost:best_cost);
-        commit t v best_pos;
+        commit t v best_pos ~ancestors ~descendants;
         if tel then
           emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned ~t0
     end
@@ -741,12 +784,7 @@ let to_schedule ?(placement = `Asap) t =
       (Printf.sprintf
          "Threaded_graph.to_schedule: %d of %d vertices scheduled"
          t.n_scheduled (Graph.n_vertices t.graph));
-  label t;
-  let dia =
-    List.fold_left
-      (fun acc v -> max acc (Vec.get t.nodes v).sdist)
-      0 (scheduled_vertices t)
-  in
+  let dia = label t in
   let starts =
     Array.init (Graph.n_vertices t.graph) (fun v ->
         let n = Vec.get t.nodes v in
@@ -816,4 +854,9 @@ let copy t =
     nodes;
     n_scheduled = t.n_scheduled;
     reach = t.reach; (* shared box: see its definition *)
+    indeg = [||];
+    order = [||];
+    up = [||];
+    down = [||];
+    stamp = 0;
   }

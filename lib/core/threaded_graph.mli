@@ -96,8 +96,10 @@ val to_schedule : ?placement:[ `Asap | `Alap ] -> t -> Schedule.t
     is scheduled. *)
 
 val copy : t -> t
-(** Deep copy sharing the (mutable) underlying graph — cheap state
-    snapshotting for the naive reference scheduler and the tests. *)
+(** Deep copy sharing the (mutable) underlying graph and its
+    reachability index — cheap state snapshotting for the naive
+    reference scheduler and the tests. The copy owns its own kernel
+    scratch, so a state and its copies may be scheduled alternately. *)
 
 type stats = {
   n_scheduled : int;

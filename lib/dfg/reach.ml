@@ -147,20 +147,29 @@ let precedes r u v =
 let preceq r u v = u = v || precedes r u v
 let comparable r u v = precedes r u v || precedes r v u
 
-let collect row n =
+(* The set bits of [row] below [n] that pass [among], ascending; a zero
+   byte is skipped whole. *)
+let collect among row n =
   let acc = ref [] in
-  for u = n - 1 downto 0 do
-    if bit_get row u then acc := u :: !acc
+  let u = ref (n - 1) in
+  while !u >= 0 do
+    if Bytes.get_uint8 row (!u lsr 3) = 0 then u := (!u land lnot 7) - 1
+    else begin
+      if bit_get row !u && among !u then acc := !u :: !acc;
+      decr u
+    end
   done;
   !acc
 
-let descendants r v =
-  check r v;
-  collect r.down.(v) r.n
+let all _ = true
 
-let ancestors r v =
+let descendants ?(among = all) r v =
   check r v;
-  collect r.up.(v) r.n
+  collect among r.down.(v) r.n
+
+let ancestors ?(among = all) r v =
+  check r v;
+  collect among r.up.(v) r.n
 
 let count_pairs r =
   let count = ref 0 in

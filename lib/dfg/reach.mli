@@ -45,10 +45,13 @@ val preceq : t -> Graph.vertex -> Graph.vertex -> bool
 val comparable : t -> Graph.vertex -> Graph.vertex -> bool
 (** [u ≼ v] or [v ≼ u]. *)
 
-val descendants : t -> Graph.vertex -> Graph.vertex list
-(** Strict descendants, ascending id order. *)
+val descendants :
+  ?among:(Graph.vertex -> bool) -> t -> Graph.vertex -> Graph.vertex list
+(** Strict descendants, ascending id order; only those satisfying
+    [among] (default: all), filtered without an intermediate list. *)
 
-val ancestors : t -> Graph.vertex -> Graph.vertex list
+val ancestors :
+  ?among:(Graph.vertex -> bool) -> t -> Graph.vertex -> Graph.vertex list
 
 val count_pairs : t -> int
 (** Number of ordered pairs [(u, v)] with [u ≺ v] — a measure of how

@@ -19,7 +19,8 @@
    into it with the batch flavour of the span phases: parse and
    prepare are timed in pass 1, queue wait is submit -> job start for
    cold leaders, cache lookup / schedule come from Service.execute,
-   emit is pass-3 rendering, and total is the sum of phases (requests
+   emit is a cold leader's in-job render of its response core plus the
+   pass-3 splice of id and trace, and total is the sum of phases (requests
    overlap in a batch, so per-request wall clock would double-count the
    pipeline). Timing observes only: response bytes are identical with
    or without a metrics plane, for any --jobs. *)
@@ -121,6 +122,8 @@ let run_lines ?pool service ~jobs lines =
         | Some p -> (p, false)
         | None -> (Pool.create ~jobs (), true)
       in
+      (* Each job also renders its leader's response core, so the
+         sequential pass 3 is left with the splice. *)
       let futs =
         List.rev_map
           (fun (i, prepared, sp) ->
@@ -128,7 +131,13 @@ let run_lines ?pool service ~jobs lines =
             ( i,
               Pool.submit p (fun () ->
                   sp.Metrics.queue_ns <- now () - enqueued;
-                  run_one ~span:sp prepared) ))
+                  let ((o, _) as answer) = run_one ~span:sp prepared in
+                  let te = now () in
+                  Service.render_core
+                    ~want_schedule:
+                      (Service.request_of prepared).Protocol.want_schedule o;
+                  sp.Metrics.emit_ns <- now () - te;
+                  answer) ))
           cold
       in
       List.iter (fun (i, fut) -> outcomes.(i) <- Some (Pool.await fut)) futs;

@@ -42,6 +42,8 @@ let core o ~want_schedule =
       o.core_without <- Some s;
       s
 
+let render_core ~want_schedule o = ignore (core o ~want_schedule)
+
 let line ?id ~trace ~cached ~want_schedule o =
   Protocol.ok_line_with_core ?id ~trace ~cached (core o ~want_schedule)
 

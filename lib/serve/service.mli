@@ -61,6 +61,11 @@ type outcome
 
 val result_of : outcome -> Protocol.result
 
+val render_core : want_schedule:bool -> outcome -> unit
+(** Render and memoize the response core now — in the worker that
+    produced the outcome — so a later {!line} only splices the id, the
+    trace and the cached flag around it. *)
+
 val line :
   ?id:string ->
   trace:string ->

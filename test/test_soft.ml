@@ -105,6 +105,10 @@ let test_thread_members_order () =
   check Alcotest.(list int) "chain order" [ 0; 1; 2; 3; 4 ] members;
   check Alcotest.int "diameter" 5 (T.diameter state)
 
+let placements st =
+  ( S.starts (T.to_schedule st),
+    List.init (T.n_threads st) (T.thread_members st) )
+
 let test_copy_is_independent () =
   let g = Generate.chain ~n:3 in
   let state = T.create g ~resources:two_two in
@@ -112,7 +116,34 @@ let test_copy_is_independent () =
   let snapshot = T.copy state in
   T.schedule state 1;
   check Alcotest.int "original moved on" 2 (T.n_scheduled state);
-  check Alcotest.int "copy frozen" 1 (T.n_scheduled snapshot)
+  check Alcotest.int "copy frozen" 1 (T.n_scheduled snapshot);
+  (* A state and its copy each own their kernel scratch: scheduling the
+     two alternately, in different orders, must give exactly what each
+     order gives on its own. *)
+  let g =
+    Generate.layered (Random.State.make [| 11 |]) ~layers:8 ~width:8 ~fanin:3
+  in
+  let resources = R.fig3_2alu_1mul in
+  let order = Meta.topological g in
+  let prefix = List.filteri (fun i _ -> i < 16) order in
+  let rest = List.filteri (fun i _ -> i >= 16) order in
+  let rest' = Meta.random ~seed:5 g |> List.filter (fun v -> List.mem v rest) in
+  let state = T.create g ~resources in
+  T.schedule_all state prefix;
+  let twin = T.copy state in
+  List.iter2
+    (fun v w ->
+      T.schedule state v;
+      T.schedule twin w)
+    rest rest';
+  let alone feed =
+    let st = T.create g ~resources in
+    T.schedule_all st (prefix @ feed);
+    placements st
+  in
+  let same = Alcotest.(pair (array int) (list (list int))) in
+  check same "state as if alone" (alone rest) (placements state);
+  check same "copy as if alone" (alone rest') (placements twin)
 
 let test_to_schedule_requires_completeness () =
   let g = Generate.chain ~n:3 in
@@ -666,6 +697,73 @@ let prop_lemma6_stable_labels =
                (Graph.vertices g))
         (shuffled_order (seed + 6) g))
 
+let prop_labels_match_paths_oracle =
+  (* The array-backed labelling against Dfg.Paths on the exported state
+     graph, after every call, for every Figure 3 config and meta. One
+     vertex is spliced into a graph edge halfway through each run, so
+     [sync] grows the kernel scratch mid-run. *)
+  QCheck.Test.make ~name:"labels equal the Paths oracle on the state graph"
+    ~count:25 seeded_dag (fun spec ->
+      List.for_all
+        (fun (_, resources) ->
+          List.for_all
+            (fun (_, meta) ->
+              let g = graph_of spec in
+              let st = T.create g ~resources in
+              let labels_ok () =
+                T.diameter st = Paths.diameter (T.state_graph st)
+              in
+              let order = meta g in
+              let half = List.length order / 2 in
+              let spliced = ref [] in
+              let step i v =
+                (if i = half then
+                   match Graph.edges g with
+                   | (src, dst) :: _ ->
+                     spliced :=
+                       [ Dfg.Mutate.insert_on_edge g ~src ~dst ~op:Op.Add () ]
+                   | [] -> ());
+                T.schedule st v;
+                labels_ok ()
+              in
+              let stepped = List.for_all Fun.id (List.mapi step order) in
+              let tail_ok =
+                List.for_all
+                  (fun v ->
+                    T.schedule st v;
+                    labels_ok ())
+                  !spliced
+              in
+              let sg = T.state_graph st in
+              stepped && tail_ok
+              && S.starts (T.to_schedule ~placement:`Asap st)
+                 = Paths.asap_starts sg
+              && S.starts (T.to_schedule ~placement:`Alap st)
+                 = Paths.alap_starts sg ~deadline:(T.diameter st))
+            (Meta.fig3 ~resources))
+        R.fig3_all)
+
+(* Theorem 3 keeps a [schedule] call linear; the kernel also keeps its
+   allocation linear with a small constant, from per-state scratch
+   instead of per-call tables. *)
+let test_schedule_allocation_bound () =
+  let g =
+    Generate.layered (Random.State.make [| 2026 |]) ~layers:40 ~width:10
+      ~fanin:3
+  in
+  let n = Graph.n_vertices g in
+  let order = Meta.topological g in
+  let st = T.create g ~resources:two_two in
+  let before = Gc.minor_words () in
+  List.iter (T.schedule st) order;
+  let per_vertex_call =
+    (Gc.minor_words () -. before) /. float_of_int (n * n)
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f minor words per vertex per call <= 16"
+       per_vertex_call)
+    true (per_vertex_call <= 16.)
+
 let () =
   Alcotest.run "soft"
     [
@@ -688,6 +786,8 @@ let () =
             test_feasible_positions_structure;
           Alcotest.test_case "predicted cost" `Quick
             test_predicted_cost_matches_reality;
+          Alcotest.test_case "allocation per call" `Quick
+            test_schedule_allocation_bound;
         ] );
       ( "benchmarks",
         [
@@ -747,5 +847,6 @@ let () =
             prop_meta_order_independence_of_correctness;
             prop_state_order_equals_reference;
             prop_lemma6_stable_labels;
+            prop_labels_match_paths_oracle;
           ] );
     ]
