@@ -1091,7 +1091,7 @@ let service_scaling () =
         ~unit:"lookups/s" v)
     jobs_levels
 
-(* Every registered engine over the whole benchmark suite: control
+(* Every engine in Soft.Engine.all over the whole benchmark suite: control
    steps per design plus the engine's total wall clock, and a race row
    (the default portfolio on the worker pool). The recorded rows land
    under the "portfolio" key in BENCH_softsched.json so later PRs can
@@ -1132,7 +1132,7 @@ let portfolio () =
       record ~sec:"portfolio"
         ~name:(Printf.sprintf "%s total wall" name)
         ~unit:"ms" (!total *. 1000.))
-    (Soft.Engine.all ());
+    Soft.Engine.all;
   let total = ref 0.0 in
   Printf.printf "  %-16s" "race(default)";
   List.iter
@@ -1226,7 +1226,6 @@ let sections =
   ]
 
 let () =
-  Modulo.Engine.ensure_registered ();
   let json_file = ref "" in
   let only = ref [] in
   let list_sections () =

@@ -1180,7 +1180,6 @@ let is_broken_pipe m =
   at 0
 
 let () =
-  Modulo.Engine.ensure_registered ();
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let doc = "soft (threaded) scheduling for high level synthesis" in

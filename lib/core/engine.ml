@@ -121,39 +121,6 @@ let compare_qor a b =
     | c -> c)
   | c -> c
 
-(* -- registry ---------------------------------------------------------- *)
-
-let registry : engine list ref = ref []
-
-let register (module E : S) =
-  if List.exists (fun (module X : S) -> X.name = E.name) !registry then
-    invalid_arg ("Engine.register: duplicate engine " ^ E.name);
-  registry := !registry @ [ (module E : S) ]
-
-let all () = !registry
-let names () = List.map name !registry
-
-let find s =
-  let s = String.lowercase_ascii s in
-  List.find_opt (fun (module E : S) -> E.name = s) !registry
-
-let of_string s =
-  let canonical =
-    match String.lowercase_ascii (String.trim s) with
-    | "threaded" -> "soft"
-    | "sa" | "annealing" -> "anneal"
-    | "exact" | "bb" | "exhaustive" -> "bnb"
-    | "fds" | "force" -> "force_directed"
-    | "ims" | "loop" -> "modulo"
-    | other -> other
-  in
-  match find canonical with
-  | Some e -> Ok e
-  | None ->
-    Error
-      (Printf.sprintf "unknown engine %S (known: %s)" s
-         (String.concat ", " (names ())))
-
 (* -- the shared threaded run ------------------------------------------- *)
 
 (* Past the deadline we stop optimising: each remaining operation goes
@@ -334,15 +301,61 @@ module Bnb_engine = struct
       { optimal = r.Hard.Exact_bb.optimal; degraded = false; state = None } )
 end
 
-let () =
-  List.iter register
-    [
-      (module Soft_engine : S);
-      (module Naive_engine : S);
-      (module Search_engine : S);
-      (module Anneal_engine : S);
-      (module List_engine : S);
-      (module Fdls_engine : S);
-      (module Fds_engine : S);
-      (module Bnb_engine : S);
-    ]
+module Modulo_engine = struct
+  let name = "modulo"
+
+  let about =
+    "iterative modulo scheduler: II search from MII with budgeted eviction"
+
+  let capabilities = [ Deterministic ]
+
+  (* The DAG is a loop body whose iterations are independent. The
+     one-iteration starts are a valid flat schedule: each cycle's usage
+     is a sub-multiset of its modulo slot's. *)
+  let schedule ctx ~resources g =
+    let loop = Modulo.Loop_graph.of_dag g in
+    match Modulo.Ims.run ?budget:ctx.budget ~resources loop with
+    | Error m -> invalid_arg ("modulo engine: " ^ m)
+    | Ok (ms, _stats) ->
+      ( Schedule.make g
+          ~starts:(Array.init (Graph.n_vertices g) (Modulo.Mschedule.start ms)),
+        { optimal = false; degraded = false; state = None } )
+end
+
+(* -- the engine list --------------------------------------------------- *)
+
+let all : engine list =
+  [
+    (module Soft_engine);
+    (module Naive_engine);
+    (module Search_engine);
+    (module Anneal_engine);
+    (module List_engine);
+    (module Fdls_engine);
+    (module Fds_engine);
+    (module Bnb_engine);
+    (module Modulo_engine);
+  ]
+
+let names = List.map name all
+
+let find s =
+  let s = String.lowercase_ascii s in
+  List.find_opt (fun e -> name e = s) all
+
+let of_string s =
+  let canonical =
+    match String.lowercase_ascii (String.trim s) with
+    | "threaded" -> "soft"
+    | "sa" | "annealing" -> "anneal"
+    | "exact" | "bb" | "exhaustive" -> "bnb"
+    | "fds" | "force" -> "force_directed"
+    | "ims" | "loop" -> "modulo"
+    | other -> other
+  in
+  match find canonical with
+  | Some e -> Ok e
+  | None ->
+    Error
+      (Printf.sprintf "unknown engine %S (known: %s)" s
+         (String.concat ", " names))

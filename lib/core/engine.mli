@@ -1,10 +1,11 @@
 open Import
 
 (** The scheduler portfolio: every engine in the repo — the paper's
-    threaded scheduler, the traditional baselines, and the global
-    optimisers it is compared against — behind one first-class
-    signature and a registry, so the CLI, the serving layer and the
-    bench can treat "which scheduler" as a parameter.
+    threaded scheduler, the traditional baselines, the global
+    optimisers it is compared against and the modulo scheduler — behind
+    one first-class signature and one static list ({!all}), so the CLI,
+    the serving layer and the bench can treat "which scheduler" as a
+    parameter.
 
     An engine maps [(resources, graph)] to a hard {!Schedule.t} under a
     shared context (soft deadline, RNG seed, meta-schedule name, search
@@ -105,15 +106,14 @@ val peak_live : Graph.t -> Schedule.t -> int
     any cycle (a value is live from its producer's finish to its last
     consumer's start; sink values occupy nothing). *)
 
-(** {2 Registry} *)
+(** {2 The engine list} *)
 
-val register : engine -> unit
-(** @raise Invalid_argument on a duplicate name. *)
+val all : engine list
+(** Every engine, in this fixed order: [soft], [naive], [search],
+    [anneal], [list], [fdls], [force_directed], [bnb], [modulo]. *)
 
-val all : unit -> engine list
-(** Registration order; the built-ins come first, [soft] leading. *)
-
-val names : unit -> string list
+val names : string list
+(** The names of {!all}, in order. *)
 
 val find : string -> engine option
 (** Exact (case-insensitive) name lookup — no aliases. *)
@@ -122,8 +122,7 @@ val of_string : string -> (engine, string) result
 (** The CLI/protocol spelling: canonical names plus the aliases
     [threaded]→[soft], [sa]/[annealing]→[anneal],
     [exact]/[bb]/[exhaustive]→[bnb], [fds]/[force]→[force_directed],
-    [ims]/[loop]→[modulo] (registered by [lib/modulo] at startup).
-    The error names the known engines. *)
+    [ims]/[loop]→[modulo]. The error names the known engines. *)
 
 (** {2 The shared threaded run} *)
 

@@ -44,13 +44,14 @@ let grow g =
   end
 
 let add_vertex g ?delay ?name op =
+  let delay = match delay with Some d -> d | None -> Delay.of_op op in
+  if delay < 0 then invalid_arg "Loop_graph.add_vertex: negative delay";
   grow g;
   let v = g.n in
   g.n <- v + 1;
   g.ops.(v) <- op;
-  g.delays.(v) <- (match delay with Some d -> d | None -> Delay.of_op op);
+  g.delays.(v) <- delay;
   g.names.(v) <- (match name with Some s -> s | None -> Printf.sprintf "v%d" v);
-  if g.delays.(v) < 0 then invalid_arg "Loop_graph.add_vertex: negative delay";
   v
 
 let check_vertex g v ctx =
@@ -200,28 +201,24 @@ let of_dag ?(carries = []) dag =
     carries;
   g
 
-let to_seq_graph g =
-  let sq = Retime.Seq_graph.create () in
+let retime g ~lag =
+  if Array.length lag <> g.n then
+    invalid_arg "Loop_graph.retime: lag vector size mismatch";
+  let r = create () in
   iter_vertices
     (fun v ->
-      ignore
-        (Retime.Seq_graph.add_vertex sq ~delay:g.delays.(v) ~name:g.names.(v)
-           g.ops.(v)))
+      ignore (add_vertex r ~delay:g.delays.(v) ~name:g.names.(v) g.ops.(v)))
     g;
-  (* Seq_graph keeps one edge per pair: collapse parallel edges to the
-     minimum distance, the binding constraint (it decides both
-     well-formedness and the recurrence bound). *)
-  let min_dist = Hashtbl.create 16 in
   iter_edges
     (fun u v d ->
-      match Hashtbl.find_opt min_dist (u, v) with
-      | Some d' when d' <= d -> ()
-      | _ -> Hashtbl.replace min_dist (u, v) d)
+      let d' = d + lag.(v) - lag.(u) in
+      if d' < 0 then
+        invalid_arg
+          (Printf.sprintf "Loop_graph.retime: edge %s -> %s gets distance %d"
+             g.names.(u) g.names.(v) d');
+      add_edge r ~distance:d' u v)
     g;
-  Hashtbl.iter
-    (fun (u, v) d -> Retime.Seq_graph.add_edge sq u v ~weight:d)
-    min_dist;
-  sq
+  r
 
 let unroll g ~iterations =
   if iterations < 1 then invalid_arg "Loop_graph.unroll: iterations must be >= 1";

@@ -10,10 +10,14 @@ open Import
     [d >= 1] are the loop-carried recurrences. Vertices follow the
     repository delay model ({!Dfg.Delay}).
 
-    Well-formedness mirrors {!Retime.Seq_graph}: every cycle must carry
-    a total distance of at least one (equivalently, the distance-0
-    subgraph is a DAG) — a zero-distance cycle would make the iteration
-    depend on itself. Self-loops therefore need [distance >= 1].
+    The same graph is the retiming substrate ([Retime.Retimer]): read
+    as a synchronous circuit, an edge's distance is its register count
+    (a value carried [d] iterations crosses [d] registers).
+
+    Well-formedness is Leiserson–Saxe's: every cycle must carry a total
+    distance of at least one (equivalently, the distance-0 subgraph is
+    a DAG) — a zero-distance cycle would make the iteration depend on
+    itself. Self-loops therefore need [distance >= 1].
 
     Vertices are dense integer ids; predecessor lists keep insertion
     (operand) order, like {!Dfg.Graph}. *)
@@ -24,7 +28,8 @@ type vertex = int
 val create : unit -> t
 
 val add_vertex : t -> ?delay:int -> ?name:string -> Op.t -> vertex
-(** [delay] defaults to {!Delay.of_op}; [name] to ["v<i>"]. *)
+(** [delay] defaults to {!Delay.of_op}; [name] to ["v<i>"].
+    @raise Invalid_argument on a negative delay, leaving [t] unchanged. *)
 
 val add_edge : t -> ?distance:int -> vertex -> vertex -> unit
 (** [add_edge g ?distance u v] records "[v] reads [u] from [distance]
@@ -85,12 +90,11 @@ val of_dag : ?carries:(Graph.vertex * Graph.vertex * int) list -> Graph.t -> t
     vertex. With no carries, iterations are independent and only
     resources bound the initiation interval. *)
 
-val to_seq_graph : t -> Retime.Seq_graph.t
-(** Bridge to the retiming substrate: iteration distance becomes the
-    edge register count (a value carried [d] iterations crosses [d]
-    registers). {!Retime.Seq_graph} keeps one edge per vertex pair, so
-    parallel edges collapse to their {e minimum} distance — the binding
-    constraint; well-formedness is preserved exactly. *)
+val retime : t -> lag:int array -> t
+(** Leiserson–Saxe retiming: a fresh graph with the same vertices in
+    which edge [(u, v, d)] gets distance [d + lag.(v) - lag.(u)], the
+    edges re-added in {!iter_edges} order. @raise Invalid_argument if
+    [lag] has the wrong length or a retimed distance is negative. *)
 
 val unroll : t -> iterations:int -> Graph.t * Graph.vertex array array
 (** Flatten [iterations >= 1] consecutive iterations into one DAG:

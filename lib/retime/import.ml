@@ -4,3 +4,4 @@ module Paths = Dfg.Paths
 module Resources = Hard.Resources
 module Schedule = Hard.Schedule
 module Scheduler = Soft.Scheduler
+module Loop_graph = Modulo.Loop_graph

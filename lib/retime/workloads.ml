@@ -3,56 +3,56 @@ open Import
 let ring ~ops ~registers =
   if ops < 2 then invalid_arg "Workloads.ring: need at least two ops";
   if registers < 1 then invalid_arg "Workloads.ring: need a register";
-  let g = Seq_graph.create () in
+  let g = Loop_graph.create () in
   let vertex i =
     let op = if i mod 2 = 0 then Op.Mul else Op.Add in
-    Seq_graph.add_vertex g ~name:(Printf.sprintf "o%d" i) op
+    Loop_graph.add_vertex g ~name:(Printf.sprintf "o%d" i) op
   in
   let ids = Array.init ops vertex in
   for i = 0 to ops - 2 do
-    Seq_graph.add_edge g ids.(i) ids.(i + 1) ~weight:0
+    Loop_graph.add_edge g ids.(i) ids.(i + 1)
   done;
-  Seq_graph.add_edge g ids.(ops - 1) ids.(0) ~weight:registers;
+  Loop_graph.add_edge g ~distance:registers ids.(ops - 1) ids.(0);
   g
 
 let correlator ~taps =
   if taps < 2 then invalid_arg "Workloads.correlator: need two taps";
-  let g = Seq_graph.create () in
-  let host = Seq_graph.add_vertex g ~name:"host" ~delay:1 Op.Mov in
+  let g = Loop_graph.create () in
+  let host = Loop_graph.add_vertex g ~name:"host" ~delay:1 Op.Mov in
   (* delay line of comparators, one register between consecutive taps *)
   let comparators =
     Array.init taps (fun i ->
-        Seq_graph.add_vertex g ~name:(Printf.sprintf "c%d" i) Op.Eq)
+        Loop_graph.add_vertex g ~name:(Printf.sprintf "c%d" i) Op.Eq)
   in
-  Seq_graph.add_edge g host comparators.(0) ~weight:1;
+  Loop_graph.add_edge g ~distance:1 host comparators.(0);
   for i = 0 to taps - 2 do
-    Seq_graph.add_edge g comparators.(i) comparators.(i + 1) ~weight:1
+    Loop_graph.add_edge g ~distance:1 comparators.(i) comparators.(i + 1)
   done;
-  (* zero-weight adder chain combining the taps back to the host *)
+  (* zero-distance adder chain combining the taps back to the host *)
   let previous = ref comparators.(taps - 1) in
   for i = taps - 2 downto 0 do
-    let a = Seq_graph.add_vertex g ~name:(Printf.sprintf "a%d" i) Op.Add in
-    Seq_graph.add_edge g !previous a ~weight:0;
-    Seq_graph.add_edge g comparators.(i) a ~weight:0;
+    let a = Loop_graph.add_vertex g ~name:(Printf.sprintf "a%d" i) Op.Add in
+    Loop_graph.add_edge g !previous a;
+    Loop_graph.add_edge g comparators.(i) a;
     previous := a
   done;
-  Seq_graph.add_edge g !previous host ~weight:0;
+  Loop_graph.add_edge g !previous host;
   g
 
 let pipeline ~stages ~slack_registers =
   if stages < 1 then invalid_arg "Workloads.pipeline: need a stage";
   if slack_registers < 0 then
     invalid_arg "Workloads.pipeline: negative slack";
-  let g = Seq_graph.create () in
-  let source = Seq_graph.add_vertex g ~name:"src" ~delay:0 (Op.Input "x") in
+  let g = Loop_graph.create () in
+  let source = Loop_graph.add_vertex g ~name:"src" ~delay:0 (Op.Input "x") in
   let previous = ref source in
   for i = 0 to stages - 1 do
-    let m = Seq_graph.add_vertex g ~name:(Printf.sprintf "m%d" i) Op.Mul in
-    let a = Seq_graph.add_vertex g ~name:(Printf.sprintf "a%d" i) Op.Add in
-    Seq_graph.add_edge g !previous m ~weight:0;
-    Seq_graph.add_edge g m a ~weight:0;
+    let m = Loop_graph.add_vertex g ~name:(Printf.sprintf "m%d" i) Op.Mul in
+    let a = Loop_graph.add_vertex g ~name:(Printf.sprintf "a%d" i) Op.Add in
+    Loop_graph.add_edge g !previous m;
+    Loop_graph.add_edge g m a;
     previous := a
   done;
-  let sink = Seq_graph.add_vertex g ~name:"snk" ~delay:0 (Op.Output "y") in
-  Seq_graph.add_edge g !previous sink ~weight:slack_registers;
+  let sink = Loop_graph.add_vertex g ~name:"snk" ~delay:0 (Op.Output "y") in
+  Loop_graph.add_edge g ~distance:slack_registers !previous sink;
   g

@@ -1,7 +1,5 @@
 open Import
 
-let () = Lazy.force extra_engines
-
 (* The NDJSON request/response vocabulary of `softsched batch` and
    `softsched serve`: one JSON object per line, field order fixed so
    equal requests produce byte-identical response lines (the batch

@@ -1,7 +1,5 @@
 open Import
 
-let () = Lazy.force extra_engines
-
 type entry = {
   engine : string;
   outcome : Engine.outcome option;

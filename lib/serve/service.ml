@@ -1,7 +1,5 @@
 open Import
 
-let () = Lazy.force extra_engines
-
 (* The scheduling service proper: resolve a request to a graph,
    fingerprint it, consult the LRU cache, and only run the scheduler on
    a miss. A second, cheaper memo maps (design name, resources, meta)
@@ -334,7 +332,7 @@ let execute ?deadline ?span t p =
         let e =
           match Engine.find "bnb" with
           | Some e -> e
-          | None -> failwith "engine bnb is not registered"
+          | None -> failwith "engine bnb is not in the engine list"
         in
         let ctx = Engine.ctx ?deadline ~meta () in
         let o = Engine.run ~ctx e ~resources g in

@@ -1,7 +1,7 @@
-(* The scheduler portfolio: the Engine registry, the QoR-annotated run
+(* The scheduler portfolio: the Engine list, the QoR-annotated run
    wrapper, the annealing and branch-and-bound engines, and race mode.
 
-   The load-bearing properties: every registered engine's output is a
+   The load-bearing properties: every listed engine's output is a
    valid resource-constrained schedule (Schedule.check) whose soft
    state — when the engine returns one — passes the full threaded-
    graph invariant; branch and bound degrades to its incumbent on any
@@ -27,7 +27,7 @@ let get_engine name =
   | Ok e -> e
   | Error m -> Alcotest.fail m
 
-(* --- registry -------------------------------------------------------- *)
+(* --- names and aliases ------------------------------------------------ *)
 
 let test_registry_names () =
   let required =
@@ -63,27 +63,8 @@ let test_registry_names () =
          go 0
        in
        has m "anneal" && has m "bnb"));
-  check Alcotest.bool "at least 7 engines registered" true
-    (List.length (Engine.all ()) >= 7);
-  let names = Engine.names () in
-  check Alcotest.int "names are unique" (List.length names)
-    (List.length (List.sort_uniq compare names))
-
-let test_duplicate_registration () =
-  let dup =
-    (module struct
-      let name = "soft"
-      let about = "duplicate"
-      let capabilities = []
-
-      let schedule _ ~resources g =
-        ( Soft.Scheduler.run_to_schedule ~resources g,
-          { Engine.optimal = false; degraded = false; state = None } )
-    end : Engine.S)
-  in
-  Alcotest.check_raises "duplicate name rejected"
-    (Invalid_argument "Engine.register: duplicate engine soft") (fun () ->
-      Engine.register dup)
+  check Alcotest.int "names are unique" (List.length Engine.names)
+    (List.length (List.sort_uniq compare Engine.names))
 
 (* --- annotated runs --------------------------------------------------- *)
 
@@ -153,7 +134,7 @@ let engine_validity_tests =
            ~name:(Printf.sprintf "%s: valid schedule + invariant" (Engine.name eng))
            ~count:25 QCheck.small_nat
            (engine_validity_prop eng)))
-    (Engine.all ())
+    Engine.all
 
 (* --- determinism ------------------------------------------------------ *)
 
@@ -272,11 +253,7 @@ let () =
   Alcotest.run "engine"
     [
       ( "registry",
-        [
-          Alcotest.test_case "names and aliases" `Quick test_registry_names;
-          Alcotest.test_case "duplicate rejected" `Quick
-            test_duplicate_registration;
-        ] );
+        [ Alcotest.test_case "names and aliases" `Quick test_registry_names ] );
       ( "annotations",
         [
           Alcotest.test_case "run annotates" `Quick test_run_annotations;

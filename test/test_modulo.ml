@@ -1,9 +1,9 @@
 (* Tests for the loop-pipelining subsystem: cyclic loop graphs, the
    .ldfg serial format, the MII bounds, modulo schedules and their
-   unrolled meaning, the iterative modulo scheduler, and the engine
-   registration. The headline property (the ISSUE acceptance
-   criterion): the scheduler achieves II = MII on the textbook FIR and
-   IIR loop kernels under every Figure 3 configuration. *)
+   unrolled meaning, the iterative modulo scheduler, and the modulo
+   engine. The headline property: the scheduler achieves II = MII on
+   the textbook FIR and IIR loop kernels under every Figure 3
+   configuration. *)
 
 module Graph = Dfg.Graph
 module Op = Dfg.Op
@@ -14,7 +14,6 @@ module Ims = Modulo.Ims
 module R = Hard.Resources
 module S = Hard.Schedule
 module T = Soft.Threaded_graph
-module SG = Retime.Seq_graph
 
 let check = Alcotest.check
 let two_two = R.fig3_2alu_2mul
@@ -59,7 +58,12 @@ let test_loop_graph_rejects () =
   (try
      L.add_edge g a 99;
      Alcotest.fail "expected Invalid_argument on unknown endpoint"
-   with Invalid_argument _ -> ())
+   with Invalid_argument _ -> ());
+  (try
+     ignore (L.add_vertex g ~delay:(-1) Op.Add);
+     Alcotest.fail "expected Invalid_argument on negative delay"
+   with Invalid_argument _ -> ());
+  check Alcotest.int "a rejected vertex is not added" 1 (L.n_vertices g)
 
 let test_loop_graph_multi_distance () =
   let g = L.create () in
@@ -109,20 +113,6 @@ let test_of_dag () =
      ignore (L.of_dag ~carries:[ (0, 1, 0) ] dag);
      Alcotest.fail "expected Invalid_argument on distance-0 carry"
    with Invalid_argument _ -> ())
-
-let test_to_seq_graph () =
-  let g = L.create () in
-  let a = L.add_vertex g Op.Add in
-  let b = L.add_vertex g Op.Mul in
-  L.add_edge g a b;
-  L.add_edge g ~distance:3 b a;
-  L.add_edge g ~distance:1 b a;
-  (* parallel edges collapse to the minimum distance *)
-  let sg = L.to_seq_graph g in
-  check Alcotest.int "seq vertices" 2 (SG.n_vertices sg);
-  check Alcotest.(list (pair int int)) "min distance wins" [ (a, 1) ]
-    (SG.succs sg b);
-  check Alcotest.bool "seq well formed" true (SG.well_formed sg = Ok ())
 
 let test_unroll () =
   let g, _, _, _ = acc_kernel () in
@@ -370,11 +360,8 @@ let test_ims_budget_never_invalid () =
 
 (* --- Engine ----------------------------------------------------------- *)
 
-let () = Modulo.Engine.ensure_registered ()
-let () = Modulo.Engine.ensure_registered () (* idempotent *)
-
 let test_engine_registered () =
-  check Alcotest.bool "modulo in the registry" true
+  check Alcotest.bool "modulo in the engine list" true
     (Soft.Engine.find "modulo" <> None);
   (match Soft.Engine.of_string "ims" with
   | Ok e -> check Alcotest.string "ims alias" "modulo" (Soft.Engine.name e)
@@ -387,7 +374,7 @@ let test_engine_schedules_dags () =
   let eng =
     match Soft.Engine.find "modulo" with
     | Some e -> e
-    | None -> Alcotest.fail "modulo not registered"
+    | None -> Alcotest.fail "modulo not in the engine list"
   in
   let module E = (val eng : Soft.Engine.S) in
   List.iter
@@ -465,7 +452,6 @@ let () =
             test_zero_distance_cycle_detected;
           Alcotest.test_case "body" `Quick test_body;
           Alcotest.test_case "of_dag" `Quick test_of_dag;
-          Alcotest.test_case "to_seq_graph" `Quick test_to_seq_graph;
           Alcotest.test_case "unroll" `Quick test_unroll;
         ] );
       ( "serial",

@@ -956,13 +956,13 @@ let test_metrics_engine_counters () =
     (contains prom {|softsched_race_wins_total{engine="list"} 1|});
   check Alcotest.bool "race total" true (contains prom "softsched_races_total 1")
 
-(* The modulo engine is registered by the serving layer itself (the
-   Import initialiser), so a race subset naming it runs it and its
-   counters surface in the stats snapshot and the Prometheus dump. *)
+(* The modulo engine is in Soft.Engine.all like every other, so a race
+   subset naming it runs it and its counters surface in the stats
+   snapshot and the Prometheus dump. *)
 let test_metrics_modulo_engine_visible () =
   (match Soft.Engine.of_string "modulo" with
   | Ok _ -> ()
-  | Error m -> Alcotest.failf "modulo not registered by serve: %s" m);
+  | Error m -> Alcotest.failf "modulo not in the engine list: %s" m);
   let m = Metrics.create () in
   let service = Service.create ~metrics:m () in
   let prep req =

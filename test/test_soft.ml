@@ -764,6 +764,31 @@ let test_schedule_allocation_bound () =
        per_vertex_call)
     true (per_vertex_call <= 16.)
 
+(* --- the engine list ------------------------------------------------ *)
+
+(* The portfolio is one static list: a suite that links soft and not the
+   serving layer sees every engine, modulo included, in a fixed order. *)
+let test_engine_list () =
+  check
+    Alcotest.(list string)
+    "names in order"
+    [
+      "soft"; "naive"; "search"; "anneal"; "list"; "fdls"; "force_directed";
+      "bnb"; "modulo";
+    ]
+    Soft.Engine.names;
+  List.iter
+    (fun (alias, canonical) ->
+      match Soft.Engine.of_string alias with
+      | Ok e -> check Alcotest.string alias canonical (Soft.Engine.name e)
+      | Error m -> Alcotest.fail m)
+    [
+      ("threaded", "soft"); ("sa", "anneal"); ("annealing", "anneal");
+      ("exact", "bnb"); ("bb", "bnb"); ("exhaustive", "bnb");
+      ("fds", "force_directed"); ("force", "force_directed");
+      ("ims", "modulo"); ("loop", "modulo");
+    ]
+
 let () =
   Alcotest.run "soft"
     [
@@ -835,6 +860,7 @@ let () =
           Alcotest.test_case "threads view" `Quick test_render_threads;
           Alcotest.test_case "timeline view" `Quick test_render_timeline;
         ] );
+      ("engine", [ Alcotest.test_case "static list" `Quick test_engine_list ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
