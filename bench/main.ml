@@ -280,13 +280,14 @@ let complexity_sweep () =
    counters measure the select scan directly: positions scanned per
    [schedule] call should grow linearly with |V| (Theorem 3), and the
    observed thread in/out degrees must stay within Lemma 7's K bound
-   (one edge per foreign thread) on every benchmark. *)
+   (one edge per foreign thread) on every benchmark. The relabelled
+   column is the commits' label propagation, per call and per vertex. *)
 
 let telemetry_linearity () =
   section "Theorem 3 (telemetry): select-scan work measured, not modelled";
   let resources = R.fig3_2alu_2mul in
-  Printf.printf "%6s %8s %10s %10s %14s %7s %8s\n" "|V|" "calls" "scanned"
-    "per call" "per call/|V|" "max in" "max out";
+  Printf.printf "%6s %8s %10s %10s %14s %14s %7s %8s\n" "|V|" "calls"
+    "scanned" "per call" "per call/|V|" "relabelled/|V|" "max in" "max out";
   let rng = Random.State.make [| 2026 |] in
   List.iter
     (fun n ->
@@ -302,10 +303,15 @@ let telemetry_linearity () =
         float_of_int s.Telemetry.Counters.positions_scanned
         /. float_of_int (max 1 s.Telemetry.Counters.schedule_calls)
       in
-      Printf.printf "%6d %8d %10d %10.1f %14.4f %7d %8d\n" nv
+      let relabelled_per_call =
+        float_of_int s.Telemetry.Counters.vertices_relabelled
+        /. float_of_int (max 1 s.Telemetry.Counters.schedule_calls)
+      in
+      Printf.printf "%6d %8d %10d %10.1f %14.4f %14.4f %7d %8d\n" nv
         s.Telemetry.Counters.schedule_calls
         s.Telemetry.Counters.positions_scanned per_call
         (per_call /. float_of_int nv)
+        (relabelled_per_call /. float_of_int nv)
         s.Telemetry.Counters.max_in_degree_observed
         s.Telemetry.Counters.max_out_degree_observed)
     [ 50; 100; 200; 400; 800; 1600; 3200 ];

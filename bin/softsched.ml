@@ -35,8 +35,17 @@ let graph_of_spec spec =
   | entry -> entry.Hls_bench.Suite.build ()
   | exception Not_found ->
     if Sys.file_exists spec then begin
-      if Filename.check_suffix spec ".dfg" then Dfg.Serial.load spec
-      else Ir.Lower.of_source (read_file spec)
+      let g =
+        try
+          if Filename.check_suffix spec ".dfg" then Dfg.Serial.load spec
+          else Ir.Lower.of_source (read_file spec)
+        with
+        | Dfg.Serial.Parse_error m | Ir.Lexer.Lex_error m
+        | Ir.Parser.Parse_error m ->
+          failwith (spec ^ ": " ^ m)
+      in
+      if Dfg.Graph.is_dag g then g
+      else failwith (spec ^ ": the dataflow graph has a cycle")
     end
     else
       failwith

@@ -2,7 +2,7 @@ open Import
 
 (* Int-specialised: this compiler has no flambda, so [Stdlib.max]/[min]
    stay polymorphic calls into [caml_greaterequal]/[caml_lessequal],
-   and the kernel takes one per state edge per labelling. *)
+   and the kernel takes one per state edge it relabels. *)
 let max (a : int) b = if a >= b then a else b
 let min (a : int) b = if a <= b then a else b
 
@@ -49,14 +49,18 @@ module Tel = Telemetry
    replay, unlike signature comparison, must happen exactly once. *)
 type reach_box = { mutable index : Reach.t; mutable gen : int }
 
-(* The kernel scratch ([indeg] .. [stamp]) is indexed by vertex and
+(* [sdist]/[tdist] of every scheduled vertex and [diameter] are kept
+   exact across calls: each commit propagates the labels it changed from
+   the committed vertex ([relabel]) instead of relabelling the state.
+   The kernel scratch ([queued] .. [stamp]) is indexed by vertex and
    grown in [sync], so a [schedule] call allocates no per-vertex tables:
-   [label] runs Kahn's algorithm over [indeg], leaving the topological
-   order in [order]; [closure] borrows [order] as its BFS queue and
-   stamps the feasibility window into [up]/[down], where a vertex is
-   marked iff its entry equals [stamp] — bumping the stamp clears every
-   mark at once. Unlike the reach box, the scratch is never shared with
-   a [copy]: the naive scheduler interleaves a state with its trials. *)
+   the propagation keeps its heap in [order] and the key of each vertex
+   it holds in [queued] (-1 for every other vertex); [closure] borrows
+   [order] as its BFS queue and stamps the feasibility window into
+   [up]/[down]. A vertex is marked there iff its entry equals [stamp],
+   so bumping the stamp clears every mark at once. Unlike the reach
+   box, the scratch is never shared with a [copy]: the naive scheduler
+   interleaves a state with its trials. *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
@@ -65,7 +69,8 @@ type t = {
   nodes : node Vec.t;
   mutable n_scheduled : int;
   reach : reach_box;
-  mutable indeg : int array;
+  mutable diameter : int;
+  mutable queued : int array;
   mutable order : int array;
   mutable up : int array;
   mutable down : int array;
@@ -96,7 +101,8 @@ let create graph ~resources =
     nodes = Vec.create ~dummy:(fresh_node ()) ();
     n_scheduled = 0;
     reach = { index = Reach.of_graph graph; gen = Graph.generation graph };
-    indeg = [||];
+    diameter = 0;
+    queued = [||];
     order = [||];
     up = [||];
     down = [||];
@@ -174,11 +180,12 @@ let catch_up_closure t gen =
   else rebuild_closure t gen
 
 (* Fresh mark arrays hold 0 and the stamp is bumped before every use,
-   so no mark survives a regrow. *)
+   so no mark survives a regrow; the heap is empty between calls, so
+   [queued] starts at -1 everywhere. *)
 let grow_scratch t n =
-  if Array.length t.indeg < n then begin
-    let cap = max n (2 * Array.length t.indeg) in
-    t.indeg <- Array.make cap 0;
+  if Array.length t.queued < n then begin
+    let cap = max n (2 * Array.length t.queued) in
+    t.queued <- Array.make cap (-1);
     t.order <- Array.make cap 0;
     t.up <- Array.make cap 0;
     t.down <- Array.make cap 0
@@ -234,22 +241,6 @@ let scheduled_vertices t =
   done;
   !acc
 
-(* Kahn's release of [s]: one fewer unplaced state predecessor; once
-   none is left, [s] joins the order at [tail]. Returns the new tail. *)
-let release t s tail =
-  let d = t.indeg.(s) - 1 in
-  t.indeg.(s) <- d;
-  if d = 0 then begin
-    t.order.(tail) <- s;
-    tail + 1
-  end
-  else tail
-
-let rec release_all t succs tail =
-  match succs with
-  | [] -> tail
-  | s :: rest -> release_all t rest (release t s tail)
-
 let rec max_sdist t vs acc =
   match vs with
   | [] -> acc
@@ -260,53 +251,7 @@ let rec max_tdist t vs acc =
   | [] -> acc
   | v :: rest -> max_tdist t rest (max acc (Vec.get t.nodes v).tdist)
 
-(* Forward/backward labelling (the paper's forwardLabel/backwardLabel):
-   longest-path distances over the state's partial order, linear in the
-   number of state edges thanks to the degree bound. Kahn's algorithm
-   runs over the state's scratch buffers, walking [prev]/[next] and the
-   explicit edge lists in place. Returns the diameter. *)
-let label t =
-  sync t;
-  let nodes = t.nodes in
-  let scheduled = ref 0 and tail = ref 0 in
-  for v = 0 to Vec.length nodes - 1 do
-    let nv = Vec.get nodes v in
-    if nv.scheduled then begin
-      incr scheduled;
-      let d = List.length nv.preds + (if nv.prev >= 0 then 1 else 0) in
-      t.indeg.(v) <- d;
-      if d = 0 then begin
-        t.order.(!tail) <- v;
-        incr tail
-      end
-    end
-  done;
-  let head = ref 0 in
-  while !head < !tail do
-    let nv = Vec.get nodes t.order.(!head) in
-    incr head;
-    let tl = if nv.next >= 0 then release t nv.next !tail else !tail in
-    tail := release_all t nv.succs tl
-  done;
-  if !tail <> !scheduled then
-    failwith "Threaded_graph.label: scheduling state contains a cycle";
-  let diameter = ref 0 in
-  for i = 0 to !tail - 1 do
-    let v = t.order.(i) in
-    let nv = Vec.get nodes v in
-    let best = if nv.prev >= 0 then (Vec.get nodes nv.prev).sdist else 0 in
-    nv.sdist <- max_sdist t nv.preds best + Graph.delay t.graph v;
-    diameter := max !diameter nv.sdist
-  done;
-  for i = !tail - 1 downto 0 do
-    let v = t.order.(i) in
-    let nv = Vec.get nodes v in
-    let best = if nv.next >= 0 then (Vec.get nodes nv.next).tdist else 0 in
-    nv.tdist <- max_tdist t nv.succs best + Graph.delay t.graph v
-  done;
-  !diameter
-
-let diameter = label
+let diameter t = t.diameter
 
 (* Mark [x] (ignoring the -1 of an absent thread neighbour) and queue
    it at [tail] unless already marked. Returns the new tail. *)
@@ -412,14 +357,13 @@ let allowed_threads t v =
 
 (* All feasible positions for [v] with their costs, in deterministic
    scan order, plus the number of slots examined (the Theorem 3 work
-   measure). Labels the state and marks the feasibility window first:
-   a slot is feasible iff the member before it is outside the down-set
-   of v's scheduled [descendants] and the member after it is outside
-   the up-set of its [ancestors]. [trace] reports each feasible
+   measure). Marks the feasibility window first and reads the maintained
+   labels: a slot is feasible iff the member before it is outside the
+   down-set of v's scheduled [descendants] and the member after it is
+   outside the up-set of its [ancestors]. [trace] reports each feasible
    candidate to the telemetry sink — only the [schedule] path sets it,
    so introspection helpers stay silent. *)
 let scan_positions ?(trace = false) t v ~ancestors ~descendants =
-  ignore (label t);
   t.stamp <- t.stamp + 1;
   closure t ~backward:true t.up ancestors;
   closure t ~backward:false t.down descendants;
@@ -637,14 +581,133 @@ let link t ~v ~k ~ancestors ~descendants =
   List.iter (fun p -> link_ancestor t ~v ~k p) ancestors;
   List.iter (fun q -> link_descendant t ~v ~k q) descendants
 
+(* --- labels --------------------------------------------------------- *)
+
+(* A commit only adds edges at the committed vertex v (the splice
+   [w -> v -> next], and [p -> v]/[v -> q] from [link]); every edge it
+   drops is implied by a path through v. So no label shrinks, sdist can
+   grow only below v and tdist only above it, and the propagation below
+   starts from v and stops wherever a label does not grow.
+
+   The queue is a max-heap over [order] keyed on the label the pass does
+   not change: pushing sdist down pops by tdist, pushing tdist up pops
+   by sdist. By Lemma 6 those keys are already the vertices' final
+   labels. Along a state edge [x -> y], tdist x >= tdist y + delay x
+   and sdist y >= sdist x + delay y, so popping the largest key first
+   settles a vertex before it is popped and relabels it once. Only a
+   zero-delay end can tie, and for it a re-relaxation stays exact.
+   While a vertex is queued, [queued] holds its key. *)
+
+(* Binary max-heap moves that carry [x] (of key [kx]) through a hole at
+   slot [i] and write it once, where it belongs. *)
+let rec sift_up t x kx i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && kx > t.queued.(t.order.(parent)) then begin
+    t.order.(i) <- t.order.(parent);
+    sift_up t x kx parent
+  end
+  else t.order.(i) <- x
+
+let rec sift_down t size x kx i =
+  let l = (2 * i) + 1 in
+  if l >= size then t.order.(i) <- x
+  else begin
+    let kl = t.queued.(t.order.(l)) in
+    let c =
+      if l + 1 < size && t.queued.(t.order.(l + 1)) > kl then l + 1 else l
+    in
+    if t.queued.(t.order.(c)) > kx then begin
+      t.order.(i) <- t.order.(c);
+      sift_down t size x kx c
+    end
+    else t.order.(i) <- x
+  end
+
+(* Offer [x], a state neighbour of a vertex whose pushed label is
+   [label], the label [label + delay x]; queue [x] if that grows its
+   label. A cycle the commit closes passes through v; when v has a
+   nonzero delay, labels grow all around it and the propagation comes
+   back to v. Returns the new heap size. *)
+let relax t ~down ~v ~label x size =
+  if x = v then
+    failwith "Threaded_graph.relabel: scheduling state contains a cycle";
+  let nx = Vec.get t.nodes x in
+  let l = label + Graph.delay t.graph x in
+  let current = if down then nx.sdist else nx.tdist in
+  if l <= current then size
+  else begin
+    if down then nx.sdist <- l else nx.tdist <- l;
+    if t.queued.(x) >= 0 then size
+    else begin
+      let kx = if down then nx.tdist else nx.sdist in
+      t.queued.(x) <- kx;
+      sift_up t x kx size;
+      size + 1
+    end
+  end
+
+let rec relax_all t ~down ~v ~label xs size =
+  match xs with
+  | [] -> size
+  | x :: rest ->
+    relax_all t ~down ~v ~label rest (relax t ~down ~v ~label x size)
+
+(* Push [w]'s sdist to its state successors ([down]) or its tdist to
+   its state predecessors. *)
+let relax_neighbours t ~down ~v w size =
+  let nw = Vec.get t.nodes w in
+  if down then
+    let size =
+      if nw.next >= 0 then relax t ~down ~v ~label:nw.sdist nw.next size
+      else size
+    in
+    relax_all t ~down ~v ~label:nw.sdist nw.succs size
+  else
+    let size =
+      if nw.prev >= 0 then relax t ~down ~v ~label:nw.tdist nw.prev size
+      else size
+    in
+    relax_all t ~down ~v ~label:nw.tdist nw.preds size
+
+(* One pass of the propagation from [v]; returns the vertices popped. *)
+let propagate t v ~down =
+  let size = ref (relax_neighbours t ~down ~v v 0) in
+  let popped = ref 0 in
+  while !size > 0 do
+    let w = t.order.(0) in
+    t.queued.(w) <- -1;
+    decr size;
+    let last = t.order.(!size) in
+    sift_down t !size last t.queued.(last) 0;
+    incr popped;
+    size := relax_neighbours t ~down ~v w !size
+  done;
+  !popped
+
+(* The paper's forwardLabel/backwardLabel, made incremental: v's labels
+   from its neighbours, the diameter through v, then both propagations.
+   Returns the number of vertices relabelled, v included. *)
+let relabel t v =
+  let nv = Vec.get t.nodes v in
+  let delay_v = Graph.delay t.graph v in
+  let before = if nv.prev >= 0 then (Vec.get t.nodes nv.prev).sdist else 0 in
+  nv.sdist <- max_sdist t nv.preds before + delay_v;
+  let after = if nv.next >= 0 then (Vec.get t.nodes nv.next).tdist else 0 in
+  nv.tdist <- max_tdist t nv.succs after + delay_v;
+  t.diameter <- max t.diameter (nv.sdist + nv.tdist - delay_v);
+  let below = propagate t v ~down:true in
+  1 + below + propagate t v ~down:false
+
 (* [ancestors]/[descendants] are v's scheduled ones, as computed for the
-   scan that chose [position]: placing v changes neither list. *)
+   scan that chose [position]: placing v changes neither list. Returns
+   the relabelled count. *)
 let commit t v position ~ancestors ~descendants =
   let nv = Vec.get t.nodes v in
   splice t v position;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  link t ~v ~k:position.thread ~ancestors ~descendants
+  link t ~v ~k:position.thread ~ancestors ~descendants;
+  relabel t v
 
 let commit_free t v =
   let nv = Vec.get t.nodes v in
@@ -652,7 +715,8 @@ let commit_free t v =
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
   link t ~v ~k:(-1) ~ancestors:(scheduled_ancestors t v)
-    ~descendants:(scheduled_descendants t v)
+    ~descendants:(scheduled_descendants t v);
+  relabel t v
 
 let commit_at t v position =
   sync t;
@@ -666,7 +730,7 @@ let commit_at t v position =
   let costed, _ = scan_positions t v ~ancestors ~descendants in
   if not (List.mem_assoc position costed) then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
-  commit t v position ~ancestors ~descendants
+  ignore (commit t v position ~ancestors ~descendants)
 
 type tie_break = [ `First | `Balance | `Pack ]
 
@@ -676,12 +740,11 @@ let thread_population t k =
   in
   walk t.head.(k) 0
 
-(* End-of-call telemetry summary: O(V+E) recomputation of diameter,
-   edge count and degree maxima (plus an optional transitive-closure
+(* End-of-call telemetry summary: the maintained diameter plus an O(V+E)
+   recount of edges and degree maxima (and an optional transitive-closure
    softness sample) — only ever run with a sink installed, never on the
    production path. *)
-let emit_schedule_done t ~v ~thread ~scanned ~t0 =
-  let diameter = diameter t in
+let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~t0 =
   let state_edges, max_in, max_out = edge_degree_stats t in
   let ordered_pairs =
     if Tel.softness_due () then
@@ -691,7 +754,8 @@ let emit_schedule_done t ~v ~thread ~scanned ~t0 =
   let summary =
     {
       Tel.scanned;
-      diameter;
+      relabelled;
+      diameter = t.diameter;
       state_edges;
       max_thread_in_degree = max_in;
       max_thread_out_degree = max_out;
@@ -719,8 +783,9 @@ let schedule ?(tie = `First) t v =
       if tel then
         Tel.emit (fun s ->
             s.Tel.Sink.free_placed ~v ~name:(Graph.name t.graph v));
-      commit_free t v;
-      if tel then emit_schedule_done t ~v ~thread:None ~scanned:0 ~t0
+      let relabelled = commit_free t v in
+      if tel then
+        emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled ~t0
     end
     else begin
       let ancestors = scheduled_ancestors t v in
@@ -767,9 +832,10 @@ let schedule ?(tie = `First) t v =
           Tel.emit (fun s ->
               s.Tel.Sink.chosen ~v ~thread:best_pos.thread
                 ~after:best_pos.after ~cost:best_cost);
-        commit t v best_pos ~ancestors ~descendants;
+        let relabelled = commit t v best_pos ~ancestors ~descendants in
         if tel then
-          emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned ~t0
+          emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned
+            ~relabelled ~t0
     end
   end
 
@@ -784,7 +850,7 @@ let to_schedule ?(placement = `Asap) t =
       (Printf.sprintf
          "Threaded_graph.to_schedule: %d of %d vertices scheduled"
          t.n_scheduled (Graph.n_vertices t.graph));
-  let dia = label t in
+  let dia = t.diameter in
   let starts =
     Array.init (Graph.n_vertices t.graph) (fun v ->
         let n = Vec.get t.nodes v in
@@ -854,7 +920,8 @@ let copy t =
     nodes;
     n_scheduled = t.n_scheduled;
     reach = t.reach; (* shared box: see its definition *)
-    indeg = [||];
+    diameter = t.diameter;
+    queued = [||];
     order = [||];
     up = [||];
     down = [||];

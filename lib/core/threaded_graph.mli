@@ -72,7 +72,9 @@ val thread_members : t -> int -> Graph.vertex list
 
 val diameter : t -> int
 (** The paper's [‖S‖]: longest delay-weighted path in the state. This is
-    what Definition 5 minimises and Lemma 4 proves monotonic. *)
+    what Definition 5 minimises and Lemma 4 proves monotonic. O(1): each
+    commit keeps it, and every vertex's source and sink distance, up to
+    date by propagating from the committed vertex. *)
 
 val state_graph : t -> Graph.t
 (** The scheduling state exported as a precedence graph over the
@@ -98,8 +100,9 @@ val to_schedule : ?placement:[ `Asap | `Alap ] -> t -> Schedule.t
 val copy : t -> t
 (** Deep copy sharing the (mutable) underlying graph and its
     reachability index — cheap state snapshotting for the naive
-    reference scheduler and the tests. The copy owns its own kernel
-    scratch, so a state and its copies may be scheduled alternately. *)
+    reference scheduler and the tests. The copy carries the labels and
+    the diameter, and owns its own kernel scratch, so a state and its
+    copies may be scheduled alternately. *)
 
 type stats = {
   n_scheduled : int;

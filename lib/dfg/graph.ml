@@ -7,7 +7,7 @@ type mutation =
 
 type node = {
   op : Op.t;
-  mutable delay : int;
+  delay : int;
   name : string;
   preds : vertex Vec.t; (* operand order; may repeat a vertex after merges *)
   succs : vertex Vec.t; (* insertion order; duplicate-free *)
@@ -150,10 +150,6 @@ let replace_operand g v ~old_pred ~new_pred =
 
 let op g v = (node g v).op
 let delay g v = (node g v).delay
-let set_delay g v d =
-  if d < 0 then invalid_arg "Graph.set_delay: negative delay";
-  (node g v).delay <- d
-
 let name g v = (node g v).name
 let preds g v = Vec.to_list (node g v).preds
 let succs g v = Vec.to_list (node g v).succs

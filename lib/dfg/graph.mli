@@ -67,7 +67,6 @@ val mutations_since : t -> int -> mutation list
 
 val op : t -> vertex -> Op.t
 val delay : t -> vertex -> int
-val set_delay : t -> vertex -> int -> unit
 val name : t -> vertex -> string
 (** Vertex label; defaults to ["v<i>"]. *)
 

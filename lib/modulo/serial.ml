@@ -46,7 +46,7 @@ let of_string text =
         List.filter
           (fun w -> w <> "")
           (String.split_on_char ' '
-             (String.map (fun c -> if c = '\t' then ' ' else c) content))
+             (String.map (function '\t' | '\r' -> ' ' | c -> c) content))
       in
       match words with
       | [] -> ()

@@ -9,6 +9,7 @@ type t = {
   mutable free_placements : int;
   mutable positions_scanned : int;
   mutable max_positions_in_call : int;
+  mutable vertices_relabelled : int;
   mutable candidates : int;
   mutable tie_breaks : int;
   mutable edges_added : int;
@@ -35,6 +36,7 @@ type snapshot = {
   free_placements : int;
   positions_scanned : int;
   max_positions_in_call : int;
+  vertices_relabelled : int;
   candidates : int;
   tie_breaks : int;
   edges_added : int;
@@ -63,6 +65,7 @@ let create () =
     free_placements = 0;
     positions_scanned = 0;
     max_positions_in_call = 0;
+    vertices_relabelled = 0;
     candidates = 0;
     tie_breaks = 0;
     edges_added = 0;
@@ -99,6 +102,7 @@ let sink (c : t) =
         c.positions_scanned <- c.positions_scanned + s.scanned;
         if s.scanned > c.max_positions_in_call then
           c.max_positions_in_call <- s.scanned;
+        c.vertices_relabelled <- c.vertices_relabelled + s.relabelled;
         if s.max_thread_in_degree > c.max_in_degree_observed then
           c.max_in_degree_observed <- s.max_thread_in_degree;
         if s.max_thread_out_degree > c.max_out_degree_observed then
@@ -132,6 +136,7 @@ let snapshot (c : t) : snapshot =
     free_placements = c.free_placements;
     positions_scanned = c.positions_scanned;
     max_positions_in_call = c.max_positions_in_call;
+    vertices_relabelled = c.vertices_relabelled;
     candidates = c.candidates;
     tie_breaks = c.tie_breaks;
     edges_added = c.edges_added;
@@ -182,6 +187,7 @@ let to_alist (s : snapshot) : (string * float) list =
       ("positions_scanned", f s.positions_scanned);
       ("schedule_calls", f s.schedule_calls);
       ("tie_breaks", f s.tie_breaks);
+      ("vertices_relabelled", f s.vertices_relabelled);
     ]
   in
   let rows =
@@ -238,6 +244,7 @@ let to_string (s : snapshot) =
   line "  positions scanned     %8d  (max %d in one call, %d feasible)"
     s.positions_scanned s.max_positions_in_call s.candidates;
   line "  tie-breaks taken      %8d" s.tie_breaks;
+  line "  vertices relabelled   %8d" s.vertices_relabelled;
   line "  edges re-tightened    %8d  (+%d / -%d cross edges)"
     s.cross_edges_touched s.edges_added s.edges_removed;
   line "  state edges           %8d" s.last_state_edges;

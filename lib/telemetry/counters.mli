@@ -12,6 +12,8 @@ type snapshot = {
   free_placements : int;  (** zero-resource vertices placed free *)
   positions_scanned : int;  (** total select-scan work (Theorem 3) *)
   max_positions_in_call : int;
+  vertices_relabelled : int;
+      (** vertices processed by the commits' label propagation *)
   candidates : int;  (** feasible positions reported to the sink *)
   tie_breaks : int;
   edges_added : int;  (** explicit cross edges added by commits *)

@@ -9,6 +9,7 @@
    needs never run in production. *)
 type summary = {
   scanned : int;  (* candidate positions examined by this schedule call *)
+  relabelled : int;  (* vertices the commit's label propagation processed *)
   diameter : int;  (* ‖S‖ after the commit *)
   state_edges : int;  (* implicit thread edges + explicit cross edges *)
   max_thread_in_degree : int;  (* Lemma 7 observable, in-thread preds *)

@@ -251,12 +251,7 @@ let test_graph_is_dag () =
 let test_graph_delay_accessors () =
   let g = Graph.create () in
   let m = Graph.add_vertex g Op.Mul in
-  check Alcotest.int "default mul delay" 2 (Graph.delay g m);
-  Graph.set_delay g m 5;
-  check Alcotest.int "updated" 5 (Graph.delay g m);
-  Alcotest.check_raises "negative"
-    (Invalid_argument "Graph.set_delay: negative delay") (fun () ->
-      Graph.set_delay g m (-1))
+  check Alcotest.int "default mul delay" 2 (Graph.delay g m)
 
 let test_graph_copy_independent () =
   let g, a, b, _, _ = diamond () in
@@ -523,6 +518,19 @@ let test_serial_roundtrip () =
       let back = Dfg.Serial.of_string (Dfg.Serial.to_string g) in
       check Alcotest.bool (e.name ^ " roundtrip") true
         (graphs_isomorphic g back))
+    Hls_bench.Suite.all
+
+(* A file saved with Windows line endings parses to the same graph. *)
+let test_serial_crlf () =
+  List.iter
+    (fun (e : Hls_bench.Suite.entry) ->
+      let g = e.build () in
+      let crlf =
+        String.concat "\r\n"
+          (String.split_on_char '\n' (Dfg.Serial.to_string g))
+      in
+      check Alcotest.bool (e.name ^ " CRLF") true
+        (graphs_isomorphic g (Dfg.Serial.of_string crlf)))
     Hls_bench.Suite.all
 
 let test_serial_parse () =
@@ -901,6 +909,7 @@ let () =
       ( "serial",
         [
           Alcotest.test_case "roundtrip" `Quick test_serial_roundtrip;
+          Alcotest.test_case "crlf" `Quick test_serial_crlf;
           Alcotest.test_case "parse" `Quick test_serial_parse;
           Alcotest.test_case "errors" `Quick test_serial_errors;
           Alcotest.test_case "eval preserved" `Quick

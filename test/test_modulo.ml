@@ -147,6 +147,19 @@ let test_serial_round_trip () =
       check Alcotest.bool (e.loop_name ^ " round-trips") true (same_loop g h))
     Hls_bench.Suite.loops
 
+(* A file saved with Windows line endings parses to the same kernel. *)
+let test_serial_crlf () =
+  List.iter
+    (fun (e : Hls_bench.Suite.loop_entry) ->
+      let g = e.build_loop () in
+      let crlf =
+        String.concat "\r\n"
+          (String.split_on_char '\n' (Modulo.Serial.to_string g))
+      in
+      check Alcotest.bool (e.loop_name ^ " CRLF") true
+        (same_loop g (Modulo.Serial.of_string crlf)))
+    Hls_bench.Suite.loops
+
 let expect_parse_error fragment text =
   match Modulo.Serial.of_string text with
   | _ -> Alcotest.fail ("expected Parse_error for: " ^ text)
@@ -457,6 +470,7 @@ let () =
       ( "serial",
         [
           Alcotest.test_case "round trip" `Quick test_serial_round_trip;
+          Alcotest.test_case "crlf" `Quick test_serial_crlf;
           Alcotest.test_case "errors" `Quick test_serial_errors;
         ] );
       ( "mii",

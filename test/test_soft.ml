@@ -562,14 +562,27 @@ let prop_online_optimality =
       let state = T.create g ~resources:two_two in
       List.for_all
         (fun v ->
-          let naive_best = Soft.Naive.select state v in
+          (* every trial is measured on the exported state graph, so the
+             check shares no code with the kernel's labels *)
+          let measured st = Paths.diameter (T.state_graph st) in
+          let speculated =
+            List.map
+              (fun p ->
+                let trial = T.copy state in
+                T.commit_at trial v p;
+                measured trial)
+              (T.feasible_positions state v)
+          in
           let trial = T.copy state in
           T.schedule trial v;
-          let fast_result = T.diameter trial in
+          let fast_result = measured trial in
           let ok =
-            match naive_best with
-            | None -> true (* zero-resource op *)
-            | Some (_, best) -> fast_result = best
+            match (Soft.Naive.select state v, speculated) with
+            | None, [] -> true (* zero-resource op *)
+            | Some (_, naive), d :: ds ->
+              let best = List.fold_left min d ds in
+              fast_result = best && naive = best
+            | _ -> false
           in
           T.schedule state v;
           ok)
@@ -710,8 +723,23 @@ let prop_labels_match_paths_oracle =
             (fun (_, meta) ->
               let g = graph_of spec in
               let st = T.create g ~resources in
-              let labels_ok () =
-                T.diameter st = Paths.diameter (T.state_graph st)
+              (* Before each call: the cost of every feasible position of
+                 the next vertex reads the labels the scan uses, and with
+                 the current diameter it must give the diameter the
+                 committed trial exports. *)
+              let positions_ok v =
+                List.for_all
+                  (fun p ->
+                    let trial = T.copy st in
+                    T.commit_at trial v p;
+                    max (T.diameter st) (T.predicted_cost st v p)
+                    = Paths.diameter (T.state_graph trial))
+                  (T.feasible_positions st v)
+              in
+              let schedule_ok v =
+                let ok = positions_ok v in
+                T.schedule st v;
+                ok && T.diameter st = Paths.diameter (T.state_graph st)
               in
               let order = meta g in
               let half = List.length order / 2 in
@@ -723,17 +751,10 @@ let prop_labels_match_paths_oracle =
                      spliced :=
                        [ Dfg.Mutate.insert_on_edge g ~src ~dst ~op:Op.Add () ]
                    | [] -> ());
-                T.schedule st v;
-                labels_ok ()
+                schedule_ok v
               in
               let stepped = List.for_all Fun.id (List.mapi step order) in
-              let tail_ok =
-                List.for_all
-                  (fun v ->
-                    T.schedule st v;
-                    labels_ok ())
-                  !spliced
-              in
+              let tail_ok = List.for_all schedule_ok !spliced in
               let sg = T.state_graph st in
               stepped && tail_ok
               && S.starts (T.to_schedule ~placement:`Asap st)
@@ -763,6 +784,54 @@ let test_schedule_allocation_bound () =
     (Printf.sprintf "%.1f minor words per vertex per call <= 16"
        per_vertex_call)
     true (per_vertex_call <= 16.)
+
+(* Each call's label propagation, counted by the telemetry summary, must
+   process no more vertices than the from-scratch labelling pass it
+   replaced touched: n_scheduled + n_state_edges after the call. *)
+let relabelling_within_one_pass g =
+  let relabelled = ref (-1) in
+  let sink =
+    {
+      Telemetry.Sink.null with
+      schedule_done =
+        (fun ~v:_ ~thread:_ ~summary ->
+          relabelled := summary.Telemetry.relabelled);
+    }
+  in
+  List.for_all
+    (fun (_, resources) ->
+      List.for_all
+        (fun (_, meta) ->
+          let st = T.create g ~resources in
+          Telemetry.with_sink sink (fun () ->
+              List.for_all
+                (fun v ->
+                  relabelled := -1;
+                  T.schedule st v;
+                  let s = T.stats st in
+                  !relabelled >= 1
+                  && !relabelled <= s.n_scheduled + s.n_state_edges)
+                (meta g)))
+        (Meta.fig3 ~resources))
+    R.fig3_all
+
+let test_relabelling_bound_layered () =
+  List.iter
+    (fun n ->
+      let g =
+        Generate.layered (Random.State.make [| n |]) ~layers:(n / 10)
+          ~width:10 ~fanin:3
+      in
+      check Alcotest.bool
+        (Printf.sprintf "|V| = %d" n)
+        true
+        (relabelling_within_one_pass g))
+    [ 100; 200; 400; 800 ]
+
+let prop_relabelling_bound =
+  QCheck.Test.make ~name:"Theorem 3: relabelling within one full pass"
+    ~count:40 seeded_dag (fun spec ->
+      relabelling_within_one_pass (graph_of spec))
 
 (* --- the engine list ------------------------------------------------ *)
 
@@ -813,6 +882,8 @@ let () =
             test_predicted_cost_matches_reality;
           Alcotest.test_case "allocation per call" `Quick
             test_schedule_allocation_bound;
+          Alcotest.test_case "relabelling per call" `Slow
+            test_relabelling_bound_layered;
         ] );
       ( "benchmarks",
         [
@@ -874,5 +945,6 @@ let () =
             prop_state_order_equals_reference;
             prop_lemma6_stable_labels;
             prop_labels_match_paths_oracle;
+            prop_relabelling_bound;
           ] );
     ]
