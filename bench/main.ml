@@ -281,21 +281,25 @@ let complexity_sweep () =
    [schedule] call should grow linearly with |V| (Theorem 3), and the
    observed thread in/out degrees must stay within Lemma 7's K bound
    (one edge per foreign thread) on every benchmark. The relabelled
-   column is the commits' label propagation, per call and per vertex. *)
+   column is the commits' label propagation, per call and per vertex;
+   the walked column is the whole run's frontier-walk and flag work per
+   vertex, which the flags keep linear in |V| over a run. *)
 
 let telemetry_linearity () =
   section "Theorem 3 (telemetry): select-scan work measured, not modelled";
   let resources = R.fig3_2alu_2mul in
-  Printf.printf "%6s %8s %10s %10s %14s %14s %7s %8s\n" "|V|" "calls"
-    "scanned" "per call" "per call/|V|" "relabelled/|V|" "max in" "max out";
+  Printf.printf "%6s %8s %10s %10s %14s %14s %11s %7s %8s %9s\n" "|V|"
+    "calls" "scanned" "per call" "per call/|V|" "relabelled/|V|" "walked/|V|"
+    "max in" "max out" "run(s)";
   let rng = Random.State.make [| 2026 |] in
   List.iter
     (fun n ->
       let g = Generate.layered rng ~layers:(n / 10) ~width:10 ~fanin:3 in
       let c = Telemetry.Counters.create () in
-      let _state =
-        Soft.Scheduler.run_traced ~sink:(Telemetry.Counters.sink c) ~resources
-          g
+      let _state, seconds =
+        time_once (fun () ->
+            Soft.Scheduler.run_traced ~sink:(Telemetry.Counters.sink c)
+              ~resources g)
       in
       let s = Telemetry.Counters.snapshot c in
       let nv = Graph.n_vertices g in
@@ -307,17 +311,19 @@ let telemetry_linearity () =
         float_of_int s.Telemetry.Counters.vertices_relabelled
         /. float_of_int (max 1 s.Telemetry.Counters.schedule_calls)
       in
-      Printf.printf "%6d %8d %10d %10.1f %14.4f %14.4f %7d %8d\n" nv
-        s.Telemetry.Counters.schedule_calls
+      Printf.printf "%6d %8d %10d %10.1f %14.4f %14.4f %11.4f %7d %8d %9.2f\n"
+        nv s.Telemetry.Counters.schedule_calls
         s.Telemetry.Counters.positions_scanned per_call
         (per_call /. float_of_int nv)
         (relabelled_per_call /. float_of_int nv)
+        (float_of_int s.Telemetry.Counters.vertices_walked /. float_of_int nv)
         s.Telemetry.Counters.max_in_degree_observed
-        s.Telemetry.Counters.max_out_degree_observed)
-    [ 50; 100; 200; 400; 800; 1600; 3200 ];
+        s.Telemetry.Counters.max_out_degree_observed seconds)
+    [ 50; 100; 200; 400; 800; 1600; 3200; 6400; 12800 ];
   Printf.printf
-    "(per-call/|V| stays flat as |V| grows 64x: the per-operation select\n\
-    \ scan is linear in |V|, Theorem 3 observed rather than inferred.)\n";
+    "(per-call/|V| stays flat as |V| grows 256x: the per-operation select\n\
+    \ scan is linear in |V|, Theorem 3 observed rather than inferred. The\n\
+    \ run time includes the O(V+E) telemetry summary after every call.)\n";
   Printf.printf "\nLemma 7 audit: observed thread degrees vs the K bound\n";
   Printf.printf "%-4s %8s %8s %8s %10s\n" "BM" "K" "max in" "max out" "bound";
   List.iter
@@ -678,21 +684,21 @@ let ablation_vliw () =
     \ executed against the dataflow semantics by the test suite.)\n"
 
 (* ------------------------------------------------------------------ *)
-(* 8i. Refinement loop: incremental closure vs rebuild-per-mutation    *)
+(* 8i. Refinement loop: the cost of absorbing an ECO into a live state  *)
 (* ------------------------------------------------------------------ *)
 
-(* The dependence core keeps the reachability index consistent across
-   graph mutations either by replaying the mutation journal into the
-   closure ([`Incremental], the default) or by rebuilding it from
-   scratch at every sync ([`Rebuild], the pre-refactor behaviour).
-   Both paths must produce bit-identical schedules; the sweep measures
-   what the incremental path saves on a schedule-then-refine loop —
-   the paper's Figure 1(e) usage pattern — as the design grows 16x. *)
+(* The paper's Figure 1(e) usage pattern: schedule once, then absorb a
+   sweep of engineering changes online as the design grows 16x. Each
+   ECO splices a vertex into a scheduled edge and schedules it; the
+   state notices the graph changed and re-flags its unscheduled
+   vertices, and the new vertex's frontier walks reach its scheduled
+   neighbours. Per ECO: wall time, cross edges re-tightened, vertices
+   relabelled and vertices walked. *)
 let refinement_loop () =
-  section "Refinement loop: incremental closure vs rebuild-per-mutation";
+  section "Refinement loop: absorbing an ECO sweep into a live state";
   let resources = R.fig3_2alu_2mul in
-  Printf.printf "%6s %6s %12s %12s %8s %12s %12s %9s\n" "|V|" "ecos"
-    "rebuild(s)" "incr(s)" "speedup" "incr words" "rebld words" "identical";
+  Printf.printf "%6s %6s %12s %12s %14s %14s %12s\n" "|V|" "ecos" "sweep(s)"
+    "per ECO(us)" "cross/ECO" "relabelled/ECO" "walked/ECO";
   let rng = Random.State.make [| 2026 |] in
   List.iter
     (fun n ->
@@ -702,70 +708,47 @@ let refinement_loop () =
       let targets =
         List.filteri (fun i _ -> i < max 1 (n / 10)) (Graph.edges g0)
       in
-      (* timed region: the ECO sweep only — scheduling cost is the
-         same under both modes and would bury the closure delta *)
+      let ecos = List.length targets in
+      (* timed region: the ECO sweep only, not the initial schedule *)
       let reps = max 1 (400 / n) in
-      let run mode =
-        T.set_reach_mode mode;
-        Fun.protect
-          ~finally:(fun () -> T.set_reach_mode `Incremental)
-          (fun () ->
-            let total = ref 0.0 in
-            let last = ref None in
-            for _ = 1 to reps do
-              let g = Graph.copy g0 in
-              let state = Soft.Scheduler.run ~resources g in
-              let c = Telemetry.Counters.create () in
-              let t0 = Sys.time () in
-              Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
-                  List.iter
-                    (fun (u, v) ->
-                      ignore
-                        (Refine.Eco.insert_on_edge state ~src:u ~dst:v
-                           ~op:Op.Mov ()))
-                    targets);
-              total := !total +. (Sys.time () -. t0);
-              last :=
-                Some
-                  ( Telemetry.Counters.snapshot c,
-                    S.starts (T.to_schedule state) )
-            done;
-            let snap, starts = Option.get !last in
-            (!total /. float_of_int reps, snap, starts))
-      in
-      let rebuild_t, rebuild_snap, rebuild_starts = run `Rebuild in
-      let incr_t, snap, incr_starts = run `Incremental in
-      let identical = rebuild_starts = incr_starts in
-      let speedup = rebuild_t /. max incr_t 1e-9 in
-      Printf.printf "%6d %6d %12.5f %12.5f %7.1fx %12d %12d %9s\n" n
-        (List.length targets) rebuild_t incr_t speedup
-        snap.Telemetry.Counters.closure_words_ored
-        rebuild_snap.Telemetry.Counters.closure_words_ored
-        (if identical then "yes" else "NO");
+      let total = ref 0.0 in
+      let last = ref None in
+      for _ = 1 to reps do
+        let g = Graph.copy g0 in
+        let state = Soft.Scheduler.run ~resources g in
+        let c = Telemetry.Counters.create () in
+        let t0 = Sys.time () in
+        Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
+            List.iter
+              (fun (u, v) ->
+                ignore
+                  (Refine.Eco.insert_on_edge state ~src:u ~dst:v ~op:Op.Mov ()))
+              targets);
+        total := !total +. (Sys.time () -. t0);
+        last := Some (Telemetry.Counters.snapshot c)
+      done;
+      let sweep = !total /. float_of_int reps in
+      let snap = Option.get !last in
+      let per_eco x = float_of_int x /. float_of_int ecos in
+      let cross = per_eco snap.Telemetry.Counters.cross_edges_touched in
+      let relabelled = per_eco snap.Telemetry.Counters.vertices_relabelled in
+      let walked = per_eco snap.Telemetry.Counters.vertices_walked in
+      Printf.printf "%6d %6d %12.5f %12.1f %14.2f %14.2f %12.2f\n" n ecos sweep
+        (1e6 *. sweep /. float_of_int ecos)
+        cross relabelled walked;
       let rec_row name unit v =
         record ~sec:"refine" ~name:(Printf.sprintf "refine/V=%d/%s" n name)
           ~unit v
       in
-      rec_row "rebuild" "s" rebuild_t;
-      rec_row "incremental" "s" incr_t;
-      rec_row "speedup" "x" speedup;
-      rec_row "closure_rows_touched" "count"
-        (float_of_int snap.Telemetry.Counters.closure_rows_touched);
-      rec_row "closure_words_ored" "count"
-        (float_of_int snap.Telemetry.Counters.closure_words_ored);
-      rec_row "closure_words_ored_rebuild" "count"
-        (float_of_int rebuild_snap.Telemetry.Counters.closure_words_ored);
-      rec_row "closure_rebuilds" "count"
-        (float_of_int snap.Telemetry.Counters.closure_rebuilds);
-      rec_row "closure_incremental_updates" "count"
-        (float_of_int snap.Telemetry.Counters.closure_incremental_updates);
-      rec_row "identical" "bool" (if identical then 1.0 else 0.0))
+      rec_row "seconds" "s" sweep;
+      rec_row "cross_edges_touched_per_eco" "count" cross;
+      rec_row "vertices_relabelled_per_eco" "count" relabelled;
+      rec_row "vertices_walked_per_eco" "count" walked)
     [ 50; 100; 200; 400; 800 ];
   Printf.printf
-    "(rebuild is the pre-refactor policy: every graph mutation observed\n\
-    \ by the state pays a from-scratch transitive closure. The journal\n\
-    \ replay touches only the rows the new edge actually orders, and\n\
-    \ the schedules stay bit-identical either way.)\n"
+    "(an ECO changes the graph, so the state re-flags its unscheduled\n\
+    \ vertices; only the spliced vertex is unscheduled, and its frontier\n\
+    \ walks stop at its scheduled neighbours.)\n"
 
 (* ------------------------------------------------------------------ *)
 (* 9. Bechamel wall-clock timings                                      *)

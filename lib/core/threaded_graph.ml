@@ -12,7 +12,10 @@ let min (a : int) b = if a <= b then a else b
    renumbered after each splice (O(thread length), keeping a schedule
    call linear). [preds]/[succs] hold only the explicit (cross-thread or
    free) edges; consecutive thread members are implicitly ordered via
-   [prev]/[next]. *)
+   [prev]/[next]. [above]/[below] prune the frontier walks and matter
+   only while the vertex is unscheduled: [above] is set once it may have
+   a scheduled G-ancestor, [below] once it may have a scheduled
+   G-descendant. *)
 type node = {
   mutable scheduled : bool;
   mutable thread : int;
@@ -23,6 +26,8 @@ type node = {
   mutable succs : int list;
   mutable sdist : int;
   mutable tdist : int;
+  mutable above : bool;
+  mutable below : bool;
 }
 
 let fresh_node () =
@@ -36,30 +41,26 @@ let fresh_node () =
     succs = [];
     sdist = 0;
     tdist = 0;
+    above = false;
+    below = false;
   }
 
 module Vec = Dfg.Vec
 module Tel = Telemetry
 
-(* The reachability index and the graph generation it reflects. The box
-   is {e shared} between a state and its [copy]-ies (they also share the
-   underlying graph): whichever copy syncs first catches the index up,
-   and the others see a matching generation. Keeping the generation
-   inside the box (not per state) is what makes that safe — journal
-   replay, unlike signature comparison, must happen exactly once. *)
-type reach_box = { mutable index : Reach.t; mutable gen : int }
-
 (* [sdist]/[tdist] of every scheduled vertex and [diameter] are kept
    exact across calls: each commit propagates the labels it changed from
    the committed vertex ([relabel]) instead of relabelling the state.
-   The kernel scratch ([queued] .. [stamp]) is indexed by vertex and
-   grown in [sync], so a [schedule] call allocates no per-vertex tables:
-   the propagation keeps its heap in [order] and the key of each vertex
-   it holds in [queued] (-1 for every other vertex); [closure] borrows
-   [order] as its BFS queue and stamps the feasibility window into
-   [up]/[down]. A vertex is marked there iff its entry equals [stamp],
-   so bumping the stamp clears every mark at once. Unlike the reach
-   box, the scratch is never shared with a [copy]: the naive scheduler
+   [gen] is the graph generation the [above]/[below] flags reflect, and
+   [walked] counts the vertices the frontier walks and the flag
+   propagation have queued. The kernel scratch ([queued] .. [stamp]) is
+   indexed by vertex and grown in [sync], so a [schedule] call allocates
+   no per-vertex tables: the propagation keeps its heap in [order] and
+   the key of each vertex it holds in [queued] (-1 for every other
+   vertex); the walks and [closure] borrow [order] as their queue and
+   stamp visits into [up]/[down]. A vertex is marked there iff its entry
+   equals [stamp], so bumping the stamp clears every mark at once. The
+   scratch is never shared with a [copy]: the naive scheduler
    interleaves a state with its trials. *)
 type t = {
   graph : Graph.t;
@@ -68,8 +69,9 @@ type t = {
   tail : int array;
   nodes : node Vec.t;
   mutable n_scheduled : int;
-  reach : reach_box;
+  mutable gen : int;
   mutable diameter : int;
+  mutable walked : int;
   mutable queued : int array;
   mutable order : int array;
   mutable up : int array;
@@ -78,12 +80,6 @@ type t = {
 }
 
 type position = { thread : int; after : Graph.vertex option }
-
-(* [`Rebuild] restores the pre-incremental behaviour (a from-scratch
-   closure whenever the graph changed); it exists so the benchmark can
-   measure exactly what the journal replay saves. *)
-let reach_mode : [ `Incremental | `Rebuild ] ref = ref `Incremental
-let set_reach_mode m = reach_mode := m
 
 let create graph ~resources =
   let classes =
@@ -100,8 +96,9 @@ let create graph ~resources =
     tail = Array.make (max k 1) (-1);
     nodes = Vec.create ~dummy:(fresh_node ()) ();
     n_scheduled = 0;
-    reach = { index = Reach.of_graph graph; gen = Graph.generation graph };
+    gen = Graph.generation graph;
     diameter = 0;
+    walked = 0;
     queued = [||];
     order = [||];
     up = [||];
@@ -117,68 +114,6 @@ let thread_class t k =
     invalid_arg (Printf.sprintf "Threaded_graph.thread_class: no thread %d" k);
   t.classes.(k)
 
-(* Exact reachability query on the current graph (not the index): used
-   to decide whether a journalled edge removal changed the closure. *)
-let graph_reaches g u v =
-  let visited = Bytes.make (Graph.n_vertices g) '\000' in
-  let queue = Queue.create () in
-  Queue.add u queue;
-  let found = ref false in
-  while (not !found) && not (Queue.is_empty queue) do
-    let w = Queue.pop queue in
-    Graph.iter_succs
-      (fun s ->
-        if s = v then found := true
-        else if Bytes.get visited s = '\000' then begin
-          Bytes.set visited s '\001';
-          Queue.add s queue
-        end)
-      g w
-  done;
-  !found
-
-let emit_reach_update ~rows ~words ~rebuilt =
-  if Tel.enabled () then
-    Tel.emit (fun s -> s.Tel.Sink.reach_update ~rows ~words ~rebuilt)
-
-let rebuild_closure t gen =
-  let index = Reach.of_graph t.graph in
-  let rows, words = Reach.update_stats index in
-  t.reach.index <- index;
-  t.reach.gen <- gen;
-  emit_reach_update ~rows ~words ~rebuilt:true
-
-(* Catch the closure up with the graph's mutation journal. Additions are
-   monotone, so [Reach.add_vertex]/[Reach.add_edge] replay them exactly.
-   Removals cannot shrink a bitset closure in place; instead, note that
-   the replayed index equals the closure of (final graph + the removed
-   edges), so it is already exact whenever each removed edge [u -> v]
-   is {e covered} — [u] still reaches [v] through the final graph, as
-   every rewiring in [Dfg.Mutate] guarantees by construction (the
-   replaced edge is bypassed via the inserted vertex). Only an uncovered
-   removal forces the old full rebuild. *)
-let catch_up_closure t gen =
-  let index = t.reach.index in
-  let rows0, words0 = Reach.update_stats index in
-  let removals = ref [] in
-  List.iter
-    (fun (m : Graph.mutation) ->
-      match m with
-      | Graph.Added_vertex v ->
-        let v' = Reach.add_vertex index in
-        assert (v' = v)
-      | Graph.Added_edge (u, v) -> Reach.add_edge index u v
-      | Graph.Removed_edge (u, v) -> removals := (u, v) :: !removals)
-    (Graph.mutations_since t.graph t.reach.gen);
-  let covered (u, v) = graph_reaches t.graph u v in
-  if List.for_all covered !removals then begin
-    let rows1, words1 = Reach.update_stats index in
-    t.reach.gen <- gen;
-    emit_reach_update ~rows:(rows1 - rows0) ~words:(words1 - words0)
-      ~rebuilt:false
-  end
-  else rebuild_closure t gen
-
 (* Fresh mark arrays hold 0 and the stamp is bumped before every use,
    so no mark survives a regrow; the heap is empty between calls, so
    [queued] starts at -1 everywhere. *)
@@ -192,18 +127,28 @@ let grow_scratch t n =
   end
 
 (* Grow the node store and the kernel scratch to match the (possibly
-   mutated) graph, and refresh the reachability index if the graph
-   changed. *)
+   mutated) graph. A changed graph may have new vertices and new paths
+   the flags do not know of, so every unscheduled vertex, new ones
+   included, is flagged both ways: a flag set in error only lengthens a
+   walk, and the walks read the current graph. The refinement passes
+   mutate states whose original vertices are all scheduled, so the
+   reset flags only the vertices they add. *)
 let sync t =
   while Vec.length t.nodes < Graph.n_vertices t.graph do
     ignore (Vec.push t.nodes (fresh_node ()))
   done;
   grow_scratch t (Graph.n_vertices t.graph);
   let gen = Graph.generation t.graph in
-  if gen <> t.reach.gen then
-    match !reach_mode with
-    | `Rebuild -> rebuild_closure t gen
-    | `Incremental -> catch_up_closure t gen
+  if gen <> t.gen then begin
+    t.gen <- gen;
+    Vec.iter
+      (fun n ->
+        if not n.scheduled then begin
+          n.above <- true;
+          n.below <- true
+        end)
+      t.nodes
+  end
 
 let node t v =
   if v < 0 || v >= Graph.n_vertices t.graph then
@@ -333,15 +278,76 @@ let edge_degree_stats t =
 
 (* --- select ------------------------------------------------------- *)
 
-(* Scheduled graph-ancestors / graph-descendants of v (the paper's
-   "∀p, p ≺_G v" — the transitive relation, not just direct preds). *)
-let scheduled_ancestors t v =
-  Reach.ancestors ~among:(fun p -> (Vec.get t.nodes p).scheduled)
-    t.reach.index v
+(* Breadth-first walk of G from [start], over preds if [backward] and
+   succs otherwise, with [order] as the queue: a neighbour [x] is queued
+   (and later expanded) iff [enter x]. The three closures are made once
+   per walk, not per vertex. Counts the queued vertices into [walked]. *)
+let walk t ~backward enter start =
+  let tail = ref 0 in
+  let visit x =
+    if enter x then begin
+      t.order.(!tail) <- x;
+      incr tail
+    end
+  in
+  let expand w =
+    if backward then Graph.iter_preds visit t.graph w
+    else Graph.iter_succs visit t.graph w
+  in
+  expand start;
+  let head = ref 0 in
+  while !head < !tail do
+    expand t.order.(!head);
+    incr head
+  done;
+  t.walked <- t.walked + !tail
 
-let scheduled_descendants t v =
-  Reach.descendants ~among:(fun q -> (Vec.get t.nodes q).scheduled)
-    t.reach.index v
+(* v's scheduled frontier: the scheduled vertices reached from v in G
+   (over preds if [backward], else succs) through unscheduled vertices
+   only. The state refines ≺_G, so each scheduled G-ancestor of v (the
+   paper's "∀p, p ≺_G v") precedes some frontier vertex in the state:
+   the frontier has the same up-set and the same maximum [sdist] as the
+   full ancestor set, and linking v to it orders v after every one. The
+   walk enters an unscheduled vertex only if its flag says a scheduled
+   vertex may lie beyond it, marks visits into [up]/[down], and builds
+   its list before [scan_positions] bumps the stamp. *)
+let frontier t ~backward v =
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp and mark = if backward then t.up else t.down in
+  let found = ref [] in
+  walk t ~backward
+    (fun x ->
+      mark.(x) <> stamp
+      && begin
+           mark.(x) <- stamp;
+           let nx = Vec.get t.nodes x in
+           if nx.scheduled then begin
+             found := x :: !found;
+             false
+           end
+           else if backward then nx.above
+           else nx.below
+         end)
+    v;
+  !found
+
+(* [x] was just scheduled: flag its unscheduled G-ancestors [below] and
+   its unscheduled G-descendants [above], through unscheduled vertices.
+   The flagged set stays closed under unscheduled neighbours in each
+   direction, so the walk stops at a vertex already flagged, and each
+   vertex is queued at most once per direction between two generation
+   changes. *)
+let spread t x =
+  walk t ~backward:true
+    (fun y ->
+      let ny = Vec.get t.nodes y in
+      (not (ny.scheduled || ny.below)) && (ny.below <- true; true))
+    x;
+  walk t ~backward:false
+    (fun y ->
+      let ny = Vec.get t.nodes y in
+      (not (ny.scheduled || ny.above)) && (ny.above <- true; true))
+    x
 
 let is_free_op t v =
   Graph.delay t.graph v = 0
@@ -359,10 +365,10 @@ let allowed_threads t v =
    scan order, plus the number of slots examined (the Theorem 3 work
    measure). Marks the feasibility window first and reads the maintained
    labels: a slot is feasible iff the member before it is outside the
-   down-set of v's scheduled [descendants] and the member after it is
-   outside the up-set of its [ancestors]. [trace] reports each feasible
-   candidate to the telemetry sink — only the [schedule] path sets it,
-   so introspection helpers stay silent. *)
+   down-set of v's [descendants] and the member after it is outside the
+   up-set of its [ancestors] — the two frontiers of v. [trace] reports
+   each feasible candidate to the telemetry sink — only the [schedule]
+   path sets it, so introspection helpers stay silent. *)
 let scan_positions ?(trace = false) t v ~ancestors ~descendants =
   t.stamp <- t.stamp + 1;
   closure t ~backward:true t.up ancestors;
@@ -392,7 +398,7 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
               s.Tel.Sink.candidate ~v ~thread:k ~after:None ~cost)
       end;
       (* Positions after each member. *)
-      let rec walk w =
+      let rec after_each w =
         if w >= 0 then begin
           let nw = Vec.get t.nodes w in
           let next = nw.next in
@@ -414,16 +420,17 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
               Tel.emit (fun s ->
                   s.Tel.Sink.candidate ~v ~thread:k ~after:(Some w) ~cost)
           end;
-          walk next
+          after_each next
         end
       in
-      walk t.head.(k))
+      after_each t.head.(k))
     (allowed_threads t v);
   (List.rev !result, !scanned)
 
 let costed_positions t v =
-  scan_positions t v ~ancestors:(scheduled_ancestors t v)
-    ~descendants:(scheduled_descendants t v)
+  scan_positions t v
+    ~ancestors:(frontier t ~backward:true v)
+    ~descendants:(frontier t ~backward:false v)
 
 let feasible_positions t v =
   sync t;
@@ -476,8 +483,8 @@ let rec find_in_thread t k = function
 let succ_in_thread t p k = find_in_thread t k (Vec.get t.nodes p).succs
 let pred_in_thread t q k = find_in_thread t k (Vec.get t.nodes q).preds
 
-(* Tighten edges between the freshly placed [v] and one scheduled
-   graph-ancestor [p] (Figure 2 (a)(b)(c), with the same-thread-pred
+(* Tighten edges between the freshly placed [v] and one vertex [p] of
+   its ancestor frontier (Figure 2 (a)(b)(c), with the same-thread-pred
    collapse repair of DESIGN.md §2.4). [k] is v's thread (-1 if free). *)
 let link_ancestor t ~v ~k p =
   let np = Vec.get t.nodes p in
@@ -517,7 +524,7 @@ let link_ancestor t ~v ~k p =
     end
   end
 
-(* Mirror image for a scheduled graph-descendant [q]
+(* Mirror image for a vertex [q] of v's descendant frontier
    (Figure 2 (d)(e)(f)). *)
 let link_descendant t ~v ~k q =
   let nq = Vec.get t.nodes q in
@@ -576,7 +583,8 @@ let splice t v { thread = k; after } =
   renumber_thread t k
 
 (* Re-tighten the edges between the freshly placed [v] (thread [k], -1
-   if free) and its scheduled graph-ancestors and -descendants. *)
+   if free) and its two frontiers. A scheduled G-ancestor off the
+   frontier already precedes a frontier vertex, so it needs no edge. *)
 let link t ~v ~k ~ancestors ~descendants =
   List.iter (fun p -> link_ancestor t ~v ~k p) ancestors;
   List.iter (fun q -> link_descendant t ~v ~k q) descendants
@@ -698,24 +706,27 @@ let relabel t v =
   let below = propagate t v ~down:true in
   1 + below + propagate t v ~down:false
 
-(* [ancestors]/[descendants] are v's scheduled ones, as computed for the
-   scan that chose [position]: placing v changes neither list. Returns
-   the relabelled count. *)
+(* [ancestors]/[descendants] are v's frontiers, as computed for the scan
+   that chose [position]: placing v changes neither list. Returns the
+   relabelled count. *)
 let commit t v position ~ancestors ~descendants =
   let nv = Vec.get t.nodes v in
   splice t v position;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
   link t ~v ~k:position.thread ~ancestors ~descendants;
+  spread t v;
   relabel t v
 
 let commit_free t v =
   let nv = Vec.get t.nodes v in
+  let ancestors = frontier t ~backward:true v in
+  let descendants = frontier t ~backward:false v in
   nv.thread <- -1;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  link t ~v ~k:(-1) ~ancestors:(scheduled_ancestors t v)
-    ~descendants:(scheduled_descendants t v);
+  link t ~v ~k:(-1) ~ancestors ~descendants;
+  spread t v;
   relabel t v
 
 let commit_at t v position =
@@ -725,8 +736,8 @@ let commit_at t v position =
     invalid_arg "Threaded_graph.commit_at: vertex already scheduled";
   if is_free_op t v then
     invalid_arg "Threaded_graph.commit_at: zero-resource op is placed free";
-  let ancestors = scheduled_ancestors t v in
-  let descendants = scheduled_descendants t v in
+  let ancestors = frontier t ~backward:true v in
+  let descendants = frontier t ~backward:false v in
   let costed, _ = scan_positions t v ~ancestors ~descendants in
   if not (List.mem_assoc position costed) then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
@@ -744,7 +755,7 @@ let thread_population t k =
    recount of edges and degree maxima (and an optional transitive-closure
    softness sample) — only ever run with a sink installed, never on the
    production path. *)
-let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~t0 =
+let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~walked0 ~t0 =
   let state_edges, max_in, max_out = edge_degree_stats t in
   let ordered_pairs =
     if Tel.softness_due () then
@@ -755,6 +766,7 @@ let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~t0 =
     {
       Tel.scanned;
       relabelled;
+      walked = t.walked - walked0;
       diameter = t.diameter;
       state_edges;
       max_thread_in_degree = max_in;
@@ -776,6 +788,7 @@ let schedule ?(tie = `First) t v =
   if not nv.scheduled then begin
     let tel = Tel.enabled () in
     let t0 = if tel then Tel.now_ns () else 0 in
+    let walked0 = t.walked in
     if tel then
       Tel.emit (fun s ->
           s.Tel.Sink.schedule_start ~v ~name:(Graph.name t.graph v));
@@ -785,11 +798,12 @@ let schedule ?(tie = `First) t v =
             s.Tel.Sink.free_placed ~v ~name:(Graph.name t.graph v));
       let relabelled = commit_free t v in
       if tel then
-        emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled ~t0
+        emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled ~walked0
+          ~t0
     end
     else begin
-      let ancestors = scheduled_ancestors t v in
-      let descendants = scheduled_descendants t v in
+      let ancestors = frontier t ~backward:true v in
+      let descendants = frontier t ~backward:false v in
       let costed, scanned =
         scan_positions ~trace:tel t v ~ancestors ~descendants
       in
@@ -835,7 +849,7 @@ let schedule ?(tie = `First) t v =
         let relabelled = commit t v best_pos ~ancestors ~descendants in
         if tel then
           emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned
-            ~relabelled ~t0
+            ~relabelled ~walked0 ~t0
     end
   end
 
@@ -910,6 +924,8 @@ let copy t =
              succs = n.succs;
              sdist = n.sdist;
              tdist = n.tdist;
+             above = n.above;
+             below = n.below;
            }))
     t.nodes;
   {
@@ -919,8 +935,9 @@ let copy t =
     tail = Array.copy t.tail;
     nodes;
     n_scheduled = t.n_scheduled;
-    reach = t.reach; (* shared box: see its definition *)
+    gen = t.gen;
     diameter = t.diameter;
+    walked = 0;
     queued = [||];
     order = [||];
     up = [||];

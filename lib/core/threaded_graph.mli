@@ -18,7 +18,11 @@ open Import
     Scheduling one operation is [select] (scan every feasible position in
     every compatible thread, pick the one minimising the resulting
     diameter — Definition 5's online-optimality criterion) followed by
-    [commit] (splice in, then re-tighten edges per Figure 2).
+    [commit] (splice in, then re-tighten edges per Figure 2). Both read
+    only the operation's scheduled {e frontier}: the scheduled vertices
+    it reaches in the graph through unscheduled ones. The state refines
+    the graph order, so every other scheduled ancestor or descendant is
+    already ordered through a frontier vertex.
 
     Three repairs relative to the paper's pseudo-code are implemented and
     documented in DESIGN.md §2: insertion at the head of a thread is
@@ -98,11 +102,11 @@ val to_schedule : ?placement:[ `Asap | `Alap ] -> t -> Schedule.t
     is scheduled. *)
 
 val copy : t -> t
-(** Deep copy sharing the (mutable) underlying graph and its
-    reachability index — cheap state snapshotting for the naive
-    reference scheduler and the tests. The copy carries the labels and
-    the diameter, and owns its own kernel scratch, so a state and its
-    copies may be scheduled alternately. *)
+(** Deep copy sharing the (mutable) underlying graph — cheap state
+    snapshotting for the naive reference scheduler and the tests. The
+    copy carries the labels, the diameter and the frontier-walk flags,
+    and owns its own kernel scratch, so a state and its copies may be
+    scheduled alternately. *)
 
 type stats = {
   n_scheduled : int;
@@ -121,14 +125,6 @@ val stats : ?with_softness:bool -> t -> stats
 (** One pass over the state. [ordered_pairs] costs a from-scratch
     transitive closure of the state graph, so it is only computed when
     [with_softness] is true (default false). *)
-
-val set_reach_mode : [ `Incremental | `Rebuild ] -> unit
-(** Process-global policy for keeping the reachability index in step
-    with graph mutations. [`Incremental] (default) replays the graph's
-    mutation journal into the existing closure; [`Rebuild] recomputes it
-    from scratch on every change, the pre-refactor behaviour — kept so
-    the benchmark can quantify the difference. Queries are identical in
-    both modes. *)
 
 (** {2 Introspection for the reference implementation and the tests} *)
 

@@ -1,10 +1,5 @@
 type vertex = int
 
-type mutation =
-  | Added_vertex of vertex
-  | Added_edge of vertex * vertex
-  | Removed_edge of vertex * vertex
-
 type node = {
   op : Op.t;
   delay : int;
@@ -17,7 +12,7 @@ type t = {
   nodes : node Vec.t;
   mutable n_edges : int;
   edge_set : (vertex * vertex, unit) Hashtbl.t;
-  journal : mutation Vec.t;
+  mutable generation : int; (* bumped by every structural change *)
 }
 
 let dummy_vec : vertex Vec.t = Vec.create ~capacity:1 ~dummy:(-1) ()
@@ -25,29 +20,18 @@ let dummy_vec : vertex Vec.t = Vec.create ~capacity:1 ~dummy:(-1) ()
 let dummy_node =
   { op = Op.Const 0; delay = 0; name = ""; preds = dummy_vec; succs = dummy_vec }
 
-let dummy_mutation = Added_vertex (-1)
-
 let create () =
   {
     nodes = Vec.create ~dummy:dummy_node ();
     n_edges = 0;
     edge_set = Hashtbl.create 64;
-    journal = Vec.create ~dummy:dummy_mutation ();
+    generation = 0;
   }
 
 let n_vertices g = Vec.length g.nodes
 let n_edges g = g.n_edges
-let generation g = Vec.length g.journal
-
-let mutations_since g gen =
-  let n = Vec.length g.journal in
-  if gen < 0 || gen > n then
-    invalid_arg
-      (Printf.sprintf "Graph.mutations_since: generation %d not in [0,%d]" gen n);
-  let rec loop i acc =
-    if i < gen then acc else loop (i - 1) (Vec.get g.journal i :: acc)
-  in
-  loop (n - 1) []
+let generation g = g.generation
+let bump g = g.generation <- g.generation + 1
 
 let node g v =
   if v < 0 || v >= n_vertices g then
@@ -69,7 +53,7 @@ let add_vertex g ?delay ?name op =
         succs = Vec.create ~capacity:2 ~dummy:(-1) ();
       }
   in
-  ignore (Vec.push g.journal (Added_vertex id));
+  bump g;
   id
 
 let mem_edge g u v =
@@ -83,7 +67,7 @@ let add_edge g u v =
     ignore (Vec.push nu.succs v);
     ignore (Vec.push nv.preds u);
     Hashtbl.add g.edge_set (u, v) ();
-    ignore (Vec.push g.journal (Added_edge (u, v)));
+    bump g;
     g.n_edges <- g.n_edges + 1
   end
 
@@ -111,7 +95,7 @@ let remove_edge g u v =
      with it (they can only repeat after a {!replace_operand} merge). *)
   vec_remove_all nv.preds u;
   Hashtbl.remove g.edge_set (u, v);
-  ignore (Vec.push g.journal (Removed_edge (u, v)));
+  bump g;
   g.n_edges <- g.n_edges - 1
 
 let replace_operand g v ~old_pred ~new_pred =
@@ -137,13 +121,13 @@ let replace_operand g v ~old_pred ~new_pred =
     if not (Vec.mem old_pred nv.preds) then begin
       ignore (Vec.remove_first n_old.succs v);
       Hashtbl.remove g.edge_set (old_pred, v);
-      ignore (Vec.push g.journal (Removed_edge (old_pred, v)));
+      bump g;
       g.n_edges <- g.n_edges - 1
     end;
     if not (Hashtbl.mem g.edge_set (new_pred, v)) then begin
       ignore (Vec.push n_new.succs v);
       Hashtbl.add g.edge_set (new_pred, v) ();
-      ignore (Vec.push g.journal (Added_edge (new_pred, v)));
+      bump g;
       g.n_edges <- g.n_edges + 1
     end
   end
@@ -218,7 +202,7 @@ let copy g =
     nodes;
     n_edges = g.n_edges;
     edge_set = Hashtbl.copy g.edge_set;
-    journal = Vec.copy g.journal;
+    generation = g.generation;
   }
 
 let total_delay g = fold_vertices (fun acc v -> acc + delay g v) 0 g

@@ -12,20 +12,13 @@
 
     Adjacency is stored in growable int arrays ({!Vec}), with a hashed
     edge set alongside, so [add_edge] and [mem_edge] are O(1) expected
-    and amortised. Every structural change is appended to a mutation
-    journal; incremental clients (notably the reachability index in
-    [Soft.Threaded_graph]) read {!generation} and replay
-    {!mutations_since} instead of diffing the whole graph. *)
+    and amortised. Every structural change bumps a {!generation}
+    counter, so a client holding derived state (notably the frontier
+    flags in [Soft.Threaded_graph]) can tell that the graph changed
+    without diffing it. *)
 
 type t
 type vertex = int
-
-type mutation =
-  | Added_vertex of vertex
-  | Added_edge of vertex * vertex
-  | Removed_edge of vertex * vertex
-      (** One entry per structural change, in application order.
-          [replace_operand] journals as a removal and/or addition. *)
 
 val create : unit -> t
 
@@ -55,15 +48,11 @@ val n_vertices : t -> int
 val n_edges : t -> int
 
 val generation : t -> int
-(** Monotone mutation counter: the number of journal entries so far.
-    Two observations of the same graph are structurally identical iff
-    their generations are equal. *)
-
-val mutations_since : t -> int -> mutation list
-(** [mutations_since g gen] returns the journal suffix from generation
-    [gen] (inclusive) to the present, oldest first. [mutations_since g
-    (generation g)] is []. @raise Invalid_argument if [gen] is not in
-    [0 .. generation g]. *)
+(** Monotone mutation counter: one step per structural change (a vertex
+    added, an edge added or removed; [replace_operand] counts its edge
+    removal and addition separately, and a no-op counts nothing). Two
+    observations of the same graph are structurally identical iff their
+    generations are equal. *)
 
 val op : t -> vertex -> Op.t
 val delay : t -> vertex -> int

@@ -99,15 +99,6 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
       | Events.Edge_added _ -> incr edge_adds
       | Events.Edge_removed _ -> incr edge_removes
       | Events.Free_placed _ -> ()
-      | Events.Reach_update { rows; words; rebuilt } ->
-        record ctx
-          [
-            ("name", str (if rebuilt then "reach rebuild" else "reach update"));
-            ("cat", str "reach"); ("ph", str "i"); ("ts", us_of_ns ctx at_ns);
-            ("pid", "1"); ("tid", "0"); ("s", str "p");
-            ("args",
-             Printf.sprintf "{\"rows\":%d,\"words\":%d}" rows words);
-          ]
       | Events.Cache_event { op; key } ->
         record ctx
           [

@@ -10,6 +10,7 @@ type t = {
   mutable positions_scanned : int;
   mutable max_positions_in_call : int;
   mutable vertices_relabelled : int;
+  mutable vertices_walked : int;
   mutable candidates : int;
   mutable tie_breaks : int;
   mutable edges_added : int;
@@ -22,10 +23,6 @@ type t = {
   mutable last_max_out_degree : int;
   mutable last_ordered_pairs : int option;
   mutable elapsed_ns : int;
-  mutable closure_rows_touched : int;
-  mutable closure_words_ored : int;
-  mutable closure_rebuilds : int;
-  mutable closure_incremental_updates : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_evictions : int;
@@ -37,6 +34,7 @@ type snapshot = {
   positions_scanned : int;
   max_positions_in_call : int;
   vertices_relabelled : int;
+  vertices_walked : int;
   candidates : int;
   tie_breaks : int;
   edges_added : int;
@@ -50,10 +48,6 @@ type snapshot = {
   last_max_out_degree : int;
   last_ordered_pairs : int option;
   elapsed_ns : int;
-  closure_rows_touched : int;
-  closure_words_ored : int;
-  closure_rebuilds : int;
-  closure_incremental_updates : int;
   cache_hits : int;
   cache_misses : int;
   cache_evictions : int;
@@ -66,6 +60,7 @@ let create () =
     positions_scanned = 0;
     max_positions_in_call = 0;
     vertices_relabelled = 0;
+    vertices_walked = 0;
     candidates = 0;
     tie_breaks = 0;
     edges_added = 0;
@@ -78,10 +73,6 @@ let create () =
     last_max_out_degree = 0;
     last_ordered_pairs = None;
     elapsed_ns = 0;
-    closure_rows_touched = 0;
-    closure_words_ored = 0;
-    closure_rebuilds = 0;
-    closure_incremental_updates = 0;
     cache_hits = 0;
     cache_misses = 0;
     cache_evictions = 0;
@@ -103,6 +94,7 @@ let sink (c : t) =
         if s.scanned > c.max_positions_in_call then
           c.max_positions_in_call <- s.scanned;
         c.vertices_relabelled <- c.vertices_relabelled + s.relabelled;
+        c.vertices_walked <- c.vertices_walked + s.walked;
         if s.max_thread_in_degree > c.max_in_degree_observed then
           c.max_in_degree_observed <- s.max_thread_in_degree;
         if s.max_thread_out_degree > c.max_out_degree_observed then
@@ -115,13 +107,6 @@ let sink (c : t) =
         | Some _ as p -> c.last_ordered_pairs <- p
         | None -> ());
         c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns);
-    reach_update =
-      (fun ~rows ~words ~rebuilt ->
-        c.closure_rows_touched <- c.closure_rows_touched + rows;
-        c.closure_words_ored <- c.closure_words_ored + words;
-        if rebuilt then c.closure_rebuilds <- c.closure_rebuilds + 1
-        else
-          c.closure_incremental_updates <- c.closure_incremental_updates + 1);
     cache_event =
       (fun ~op ~key:_ ->
         match op with
@@ -137,6 +122,7 @@ let snapshot (c : t) : snapshot =
     positions_scanned = c.positions_scanned;
     max_positions_in_call = c.max_positions_in_call;
     vertices_relabelled = c.vertices_relabelled;
+    vertices_walked = c.vertices_walked;
     candidates = c.candidates;
     tie_breaks = c.tie_breaks;
     edges_added = c.edges_added;
@@ -150,10 +136,6 @@ let snapshot (c : t) : snapshot =
     last_max_out_degree = c.last_max_out_degree;
     last_ordered_pairs = c.last_ordered_pairs;
     elapsed_ns = c.elapsed_ns;
-    closure_rows_touched = c.closure_rows_touched;
-    closure_words_ored = c.closure_words_ored;
-    closure_rebuilds = c.closure_rebuilds;
-    closure_incremental_updates = c.closure_incremental_updates;
     cache_hits = c.cache_hits;
     cache_misses = c.cache_misses;
     cache_evictions = c.cache_evictions;
@@ -168,10 +150,6 @@ let to_alist (s : snapshot) : (string * float) list =
   let rows =
     [
       ("candidates", f s.candidates);
-      ("closure_incremental_updates", f s.closure_incremental_updates);
-      ("closure_rebuilds", f s.closure_rebuilds);
-      ("closure_rows_touched", f s.closure_rows_touched);
-      ("closure_words_ored", f s.closure_words_ored);
       ("cross_edges_touched", f s.cross_edges_touched);
       ("edges_added", f s.edges_added);
       ("edges_removed", f s.edges_removed);
@@ -188,6 +166,7 @@ let to_alist (s : snapshot) : (string * float) list =
       ("schedule_calls", f s.schedule_calls);
       ("tie_breaks", f s.tie_breaks);
       ("vertices_relabelled", f s.vertices_relabelled);
+      ("vertices_walked", f s.vertices_walked);
     ]
   in
   let rows =
@@ -245,6 +224,7 @@ let to_string (s : snapshot) =
     s.positions_scanned s.max_positions_in_call s.candidates;
   line "  tie-breaks taken      %8d" s.tie_breaks;
   line "  vertices relabelled   %8d" s.vertices_relabelled;
+  line "  vertices walked       %8d" s.vertices_walked;
   line "  edges re-tightened    %8d  (+%d / -%d cross edges)"
     s.cross_edges_touched s.edges_added s.edges_removed;
   line "  state edges           %8d" s.last_state_edges;
@@ -254,12 +234,6 @@ let to_string (s : snapshot) =
   (match s.last_ordered_pairs with
   | Some p -> line "  ordered pairs |≺_S|   %8d" p
   | None -> ());
-  if s.closure_rebuilds + s.closure_incremental_updates > 0 then begin
-    line "  closure updates       %8d  (%d full rebuilds)"
-      s.closure_incremental_updates s.closure_rebuilds;
-    line "  closure rows touched  %8d  (%d words OR'd)" s.closure_rows_touched
-      s.closure_words_ored
-  end;
   if s.cache_hits + s.cache_misses + s.cache_evictions > 0 then
     line "  result cache          %8d hits, %d misses, %d evictions"
       s.cache_hits s.cache_misses s.cache_evictions;

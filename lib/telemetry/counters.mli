@@ -14,6 +14,8 @@ type snapshot = {
   max_positions_in_call : int;
   vertices_relabelled : int;
       (** vertices processed by the commits' label propagation *)
+  vertices_walked : int;
+      (** vertices queued by the frontier walks and flag propagation *)
   candidates : int;  (** feasible positions reported to the sink *)
   tie_breaks : int;
   edges_added : int;  (** explicit cross edges added by commits *)
@@ -27,10 +29,6 @@ type snapshot = {
   last_max_out_degree : int;
   last_ordered_pairs : int option;  (** most recent softness sample *)
   elapsed_ns : int;  (** wall time inside instrumented calls *)
-  closure_rows_touched : int;  (** reachability rows unioned by syncs *)
-  closure_words_ored : int;  (** 64-bit words OR'd by those unions *)
-  closure_rebuilds : int;  (** syncs forced to rebuild from scratch *)
-  closure_incremental_updates : int;  (** syncs served by journal replay *)
   cache_hits : int;  (** result-cache lookups served from memory *)
   cache_misses : int;  (** lookups that fell through to the scheduler *)
   cache_evictions : int;  (** LRU entries dropped to stay within capacity *)

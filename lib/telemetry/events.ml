@@ -10,6 +10,7 @@
 type summary = {
   scanned : int;  (* candidate positions examined by this schedule call *)
   relabelled : int;  (* vertices the commit's label propagation processed *)
+  walked : int;  (* vertices the frontier walks and flag propagation queued *)
   diameter : int;  (* ‖S‖ after the commit *)
   state_edges : int;  (* implicit thread edges + explicit cross edges *)
   max_thread_in_degree : int;  (* Lemma 7 observable, in-thread preds *)
@@ -43,12 +44,6 @@ module Sink = struct
         (** Zero-resource vertex committed as a free (thread-less) op. *)
     schedule_done : v:int -> thread:int option -> summary:summary -> unit;
         (** The call returned; [thread = None] for free vertices. *)
-    reach_update : rows:int -> words:int -> rebuilt:bool -> unit;
-        (** Reachability index caught up with the graph journal:
-            [rows] bitset rows touched and [words] 64-bit words OR'd by
-            this sync; [rebuilt] is true when an uncovered edge removal
-            forced a from-scratch closure instead of an incremental
-            update. *)
     cache_event : op:cache_op -> key:string -> unit;
         (** Fingerprint-cache traffic from the serving layer: a lookup
             that hit, a lookup that missed, or an LRU eviction. *)
@@ -64,7 +59,6 @@ module Sink = struct
       edge_removed = (fun ~src:_ ~dst:_ -> ());
       free_placed = (fun ~v:_ ~name:_ -> ());
       schedule_done = (fun ~v:_ ~thread:_ ~summary:_ -> ());
-      reach_update = (fun ~rows:_ ~words:_ ~rebuilt:_ -> ());
       cache_event = (fun ~op:_ ~key:_ -> ());
     }
 
@@ -102,10 +96,6 @@ module Sink = struct
         (fun ~v ~thread ~summary ->
           a.schedule_done ~v ~thread ~summary;
           b.schedule_done ~v ~thread ~summary);
-      reach_update =
-        (fun ~rows ~words ~rebuilt ->
-          a.reach_update ~rows ~words ~rebuilt;
-          b.reach_update ~rows ~words ~rebuilt);
       cache_event =
         (fun ~op ~key ->
           a.cache_event ~op ~key;
@@ -180,7 +170,6 @@ type event =
   | Edge_removed of { src : int; dst : int }
   | Free_placed of { v : int; name : string }
   | Schedule_done of { v : int; thread : int option; summary : summary }
-  | Reach_update of { rows : int; words : int; rebuilt : bool }
   | Cache_event of { op : cache_op; key : string }
 
 type timed = { at_ns : int; event : event }
@@ -209,8 +198,6 @@ module Recorder = struct
       free_placed = (fun ~v ~name -> push r (Free_placed { v; name }));
       schedule_done =
         (fun ~v ~thread ~summary -> push r (Schedule_done { v; thread; summary }));
-      reach_update =
-        (fun ~rows ~words ~rebuilt -> push r (Reach_update { rows; words; rebuilt }));
       cache_event = (fun ~op ~key -> push r (Cache_event { op; key }));
     }
 

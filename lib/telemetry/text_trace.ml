@@ -36,10 +36,6 @@ let to_string ?(vertex = default_vertex) ?(thread = string_of_int)
         line at "  edge -  %s -> %s (implied)" (vertex src) (vertex dst)
       | Events.Free_placed { v; name } ->
         line at "  free placement of %s (%s)" (vertex v) name
-      | Events.Reach_update { rows; words; rebuilt } ->
-        line at "reach %s: %d rows, %d words OR'd"
-          (if rebuilt then "rebuild" else "update")
-          rows words
       | Events.Cache_event { op; key } ->
         line at "cache %s %s"
           (match op with `Hit -> "hit  " | `Miss -> "miss " | `Evict -> "evict")

@@ -212,7 +212,7 @@ let test_graph_replace_operand_duplicate_old () =
   check Alcotest.int "edge count restored" 4 (Graph.n_edges g)
 
 (* Rewiring a slot to the vertex it already reads is a complete no-op:
-   no edge churn, no succs reordering, no journal growth. *)
+   no edge churn, no succs reordering, no generation step. *)
 let test_graph_replace_operand_self () =
   let g, _, b, _, d = diamond () in
   let gen = Graph.generation g in
@@ -228,21 +228,13 @@ let test_graph_generation_journal () =
   let a = Graph.add_vertex g Op.Add in
   let b = Graph.add_vertex g Op.Mul in
   Graph.add_edge g a b;
-  Graph.add_edge g a b (* duplicate: ignored, not journalled *);
+  Graph.add_edge g a b (* duplicate: ignored, not counted *);
   check Alcotest.int "three mutations" 3 (Graph.generation g);
   let mid = Graph.generation g in
   let c = Graph.add_vertex g Op.Sub in
   Graph.add_edge g b c;
   Graph.remove_edge g a b;
-  check Alcotest.bool "journal suffix in order" true
-    (Graph.mutations_since g mid
-    = [ Graph.Added_vertex c; Graph.Added_edge (b, c);
-        Graph.Removed_edge (a, b) ]);
-  check Alcotest.bool "caught-up suffix empty" true
-    (Graph.mutations_since g (Graph.generation g) = []);
-  Alcotest.check_raises "future generation rejected"
-    (Invalid_argument "Graph.mutations_since: generation 99 not in [0,6]")
-    (fun () -> ignore (Graph.mutations_since g 99))
+  check Alcotest.int "one step per change" (mid + 3) (Graph.generation g)
 
 let test_graph_is_dag () =
   let g, _, _, _, _ = diamond () in
@@ -704,60 +696,6 @@ let prop_reach_transitive =
       done;
       !ok)
 
-(* Growth-trace oracle: replay a random add_vertex/add_edge sequence
-   into one incrementally-maintained Reach and assert it matches a
-   from-scratch closure after every step. This is the contract
-   [Threaded_graph.sync] relies on when it replays the mutation journal
-   instead of rebuilding. *)
-let prop_incremental_reach_oracle =
-  QCheck.Test.make ~name:"incremental Reach = of_graph on growth traces"
-    ~count:60
-    QCheck.(pair (int_range 2 20) (int_range 0 10_000))
-    (fun (n_target, seed) ->
-      let rng = Random.State.make [| seed |] in
-      let g = Graph.create () in
-      let r = Reach.of_graph g in
-      let agree () =
-        let fresh = Reach.of_graph g in
-        let n = Graph.n_vertices g in
-        Reach.size r = n
-        && begin
-             let ok = ref true in
-             for u = 0 to n - 1 do
-               for v = 0 to n - 1 do
-                 if
-                   u <> v
-                   && Reach.precedes r u v <> Reach.precedes fresh u v
-                 then ok := false
-               done
-             done;
-             !ok
-           end
-      in
-      let ok = ref true in
-      for _ = 1 to n_target do
-        ignore (Graph.add_vertex g Op.Add);
-        ignore (Reach.add_vertex r);
-        if !ok && not (agree ()) then ok := false;
-        (* a few random edges, always low id -> high id, so the graph
-           stays a DAG without a cycle check *)
-        let n = Graph.n_vertices g in
-        if n >= 2 then
-          for _ = 1 to Random.State.int rng 3 do
-            let v = 1 + Random.State.int rng (n - 1) in
-            let u = Random.State.int rng v in
-            if not (Graph.mem_edge g u v) then begin
-              Graph.add_edge g u v;
-              Reach.add_edge r u v
-            end
-            else
-              (* redundant closure updates must be harmless *)
-              Reach.add_edge r u v;
-            if !ok && not (agree ()) then ok := false
-          done
-      done;
-      !ok)
-
 let prop_eval_deterministic =
   QCheck.Test.make ~name:"expression trees evaluate consistently" ~count:50
     QCheck.(pair (int_range 1 5) (int_range 0 1000))
@@ -813,7 +751,6 @@ let qcheck_cases =
       prop_lemma5;
       prop_critical_path_consistent;
       prop_reach_transitive;
-      prop_incremental_reach_oracle;
       prop_eval_deterministic;
       prop_reduction_preserves_reachability;
       prop_serial_roundtrip_iso;

@@ -766,10 +766,11 @@ let prop_labels_match_paths_oracle =
 
 (* Theorem 3 keeps a [schedule] call linear; the kernel also keeps its
    allocation linear with a small constant, from per-state scratch
-   instead of per-call tables. *)
-let test_schedule_allocation_bound () =
+   instead of per-call tables. Returns minor words per vertex per call
+   over a topological run of a layered graph of [layers] x 10. *)
+let minor_words_per_vertex_call ~layers =
   let g =
-    Generate.layered (Random.State.make [| 2026 |]) ~layers:40 ~width:10
+    Generate.layered (Random.State.make [| 2026 |]) ~layers ~width:10
       ~fanin:3
   in
   let n = Graph.n_vertices g in
@@ -777,13 +778,22 @@ let test_schedule_allocation_bound () =
   let st = T.create g ~resources:two_two in
   let before = Gc.minor_words () in
   List.iter (T.schedule st) order;
-  let per_vertex_call =
-    (Gc.minor_words () -. before) /. float_of_int (n * n)
-  in
+  (Gc.minor_words () -. before) /. float_of_int (n * n)
+
+let test_schedule_allocation_bound () =
+  let per_vertex_call = minor_words_per_vertex_call ~layers:40 in
   check Alcotest.bool
     (Printf.sprintf "%.1f minor words per vertex per call <= 16"
        per_vertex_call)
-    true (per_vertex_call <= 16.)
+    true (per_vertex_call <= 16.);
+  (* At |V| = 3200 a call allocates less than one word per vertex: what
+     it allocates (the frontier lists, the scan's positions) must not
+     grow with the number of scheduled vertices. *)
+  let per_vertex_call = minor_words_per_vertex_call ~layers:320 in
+  check Alcotest.bool
+    (Printf.sprintf "%.2f minor words per vertex per call <= 1 at |V| = 3200"
+       per_vertex_call)
+    true (per_vertex_call <= 1.)
 
 (* Each call's label propagation, counted by the telemetry summary, must
    process no more vertices than the from-scratch labelling pass it
@@ -832,6 +842,160 @@ let prop_relabelling_bound =
   QCheck.Test.make ~name:"Theorem 3: relabelling within one full pass"
     ~count:40 seeded_dag (fun spec ->
       relabelling_within_one_pass (graph_of spec))
+
+(* --- frontier walks ---------------------------------------------------- *)
+
+(* The whole run's [walked] count, summed from the telemetry summaries. *)
+let walked_in_run g ~resources ~meta =
+  let walked = ref 0 in
+  let sink =
+    {
+      Telemetry.Sink.null with
+      schedule_done =
+        (fun ~v:_ ~thread:_ ~summary ->
+          walked := !walked + summary.Telemetry.walked);
+    }
+  in
+  ignore (Soft.Scheduler.run_traced ~meta ~resources ~sink g);
+  !walked
+
+(* Under a topological meta every predecessor of the vertex being
+   scheduled is already scheduled and no descendant is, so neither
+   frontier walk has a vertex to enter, and the flag propagation flags
+   each non-source vertex [above] exactly once, when its first ancestor
+   is scheduled. The whole run's walk count is therefore |V| - |sources|
+   (at most 2·|V|, one flag per direction); anything more was queued by
+   an unpruned frontier walk. *)
+let test_walks_pruned_layered () =
+  List.iter
+    (fun n ->
+      let g =
+        Generate.layered (Random.State.make [| n |]) ~layers:(n / 10)
+          ~width:10 ~fanin:3
+      in
+      let nv = Graph.n_vertices g in
+      let flagged = nv - List.length (Graph.sources g) in
+      List.iter
+        (fun (name, resources) ->
+          let walked = walked_in_run g ~resources ~meta:Meta.topological in
+          check Alcotest.int
+            (Printf.sprintf "|V| = %d, %s: frontier walks queue nothing" nv
+               name)
+            flagged walked;
+          check Alcotest.bool
+            (Printf.sprintf "|V| = %d, %s: flag propagation <= 2|V|" nv name)
+            true
+            (walked <= 2 * nv))
+        R.fig3_all)
+    [ 100; 200; 400; 800 ]
+
+(* The closure of the state graph must be exactly the closure of ≺_G
+   restricted to the scheduled vertices, plus each thread's consecutive
+   members: no ordering missing (correctness) and none invented (an
+   extra edge, say to a scheduled non-ancestor). The reference shares no
+   linking logic with the kernel. *)
+let closure_property g st =
+  let reach_g = Reach.of_graph g in
+  let reference = Graph.create () in
+  Graph.iter_vertices (fun _ -> ignore (Graph.add_vertex reference Op.Add)) g;
+  let scheduled = List.filter (T.is_scheduled st) (Graph.vertices g) in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun w -> if Reach.precedes reach_g u w then Graph.add_edge reference u w)
+        scheduled)
+    scheduled;
+  for k = 0 to T.n_threads st - 1 do
+    let rec chain = function
+      | a :: (b :: _ as rest) ->
+        Graph.add_edge reference a b;
+        chain rest
+      | _ -> ()
+    in
+    chain (T.thread_members st k)
+  done;
+  let expected = Reach.of_graph reference in
+  let actual = Reach.of_graph (T.state_graph st) in
+  List.for_all
+    (fun u ->
+      List.for_all
+        (fun w -> Reach.precedes expected u w = Reach.precedes actual u w)
+        (Graph.vertices g))
+    (Graph.vertices g)
+
+(* Random DAGs where about one vertex in four has delay 0 and is placed
+   free, so frontier walks also meet scheduled free vertices. *)
+let dag_with_free_ops (n, p, seed) =
+  let rng = Random.State.make [| seed |] in
+  let g = Graph.create () in
+  for _ = 1 to n do
+    let delay = if Random.State.int rng 4 = 0 then Some 0 else None in
+    ignore (Graph.add_vertex g ?delay (Generate.random_op rng))
+  done;
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Random.State.float rng 1.0 < p then Graph.add_edge g i j
+    done
+  done;
+  g
+
+let prop_closure_property =
+  QCheck.Test.make ~name:"state closure = closure of ≺_G plus threads"
+    ~count:30 seeded_dag (fun ((_, _, seed) as spec) ->
+      List.for_all
+        (fun g ->
+          List.for_all
+            (fun (_, resources) ->
+              List.for_all
+                (fun meta ->
+                  let st = T.create g ~resources in
+                  List.for_all
+                    (fun v ->
+                      T.schedule st v;
+                      closure_property g st)
+                    (meta g))
+                (Meta.random ~seed :: List.map snd (Meta.fig3 ~resources)))
+            R.fig3_all)
+        [ graph_of spec; dag_with_free_ops spec ])
+
+(* The graph grows under a half-scheduled state: a two-vertex chain
+   a -> b is spliced in front of a scheduled vertex x, then a and b are
+   scheduled in that order. When a is scheduled, x lies beyond the
+   unscheduled b, so a's frontier reaches x only if the generation
+   change flagged b. *)
+let test_growth_after_scheduling () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (name, resources) ->
+          let g =
+            Generate.layered (Random.State.make [| seed |]) ~layers:6
+              ~width:4 ~fanin:2
+          in
+          let order = Meta.topological g in
+          let half = List.filteri (fun i _ -> i < List.length order / 2) order in
+          let st = T.create g ~resources in
+          List.iter (T.schedule st) half;
+          let p, x =
+            List.find
+              (fun (_, x) -> List.mem x half)
+              (List.rev (Graph.edges g))
+          in
+          let a = Dfg.Mutate.insert_on_edge g ~src:p ~dst:x ~op:Op.Add () in
+          let b = Dfg.Mutate.insert_on_edge g ~src:a ~dst:x ~op:Op.Add () in
+          List.iter
+            (fun v ->
+              T.schedule st v;
+              let label =
+                Printf.sprintf "seed %d, %s, after %s" seed name
+                  (Graph.name g v)
+              in
+              check Alcotest.bool (label ^ ": closure property") true
+                (closure_property g st);
+              ok_or_fail label (Invariant.check_all st))
+            [ a; b ])
+        R.fig3_all)
+    [ 1; 2; 3; 4; 5 ]
 
 (* --- the engine list ------------------------------------------------ *)
 
@@ -884,6 +1048,9 @@ let () =
             test_schedule_allocation_bound;
           Alcotest.test_case "relabelling per call" `Slow
             test_relabelling_bound_layered;
+          Alcotest.test_case "walks pruned" `Quick test_walks_pruned_layered;
+          Alcotest.test_case "growth after scheduling" `Quick
+            test_growth_after_scheduling;
         ] );
       ( "benchmarks",
         [
@@ -946,5 +1113,6 @@ let () =
             prop_lemma6_stable_labels;
             prop_labels_match_paths_oracle;
             prop_relabelling_bound;
+            prop_closure_property;
           ] );
     ]

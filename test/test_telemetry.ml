@@ -68,10 +68,6 @@ let test_causal_order () =
       | Tel.Edge_added _ | Tel.Edge_removed _ ->
         check Alcotest.bool "edges only while committing" true
           (!phase = `Committing)
-      | Tel.Reach_update _ ->
-        (* Closure syncs happen whenever the state first observes a
-           graph mutation — legal both inside and outside a call. *)
-        ()
       | Tel.Cache_event _ ->
         (* Result-cache traffic comes from the serving layer, never from
            inside a schedule call. *)
@@ -155,64 +151,38 @@ let identical_schedules name () =
   check Alcotest.int "identical length" (Hard.Schedule.length plain)
     (Hard.Schedule.length instrumented)
 
-(* The incremental reachability index is an optimisation, never a
-   policy change: a spill + wire-insert refinement run must produce the
-   same schedule whether the closure is updated in place or rebuilt
-   from scratch at every sync, and whether or not telemetry watches. *)
-let refined_starts ~instrument mode =
-  T.set_reach_mode mode;
-  Fun.protect
-    ~finally:(fun () -> T.set_reach_mode `Incremental)
-    (fun () ->
-      let g = build "HAL" in
-      let refine state =
-        let m2 =
-          List.find (fun v -> Graph.name g v = "m2") (Graph.vertices g)
-        in
-        ignore (Refine.Spill.apply state ~value:m2);
-        let fp = Refine.Floorplan.place state in
-        ignore
-          (Refine.Wire_insert.apply state fp Refine.Floorplan.default_model)
-      in
-      if instrument then begin
-        let counters = Tel.Counters.create () in
-        let sink = Tel.Counters.sink counters in
-        let state = Soft.Scheduler.run_traced ~sink ~resources:two_two g in
-        Tel.with_sink sink (fun () -> refine state);
-        ( Hard.Schedule.starts (T.to_schedule state),
-          Some (Tel.Counters.snapshot counters) )
-      end
-      else begin
-        let state = Soft.Scheduler.run ~resources:two_two g in
-        refine state;
-        (Hard.Schedule.starts (T.to_schedule state), None)
-      end)
+(* A spill + wire-insert refinement run grows the graph under a live
+   state; it must produce the same schedule whether or not telemetry
+   watches. *)
+let refined_starts ~instrument =
+  let g = build "HAL" in
+  let refine state =
+    let m2 = List.find (fun v -> Graph.name g v = "m2") (Graph.vertices g) in
+    ignore (Refine.Spill.apply state ~value:m2);
+    let fp = Refine.Floorplan.place state in
+    ignore (Refine.Wire_insert.apply state fp Refine.Floorplan.default_model)
+  in
+  let state =
+    if instrument then begin
+      let sink = Tel.Counters.sink (Tel.Counters.create ()) in
+      let state = Soft.Scheduler.run_traced ~sink ~resources:two_two g in
+      Tel.with_sink sink (fun () -> refine state);
+      state
+    end
+    else begin
+      let state = Soft.Scheduler.run ~resources:two_two g in
+      refine state;
+      state
+    end
+  in
+  Hard.Schedule.starts (T.to_schedule state)
 
 let test_refinement_bit_identity () =
-  let plain, _ = refined_starts ~instrument:false `Incremental in
-  let incremental, inc_snap = refined_starts ~instrument:true `Incremental in
-  let rebuilt, reb_snap = refined_starts ~instrument:true `Rebuild in
   check
     Alcotest.(array int)
-    "telemetry does not change the refined schedule" plain incremental;
-  check
-    Alcotest.(array int)
-    "closure mode does not change the refined schedule" plain rebuilt;
-  (match inc_snap with
-  | None -> Alcotest.fail "instrumented run must snapshot counters"
-  | Some s ->
-    (* every spill/wire rewire is covered, so the incremental path
-       never has to fall back to a full rebuild *)
-    check Alcotest.int "no rebuild fallback" 0 s.Tel.Counters.closure_rebuilds;
-    check Alcotest.bool "incremental updates happened" true
-      (s.Tel.Counters.closure_incremental_updates > 0));
-  match reb_snap with
-  | None -> Alcotest.fail "instrumented run must snapshot counters"
-  | Some s ->
-    check Alcotest.bool "rebuild mode rebuilds" true
-      (s.Tel.Counters.closure_rebuilds > 0);
-    check Alcotest.int "rebuild mode never updates in place" 0
-      s.Tel.Counters.closure_incremental_updates
+    "telemetry does not change the refined schedule"
+    (refined_starts ~instrument:false)
+    (refined_starts ~instrument:true)
 
 let test_sink_restored () =
   check Alcotest.bool "telemetry disabled outside with_sink" false
