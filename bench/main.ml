@@ -885,8 +885,8 @@ let bechamel_timings () =
 (* All eight benchmark designs through the NDJSON batch path. Cold: a
    fresh service per pass, so every request runs graph construction,
    fingerprinting and the scheduler. Warm: one service whose cache (and
-   name-memo) is primed, so a request is a memo lookup plus response
-   rendering. The speedup row is the service's reason to exist. *)
+   payload memo) is primed, so a request is a payload digest, a memo
+   lookup and a cache lookup plus response rendering. The speedup row is the service's reason to exist. *)
 let service_throughput () =
   section "Scheduling service (NDJSON batch, 8 designs per pass)";
   let lines =
@@ -1035,7 +1035,7 @@ let service_scaling () =
     record ~sec:"serve_scaling" ~name:"cold speedup jobs=4 vs 1" ~unit:"x" sp
   | _ -> ());
   (* Warm path: every worker loops prepare+execute over the primed
-     service — pure name-memo + sharded-cache traffic, the regime the
+     service — pure payload-memo + sharded-cache traffic, the regime the
      per-shard locks exist for. *)
   let service = Serve.Service.create () in
   ignore (Serve.Batch.run_lines service ~jobs:1 lines);

@@ -771,8 +771,12 @@ let load_cache_or_fail service = function
   | None -> ()
   | Some path -> (
     match Serve.Service.load_cache service path with
-    | Ok n ->
-      if n > 0 then Printf.eprintf "loaded %d cached results from %s\n%!" n path
+    | Ok (n, skipped) ->
+      if n > 0 then Printf.eprintf "loaded %d cached results from %s\n%!" n path;
+      if skipped > 0 then
+        Printf.eprintf
+          "skipped %d cached results in %s without a usable certificate\n%!"
+          skipped path
     | Error m -> failwith m)
 
 let save_cache service = function

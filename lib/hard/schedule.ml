@@ -34,14 +34,62 @@ let usage t cls =
     t.graph;
   cycles
 
-let peak_usage t cls = Array.fold_left max 0 (usage t cls)
+(* The busy intervals of [cls] (zero-delay ops occupy nothing), swept
+   in start order against the sorted finishes: [f] sees the count of
+   intervals open at each start once every interval starting there is
+   counted. Allocation is O(vertices), not O(schedule length). *)
+let sweep t cls f =
+  let busy v =
+    Graph.delay t.graph v > 0
+    &&
+    match Resources.class_of_op (Graph.op t.graph v) with
+    | Some c -> Resources.equal_class c cls
+    | None -> false
+  in
+  let n = Graph.fold_vertices (fun n v -> if busy v then n + 1 else n) 0 t.graph in
+  let starts = Array.make n 0 and finishes = Array.make n 0 and k = ref 0 in
+  Graph.iter_vertices
+    (fun v ->
+      if busy v then begin
+        starts.(!k) <- start t v;
+        finishes.(!k) <- finish t v;
+        incr k
+      end)
+    t.graph;
+  Array.sort Int.compare starts;
+  Array.sort Int.compare finishes;
+  let open_ = ref 0 and j = ref 0 in
+  for i = 0 to n - 1 do
+    while !j < n && finishes.(!j) <= starts.(i) do
+      incr j;
+      decr open_
+    done;
+    incr open_;
+    if i = n - 1 || starts.(i + 1) > starts.(i) then f starts.(i) !open_
+  done
 
+let peak_usage t cls =
+  let peak = ref 0 in
+  sweep t cls (fun _ used -> peak := max !peak used);
+  !peak
+
+(* Starts are non-negative ([make]), so the edge test compares a
+   difference of starts with a delay and cannot overflow. A finish past
+   [max_int] is the first violation recorded; the sweeps may misread
+   it, but only the first violation is kept. *)
 let check ?resources t =
   let violation = ref None in
   let record msg = if !violation = None then violation := Some msg in
+  Graph.iter_vertices
+    (fun v ->
+      if Graph.delay t.graph v > max_int - start t v then
+        record
+          (Printf.sprintf "vertex %s starting at %d finishes past the last cycle"
+             (Graph.name t.graph v) (start t v)))
+    t.graph;
   Graph.iter_edges
     (fun u v ->
-      if finish t u > start t v then
+      if start t v - start t u < Graph.delay t.graph u then
         record
           (Printf.sprintf "precedence violated: %s finishes at %d, %s starts at %d"
              (Graph.name t.graph u) (finish t u) (Graph.name t.graph v)
@@ -52,14 +100,11 @@ let check ?resources t =
   | Some r ->
     List.iter
       (fun (cls, available) ->
-        let per_cycle = usage t cls in
-        Array.iteri
-          (fun cycle used ->
+        sweep t cls (fun cycle used ->
             if used > available then
               record
                 (Printf.sprintf "resource overflow: %d %s busy at cycle %d, %d available"
-                   used (Resources.class_name cls) cycle available))
-          per_cycle)
+                   used (Resources.class_name cls) cycle available)))
       (Resources.classes r);
     (* Ops requiring a class with zero units are unschedulable. *)
     Graph.iter_vertices

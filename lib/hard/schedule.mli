@@ -25,10 +25,12 @@ val length : t -> int
     quantity reported in Figure 3. *)
 
 val check : ?resources:Resources.t -> t -> (unit, string) result
-(** Precedence feasibility (every edge's producer finishes no later than
-    its consumer starts) and, when [resources] is given, per-cycle
-    class occupancy within the unit counts. The error string pinpoints
-    the first violation. *)
+(** Every finish representable as an [int], precedence feasibility
+    (every edge's producer finishes no later than its consumer starts)
+    and, when [resources] is given, per-cycle class occupancy within
+    the unit counts (an event sweep over the busy intervals: its cost
+    does not grow with the schedule's length). The error string
+    pinpoints the first violation. *)
 
 val usage : t -> Resources.fu_class -> int array
 (** [usage s cls] has one entry per cycle: how many [cls] units are busy. *)

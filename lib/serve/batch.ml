@@ -9,7 +9,10 @@
    - requests with equal cache keys are deduped — the first becomes the
      leader and is the only one submitted to the pool, the rest ride on
      its result marked cached (exactly what a sequential run's cache
-     would have produced);
+     would have produced). A follower with another payload (a renamed
+     copy) gets the leader's result certified and remapped into its own
+     names, in pass 3; if certification fails, or the leader degraded
+     or failed, it is executed itself, in input order;
    - trace ids are assigned by input position (b-000001, …) and
      responses are emitted in input position order.
 
@@ -148,70 +151,74 @@ let run_lines ?pool service ~jobs lines =
      render into each span's emit phase, then hand the finished span to
      the metrics plane (if any). *)
   let hits = ref 0 and degraded = ref 0 and errors = ref 0 in
-  let outcome_of_item = function
-    | Bad _ -> assert false
-    | Leader { future; _ } -> futures.(future)
-    | Follower _ -> assert false
+  let leader_of = function
+    | Leader { prepared; future } -> (prepared, futures.(future))
+    | Bad _ | Follower _ -> assert false
+  in
+  (* A follower's answer. The same payload rides the leader: a
+     sequential run's second identical request would hit the cache —
+     unless the result was degraded, which is never cached. Another
+     payload is certified against the leader's result and remapped, or
+     executed itself. *)
+  let follow sp prepared leader =
+    let leader_prepared, led = leader_of items.(leader) in
+    if Service.same_payload leader_prepared prepared then
+      Result.map
+        (fun (o, _) -> (o, not (Service.result_of o).Protocol.degraded))
+        led
+    else
+      let tl = now () in
+      let followed =
+        match led with
+        | Ok (o, _) -> (
+          try
+            Option.map (fun o -> Ok (o, true)) (Service.follow service o prepared)
+          with e -> Some (Error e))
+        | Error _ -> None
+      in
+      sp.Metrics.lookup_ns <- sp.Metrics.lookup_ns + (now () - tl);
+      match followed with
+      | Some answer -> answer
+      | None -> ( try Ok (run_one ~span:sp prepared) with e -> Error e)
   in
   let out =
     List.mapi
       (fun i item ->
         let trace = Printf.sprintf "b-%06d" (i + 1) in
         let sp = spans.(i) in
+        let answer =
+          match item with
+          | Bad { id; msg } -> Error (id, msg)
+          | Leader { prepared; future } -> Ok (prepared, futures.(future))
+          | Follower { prepared; leader } ->
+            Ok (prepared, follow sp prepared leader)
+        in
         let te = now () in
         let line, is_ok, is_cached, is_degraded, design =
-          match item with
-          | Bad { id; msg } ->
+          match answer with
+          | Error (id, msg) ->
             incr errors;
             (Protocol.error_line ?id ~trace msg, false, false, false, "?")
-          | Leader { prepared; future } -> (
+          | Ok (prepared, Error e) ->
             let req = Service.request_of prepared in
-            let design = Protocol.spec_label req.Protocol.spec in
-            match futures.(future) with
-            | Error e ->
-              incr errors;
-              ( Protocol.error_line ?id:req.Protocol.id ~trace
-                  (Printexc.to_string e),
-                false,
-                false,
-                false,
-                design )
-            | Ok (o, cached) ->
-              if cached then incr hits;
-              let degr = (Service.result_of o).Protocol.degraded in
-              if degr then incr degraded;
-              ( Service.line ?id:req.Protocol.id ~trace ~cached
-                  ~want_schedule:req.Protocol.want_schedule o,
-                true,
-                cached,
-                degr,
-                design ))
-          | Follower { prepared; leader } -> (
+            incr errors;
+            ( Protocol.error_line ?id:req.Protocol.id ~trace
+                (Printexc.to_string e),
+              false,
+              false,
+              false,
+              Protocol.spec_label req.Protocol.spec )
+          | Ok (prepared, Ok (o, cached)) ->
             let req = Service.request_of prepared in
-            let design = Protocol.spec_label req.Protocol.spec in
-            match outcome_of_item items.(leader) with
-            | Error e ->
-              incr errors;
-              ( Protocol.error_line ?id:req.Protocol.id ~trace
-                  (Printexc.to_string e),
-                false,
-                false,
-                false,
-                design )
-            | Ok (o, _) ->
-              (* A sequential run's second identical request would hit the
-                 cache — unless the result was degraded, which is never
-                 cached. *)
-              let r = Service.result_of o in
-              let cached = not r.Protocol.degraded in
-              if cached then incr hits;
-              if r.Protocol.degraded then incr degraded;
-              ( Service.line ?id:req.Protocol.id ~trace ~cached
-                  ~want_schedule:req.Protocol.want_schedule o,
-                true,
-                cached,
-                r.Protocol.degraded,
-                design ))
+            if cached then incr hits;
+            let degr = (Service.result_of o).Protocol.degraded in
+            if degr then incr degraded;
+            ( Service.line ?id:req.Protocol.id ~trace ~cached
+                ~want_schedule:req.Protocol.want_schedule o,
+              true,
+              cached,
+              degr,
+              Protocol.spec_label req.Protocol.spec )
         in
         sp.Metrics.emit_ns <- sp.Metrics.emit_ns + (now () - te);
         sp.Metrics.total_ns <-

@@ -2,11 +2,13 @@
     over the worker pool.
 
     Deterministic by construction: preparation and fingerprinting run
-    sequentially in input order, identical requests are deduped onto one
-    scheduler run, trace ids are positional ([b-000001], …) and
-    responses come back in input order — so the output is byte-identical
-    for any [jobs], given the same entry cache state. Blank lines are
-    skipped without output. *)
+    sequentially in input order, requests with one cache key are deduped
+    onto one scheduler run (a follower with another payload, such as a
+    renamed copy, gets the leader's result certified and remapped into
+    its own names, or is executed itself), trace ids are positional
+    ([b-000001], …) and responses come back in input order — so the
+    output is byte-identical for any [jobs], given the same entry cache
+    state. Blank lines are skipped without output. *)
 
 type stats = {
   requests : int;

@@ -165,23 +165,39 @@ let evict_one (t : 'a t) =
 
 (* -- public operations ----------------------------------------------- *)
 
-let find (t : 'a t) key =
+(* The service certifies a hit before it counts it: [accept] runs under
+   the shard lock, and only an accepted entry is touched. Nothing is
+   tallied: the caller knows only later whether the request was a hit
+   (a certified entry it could answer from, or a computation in flight
+   it joined) and then tallies it with [record]. *)
+let find_if (t : 'a t) key accept =
   let s = shard_of t key in
-  let hit =
-    with_lock s (fun () ->
-        match Hashtbl.find_opt s.table key with
-        | Some n ->
-          unlink s n;
-          stamp t n;
-          push_front s n;
-          s.hits <- s.hits + 1;
-          Some n.value
-        | None ->
-          s.misses <- s.misses + 1;
-          None)
-  in
-  (match hit with Some _ -> tell `Hit key | None -> tell `Miss key);
-  hit
+  with_lock s (fun () ->
+      match Hashtbl.find_opt s.table key with
+      | Some n when accept n.value ->
+        unlink s n;
+        stamp t n;
+        push_front s n;
+        `Hit n.value
+      | Some _ -> `Rejected
+      | None -> `Absent)
+
+let record (t : 'a t) key outcome =
+  let s = shard_of t key in
+  with_lock s (fun () ->
+      match outcome with
+      | `Hit -> s.hits <- s.hits + 1
+      | `Miss -> s.misses <- s.misses + 1);
+  tell (outcome :> [ `Hit | `Miss | `Evict ]) key
+
+let find (t : 'a t) key =
+  match find_if t key (fun _ -> true) with
+  | `Hit v ->
+    record t key `Hit;
+    Some v
+  | `Rejected | `Absent ->
+    record t key `Miss;
+    None
 
 let add (t : 'a t) key value =
   let s = shard_of t key in

@@ -36,6 +36,16 @@ val find : 'a t -> string -> 'a option
 (** A hit refreshes the entry's (global) recency; both outcomes are
     counted. *)
 
+val find_if :
+  'a t -> string -> ('a -> bool) -> [ `Hit of 'a | `Rejected | `Absent ]
+(** A lookup whose hit must pass [accept] (run under the shard lock).
+    Only [`Hit] refreshes recency. Nothing is counted: the caller
+    tallies the request with {!record} once it knows how it was
+    answered. *)
+
+val record : 'a t -> string -> [ `Hit | `Miss ] -> unit
+(** Count one hit or miss for [key] without a lookup. *)
+
 val add : 'a t -> string -> 'a -> unit
 (** Inserts (or replaces) as most recently used, evicting the globally
     least-recent entry while over capacity. *)

@@ -8,7 +8,8 @@
    Per connection the loop keeps a read buffer (NDJSON line framing), a
    write queue, and a FIFO of reply slots: pipelined requests on one
    connection are answered strictly in request order even though the
-   pool completes them in any order. Backpressure is explicit at every
+   pool completes them in any order, and they enter the cache in that
+   order too (see [turn]). Backpressure is explicit at every
    layer — a connection stops being read once its pipeline or write
    queue is deep enough, and a full pool queue turns into an immediate
    ["server busy"] reply carrying a [retry_after_ms] hint instead of a
@@ -33,6 +34,16 @@ let max_line = 8 * 1024 * 1024  (* a longer request line is abuse *)
    slots from the front so responses keep request order. *)
 type slot = string option Atomic.t
 
+(* Pipelined requests on one connection enter the cache in request
+   order: after its own prepare, a request waits until its predecessor
+   on the connection has taken its place — found its entry, or led or
+   joined the computation of its key (Service.execute's [entered]) — or
+   has failed. Two pipelined requests for one key are then a miss and a
+   hit, in that order, however the workers interleave. The predecessor
+   was offered to the FIFO pool first, so it is already running: no
+   worker waits on a queued job. *)
+type turn = { mutable entered : bool }
+
 type conn = {
   cid : int;
   fd : Unix.file_descr;
@@ -44,6 +55,7 @@ type conn = {
   mutable out_bytes : int;  (* wchunk remainder + queued lines *)
   mutable reof : bool;  (* peer closed / read error: no more reads *)
   mutable close_after_flush : bool;
+  mutable last_turn : turn option;  (* the latest request's, loop-thread only *)
 }
 
 type t = {
@@ -56,6 +68,8 @@ type t = {
   max_connections : int;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
+  turn_lock : Mutex.t;
+  turn_done : Condition.t;
   stopping : bool Atomic.t;
   mutable listeners_open : bool;  (* loop-thread only *)
   mutable conns : conn list;  (* loop-thread only *)
@@ -71,13 +85,28 @@ let wake t =
 
 (* -- request execution (pool workers) --------------------------------- *)
 
+let enter t turn =
+  Mutex.lock t.turn_lock;
+  turn.entered <- true;
+  Condition.broadcast t.turn_done;
+  Mutex.unlock t.turn_lock
+
+let await_turn t = function
+  | None -> ()
+  | Some prev ->
+    Mutex.lock t.turn_lock;
+    while not prev.entered do
+      Condition.wait t.turn_done t.turn_lock
+    done;
+    Mutex.unlock t.turn_lock
+
 (* One scheduling request line -> one response line, run inside a pool
    worker. Admin lines never reach here (the loop answers them
    inline). The span covers the same phases as ever: queue wait is
    line-receipt -> worker start, parse/prepare/lookup/schedule/emit are
    timed here and in [Service.execute]. Every scheduling request
    (error paths included) is recorded exactly once. *)
-let answer_request t ~trace ~enqueued line =
+let answer_request t ~trace ~enqueued ~after ~turn line =
   let m = t.metrics in
   let now = Telemetry.now_ns in
   let sp = Metrics.span () in
@@ -117,7 +146,14 @@ let answer_request t ~trace ~enqueued line =
             (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
             req.Protocol.deadline_ms
         in
-        match Service.execute ?deadline ~span:sp t.service prepared with
+        let tw = now () in
+        await_turn t after;
+        sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
+        match
+          Service.execute ?deadline ~span:sp
+            ~entered:(fun () -> enter t turn)
+            t.service prepared
+        with
         | exception e -> fail ?id ~design (Printexc.to_string e)
         | o, cached ->
           let t2 = now () in
@@ -177,19 +213,23 @@ let process_line t c line =
     | Some reply -> fill slot reply
     | None -> (
       let enqueued = Telemetry.now_ns () in
+      let after = c.last_turn and turn = { entered = false } in
+      c.last_turn <- Some turn;
       Metrics.add_in_flight t.metrics 1;
       match
         Pool.offer t.pool (fun () ->
             let reply =
-              try answer_request t ~trace ~enqueued line
+              try answer_request t ~trace ~enqueued ~after ~turn line
               with e -> Protocol.error_line ~trace (Printexc.to_string e)
             in
+            enter t turn;
             fill slot reply;
             Metrics.add_in_flight t.metrics (-1);
             wake t)
       with
       | `Future _ -> Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool)
       | `Full ->
+        enter t turn;
         Metrics.add_in_flight t.metrics (-1);
         Metrics.turned_away t.metrics;
         let retry_after_ms =
@@ -198,6 +238,7 @@ let process_line t c line =
         in
         fill slot (Protocol.error_line ~retry_after_ms ~trace "server busy")
       | `Draining ->
+        enter t turn;
         Metrics.add_in_flight t.metrics (-1);
         fill slot (Protocol.error_line ~trace "shutting down"))
   end
@@ -361,6 +402,7 @@ let accept_ready t lsock =
             cid;
             fd;
             rbuf = Buffer.create 256;
+            last_turn = None;
             pending = Queue.create ();
             out = Queue.create ();
             wchunk = "";
@@ -520,6 +562,8 @@ let start service ?socket ?tcp ~jobs ?(max_connections = 32) ?metrics () =
       max_connections;
       wake_r;
       wake_w;
+      turn_lock = Mutex.create ();
+      turn_done = Condition.create ();
       stopping = Atomic.make false;
       listeners_open = true;
       conns = [];

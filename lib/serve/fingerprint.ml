@@ -13,7 +13,14 @@ open Import
    vertex-signature multiset with an edge term, both order-independent,
    so any isomorphic presentation of the same dataflow hashes equal,
    and any single structural edit moves the hash with overwhelming
-   probability (64-bit splitmix mixing). *)
+   probability (64-bit splitmix mixing).
+
+   A 64-bit hash picks a cache entry but cannot prove that the entry
+   answers a request: 1-WL signatures miss some non-isomorphic pairs,
+   and any hash can collide. [identify] therefore also returns the
+   canonical vertex order and a digest of the graph in that order,
+   from the same signature pass; the service serves a hit from another
+   payload only when the two digests agree. *)
 
 (* splitmix64 finalizer: a cheap full-avalanche 64-bit mixer. *)
 let mix (x : int64) : int64 =
@@ -58,8 +65,8 @@ let signatures g =
     (List.rev order);
   Array.init n (fun v -> mix (combine fwd.(v) bwd.(v)))
 
-let hash g =
-  let sigs = signatures g in
+(* The graph hash from precomputed signatures. *)
+let hash_of_signatures g sigs =
   (* Commutative vertex and edge terms: insertion order washes out. *)
   let h = ref (Int64.of_int (Graph.n_vertices g)) in
   Array.iter (fun s -> h := Int64.add !h (mix s)) sigs;
@@ -79,33 +86,68 @@ let hash g =
     g;
   mix !h
 
+let hash g = hash_of_signatures g (signatures g)
+
 let to_hex h = Printf.sprintf "%016Lx" h
 
-let key ?(meta = "topo") ~resources g =
-  Printf.sprintf "%s|%s|%s" (to_hex (hash g)) (Resources.to_string resources)
-    meta
+let key_of_hash ~meta ~resources h =
+  Printf.sprintf "%s|%s|%s" (to_hex h) (Resources.to_string resources) meta
 
-(* Canonical serialization: vertices renamed n0, n1, ... in an
-   order derived from the signatures (ties broken by original id, which
-   cannot change the isomorphism class — tied vertices are
-   indistinguishable up to the signature's resolution). The output is a
-   valid [Serial] document whose parse is isomorphic to the input. *)
-let canonical g =
+let key ?(meta = "topo") ~resources g = key_of_hash ~meta ~resources (hash g)
+
+(* -- the canonical order and its certificate -------------------------- *)
+
+(* Vertices sorted by signature, ties broken by id. Two isomorphic
+   graphs whose tied vertices sit in different id orders disagree on
+   their certificate: a cache miss, never a wrong answer. *)
+let canonical_order g sigs =
+  let order = Array.init (Graph.n_vertices g) Fun.id in
+  Array.stable_sort (fun a b -> Int64.unsigned_compare sigs.(a) sigs.(b)) order;
+  order
+
+type canon = { digest : string; order : int array }
+
+(* The certificate is the MD5 of an injective encoding of the graph in
+   canonical order: per rank, the op, the delay and the ranks of the
+   operand slots. Equal digests mean equal encodings, so mapping rank i
+   of one graph to rank i of the other preserves ops, delays and every
+   edge with its operand slot: an isomorphism. *)
+let canon_of_signatures g sigs =
+  let order = canonical_order g sigs in
+  let n = Array.length order in
+  let rank = Array.make n 0 in
+  Array.iteri (fun i v -> rank.(v) <- i) order;
+  let b = Buffer.create (24 * n + 8) in
+  Buffer.add_int64_le b (Int64.of_int n);
+  Array.iter
+    (fun v ->
+      let op = Op.to_string (Graph.op g v) in
+      Buffer.add_int32_le b (Int32.of_int (String.length op));
+      Buffer.add_string b op;
+      Buffer.add_int64_le b (Int64.of_int (Graph.delay g v));
+      Buffer.add_int32_le b (Int32.of_int (Graph.in_degree g v));
+      Graph.iter_preds (fun p -> Buffer.add_int32_le b (Int32.of_int rank.(p))) g v)
+    order;
+  { digest = Digest.string (Buffer.contents b); order }
+
+let canon g = canon_of_signatures g (signatures g)
+
+let identify ?(meta = "topo") ~resources g =
   let sigs = signatures g in
-  let order =
-    List.sort
-      (fun a b ->
-        match Int64.unsigned_compare sigs.(a) sigs.(b) with
-        | 0 -> compare a b
-        | c -> c)
-      (Graph.vertices g)
-  in
-  let rank = Hashtbl.create (Graph.n_vertices g) in
-  List.iteri (fun i v -> Hashtbl.replace rank v i) order;
-  let name v = Printf.sprintf "n%d" (Hashtbl.find rank v) in
+  ( key_of_hash ~meta ~resources (hash_of_signatures g sigs),
+    canon_of_signatures g sigs )
+
+(* Canonical serialization: vertices renamed n0, n1, ... in canonical
+   order. The output is a valid [Serial] document whose parse is
+   isomorphic to the input. *)
+let canonical g =
+  let order = canonical_order g (signatures g) in
+  let rank = Array.make (Array.length order) 0 in
+  Array.iteri (fun i v -> rank.(v) <- i) order;
+  let name v = Printf.sprintf "n%d" rank.(v) in
   let buf = Buffer.create 512 in
   Buffer.add_string buf "# canonical softsched dataflow graph\n";
-  List.iter
+  Array.iter
     (fun v ->
       Buffer.add_string buf
         (Printf.sprintf "vertex %s %s %d\n" (name v)
@@ -114,7 +156,7 @@ let canonical g =
     order;
   (* Pred edges in operand order (deduplicated: the graph's edge set is
      simple; a pred feeding two operand slots appears once). *)
-  List.iter
+  Array.iter
     (fun v ->
       let seen = Hashtbl.create 4 in
       Graph.iter_preds

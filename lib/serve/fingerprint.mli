@@ -25,9 +25,25 @@ val key : ?meta:string -> resources:Hard.Resources.t -> Dfg.Graph.t -> string
 (** The cache key: [<hash hex>|<resources>|<meta>] — everything the
     schedule result depends on. [meta] defaults to ["topo"]. *)
 
+(** The certificate of a graph's structure: its canonical vertex order
+    ([order.(i)] is the vertex of rank [i]) and the MD5 of the graph
+    encoded in that order (op, delay and operand ranks per rank). Two
+    graphs with equal digests are isomorphic, and rank [i] of one maps
+    to rank [i] of the other. Isomorphic graphs whose signature ties
+    break differently get different digests: a false negative, never a
+    false positive. *)
+type canon = { digest : string; order : int array }
+
+val canon : Dfg.Graph.t -> canon
+
+val identify :
+  ?meta:string -> resources:Hard.Resources.t -> Dfg.Graph.t -> string * canon
+(** [key] and [canon] from one signature pass — what a cache miss
+    costs beyond the parse. *)
+
 val canonical : Dfg.Graph.t -> string
 (** Canonical {!Dfg.Serial} document: vertices renamed [n0, n1, …] in
-    signature order, pred edges emitted in operand order. Parsing it
+    canonical order ({!canon}), pred edges emitted in operand order. Parsing it
     back yields a graph isomorphic to the input (with equal {!hash}),
     regardless of the input's names or insertion order. Graphs where
     one predecessor feeds several operand slots of the same vertex are

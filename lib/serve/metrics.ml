@@ -78,7 +78,20 @@ type t = {
   engine_runs : (string, int) Hashtbl.t;
   race_wins : (string, int) Hashtbl.t;
   mutable races : int;
+  (* how the service answered from its cache (see [path]) *)
+  mutable paths : paths;
 }
+
+and paths = {
+  no_parse : int;
+  remapped : int;
+  cert_misses : int;
+  invalid : int;
+  flight_waits : int;
+}
+
+let no_paths =
+  { no_parse = 0; remapped = 0; cert_misses = 0; invalid = 0; flight_waits = 0 }
 
 let create () =
   {
@@ -106,6 +119,7 @@ let create () =
     engine_runs = Hashtbl.create 8;
     race_wins = Hashtbl.create 8;
     races = 0;
+    paths = no_paths;
   }
 
 let with_lock t f =
@@ -203,6 +217,33 @@ let race_win t ~engine =
       t.races <- t.races + 1;
       bump t.race_wins engine)
 
+let path t p =
+  with_lock t (fun () ->
+      let c = t.paths in
+      t.paths <-
+        (match p with
+        | `No_parse -> { c with no_parse = c.no_parse + 1 }
+        | `Remapped -> { c with remapped = c.remapped + 1 }
+        | `Cert_miss -> { c with cert_misses = c.cert_misses + 1 }
+        | `Invalid -> { c with invalid = c.invalid + 1 }
+        | `Flight_wait -> { c with flight_waits = c.flight_waits + 1 }))
+
+let paths t = with_lock t (fun () -> t.paths)
+
+let path_counts c =
+  [
+    ("no_parse", "Requests answered from the payload digest, without a parse.",
+     c.no_parse);
+    ("remapped", "Cache hits from another payload, answered in the request's names.",
+     c.remapped);
+    ("cert_misses", "Structural hits whose canonical digest differed: misses.",
+     c.cert_misses);
+    ("invalid", "Replies the validator rejected: answered with an error.",
+     c.invalid);
+    ("flight_waits", "Requests that waited for the same key's computation.",
+     c.flight_waits);
+  ]
+
 let sorted_counts tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -295,10 +336,15 @@ let snapshot_json ?cache t =
                    ] ))
              names)
       in
+      let cache_paths =
+        Json.Obj
+          (List.map (fun (k, _, v) -> (k, Json.int v)) (path_counts t.paths))
+      in
       let base =
         [
           ("uptime_s", Json.num (Unix.gettimeofday () -. t.started_at));
           ("requests", requests);
+          ("cache_paths", cache_paths);
           ("latency_ms", latency);
           ("races", Json.int t.races);
           ("engines", engines);
@@ -353,6 +399,9 @@ let to_prometheus ?cache t =
       counter "softsched_slow_requests_total"
         "Requests over the slow-log threshold." t.slow;
       counter "softsched_races_total" "Engine races run." t.races;
+      List.iter
+        (fun (k, help, v) -> counter ("softsched_cache_path_" ^ k ^ "_total") help v)
+        (path_counts t.paths);
       let labelled name help tbl =
         if Hashtbl.length tbl > 0 then begin
           line "# HELP %s %s" name help;
@@ -423,6 +472,11 @@ let summary t =
       line "service metrics: %d requests (%d ok, %d errors, %d cached, %d \
             degraded, %d turned away)"
         t.requests t.ok t.errors t.cached t.degraded t.busy_turnaways;
+      let c = t.paths in
+      if c <> no_paths then
+        line "  cache paths: %d without a parse, %d remapped, %d certification \
+              misses, %d invalid, %d waited in flight"
+          c.no_parse c.remapped c.cert_misses c.invalid c.flight_waits;
       if Hashtbl.length t.engine_runs > 0 then
         line "  engines (%d races): %s" t.races
           (String.concat ", "

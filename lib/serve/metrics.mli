@@ -60,6 +60,28 @@ val race_win : t -> engine:string -> unit
     the snapshot ([engines.<name>.race_wins]) and the Prometheus
     [softsched_race_wins_total{engine=…}] family. *)
 
+(** How the service used its cache, counted per request:
+    [no_parse] answered from the payload digest alone; [remapped] a
+    certified hit on another payload's entry, answered in the
+    request's names; [cert_misses] a structural hit whose canonical
+    digest differed, served as a miss; [invalid] a reply the
+    validator rejected; [flight_waits] a request that waited for the
+    same key's computation in flight. In the snapshot under
+    [cache_paths], in Prometheus as
+    [softsched_cache_path_<name>_total]. *)
+type paths = {
+  no_parse : int;
+  remapped : int;
+  cert_misses : int;
+  invalid : int;
+  flight_waits : int;
+}
+
+val path :
+  t -> [ `No_parse | `Remapped | `Cert_miss | `Invalid | `Flight_wait ] -> unit
+
+val paths : t -> paths
+
 val retry_after_ms : t -> queue_depth:int -> int
 (** Back-off hint for a turned-away client: median request latency
     scaled by the queue depth, clamped to [25, 5000] ms (50 ms before

@@ -585,7 +585,7 @@ let test_service_cache_flow () =
   let p1 = prep "HAL" in
   let _, cached1 = Service.execute service p1 in
   check Alcotest.bool "first run computes" false cached1;
-  (* Re-preparing a named design goes through the name-memo. *)
+  (* Re-preparing a named design is a digest hit: no graph is built. *)
   let p2 = prep "HAL" in
   let o2, cached2 = Service.execute service p2 in
   check Alcotest.bool "second run hits" true cached2;
@@ -639,7 +639,9 @@ let test_service_save_load () =
   Service.save_cache service path;
   let service2 = Service.create () in
   (match Service.load_cache service2 path with
-  | Ok n -> check Alcotest.int "three entries load" 3 n
+  | Ok (n, skipped) ->
+    check Alcotest.int "three entries load" 3 n;
+    check Alcotest.int "none skipped" 0 skipped
   | Error m -> Alcotest.fail m);
   check Alcotest.int "lengths agree"
     (Service.cache_stats service).Cache.length
@@ -664,8 +666,8 @@ let test_service_save_load () =
   | Ok _ -> Alcotest.fail "malformed cache file must be reported");
   Sys.remove path;
   match Service.load_cache (Service.create ()) path with
-  | Ok 0 -> ()
-  | Ok n -> Alcotest.failf "missing file loaded %d entries" n
+  | Ok (0, 0) -> ()
+  | Ok (n, _) -> Alcotest.failf "missing file loaded %d entries" n
   | Error m -> Alcotest.fail m
 
 let test_service_effort_race () =
@@ -893,6 +895,7 @@ let test_metrics_snapshot_and_prometheus () =
   record ~cached:true 10_000;
   record ~ok:false 5_000;
   Metrics.turned_away m;
+  List.iter (Metrics.path m) [ `No_parse; `No_parse; `Remapped; `Flight_wait ];
   Metrics.set_pool_queue_depth m 3;
   Metrics.set_cache_occupancy m ~entries:2 ~capacity:8;
   let j =
@@ -907,6 +910,12 @@ let test_metrics_snapshot_and_prometheus () =
   check Alcotest.int "errors" 1 (json_int j [ "requests"; "errors" ]);
   check Alcotest.int "cached" 1 (json_int j [ "requests"; "cached" ]);
   check Alcotest.int "turnaways" 1 (json_int j [ "requests"; "busy_turnaways" ]);
+  check
+    Alcotest.(list int)
+    "cache paths" [ 2; 1; 0; 0; 1 ]
+    (List.map
+       (fun k -> json_int j [ "cache_paths"; k ])
+       [ "no_parse"; "remapped"; "cert_misses"; "invalid"; "flight_waits" ]);
   check Alcotest.int "queue depth gauge" 3
     (json_int j [ "gauges"; "pool_queue_depth" ]);
   check Alcotest.int "cache entries gauge" 2
@@ -927,7 +936,9 @@ let test_metrics_snapshot_and_prometheus () =
     (contains prom
        "softsched_request_phase_seconds_bucket{phase=\"total\",le=\"+Inf\"} 3");
   check Alcotest.bool "counter series present" true
-    (contains prom "softsched_requests_total 3")
+    (contains prom "softsched_requests_total 3");
+  check Alcotest.bool "cache path counters exported" true
+    (contains prom "softsched_cache_path_no_parse_total 2")
 
 let test_metrics_engine_counters () =
   let m = Metrics.create () in
@@ -1140,6 +1151,417 @@ let test_batch_identical_with_metrics () =
         (json_int j [ "requests"; "errors" ]))
     [ 1; 4 ]
 
+(* --- certified cache hits ---------------------------------------------- *)
+
+(* A .dfg document for [g] under [name], vertices declared in [order]
+   (default: id order) and edges per destination in operand order, so
+   that the parse has [g]'s operand order. *)
+let dfg_text ?order ~name g =
+  let order =
+    match order with
+    | Some o -> o
+    | None -> Array.init (Graph.n_vertices g) Fun.id
+  in
+  let b = Buffer.create 256 in
+  Array.iter
+    (fun v ->
+      Buffer.add_string b
+        (Printf.sprintf "vertex %s %s %d\n" (name v)
+           (Op.to_string (Graph.op g v))
+           (Graph.delay g v)))
+    order;
+  Array.iter
+    (fun v ->
+      Graph.iter_preds
+        (fun p -> Buffer.add_string b (Printf.sprintf "edge %s %s\n" (name p) (name v)))
+        g v)
+    order;
+  Buffer.contents b
+
+let inline_request ?(meta = "topo") text =
+  {
+    Protocol.id = None;
+    spec = Protocol.Inline_dfg text;
+    resources = default_resources ();
+    meta;
+    deadline_ms = None;
+    want_schedule = true;
+    effort = Protocol.Fast;
+    engines = None;
+  }
+
+let run_request service req =
+  match Service.prepare service req with
+  | Ok p -> Service.execute service p
+  | Error m -> Alcotest.fail m
+
+let reply_line (o, cached) =
+  Service.line ~trace:"t" ~cached ~want_schedule:true o
+
+(* Two renamed copies that a structure-keyed cache without remapping
+   answers in the first requester's names: an operand and its consumer
+   swapping names, and three vertices renamed. *)
+let repro_pairs =
+  [
+    ( "vertex m mul 2\nvertex n add 1\nedge m n\n",
+      "vertex n mul 2\nvertex m add 1\nedge n m\n" );
+    ( "vertex x mul 2\nvertex y mul 2\nvertex z add 1\nedge x z\nedge y z\n",
+      "vertex p mul 2\nvertex q mul 2\nvertex r add 1\nedge p r\nedge q r\n" );
+  ]
+
+(* A reply must name exactly the request's vertices, in its vertex
+   order, and in those names every edge waits for its producer. *)
+let check_reply_in_own_names text line =
+  let g = Serial.of_string text in
+  let j =
+    match Json.parse_result line with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "reply not JSON: %s" e
+  in
+  (match Json.member "status" j with
+  | Some (Json.Str "ok") -> ()
+  | _ -> Alcotest.failf "not ok: %s" line);
+  let slots =
+    match Json.member "schedule" j with
+    | Some (Json.Arr xs) -> xs
+    | _ -> Alcotest.failf "no schedule: %s" line
+  in
+  let step = Hashtbl.create 8 in
+  List.iter
+    (fun s ->
+      match (Json.member "v" s, Option.bind (Json.member "step" s) Json.to_num) with
+      | Some (Json.Str v), Some st -> Hashtbl.replace step v (int_of_float st)
+      | _ -> Alcotest.failf "bad slot in %s" line)
+    slots;
+  check
+    Alcotest.(list string)
+    "reply names the request's vertices" (List.map (Graph.name g) (Graph.vertices g))
+    (List.map
+       (fun s ->
+         match Json.member "v" s with Some (Json.Str v) -> v | _ -> "?")
+       slots);
+  Graph.iter_edges
+    (fun u v ->
+      let su = Hashtbl.find step (Graph.name g u)
+      and sv = Hashtbl.find step (Graph.name g v) in
+      if sv < su + Graph.delay g u then
+        Alcotest.failf "%s starts at %d before %s finishes at %d: %s"
+          (Graph.name g v) sv (Graph.name g u) (su + Graph.delay g u) line)
+    g
+
+let test_remap_batch_followers () =
+  List.iter
+    (fun (first, renamed) ->
+      let lines =
+        List.map
+          (fun text ->
+            Json.to_string ~minify:true (Json.Obj [ ("dfg", Json.str text) ]))
+          [ first; renamed ]
+      in
+      let out, stats = Batch.run_lines (Service.create ()) ~jobs:2 lines in
+      check Alcotest.int "the renamed copy is a hit" 1 stats.Batch.hits;
+      check Alcotest.bool "follower marked cached" true
+        (contains (List.nth out 1) {|"cached":true|});
+      List.iter2 check_reply_in_own_names [ first; renamed ] out)
+    repro_pairs
+
+let test_remap_across_calls () =
+  List.iter
+    (fun (first, renamed) ->
+      let metrics = Metrics.create () in
+      let service = Service.create ~metrics () in
+      let cold = run_request service (inline_request first) in
+      check Alcotest.bool "first computes" false (snd cold);
+      let warm = run_request service (inline_request renamed) in
+      check Alcotest.bool "renamed copy hits" true (snd warm);
+      check_reply_in_own_names first (reply_line cold);
+      check_reply_in_own_names renamed (reply_line warm);
+      check Alcotest.int "one remapped hit" 1 (Metrics.paths metrics).Metrics.remapped;
+      let s = Service.cache_stats service in
+      check Alcotest.int "hits + misses = requests" 2 (s.Cache.hits + s.Cache.misses))
+    repro_pairs
+
+(* The validator on hand-made replies: three independent muls and an
+   add, under 2 ALU + 2 MUL + 1 MEM. *)
+let test_validator () =
+  let g = Serial.of_string "vertex a mul 2\nvertex b mul 2\nvertex c mul 2\nvertex d add 1\n" in
+  let slot v op unit_ step = { Protocol.vertex = v; op; unit_; step } in
+  let reply steps units =
+    List.map2
+      (fun (v, op) (st, u) -> slot v op u st)
+      [ ("a", "mul"); ("b", "mul"); ("c", "mul"); ("d", "add") ]
+      (List.combine steps units)
+  in
+  let valid r = Serve.Validate.check g (default_resources ()) r = Ok () in
+  let none = [ None; None; None; None ] in
+  check Alcotest.bool "unit-less, two muls at once" true (valid (reply [ 0; 0; 2; 0 ] none));
+  check Alcotest.bool "unit-less, three muls at once" false
+    (valid (reply [ 0; 1; 1; 0 ] none));
+  let units = [ Some 2; Some 3; Some 2; Some 0 ] in
+  check Alcotest.bool "units, sequential on unit 2" true (valid (reply [ 0; 0; 2; 0 ] units));
+  check Alcotest.bool "units, unit 2 double-booked" false
+    (valid (reply [ 0; 0; 1; 0 ] units));
+  check Alcotest.bool "a unit serves one class" false
+    (valid (reply [ 0; 0; 2; 4 ] [ Some 2; Some 3; Some 2; Some 2 ]));
+  check Alcotest.bool "three mul units, two available" false
+    (valid (reply [ 0; 0; 0; 0 ] [ Some 2; Some 3; Some 4; Some 0 ]));
+  check Alcotest.bool "all or none name a unit" false
+    (valid (reply [ 0; 0; 2; 0 ] [ Some 2; None; Some 2; Some 0 ]));
+  check Alcotest.bool "own names" false
+    (valid (slot "z" "mul" None 0 :: List.tl (reply [ 0; 0; 2; 0 ] none)));
+  check Alcotest.bool "negative start" false (valid (reply [ 0; 0; -1; 0 ] none))
+
+(* Delays of 2^62 - 1 overflow the finish of b, and the scheduler's
+   schedule starts c at step 0: the reply must be an error, counted,
+   and nothing cached. *)
+let test_overflow_is_an_error () =
+  let metrics = Metrics.create () in
+  let service = Service.create ~metrics () in
+  let line =
+    Json.to_string ~minify:true
+      (Json.Obj
+         [
+           ( "dfg",
+             Json.str
+               (Printf.sprintf
+                  "vertex a mul %d\nvertex b mul %d\nvertex c add 1\nedge a b\nedge b c\n"
+                  max_int max_int) );
+         ])
+  in
+  let out, stats = Batch.run_lines service ~jobs:1 [ line ] in
+  check Alcotest.int "an error reply" 1 stats.Batch.errors;
+  check Alcotest.bool "status error" true
+    (contains (List.hd out) {|"status":"error"|});
+  check Alcotest.int "validation failure counted" 1
+    (Metrics.paths metrics).Metrics.invalid;
+  check Alcotest.int "nothing cached" 0 (Service.cache_stats service).Cache.length
+
+let test_digest_paths () =
+  let metrics = Metrics.create () in
+  let service = Service.create ~cache_capacity:2 ~metrics () in
+  let no_parse () = (Metrics.paths metrics).Metrics.no_parse in
+  let first, renamed = List.nth repro_pairs 1 in
+  let cold = reply_line (run_request service (inline_request first)) in
+  check Alcotest.int "a miss parses" 0 (no_parse ());
+  let warm = run_request service (inline_request first) in
+  check Alcotest.bool "exact repeat hits" true (snd warm);
+  check Alcotest.int "exact repeat skips the parse" 1 (no_parse ());
+  check Alcotest.string "same bytes" cold (reply_line (fst warm, false));
+  let copy = run_request service (inline_request renamed) in
+  check Alcotest.bool "renamed copy hits" true (snd copy);
+  check Alcotest.int "a renamed copy parses" 1 (no_parse ());
+  check_reply_in_own_names renamed (reply_line copy);
+  (* Evict the entry with two other graphs, then repeat: a miss. *)
+  List.iter
+    (fun text -> ignore (run_request service (inline_request text)))
+    [ "vertex a add\nvertex b add\nedge a b\n"; "vertex a mul\nvertex b mul\nedge a b\n" ];
+  let again = run_request service (inline_request first) in
+  check Alcotest.bool "a repeat after eviction misses" false (snd again);
+  check Alcotest.int "and parses" 1 (no_parse ());
+  check_reply_in_own_names first (reply_line again);
+  (* The memo stays within its bound over 10x the capacity in distinct
+     payloads. *)
+  for i = 1 to 20 do
+    ignore
+      (run_request service
+         (inline_request (Printf.sprintf "vertex a%d add\nvertex b mul\nedge a%d b\n" i i)))
+  done;
+  let aliases, bound = Service.memo service in
+  check Alcotest.int "bound is four times the capacity" 8 bound;
+  check Alcotest.bool
+    (Printf.sprintf "memo holds %d <= %d aliases" aliases bound)
+    true (aliases <= bound)
+
+(* Concurrent requests for one key: the first computes, the rest wait
+   for it and are answered as hits. *)
+let test_single_flight () =
+  let metrics = Metrics.create () in
+  let service = Service.create ~metrics () in
+  let g = Generate.layered (Random.State.make [| 7 |]) ~layers:20 ~width:12 ~fanin:3 in
+  let text = dfg_text ~name:(Printf.sprintf "v%d") g in
+  let renamed = dfg_text ~name:(Printf.sprintf "w%d") g in
+  let pool = Pool.create ~jobs:4 () in
+  let futs =
+    List.init 8 (fun i ->
+        Pool.submit pool (fun () ->
+            run_request service (inline_request (if i mod 2 = 0 then text else renamed))))
+  in
+  let answers = List.map (fun f -> match Pool.await f with Ok a -> a | Error e -> raise e) futs in
+  Pool.shutdown pool;
+  let s = Service.cache_stats service in
+  check Alcotest.int "one computation" 1 s.Cache.misses;
+  check Alcotest.int "every other request a hit" 7 s.Cache.hits;
+  check Alcotest.int "one fresh reply" 1
+    (List.length (List.filter (fun (_, cached) -> not cached) answers));
+  List.iteri
+    (fun i a -> check_reply_in_own_names (if i mod 2 = 0 then text else renamed) (reply_line a))
+    answers
+
+(* A request joins a computation in flight only if that computation is
+   due no later than its own deadline. Here the leader has none, so a
+   request with a 10 ms deadline must run under its own: a degraded
+   reply of its own computation, not the leader's full result after a
+   wait. (No latency bound is asserted: a degraded run still places
+   its tail at about twice the cost of a full one.) *)
+let test_single_flight_deadline () =
+  let metrics = Metrics.create () in
+  let service = Service.create ~metrics () in
+  let g = Generate.layered (Random.State.make [| 7 |]) ~layers:80 ~width:25 ~fanin:3 in
+  let text = dfg_text ~name:(Printf.sprintf "v%d") g in
+  let pool = Pool.create ~jobs:1 () in
+  let leader = Pool.submit pool (fun () -> run_request service (inline_request text)) in
+  (* the leader counts its miss as it starts computing *)
+  while (Service.cache_stats service).Cache.misses = 0 do
+    Unix.sleepf 0.001
+  done;
+  let p =
+    match Service.prepare service (inline_request text) with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let urgent = Service.execute ~deadline:(Unix.gettimeofday () +. 0.01) service p in
+  let led = match Pool.await leader with Ok a -> a | Error e -> raise e in
+  Pool.shutdown pool;
+  check Alcotest.int "no wait" 0 (Metrics.paths metrics).Metrics.flight_waits;
+  check Alcotest.bool "computed, not cached" false (snd urgent);
+  check Alcotest.bool "degraded under its own deadline" true
+    (Service.result_of (fst urgent)).Protocol.degraded;
+  check Alcotest.bool "the leader's run is full" false
+    (Service.result_of (fst led)).Protocol.degraded;
+  check_reply_in_own_names text (reply_line urgent);
+  check_reply_in_own_names text (reply_line led)
+
+(* save -> load: an exact repeat is a digest hit with the same bytes, a
+   renamed copy is remapped, an old-format line or a truncated
+   assignment is skipped, and a doctored certificate or order turns the
+   renamed copy into a miss whose result replaces the entry. *)
+let test_cache_file_certified () =
+  let first, renamed = List.nth repro_pairs 1 in
+  let service = Service.create () in
+  let cold = reply_line (run_request service (inline_request first)) in
+  let path = Filename.temp_file "softsched_cache" ".ndjson" in
+  Service.save_cache service path;
+  let reload () =
+    let metrics = Metrics.create () in
+    let s = Service.create ~metrics () in
+    match Service.load_cache s path with
+    | Ok counts -> (s, metrics, counts)
+    | Error m -> Alcotest.fail m
+  in
+  let s2, m2, (loaded, skipped) = reload () in
+  check Alcotest.(pair int int) "one entry loads" (1, 0) (loaded, skipped);
+  let exact = run_request s2 (inline_request first) in
+  check Alcotest.int "a digest hit" 1 (Metrics.paths m2).Metrics.no_parse;
+  check Alcotest.string "byte-identical" cold (reply_line (fst exact, false));
+  let copy = run_request s2 (inline_request renamed) in
+  check Alcotest.bool "renamed copy hits" true (snd copy);
+  check Alcotest.int "remapped" 1 (Metrics.paths m2).Metrics.remapped;
+  check_reply_in_own_names renamed (reply_line copy);
+  let saved = In_channel.with_open_text path In_channel.input_all in
+  let rewrite f =
+    let j =
+      match Json.parse_result (String.trim saved) with
+      | Ok (Json.Obj fields) -> fields
+      | _ -> Alcotest.fail "cache line not an object"
+    in
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc (Json.to_string ~minify:true (Json.Obj (f j)));
+        output_char oc '\n')
+  in
+  (* A line from before the certificate: skipped, and the request a miss. *)
+  rewrite (List.filter (fun (k, _) -> k = "key" || k = "result"));
+  let s3, _, counts = reload () in
+  check Alcotest.(pair int int) "old line skipped" (0, 1) counts;
+  check Alcotest.bool "and its request misses" false
+    (snd (run_request s3 (inline_request first)));
+  (* A doctored canonical digest: the renamed copy misses and replaces
+     the entry. *)
+  rewrite
+    (List.map (fun (k, v) ->
+         if k = "canon" then (k, Json.str (String.make 32 '0')) else (k, v)));
+  let s4, m4, _ = reload () in
+  let doctored = run_request s4 (inline_request renamed) in
+  check Alcotest.bool "certification fails: a miss" false (snd doctored);
+  check Alcotest.int "counted" 1 (Metrics.paths m4).Metrics.cert_misses;
+  check_reply_in_own_names renamed (reply_line doctored);
+  let s = Service.cache_stats s4 in
+  check Alcotest.(pair int int) "one miss, no hit" (1, 0) (s.Cache.misses, s.Cache.hits);
+  check Alcotest.bool "the fresh result replaced the entry" true
+    (snd (run_request s4 (inline_request renamed))
+    && (Metrics.paths m4).Metrics.no_parse = 1);
+  (* A doctored order (rotated by one rank) certifies, but the remapped
+     reply fails validation: a miss, and its result replaces the entry. *)
+  rewrite
+    (List.map (fun (k, v) ->
+         match (k, v) with
+         | "order", Json.Arr (x :: xs) -> (k, Json.Arr (xs @ [ x ]))
+         | _ -> (k, v)));
+  let s5, m5, _ = reload () in
+  let rotated = run_request s5 (inline_request renamed) in
+  check Alcotest.bool "a remap that fails validation: a miss" false (snd rotated);
+  check Alcotest.(pair int int) "counted as a certification miss, not remapped" (1, 0)
+    ((Metrics.paths m5).Metrics.cert_misses, (Metrics.paths m5).Metrics.remapped);
+  check_reply_in_own_names renamed (reply_line rotated);
+  check Alcotest.bool "the fresh result replaced the entry" true
+    (snd (run_request s5 (inline_request renamed)));
+  (* A truncated assignment: the line is skipped. *)
+  rewrite
+    (List.map (fun (k, v) ->
+         match (k, v) with
+         | "result", Json.Obj fields ->
+           ( k,
+             Json.Obj
+               (List.map
+                  (fun (f, x) ->
+                    match (f, x) with
+                    | "schedule", Json.Arr (_ :: rest) -> (f, Json.Arr rest)
+                    | _ -> (f, x))
+                  fields) )
+         | _ -> (k, v)));
+  let _, _, counts = reload () in
+  check Alcotest.(pair int int) "truncated assignment skipped" (0, 1) counts;
+  Sys.remove path
+
+(* Random DAGs x the four metas. A renamed copy (same insertion order)
+   gets the reply a cold service gives it, byte for byte apart from
+   [cached] and [trace]; a renamed and permuted copy gets a reply in
+   its own names that passes the validator, whether it is a certified
+   hit (which keeps the cached diameter) or a miss (a signature tie
+   broken differently). *)
+let prop_renamed_copies =
+  let gen =
+    QCheck.pair seeded_dag (QCheck.make ~print:Fun.id (QCheck.Gen.oneofl Soft.Meta.names))
+  in
+  QCheck.Test.make ~name:"renamed copies are answered in their own names" ~count:200 gen
+    (fun (((_, _, seed) as spec), meta) ->
+      let g = graph_of spec in
+      let n = Graph.n_vertices g in
+      let original = dfg_text ~name:(Printf.sprintf "v%d") g in
+      let renamed = dfg_text ~name:(Printf.sprintf "r%d") g in
+      let perm = Array.init n Fun.id in
+      let rng = Random.State.make [| seed; 1 |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      let permuted = dfg_text ~order:perm ~name:(Printf.sprintf "p%d") g in
+      let warm = Service.create () in
+      let first = run_request warm (inline_request ~meta original) in
+      let copy = run_request warm (inline_request ~meta renamed) in
+      let cold = run_request (Service.create ()) (inline_request ~meta renamed) in
+      let moved = run_request warm (inline_request ~meta permuted) in
+      let pg = Serial.of_string permuted in
+      let r = Service.result_of (fst moved) in
+      snd copy
+      && reply_line (fst copy, false) = reply_line cold
+      && List.map (fun s -> s.Protocol.vertex) r.Protocol.assignment
+         = List.map (Graph.name pg) (Graph.vertices pg)
+      && Serve.Validate.check pg (default_resources ()) r.Protocol.assignment = Ok ()
+      && ((not (snd moved))
+         || r.Protocol.diameter = (Service.result_of (fst first)).Protocol.diameter))
+
 (* --- registry plumbing (Resources.of_string / Meta.of_name) ---------- *)
 
 let test_resources_of_string () =
@@ -1224,7 +1646,12 @@ let test_daemon_tcp_smoke () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_canonical_roundtrip; prop_edge_moves_hash; prop_sharded_cache_oracle ]
+    [
+      prop_canonical_roundtrip;
+      prop_edge_moves_hash;
+      prop_sharded_cache_oracle;
+      prop_renamed_copies;
+    ]
 
 let () =
   Alcotest.run "serve"
@@ -1289,6 +1716,19 @@ let () =
             test_batch_identical_with_metrics;
           Alcotest.test_case "fast identity beside a race" `Quick
             test_batch_fast_identity_beside_race;
+        ] );
+      ( "certified",
+        [
+          Alcotest.test_case "batch followers remapped" `Quick
+            test_remap_batch_followers;
+          Alcotest.test_case "remapped across calls" `Quick test_remap_across_calls;
+          Alcotest.test_case "validator" `Quick test_validator;
+          Alcotest.test_case "overflow is an error" `Quick test_overflow_is_an_error;
+          Alcotest.test_case "digest paths and memo bound" `Quick test_digest_paths;
+          Alcotest.test_case "single flight" `Quick test_single_flight;
+          Alcotest.test_case "single flight deadline" `Quick
+            test_single_flight_deadline;
+          Alcotest.test_case "cache file certified" `Quick test_cache_file_certified;
         ] );
       ( "daemon",
         [
