@@ -6,6 +6,7 @@ type outcome = {
   best_tie : Threaded_graph.tie_break;
   evaluated : int;
   accepted : int;
+  stopped : bool;
 }
 
 let now_s () = float_of_int (Telemetry.now_ns ()) /. 1e9
@@ -33,6 +34,7 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
   let expired () =
     match deadline with None -> false | Some d -> now_s () > d
   in
+  let stopped = ref false in
   if n >= 2 then begin
     let i = ref 0 in
     while !i < iterations && not (expired ()) do
@@ -73,7 +75,8 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
       end
       else undo ();
       temp := Float.max 0.01 (!temp *. cooling)
-    done
+    done;
+    stopped := !i < iterations
   end;
   {
     best_csteps = !best;
@@ -81,6 +84,7 @@ let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
     best_tie = ties.(!best_tie);
     evaluated = !evaluated;
     accepted = !accepted;
+    stopped = !stopped;
   }
 
 let best_state ?seed ?iterations ?deadline ~resources g =

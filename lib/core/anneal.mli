@@ -21,6 +21,7 @@ type outcome = {
   best_tie : Threaded_graph.tie_break;
   evaluated : int;  (** scheduler runs performed (including the seed) *)
   accepted : int;  (** proposed moves accepted (uphill ones included) *)
+  stopped : bool;  (** the deadline ended the walk before the budget did *)
 }
 
 val run :

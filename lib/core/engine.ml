@@ -1,14 +1,5 @@
 open Import
 
-type capability = Deterministic | Seeded | Anytime | Proves_optimal | Soft_state
-
-let capability_name = function
-  | Deterministic -> "deterministic"
-  | Seeded -> "seeded"
-  | Anytime -> "anytime"
-  | Proves_optimal -> "proves-optimal"
-  | Soft_state -> "soft-state"
-
 type ctx = {
   deadline : float option;
   seed : int;
@@ -29,16 +20,12 @@ type info = {
 
 module type S = sig
   val name : string
-  val about : string
-  val capabilities : capability list
   val schedule : ctx -> resources:Resources.t -> Graph.t -> Schedule.t * info
 end
 
 type engine = (module S)
 
 let name (module E : S) = E.name
-let about (module E : S) = E.about
-let capabilities (module E : S) = E.capabilities
 
 (* -- QoR annotations --------------------------------------------------- *)
 
@@ -115,10 +102,7 @@ let run_traced ?ctx engine ~resources ~sink g =
 
 let compare_qor a b =
   match compare a.annot.csteps b.annot.csteps with
-  | 0 -> (
-    match compare a.annot.registers b.annot.registers with
-    | 0 -> compare a.annot.wall_s b.annot.wall_s
-    | c -> c)
+  | 0 -> compare a.annot.registers b.annot.registers
   | c -> c
 
 (* -- the shared threaded run ------------------------------------------- *)
@@ -161,62 +145,33 @@ let resolve_meta ~resources name =
 
 (* -- the built-in portfolio -------------------------------------------- *)
 
+let should_stop ctx = Option.map (fun d () -> now_s () > d) ctx.deadline
+
+let hard ?(degraded = false) schedule =
+  (schedule, { optimal = false; degraded; state = None })
+
+let soft ?(degraded = false) st =
+  (Threaded_graph.to_schedule st, { optimal = false; degraded; state = Some st })
+
 module Soft_engine = struct
   let name = "soft"
-
-  let about =
-    "the paper's threaded scheduler: online diameter-optimal select over \
-     the ctx meta order"
-
-  let capabilities = [ Deterministic; Anytime; Soft_state ]
 
   let schedule ctx ~resources g =
     let meta = resolve_meta ~resources ctx.meta in
     let st, degraded = threaded_run ?deadline:ctx.deadline ~meta ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded; state = Some st } )
-end
-
-module Naive_engine = struct
-  let name = "naive"
-
-  let about =
-    "speculative reference select: try every position on a state copy, \
-     keep the best (O(|V|^2*|E|))"
-
-  let capabilities = [ Deterministic; Soft_state ]
-
-  let schedule ctx ~resources g =
-    let meta = resolve_meta ~resources ctx.meta in
-    let st = Naive.run ~meta ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    soft ~degraded st
 end
 
 module Search_engine = struct
   let name = "search"
 
-  let about =
-    "threaded scheduler under meta-order search: the four standard \
-     orders plus seeded random restarts"
-
-  let capabilities = [ Seeded; Soft_state ]
-
   let schedule ctx ~resources g =
     let restarts = Option.value ~default:16 ctx.budget in
-    let st = Search.best_state ~restarts ~seed:ctx.seed ~resources g in
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    soft (Search.best_state ~restarts ~seed:ctx.seed ~resources g)
 end
 
 module Anneal_engine = struct
   let name = "anneal"
-
-  let about =
-    "simulated annealing over meta orders and select tie-breaks, \
-     seeded; never worse than soft on the topo order"
-
-  let capabilities = [ Seeded; Anytime; Soft_state ]
 
   let schedule ctx ~resources g =
     let iterations = Option.value ~default:400 ctx.budget in
@@ -225,89 +180,40 @@ module Anneal_engine = struct
     in
     let st = Threaded_graph.create g ~resources in
     Threaded_graph.schedule_all ~tie:o.Anneal.best_tie st o.Anneal.best_order;
-    ( Threaded_graph.to_schedule st,
-      { optimal = false; degraded = false; state = Some st } )
+    soft ~degraded:o.Anneal.stopped st
 end
 
 module List_engine = struct
   let name = "list"
-  let about = "traditional list scheduling (critical-path priority)"
-  let capabilities = [ Deterministic ]
-
-  let schedule _ctx ~resources g =
-    (List_sched.run ~resources g, { optimal = false; degraded = false; state = None })
+  let schedule _ctx ~resources g = hard (List_sched.run ~resources g)
 end
 
 module Fdls_engine = struct
   let name = "fdls"
-  let about = "force-directed list scheduling (resource-constrained FDS)"
-  let capabilities = [ Deterministic ]
 
-  let schedule _ctx ~resources g =
-    (Hard.Fdls.run ~resources g, { optimal = false; degraded = false; state = None })
-end
-
-module Fds_engine = struct
-  let name = "force_directed"
-
-  let about =
-    "Paulin/Knight force-directed scheduling, deadline searched upward \
-     from the diameter until the resources fit"
-
-  let capabilities = [ Deterministic ]
-
-  (* FDS is timing-constrained: it meets a deadline and minimises
-     concurrency, but nothing forces the peak under the given unit
-     counts. Search deadlines upward (each relaxation lowers forces) and
-     fall back to list scheduling if even the serial bound never fits —
-     totality over arbitrary resource configurations. *)
-  let schedule _ctx ~resources g =
-    if Graph.n_vertices g = 0 then
-      ( Schedule.make g ~starts:[||],
-        { optimal = false; degraded = false; state = None } )
-    else begin
-      let lower = Paths.diameter g in
-      let upper =
-        max lower (Graph.fold_vertices (fun acc v -> acc + Graph.delay g v) 0 g)
-      in
-      let rec fit d =
-        if d > upper then List_sched.run ~resources g
-        else
-          let s = Hard.Force_directed.run ~deadline:d g in
-          match Schedule.check ~resources s with
-          | Ok () -> s
-          | Error _ -> fit (d + 1)
-      in
-      (fit lower, { optimal = false; degraded = false; state = None })
-    end
+  let schedule ctx ~resources g =
+    let r = Hard.Fdls.run ?should_stop:(should_stop ctx) ~resources g in
+    hard ~degraded:r.Hard.Fdls.stopped r.Hard.Fdls.schedule
 end
 
 module Bnb_engine = struct
   let name = "bnb"
 
-  let about =
-    "branch and bound over ready-set subsets with ASAP/ALAP pruning; \
-     proves optimality or falls back to the incumbent"
-
-  let capabilities = [ Deterministic; Anytime; Proves_optimal ]
-
   let schedule ctx ~resources g =
     let node_limit = Option.value ~default:500_000 ctx.budget in
-    let should_stop =
-      Option.map (fun d () -> now_s () > d) ctx.deadline
+    let r =
+      Hard.Exact_bb.run ?should_stop:(should_stop ctx) ~node_limit ~resources g
     in
-    let r = Hard.Exact_bb.run ?should_stop ~node_limit ~resources g in
     ( r.Hard.Exact_bb.schedule,
-      { optimal = r.Hard.Exact_bb.optimal; degraded = false; state = None } )
+      {
+        optimal = r.Hard.Exact_bb.optimal;
+        degraded = r.Hard.Exact_bb.stopped;
+        state = None;
+      } )
 end
 
 module Modulo_engine = struct
   let name = "modulo"
-
-  let about =
-    "iterative modulo scheduler: II search from MII with budgeted eviction"
-
-  let capabilities = [ Deterministic ]
 
   (* The DAG is a loop body whose iterations are independent. The
      one-iteration starts are a valid flat schedule: each cycle's usage
@@ -317,9 +223,9 @@ module Modulo_engine = struct
     match Modulo.Ims.run ?budget:ctx.budget ~resources loop with
     | Error m -> invalid_arg ("modulo engine: " ^ m)
     | Ok (ms, _stats) ->
-      ( Schedule.make g
-          ~starts:(Array.init (Graph.n_vertices g) (Modulo.Mschedule.start ms)),
-        { optimal = false; degraded = false; state = None } )
+      hard
+        (Schedule.make g
+           ~starts:(Array.init (Graph.n_vertices g) (Modulo.Mschedule.start ms)))
 end
 
 (* -- the engine list --------------------------------------------------- *)
@@ -327,12 +233,10 @@ end
 let all : engine list =
   [
     (module Soft_engine);
-    (module Naive_engine);
     (module Search_engine);
     (module Anneal_engine);
     (module List_engine);
     (module Fdls_engine);
-    (module Fds_engine);
     (module Bnb_engine);
     (module Modulo_engine);
   ]
@@ -349,7 +253,6 @@ let of_string s =
     | "threaded" -> "soft"
     | "sa" | "annealing" -> "anneal"
     | "exact" | "bb" | "exhaustive" -> "bnb"
-    | "fds" | "force" -> "force_directed"
     | "ims" | "loop" -> "modulo"
     | other -> other
   in

@@ -1,30 +1,19 @@
 open Import
 
-(** The scheduler portfolio: every engine in the repo — the paper's
-    threaded scheduler, the traditional baselines, the global
-    optimisers it is compared against and the modulo scheduler — behind
-    one first-class signature and one static list ({!all}), so the CLI,
-    the serving layer and the bench can treat "which scheduler" as a
-    parameter.
+(** The scheduler portfolio: seven engines — the paper's threaded
+    scheduler and its meta-order search, a seeded annealer over the
+    same kernel, the list and force-directed list baselines, branch and
+    bound, and the modulo scheduler — behind one first-class signature
+    and one static list ({!all}). [--engine] on the CLI, a race's
+    portfolio and the bench all pick from that list by name.
 
     An engine maps [(resources, graph)] to a hard {!Schedule.t} under a
     shared context (soft deadline, RNG seed, meta-schedule name, search
-    budget). {!run} wraps any engine with the QoR annotations the race
-    arbiter orders by — control steps, then peak register pressure,
-    then wall time — mirroring the flow report's metric priority. *)
-
-(** What an engine promises; surfaced in the README table and the CLI
-    engine listing. *)
-type capability =
-  | Deterministic  (** same input, same schedule — no RNG involved *)
-  | Seeded  (** stochastic, reproducible given [ctx.seed] *)
-  | Anytime  (** respects [ctx.deadline] by degrading, not failing *)
-  | Proves_optimal  (** can return [optimal = true] *)
-  | Soft_state
-      (** returns the threaded scheduling state, so downstream
-          refinement can keep mutating the result *)
-
-val capability_name : capability -> string
+    budget). {!run} wraps any engine with the QoR annotations a race is
+    decided by — control steps, then peak register pressure — mirroring
+    the flow report's metric priority. Wall time is recorded but never
+    decides: a race between equal results goes to the earlier engine in
+    its portfolio, so a race's reply repeats from run to run. *)
 
 (** Shared knobs, one record so the signature survives new engines.
     [deadline] is an absolute instant on the [Unix.gettimeofday] scale
@@ -47,14 +36,18 @@ val default_ctx : ctx
 (** What an engine reports alongside the schedule. *)
 type info = {
   optimal : bool;  (** proven optimal (exhaustive search completed) *)
-  degraded : bool;  (** deadline overran; tail fast-placed *)
-  state : Threaded_graph.t option;  (** for [Soft_state] engines *)
+  degraded : bool;
+      (** [ctx.deadline] cut the engine short: [soft] fast-placed its
+          tail, [anneal] ended its walk early, [fdls] fell back to list
+          scheduling, [bnb] stopped searching (a spent node budget is
+          not a degradation) *)
+  state : Threaded_graph.t option;
+      (** the threaded scheduling state, for [soft], [search] and
+          [anneal] *)
 }
 
 module type S = sig
   val name : string
-  val about : string
-  val capabilities : capability list
 
   val schedule : ctx -> resources:Resources.t -> Graph.t -> Schedule.t * info
   (** May raise on malformed input (cyclic graph, unknown meta); never
@@ -64,8 +57,6 @@ end
 type engine = (module S)
 
 val name : engine -> string
-val about : engine -> string
-val capabilities : engine -> capability list
 
 (** {2 QoR-annotated runs} *)
 
@@ -98,8 +89,8 @@ val run_traced :
 
 val compare_qor : outcome -> outcome -> int
 (** The race arbiter's order, matching [Qor.Diff]'s metric priority:
-    fewer control steps first, then fewer registers, then less wall
-    time. Negative when the first argument wins. *)
+    fewer control steps first, then fewer registers. Negative when the
+    first argument wins, [0] on equal QoR whatever the wall times. *)
 
 val peak_live : Graph.t -> Schedule.t -> int
 (** Register-pressure annotation: the maximum number of values live in
@@ -109,8 +100,8 @@ val peak_live : Graph.t -> Schedule.t -> int
 (** {2 The engine list} *)
 
 val all : engine list
-(** Every engine, in this fixed order: [soft], [naive], [search],
-    [anneal], [list], [fdls], [force_directed], [bnb], [modulo]. *)
+(** Every engine, in this fixed order: [soft], [search], [anneal],
+    [list], [fdls], [bnb], [modulo]. *)
 
 val names : string list
 (** The names of {!all}, in order. *)
@@ -121,8 +112,8 @@ val find : string -> engine option
 val of_string : string -> (engine, string) result
 (** The CLI/protocol spelling: canonical names plus the aliases
     [threaded]→[soft], [sa]/[annealing]→[anneal],
-    [exact]/[bb]/[exhaustive]→[bnb], [fds]/[force]→[force_directed],
-    [ims]/[loop]→[modulo]. The error names the known engines. *)
+    [exact]/[bb]/[exhaustive]→[bnb], [ims]/[loop]→[modulo]. The error
+    names the known engines. *)
 
 (** {2 The shared threaded run} *)
 

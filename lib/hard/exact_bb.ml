@@ -3,6 +3,7 @@ open Import
 type result = {
   schedule : Schedule.t;
   optimal : bool;
+  stopped : bool;
   nodes_explored : int;
 }
 
@@ -47,15 +48,18 @@ let run ?(node_limit = 2_000_000) ?should_stop ~resources g =
   (* The external cutoff (a race deadline, typically) is polled every
      few thousand nodes so its cost stays invisible next to the subset
      enumeration. Tripping it is the same graceful path as exhausting
-     the node budget: the incumbent is returned, [optimal = false]. *)
-  let stopped () =
-    match should_stop with
-    | Some f when !nodes land 0x7ff = 0 -> f ()
-    | _ -> false
+     the node budget: the incumbent is returned, [optimal = false];
+     [stopped] records which of the two cut the search. *)
+  let stopped = ref false in
+  let poll () =
+    (match should_stop with
+    | Some f when !nodes land 0x7ff = 0 && f () -> stopped := true
+    | _ -> ());
+    !stopped
   in
   let rec explore cycle n_scheduled busy =
     incr nodes;
-    if !nodes > node_limit || stopped () then out_of_budget := true
+    if !nodes > node_limit || poll () then out_of_budget := true
     else if n_scheduled = n then begin
       let len =
         Graph.fold_vertices
@@ -236,5 +240,6 @@ let run ?(node_limit = 2_000_000) ?should_stop ~resources g =
   {
     schedule = Schedule.make g ~starts:!best_starts;
     optimal = not !out_of_budget;
+    stopped = !stopped;
     nodes_explored = !nodes;
   }

@@ -15,7 +15,8 @@ open Import
 
 type result = {
   schedule : Schedule.t;
-  optimal : bool;  (** false when the node budget was exhausted *)
+  optimal : bool;  (** false when a cutoff ended the search *)
+  stopped : bool;  (** [should_stop] ended it, not the node budget *)
   nodes_explored : int;
 }
 

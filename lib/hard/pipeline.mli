@@ -8,8 +8,8 @@ open Import
     the transform splits each multi-cycle operation of a pipelined
     class into an {e issue} vertex (delay = II, it occupies the unit)
     feeding a {e drain} vertex (delay = L − II, a free pass-through):
-    any scheduler of this repository — list, force-directed, exact,
-    threaded — then produces a pipelined schedule for free.
+    any scheduler of this repository — list, force-directed list,
+    exact, threaded — then produces a pipelined schedule for free.
 
     Evaluation semantics are preserved: the issue vertex computes the
     operation, the drain forwards the value ([Op.Wire]). *)

@@ -63,9 +63,9 @@ let run_lines ?pool service ~jobs lines =
         let tp = now () in
         let item =
           match Protocol.request_of_line line with
-          | Error msg ->
+          | Error (id, msg) ->
             sp.Metrics.parse_ns <- now () - tp;
-            Bad { id = None; msg }
+            Bad { id; msg }
           | Ok req -> (
             sp.Metrics.parse_ns <- now () - tp;
             let tl = now () in

@@ -121,49 +121,44 @@ let answer_request t ~trace ~enqueued ~after ~turn line =
     record ~design ~ok:false ~cached:false ~degraded:false
       (Protocol.error_line ?id ~trace msg)
   in
-  match Json.parse_result line with
-  | Error msg ->
+  match Protocol.request_of_line line with
+  | Error (id, msg) ->
     sp.Metrics.parse_ns <- now () - t0;
-    fail ~design:"?" (Printf.sprintf "bad JSON: %s" msg)
-  | Ok j -> (
-    match Protocol.request_of_json j with
+    fail ?id ~design:"?" msg
+  | Ok req -> (
+    sp.Metrics.parse_ns <- now () - t0;
+    let id = req.Protocol.id in
+    let design = Protocol.spec_label req.Protocol.spec in
+    let t1 = now () in
+    match Service.prepare t.service req with
     | Error msg ->
-      sp.Metrics.parse_ns <- now () - t0;
-      fail ~design:"?" msg
-    | Ok req -> (
-      sp.Metrics.parse_ns <- now () - t0;
-      let id = req.Protocol.id in
-      let design = Protocol.spec_label req.Protocol.spec in
-      let t1 = now () in
-      match Service.prepare t.service req with
-      | Error msg ->
-        sp.Metrics.lookup_ns <- now () - t1;
-        fail ?id ~design msg
-      | Ok prepared -> (
-        sp.Metrics.lookup_ns <- now () - t1;
-        let deadline =
-          Option.map
-            (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
-            req.Protocol.deadline_ms
+      sp.Metrics.lookup_ns <- now () - t1;
+      fail ?id ~design msg
+    | Ok prepared -> (
+      sp.Metrics.lookup_ns <- now () - t1;
+      let deadline =
+        Option.map
+          (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
+          req.Protocol.deadline_ms
+      in
+      let tw = now () in
+      await_turn t after;
+      sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
+      match
+        Service.execute ?deadline ~span:sp
+          ~entered:(fun () -> enter t turn)
+          t.service prepared
+      with
+      | exception e -> fail ?id ~design (Printexc.to_string e)
+      | o, cached ->
+        let t2 = now () in
+        let reply =
+          Service.line ?id ~trace ~cached
+            ~want_schedule:req.Protocol.want_schedule o
         in
-        let tw = now () in
-        await_turn t after;
-        sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
-        match
-          Service.execute ?deadline ~span:sp
-            ~entered:(fun () -> enter t turn)
-            t.service prepared
-        with
-        | exception e -> fail ?id ~design (Printexc.to_string e)
-        | o, cached ->
-          let t2 = now () in
-          let reply =
-            Service.line ?id ~trace ~cached
-              ~want_schedule:req.Protocol.want_schedule o
-          in
-          sp.Metrics.emit_ns <- now () - t2;
-          let degraded = (Service.result_of o).Protocol.degraded in
-          record ~design ~ok:true ~cached ~degraded reply)))
+        sp.Metrics.emit_ns <- now () - t2;
+        let degraded = (Service.result_of o).Protocol.degraded in
+        record ~design ~ok:true ~cached ~degraded reply))
 
 (* -- the event loop (one thread) -------------------------------------- *)
 

@@ -69,7 +69,7 @@ let opt_str j key =
   | Some _ -> Error (Printf.sprintf "field %S must be a string" key)
   | None -> Ok None
 
-let request_of_json j =
+let parse_request j =
   match j with
   | Json.Obj _ ->
     let* id = opt_str j "id" in
@@ -155,9 +155,16 @@ let request_of_json j =
     Ok { id; spec; resources; meta; deadline_ms; want_schedule; effort; engines }
   | _ -> Error "request must be a JSON object"
 
+(* An error keeps the request's string [id], when it has one, so the
+   error reply can carry it. *)
+let request_of_json j =
+  Result.map_error
+    (fun m -> (Result.value ~default:None (opt_str j "id"), m))
+    (parse_request j)
+
 let request_of_line line =
   match Json.parse_result line with
-  | Error m -> Error (Printf.sprintf "bad JSON: %s" m)
+  | Error m -> Error (None, Printf.sprintf "bad JSON: %s" m)
   | Ok j -> request_of_json j
 
 (* -- admin requests --------------------------------------------------- *)

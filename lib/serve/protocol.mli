@@ -65,8 +65,12 @@ type result = {
 val spec_label : spec -> string
 val default_resources : unit -> Resources.t
 
-val request_of_line : string -> (request, string) Result.t
-val request_of_json : Json.t -> (request, string) Result.t
+val request_of_line : string -> (request, string option * string) Result.t
+val request_of_json : Json.t -> (request, string option * string) Result.t
+(** [Error (id, message)]: [id] is the request's own string ["id"]
+    whenever the line is an object that carries one, whichever other
+    field is bad — so the error reply can echo it. *)
+
 val request_to_json : request -> Json.t
 
 (** Out-of-band service introspection on the same NDJSON channel:

@@ -10,6 +10,7 @@ type entry = {
 type t = {
   winner : Engine.outcome;
   entries : entry list;
+  degraded : bool;
   wall_s : float;
 }
 
@@ -36,8 +37,8 @@ let run ?pool ?deadline ?seed ?meta ?budget ~engines ~resources g =
     in
     (* Await in portfolio order. The moment a racer commits a provably
        optimal schedule, cancel whatever is still queued: nothing can
-       beat it on csteps, and the register/wall tie is not worth the
-       tail latency. Cancellation only reaches queued jobs — running
+       beat it on csteps, and the register tie is not worth the tail
+       latency. Cancellation only reaches queued jobs — running
        ones finish and still count. *)
     let cancelled = Hashtbl.create 8 in
     let settle (e, fut) =
@@ -79,8 +80,16 @@ let run ?pool ?deadline ?seed ?meta ?budget ~engines ~resources g =
             if Engine.compare_qor o best < 0 then Some o else acc)
         None entries
     in
+    let degraded =
+      List.exists
+        (fun e ->
+          match e.outcome with
+          | Some o -> o.Engine.annot.Engine.degraded
+          | None -> false)
+        entries
+    in
     (match winner with
-    | Some w -> Ok { winner = w; entries; wall_s }
+    | Some w -> Ok { winner = w; entries; degraded; wall_s }
     | None ->
       let why =
         entries

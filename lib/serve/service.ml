@@ -473,7 +473,12 @@ let compute ?deadline t (p : prepared) =
         | None -> ()
         | Some m ->
           Metrics.race_win m ~engine:race.Race.winner.Engine.annot.Engine.engine);
-        result_of_outcome ~key:p.key ~design ~resources ~meta race.Race.winner)
+        {
+          (result_of_outcome ~key:p.key ~design ~resources ~meta
+             race.Race.winner)
+          with
+          Protocol.degraded = race.Race.degraded;
+        })
     | Protocol.Exhaustive ->
       let e =
         match Engine.find "bnb" with

@@ -29,15 +29,21 @@ let get_engine name =
 
 (* --- names and aliases ------------------------------------------------ *)
 
-let test_registry_names () =
-  let required =
-    [ "naive"; "list"; "fdls"; "force_directed"; "anneal"; "bnb"; "soft" ]
+let has s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
   in
+  go 0
+
+let test_registry_names () =
+  let seven = [ "soft"; "search"; "anneal"; "list"; "fdls"; "bnb"; "modulo" ] in
+  check Alcotest.(list string) "the seven engines, in order" seven Engine.names;
   List.iter
     (fun n ->
       check Alcotest.string (n ^ " resolves to itself") n
         (Engine.name (get_engine n)))
-    required;
+    seven;
   (* aliases resolve to canonical engines *)
   List.iter
     (fun (alias, canon) ->
@@ -48,23 +54,17 @@ let test_registry_names () =
       ("sa", "anneal");
       ("exact", "bnb");
       ("exhaustive", "bnb");
-      ("fds", "force_directed");
       ("ANNEAL", "anneal");
     ];
-  (match Engine.of_string "no-such-engine" with
-  | Ok _ -> Alcotest.fail "bogus engine resolved"
-  | Error m ->
-    check Alcotest.bool "error names the portfolio" true
-      (let has s sub =
-         let n = String.length sub in
-         let rec go i =
-           i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-         in
-         go 0
-       in
-       has m "anneal" && has m "bnb"));
-  check Alcotest.int "names are unique" (List.length Engine.names)
-    (List.length (List.sort_uniq compare Engine.names))
+  (* naive and force_directed are not engines, and fds/force no aliases *)
+  List.iter
+    (fun n ->
+      match Engine.of_string n with
+      | Ok e -> Alcotest.failf "%s resolved to %s" n (Engine.name e)
+      | Error m ->
+        check Alcotest.bool (n ^ ": error names the portfolio") true
+          (has m (String.concat ", " seven)))
+    [ "no-such-engine"; "naive"; "force_directed"; "fds"; "force" ]
 
 (* --- annotated runs --------------------------------------------------- *)
 
@@ -94,7 +94,35 @@ let test_compare_qor () =
     { o with annot = { o.Engine.annot with Engine.registers = 0 } }
   in
   check Alcotest.bool "registers break cstep ties" true
-    (Engine.compare_qor lighter o < 0)
+    (Engine.compare_qor lighter o < 0);
+  let slower =
+    let a = o.Engine.annot in
+    { o with annot = { a with Engine.wall_s = a.Engine.wall_s +. 1.0 } }
+  in
+  check Alcotest.int "equal csteps and registers tie, whatever the wall times"
+    0
+    (Engine.compare_qor slower o);
+  check Alcotest.int "and tie both ways" 0 (Engine.compare_qor o slower)
+
+(* A deadline that has already passed cuts every engine that reads it
+   short, and each says so; list scheduling does not read it. *)
+let test_deadline_degrades () =
+  let g = Hls_bench.Suite.(find "AR").build () in
+  let past = Engine.ctx ~deadline:(Unix.gettimeofday () -. 1.0) () in
+  List.iter
+    (fun (name, expected) ->
+      let o = Engine.run ~ctx:past (get_engine name) ~resources:two_two g in
+      check Alcotest.bool (name ^ " under a passed deadline") expected
+        o.Engine.annot.Engine.degraded;
+      ok_or_fail (name ^ " still valid")
+        (S.check ~resources:two_two o.Engine.schedule);
+      let o = Engine.run (get_engine name) ~resources:two_two g in
+      check Alcotest.bool (name ^ " without a deadline") false
+        o.Engine.annot.Engine.degraded)
+    [
+      ("soft", true); ("anneal", true); ("fdls", true); ("bnb", true);
+      ("list", false);
+    ]
 
 (* --- every engine produces valid schedules (QCheck) ------------------- *)
 
@@ -104,37 +132,48 @@ let random_graph seed =
     (Random.State.make [| seed; 0xe1 |])
     ~n ~edge_prob:0.25
 
-(* Budgets keep the expensive engines (bnb subsets, naive speculation)
-   proportionate on throwaway graphs; validity must hold at any budget. *)
+(* Budgets keep the expensive engines (bnb subsets) proportionate on
+   throwaway graphs; validity must hold at any budget. *)
 let property_ctx = Engine.ctx ~seed:7 ~budget:5_000 ()
 
-let engine_validity_prop eng seed =
+let validity_prop name run seed =
   let g = random_graph seed in
-  let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
-  (match S.check ~resources:two_two o.Engine.schedule with
+  let schedule, state = run g in
+  (match S.check ~resources:two_two schedule with
   | Ok () -> ()
   | Error m ->
-    QCheck.Test.fail_reportf "%s: invalid schedule on seed %d: %s"
-      (Engine.name eng) seed m);
-  (match o.Engine.state with
+    QCheck.Test.fail_reportf "%s: invalid schedule on seed %d: %s" name seed m);
+  (match state with
   | None -> ()
   | Some st -> (
     match Invariant.check_all st with
     | Ok () -> ()
     | Error m ->
-      QCheck.Test.fail_reportf "%s: invariant broken on seed %d: %s"
-        (Engine.name eng) seed m));
+      QCheck.Test.fail_reportf "%s: invariant broken on seed %d: %s" name
+        seed m));
   true
 
+let validity_test name run =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make
+       ~name:(Printf.sprintf "%s: valid schedule + invariant" name)
+       ~count:25 QCheck.small_nat (validity_prop name run))
+
+(* Every listed engine, and the naive speculative select: not an engine,
+   but the executable specification of Definition 5 that the fast select
+   is checked against. *)
 let engine_validity_tests =
   List.map
     (fun eng ->
-      QCheck_alcotest.to_alcotest
-        (QCheck.Test.make
-           ~name:(Printf.sprintf "%s: valid schedule + invariant" (Engine.name eng))
-           ~count:25 QCheck.small_nat
-           (engine_validity_prop eng)))
+      validity_test (Engine.name eng) (fun g ->
+          let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
+          (o.Engine.schedule, o.Engine.state)))
     Engine.all
+  @ [
+      validity_test "naive" (fun g ->
+          let st = Soft.Naive.run ~resources:two_two g in
+          (Soft.Threaded_graph.to_schedule st, Some st));
+    ]
 
 (* --- determinism ------------------------------------------------------ *)
 
@@ -186,6 +225,20 @@ let test_bnb_should_stop () =
   ok_or_fail "stopped search returns a valid schedule"
     (S.check ~resources:two_two r.Hard.Exact_bb.schedule)
 
+(* --- force-directed list scheduling under a deadline ------------------ *)
+
+let test_fdls_should_stop () =
+  let g = Hls_bench.Suite.(find "AR").build () in
+  let r = Hard.Fdls.run ~should_stop:(fun () -> true) ~resources:two_two g in
+  check Alcotest.bool "flagged" true r.Hard.Fdls.stopped;
+  ok_or_fail "stopped search returns a valid schedule"
+    (S.check ~resources:two_two r.Hard.Fdls.schedule);
+  check Alcotest.int "the list schedule"
+    (S.length (Hard.List_sched.run ~resources:two_two g))
+    (S.length r.Hard.Fdls.schedule);
+  check Alcotest.bool "unflagged without a stop" false
+    (Hard.Fdls.run ~resources:two_two g).Hard.Fdls.stopped
+
 let test_bnb_still_optimal_on_chain () =
   (* The ALAP/ASAP pruning must not cut the optimum away. *)
   let g = Generate.chain ~n:6 in
@@ -235,6 +288,57 @@ let race_no_worse design resources =
 let test_race_fig1 () = race_no_worse Hls_bench.Fig1.graph Hls_bench.Fig1.resources
 let test_race_hal () = race_no_worse Hls_bench.Suite.(find "HAL").build two_two
 
+(* On HAL at 4 ALU + 4 MUL every default racer reaches 6 control steps
+   and 8 registers, and soft and list finish within microseconds of each
+   other: only portfolio order can make the winner repeat. *)
+let test_race_tie_goes_to_portfolio_order () =
+  let g = Hls_bench.Suite.(find "HAL").build () in
+  let resources = R.fig3_4alu_4mul in
+  for run = 1 to 5 do
+    match Race.run ~engines:(Race.default_portfolio ()) ~resources g with
+    | Error m -> Alcotest.fail m
+    | Ok race ->
+      List.iter
+        (fun (e : Race.entry) ->
+          match e.Race.outcome with
+          | Some o ->
+            check Alcotest.(pair int int)
+              (Printf.sprintf "run %d: %s ties" run e.Race.engine)
+              (6, 8)
+              (o.Engine.annot.Engine.csteps, o.Engine.annot.Engine.registers)
+          | None -> Alcotest.failf "%s did not finish" e.Race.engine)
+        race.Race.entries;
+      check Alcotest.string
+        (Printf.sprintf "run %d: the first racer wins" run)
+        "soft" race.Race.winner.Engine.annot.Engine.engine
+  done
+
+(* fdls needs seconds on a 400-vertex layered DAG; a 100 ms deadline
+   must cut it (and anneal) short, and the race must say so. *)
+let test_race_deadline () =
+  let g =
+    Generate.layered (Random.State.make [| 1 |]) ~layers:40 ~width:10 ~fanin:2
+  in
+  let t0 = Unix.gettimeofday () in
+  match
+    Race.run ~deadline:(t0 +. 0.1) ~engines:(Race.default_portfolio ())
+      ~resources:two_two g
+  with
+  | Error m -> Alcotest.fail m
+  | Ok race ->
+    let wall = Unix.gettimeofday () -. t0 in
+    check Alcotest.bool (Printf.sprintf "returned in %.2f s < 1 s" wall) true
+      (wall < 1.0);
+    check Alcotest.bool "degraded" true race.Race.degraded;
+    ok_or_fail "winner valid"
+      (S.check ~resources:two_two race.Race.winner.Engine.schedule);
+    (* The race without a deadline takes seconds; fdls wins it at list
+       scheduling's length (serve's "race under a deadline" compares the
+       two races themselves). *)
+    check Alcotest.int "list scheduling's control steps"
+      (S.length (Hard.List_sched.run ~resources:two_two g))
+      race.Race.winner.Engine.annot.Engine.csteps
+
 let test_race_subset_and_errors () =
   let g = Hls_bench.Fig1.graph () in
   let resources = Hls_bench.Fig1.resources in
@@ -258,6 +362,7 @@ let () =
         [
           Alcotest.test_case "run annotates" `Quick test_run_annotations;
           Alcotest.test_case "qor order" `Quick test_compare_qor;
+          Alcotest.test_case "deadline degrades" `Quick test_deadline_degrades;
         ] );
       ("validity", engine_validity_tests);
       ( "determinism",
@@ -273,10 +378,16 @@ let () =
             (QCheck.Test.make ~name:"pruning preserves the optimum" ~count:20
                QCheck.small_nat bnb_matches_unpruned_prop);
         ] );
+      ( "fdls",
+        [ Alcotest.test_case "should_stop cutoff" `Quick test_fdls_should_stop ]
+      );
       ( "race",
         [
           Alcotest.test_case "fig1 no worse" `Quick test_race_fig1;
           Alcotest.test_case "HAL no worse" `Quick test_race_hal;
+          Alcotest.test_case "ties go to portfolio order" `Quick
+            test_race_tie_goes_to_portfolio_order;
+          Alcotest.test_case "deadline" `Quick test_race_deadline;
           Alcotest.test_case "subsets and errors" `Quick
             test_race_subset_and_errors;
         ] );

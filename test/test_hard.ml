@@ -213,48 +213,6 @@ let prop_list_sched_valid =
       let s = Hard.List_sched.run ~resources:two_two g in
       S.check ~resources:two_two s = Ok () && S.length s >= Paths.diameter g)
 
-(* --- Force-directed ------------------------------------------------ *)
-
-let test_fds_meets_deadline () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  let deadline = Paths.diameter g + 2 in
-  let s = Hard.Force_directed.run ~deadline g in
-  check Alcotest.bool "precedence valid" true (S.check s = Ok ());
-  check Alcotest.bool "meets deadline" true (S.length s <= deadline)
-
-let test_fds_balances_vs_asap () =
-  (* FDS under a relaxed deadline should not need more multipliers than
-     ASAP's peak (it is designed to lower it). *)
-  let g = (Hls_bench.Suite.find "AR").build () in
-  let asap_peak = S.peak_usage (Hard.Asap.run g) R.Multiplier in
-  let s = Hard.Force_directed.run ~deadline:(Paths.diameter g + 4) g in
-  let fds_peak = S.peak_usage s R.Multiplier in
-  check Alcotest.bool
-    (Printf.sprintf "fds %d <= asap %d" fds_peak asap_peak)
-    true (fds_peak <= asap_peak)
-
-let test_fds_bad_deadline () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  (try
-     ignore (Hard.Force_directed.run ~deadline:(Paths.diameter g - 1) g);
-     Alcotest.fail "expected Invalid_argument"
-   with Invalid_argument _ -> ())
-
-let test_fds_min_units () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  let s = Hard.Force_directed.run ~deadline:(Paths.diameter g) g in
-  let units = Hard.Force_directed.min_units s in
-  check Alcotest.bool "has both classes" true
-    (List.mem_assoc R.Alu units && List.mem_assoc R.Multiplier units)
-
-let prop_fds_valid =
-  QCheck.Test.make ~name:"FDS schedules meet deadline and precedence"
-    ~count:50 seeded_dag (fun spec ->
-      let g = graph_of spec in
-      let deadline = Paths.diameter g + 3 in
-      let s = Hard.Force_directed.run ~deadline g in
-      S.check s = Ok () && S.length s <= deadline)
-
 (* --- Exact branch and bound ---------------------------------------- *)
 
 let test_exact_chain_is_tight () =
@@ -308,7 +266,7 @@ let test_fdls_valid_on_benchmarks () =
       List.iter
         (fun (label, r) ->
           let g = e.build () in
-          let s = Hard.Fdls.run ~resources:r g in
+          let s = (Hard.Fdls.run ~resources:r g).Hard.Fdls.schedule in
           check Alcotest.bool
             (Printf.sprintf "%s/%s valid" e.name label)
             true
@@ -324,7 +282,9 @@ let test_fdls_competitive_with_list () =
   List.iter
     (fun (e : Hls_bench.Suite.entry) ->
       let g = e.build () in
-      let fdls = S.length (Hard.Fdls.run ~resources:two_two g) in
+      let fdls =
+        S.length (Hard.Fdls.run ~resources:two_two g).Hard.Fdls.schedule
+      in
       let list_len = S.length (Hard.List_sched.run ~resources:two_two g) in
       check Alcotest.bool
         (Printf.sprintf "%s fdls %d within 3 of list %d" e.name fdls list_len)
@@ -340,11 +300,27 @@ let test_fdls_unschedulable () =
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
 
+(* --- External stops (a race deadline) -------------------------------- *)
+
+(* A stop ends the search with the incumbent and says so; a spent node
+   budget ends it too, but is not a stop. The stop is polled every 2048
+   nodes, so the graph must need more than that. *)
+let test_bnb_stop_not_budget () =
+  let g = (Hls_bench.Suite.find "AR").build () in
+  let stopped =
+    Hard.Exact_bb.run ~should_stop:(fun () -> true) ~resources:two_two g
+  in
+  check Alcotest.bool "stop: flagged" true stopped.Hard.Exact_bb.stopped;
+  check Alcotest.bool "stop: not optimal" false stopped.Hard.Exact_bb.optimal;
+  let spent = Hard.Exact_bb.run ~node_limit:1 ~resources:two_two g in
+  check Alcotest.bool "budget: not flagged" false spent.Hard.Exact_bb.stopped;
+  check Alcotest.bool "budget: not optimal" false spent.Hard.Exact_bb.optimal
+
 let prop_fdls_valid =
   QCheck.Test.make ~name:"FDLS schedules are always valid" ~count:50
     seeded_dag (fun spec ->
       let g = graph_of spec in
-      let s = Hard.Fdls.run ~resources:two_two g in
+      let s = (Hard.Fdls.run ~resources:two_two g).Hard.Fdls.schedule in
       S.check ~resources:two_two s = Ok ())
 
 (* --- Pipelined units ------------------------------------------------ *)
@@ -522,13 +498,6 @@ let () =
           Alcotest.test_case "dispatch order" `Quick
             test_dispatch_order_covers_everything;
         ] );
-      ( "force-directed",
-        [
-          Alcotest.test_case "meets deadline" `Quick test_fds_meets_deadline;
-          Alcotest.test_case "balances" `Quick test_fds_balances_vs_asap;
-          Alcotest.test_case "bad deadline" `Quick test_fds_bad_deadline;
-          Alcotest.test_case "min units" `Quick test_fds_min_units;
-        ] );
       ( "exact",
         [
           Alcotest.test_case "chain tight" `Quick test_exact_chain_is_tight;
@@ -544,6 +513,11 @@ let () =
           Alcotest.test_case "competitive" `Quick
             test_fdls_competitive_with_list;
           Alcotest.test_case "unschedulable" `Quick test_fdls_unschedulable;
+        ] );
+      ( "external stops",
+        [
+          Alcotest.test_case "bnb flags a stop, not a budget" `Quick
+            test_bnb_stop_not_budget;
         ] );
       ( "pipeline",
         [
@@ -562,6 +536,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_list_sched_valid; prop_fds_valid; prop_fdls_valid;
+          [ prop_list_sched_valid; prop_fdls_valid;
             prop_exact_not_worse_than_list ] );
     ]

@@ -473,7 +473,7 @@ let test_pool_backend_identity () =
 
 let test_protocol_request_defaults () =
   match Protocol.request_of_line {|{"design":"HAL"}|} with
-  | Error m -> Alcotest.fail m
+  | Error (_, m) -> Alcotest.fail m
   | Ok r ->
     check Alcotest.string "default meta" "topo" r.Protocol.meta;
     check Alcotest.string "default resources" "2 alu, 2 mul, 1 mem"
@@ -502,7 +502,7 @@ let test_protocol_request_errors () =
 let test_protocol_result_roundtrip () =
   let service = Service.create () in
   match Protocol.request_of_line {|{"design":"EF","meta":"dfs"}|} with
-  | Error m -> Alcotest.fail m
+  | Error (_, m) -> Alcotest.fail m
   | Ok req -> (
     match Service.prepare service req with
     | Error m -> Alcotest.fail m
@@ -523,7 +523,7 @@ let test_protocol_effort_and_engines () =
      Protocol.request_of_line
        {|{"design":"HAL","effort":"race","engines":["list","exact"]}|}
    with
-  | Error m -> Alcotest.fail m
+  | Error (_, m) -> Alcotest.fail m
   | Ok r ->
     check Alcotest.bool "effort parses to race" true
       (r.Protocol.effort = Protocol.Race);
@@ -535,19 +535,19 @@ let test_protocol_effort_and_engines () =
     (* effort and engines survive a JSON round-trip *)
     (match Protocol.request_of_json (Protocol.request_to_json r) with
     | Ok r' -> check Alcotest.bool "request round-trips" true (r = r')
-    | Error m -> Alcotest.fail m));
+    | Error (_, m) -> Alcotest.fail m));
   (match Protocol.request_of_line {|{"design":"HAL","effort":"exhaustive"}|} with
   | Ok r ->
     check Alcotest.bool "exhaustive parses" true
       (r.Protocol.effort = Protocol.Exhaustive)
-  | Error m -> Alcotest.fail m);
+  | Error (_, m) -> Alcotest.fail m);
   (* a plain request still defaults to fast with no engine list *)
   (match Protocol.request_of_line {|{"design":"HAL"}|} with
   | Ok r ->
     check Alcotest.bool "default effort is fast" true
       (r.Protocol.effort = Protocol.Fast);
     check Alcotest.(option (list string)) "no engines" None r.Protocol.engines
-  | Error m -> Alcotest.fail m);
+  | Error (_, m) -> Alcotest.fail m);
   let err line =
     match Protocol.request_of_line line with Error _ -> true | Ok _ -> false
   in
@@ -843,6 +843,56 @@ let test_daemon_roundtrip_and_drain () =
   | l -> Alcotest.failf "expected EOF after drain, got %s" l);
   Daemon.wait d;
   check Alcotest.bool "socket file removed" false (Sys.file_exists socket);
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* A request that is an object with a string id keeps that id in its
+   error reply, whichever field check it fails — in batch and in the
+   daemon alike. Naming naive, force_directed or fds as an engine is
+   such a failure. *)
+let bad_field_lines =
+  [
+    ("resources", {|{"id":"resources","design":"HAL","resources":"2tpu"}|});
+    ("meta", {|{"id":"meta","design":"HAL","meta":"zigzag"}|});
+    ( "engines",
+      {|{"id":"engines","design":"HAL","effort":"race","engines":["zigzag"]}|}
+    );
+    ("deadline", {|{"id":"deadline","design":"HAL","deadline_ms":-5}|});
+    ( "naive",
+      {|{"id":"naive","design":"HAL","effort":"race","engines":["naive"]}|} );
+    ( "force_directed",
+      {|{"id":"force_directed","design":"HAL","effort":"race","engines":["force_directed"]}|}
+    );
+    ("fds", {|{"id":"fds","design":"HAL","effort":"race","engines":["fds"]}|});
+  ]
+
+let check_error_ids label replies =
+  List.iter2
+    (fun (id, _) reply ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: %s error keeps its id" label id)
+        true
+        (contains reply (Printf.sprintf {|"id":%S,|} id)
+        && contains reply {|"status":"error"|});
+      if List.mem id [ "engines"; "naive"; "force_directed"; "fds" ] then
+        check Alcotest.bool
+          (Printf.sprintf "%s: %s error lists the seven engines" label id)
+          true
+          (contains reply "soft, search, anneal, list, fdls, bnb, modulo"))
+    bad_field_lines replies
+
+let test_error_replies_keep_ids () =
+  let lines = List.map snd bad_field_lines in
+  let out, stats = Batch.run_lines (Service.create ()) ~jobs:2 lines in
+  check Alcotest.int "batch: every line an error" (List.length lines)
+    stats.Batch.errors;
+  check_error_ids "batch" out;
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let d = Daemon.start (Service.create ()) ~socket ~jobs:2 () in
+  let fd, ic, oc = connect socket in
+  List.iter (send oc) lines;
+  check_error_ids "daemon" (List.map (fun _ -> input_line ic) lines);
+  Daemon.stop d;
+  Daemon.wait d;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let test_daemon_connection_limit () =
@@ -1374,6 +1424,45 @@ let test_digest_paths () =
 
 (* Concurrent requests for one key: the first computes, the rest wait
    for it and are answered as hits. *)
+(* The default race on a 400-vertex layered DAG: fdls needs seconds,
+   so a 100 ms deadline cuts it short and the race comes back degraded,
+   with the control steps of the full race. A degraded race is never
+   cached: the same request without a deadline is a miss, and fdls wins
+   it (on registers). *)
+let test_service_race_deadline () =
+  let service = Service.create () in
+  let g =
+    Generate.layered (Random.State.make [| 1 |]) ~layers:40 ~width:10 ~fanin:2
+  in
+  let race deadline_ms =
+    {
+      (inline_request (dfg_text ~name:(Printf.sprintf "v%d") g)) with
+      Protocol.effort = Protocol.Race;
+      deadline_ms;
+    }
+  in
+  let p =
+    match Service.prepare service (race (Some 100.)) with
+    | Ok p -> p
+    | Error m -> Alcotest.fail m
+  in
+  let t0 = Unix.gettimeofday () in
+  let cut, cached = Service.execute ~deadline:(t0 +. 0.1) service p in
+  let wall = Unix.gettimeofday () -. t0 in
+  let cut = Service.result_of cut in
+  check Alcotest.bool (Printf.sprintf "returned in %.2f s < 1 s" wall) true
+    (wall < 1.0);
+  check Alcotest.bool "computed" false cached;
+  check Alcotest.bool "degraded" true cut.Protocol.degraded;
+  let full, cached = run_request service (race None) in
+  let full = Service.result_of full in
+  check Alcotest.bool "the full race is a miss" false cached;
+  check Alcotest.bool "and not degraded" false full.Protocol.degraded;
+  check Alcotest.(option string) "fdls wins it" (Some "fdls")
+    full.Protocol.engine;
+  check Alcotest.int "same control steps" full.Protocol.diameter
+    cut.Protocol.diameter
+
 let test_single_flight () =
   let metrics = Metrics.create () in
   let service = Service.create ~metrics () in
@@ -1706,6 +1795,8 @@ let () =
           Alcotest.test_case "race effort" `Quick test_service_effort_race;
           Alcotest.test_case "exhaustive effort" `Quick
             test_service_effort_exhaustive;
+          Alcotest.test_case "race under a deadline" `Quick
+            test_service_race_deadline;
         ] );
       ( "batch",
         [
@@ -1741,6 +1832,8 @@ let () =
           Alcotest.test_case "busy turn-away retry hint" `Quick
             test_daemon_busy_retry_hint;
           Alcotest.test_case "tcp smoke" `Quick test_daemon_tcp_smoke;
+          Alcotest.test_case "error replies keep ids" `Quick
+            test_error_replies_keep_ids;
         ] );
       ( "metrics",
         [

@@ -1005,10 +1005,7 @@ let test_engine_list () =
   check
     Alcotest.(list string)
     "names in order"
-    [
-      "soft"; "naive"; "search"; "anneal"; "list"; "fdls"; "force_directed";
-      "bnb"; "modulo";
-    ]
+    [ "soft"; "search"; "anneal"; "list"; "fdls"; "bnb"; "modulo" ]
     Soft.Engine.names;
   List.iter
     (fun (alias, canonical) ->
@@ -1018,7 +1015,6 @@ let test_engine_list () =
     [
       ("threaded", "soft"); ("sa", "anneal"); ("annealing", "anneal");
       ("exact", "bnb"); ("bb", "bnb"); ("exhaustive", "bnb");
-      ("fds", "force_directed"); ("force", "force_directed");
       ("ims", "modulo"); ("loop", "modulo");
     ]
 
