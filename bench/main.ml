@@ -266,7 +266,7 @@ let complexity_sweep () =
       else
         Printf.printf "%6d %10d %14.4f %14s %10s\n" n (Graph.n_edges g) fast
           "(skipped)" "-")
-    [ 50; 100; 200; 400; 800; 1600; 3200 ];
+    [ 50; 100; 200; 400; 800; 1600; 3200; 6400; 12800 ];
   Printf.printf
     "(the naive scheduler speculatively commits at every position and\n\
     \ re-measures the diameter: the ratio grows with |V|, the fast\n\
@@ -278,11 +278,12 @@ let complexity_sweep () =
 
 (* The sweep above infers linearity from wall time; here the telemetry
    counters measure the select scan directly: positions scanned per
-   [schedule] call should grow linearly with |V| (Theorem 3), and the
-   observed thread in/out degrees must stay within Lemma 7's K bound
+   [schedule] call may grow at most linearly with |V| (Theorem 3), and
+   the observed thread in/out degrees must stay within Lemma 7's K bound
    (one edge per foreign thread) on every benchmark. The relabelled
-   column is the commits' label propagation, per call and per vertex;
-   the walked column is the whole run's frontier-walk and flag work per
+   column is the commits' label work (source distances pushed, sink
+   distances marked stale or recomputed), per call and per vertex; the
+   walked column is the whole run's frontier-walk and flag work per
    vertex, which the flags keep linear in |V| over a run. *)
 
 let telemetry_linearity () =
@@ -321,9 +322,11 @@ let telemetry_linearity () =
         s.Telemetry.Counters.max_out_degree_observed seconds)
     [ 50; 100; 200; 400; 800; 1600; 3200; 6400; 12800 ];
   Printf.printf
-    "(per-call/|V| stays flat as |V| grows 256x: the per-operation select\n\
-    \ scan is linear in |V|, Theorem 3 observed rather than inferred. The\n\
-    \ run time includes the O(V+E) telemetry summary after every call.)\n";
+    "(per call stays flat as |V| grows 256x: the scan starts at each\n\
+    \ thread's feasibility window and examines feasible slots only, so\n\
+    \ on these graphs it is constant per call, well inside Theorem 3's\n\
+    \ linear bound. The run time includes the O(V+E) telemetry summary\n\
+    \ after every call.)\n";
   Printf.printf "\nLemma 7 audit: observed thread degrees vs the K bound\n";
   Printf.printf "%-4s %8s %8s %8s %10s\n" "BM" "K" "max in" "max out" "bound";
   List.iter

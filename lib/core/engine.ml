@@ -107,16 +107,8 @@ let compare_qor a b =
 
 (* -- the shared threaded run ------------------------------------------- *)
 
-(* Past the deadline we stop optimising: each remaining operation goes
-   to its first feasible position (commit_at keeps the state invariants,
-   so the result is still a valid threaded schedule — just not a
-   diameter-minimising one). Zero-resource ops have no positions and are
-   placed free, same as the normal path. *)
-let fast_place st v =
-  match Threaded_graph.feasible_positions st v with
-  | [] -> Threaded_graph.schedule st v
-  | p :: _ -> Threaded_graph.commit_at st v p
-
+(* Past the deadline we stop optimising: each remaining operation gets
+   the kernel's degraded placement, one commit with no scan. *)
 let threaded_run ?deadline ?tie ~meta ~resources g =
   let order = meta g in
   let st = Threaded_graph.create g ~resources in
@@ -124,12 +116,12 @@ let threaded_run ?deadline ?tie ~meta ~resources g =
   List.iter
     (fun v ->
       if not (Threaded_graph.is_scheduled st v) then
-        if !degraded then fast_place st v
+        if !degraded then Threaded_graph.schedule_degraded st v
         else begin
           (match deadline with
           | Some d when now_s () > d -> degraded := true
           | _ -> ());
-          if !degraded then fast_place st v
+          if !degraded then Threaded_graph.schedule_degraded st v
           else Threaded_graph.schedule ?tie st v
         end)
     order;

@@ -8,14 +8,14 @@ let min (a : int) b = if a <= b then a else b
 
 (* One record per graph vertex. [thread = -1] means the vertex is either
    unscheduled or scheduled free (zero-resource); [scheduled]
-   disambiguates. [pos] orders vertices within their thread and is
-   renumbered after each splice (O(thread length), keeping a schedule
-   call linear). [preds]/[succs] hold only the explicit (cross-thread or
-   free) edges; consecutive thread members are implicitly ordered via
-   [prev]/[next]. [above]/[below] prune the frontier walks and matter
-   only while the vertex is unscheduled: [above] is set once it may have
-   a scheduled G-ancestor, [below] once it may have a scheduled
-   G-descendant. *)
+   disambiguates. [pos] orders vertices within their thread: a splice
+   renumbers from the new vertex to the tail, so appending is O(1).
+   [preds]/[succs] hold only the explicit (cross-thread or free) edges;
+   consecutive thread members are implicitly ordered via [prev]/[next].
+   [stale] says [tdist] must be recomputed before it is read.
+   [above]/[below] prune the frontier walks and matter only while the
+   vertex is unscheduled: [above] is set once it may have a scheduled
+   G-ancestor, [below] once it may have a scheduled G-descendant. *)
 type node = {
   mutable scheduled : bool;
   mutable thread : int;
@@ -26,6 +26,7 @@ type node = {
   mutable succs : int list;
   mutable sdist : int;
   mutable tdist : int;
+  mutable stale : bool;
   mutable above : bool;
   mutable below : bool;
 }
@@ -41,6 +42,7 @@ let fresh_node () =
     succs = [];
     sdist = 0;
     tdist = 0;
+    stale = false;
     above = false;
     below = false;
   }
@@ -48,32 +50,50 @@ let fresh_node () =
 module Vec = Dfg.Vec
 module Tel = Telemetry
 
-(* [sdist]/[tdist] of every scheduled vertex and [diameter] are kept
-   exact across calls: each commit propagates the labels it changed from
-   the committed vertex ([relabel]) instead of relabelling the state.
-   [gen] is the graph generation the [above]/[below] flags reflect, and
+(* [sdist] of every scheduled vertex and [diameter] are kept exact
+   across calls: each commit pushes the source distances it changed from
+   the committed vertex ([relabel]). [tdist] is exact unless [stale]: a
+   commit marks stale the committed vertex's state ancestors whose sink
+   distance may have grown ([mark_stale]), and a read recomputes a stale
+   value ([tdist_of]).
+
+   [lat]/[ear] are the window vectors, one row of [width] entries per
+   vertex: [lat.(x * width + j)] is the latest member of thread j that
+   ⪯_S x and [ear.(x * width + j)] the earliest member of j that x ⪯_S
+   (x itself in its own thread), -1 for none. They are state, kept
+   exact for every scheduled vertex, and grown with the scratch.
+
+   [gen] is the graph generation the [above]/[below] flags reflect;
    [walked] counts the vertices the frontier walks and the flag
-   propagation have queued. The kernel scratch ([queued] .. [stamp]) is
-   indexed by vertex and grown in [sync], so a [schedule] call allocates
-   no per-vertex tables: the propagation keeps its heap in [order] and
-   the key of each vertex it holds in [queued] (-1 for every other
-   vertex); the walks and [closure] borrow [order] as their queue and
-   stamp visits into [up]/[down]. A vertex is marked there iff its entry
-   equals [stamp], so bumping the stamp clears every mark at once. The
-   scratch is never shared with a [copy]: the naive scheduler
-   interleaves a state with its trials. *)
+   propagation have queued, and [relabelled] the labels computed or
+   marked stale. The kernel scratch ([queued] .. [stamp]) is indexed by
+   vertex and grown in [sync], so a [schedule] call allocates no
+   per-vertex tables: the propagation keeps its heap in [order] and the
+   key of each vertex it holds in [queued] (-1 for every other vertex);
+   the walks, the stale marking, the vector pushes and [precedes]
+   borrow [order] as their queue, and the walks and [precedes] stamp
+   visits into [up]/[down]; [tdist_of] keeps its depth-first stack in
+   [stack]. A vertex is marked iff its entry equals [stamp], so bumping
+   the stamp clears every mark at once. The scratch is never shared
+   with a [copy]: the naive scheduler interleaves a state with its
+   trials. *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
   head : int array; (* thread -> first vertex or -1 *)
   tail : int array;
   nodes : node Vec.t;
+  width : int;
+  mutable lat : int array;
+  mutable ear : int array;
   mutable n_scheduled : int;
   mutable gen : int;
   mutable diameter : int;
   mutable walked : int;
+  mutable relabelled : int;
   mutable queued : int array;
   mutable order : int array;
+  mutable stack : int array;
   mutable up : int array;
   mutable down : int array;
   mutable stamp : int;
@@ -88,19 +108,24 @@ let create graph ~resources =
          (fun (cls, n) -> Array.make n cls)
          (Resources.classes resources))
   in
-  let k = Array.length classes in
+  let width = max (Array.length classes) 1 in
   {
     graph;
     classes;
-    head = Array.make (max k 1) (-1);
-    tail = Array.make (max k 1) (-1);
+    head = Array.make width (-1);
+    tail = Array.make width (-1);
     nodes = Vec.create ~dummy:(fresh_node ()) ();
+    width;
+    lat = [||];
+    ear = [||];
     n_scheduled = 0;
     gen = Graph.generation graph;
     diameter = 0;
     walked = 0;
+    relabelled = 0;
     queued = [||];
     order = [||];
+    stack = [||];
     up = [||];
     down = [||];
     stamp = 0;
@@ -116,12 +141,24 @@ let thread_class t k =
 
 (* Fresh mark arrays hold 0 and the stamp is bumped before every use,
    so no mark survives a regrow; the heap is empty between calls, so
-   [queued] starts at -1 everywhere. *)
+   [queued] starts at -1 everywhere. The window vectors keep their rows,
+   and a new vertex's row starts at -1. *)
 let grow_scratch t n =
+  if Array.length t.lat < n * t.width then begin
+    let len = max (n * t.width) (2 * Array.length t.lat) in
+    let extend rows =
+      let a = Array.make len (-1) in
+      Array.blit rows 0 a 0 (Array.length rows);
+      a
+    in
+    t.lat <- extend t.lat;
+    t.ear <- extend t.ear
+  end;
   if Array.length t.queued < n then begin
     let cap = max n (2 * Array.length t.queued) in
     t.queued <- Array.make cap (-1);
     t.order <- Array.make cap 0;
+    t.stack <- Array.make cap 0;
     t.up <- Array.make cap 0;
     t.down <- Array.make cap 0
   end
@@ -191,49 +228,90 @@ let rec max_sdist t vs acc =
   | [] -> acc
   | v :: rest -> max_sdist t rest (max acc (Vec.get t.nodes v).sdist)
 
+(* --- lazy sink distances ----------------------------------------------- *)
+
+(* The stale vertices are closed under state predecessors (a commit
+   marks a vertex stale together with its ancestors, see [mark_stale]),
+   so a fresh vertex has fresh successors. [refresh] recomputes a stale [x] depth-first
+   over stale successors only, with [stack] as the explicit stack: a
+   vertex is finished once it has no stale successor left, from
+   successors that are all exact. Each recomputation counts as a
+   relabel. *)
+let rec first_stale t = function
+  | [] -> -1
+  | x :: rest -> if (Vec.get t.nodes x).stale then x else first_stale t rest
+
+let rec max_fresh_tdist t vs acc =
+  match vs with
+  | [] -> acc
+  | v :: rest -> max_fresh_tdist t rest (max acc (Vec.get t.nodes v).tdist)
+
+let refresh t x =
+  t.stack.(0) <- x;
+  let top = ref 1 in
+  while !top > 0 do
+    let y = t.stack.(!top - 1) in
+    let ny = Vec.get t.nodes y in
+    let s =
+      if ny.next >= 0 && (Vec.get t.nodes ny.next).stale then ny.next
+      else first_stale t ny.succs
+    in
+    if s >= 0 then begin
+      t.stack.(!top) <- s;
+      incr top
+    end
+    else begin
+      let after = if ny.next >= 0 then (Vec.get t.nodes ny.next).tdist else 0 in
+      ny.tdist <- max_fresh_tdist t ny.succs after + Graph.delay t.graph y;
+      ny.stale <- false;
+      t.relabelled <- t.relabelled + 1;
+      decr top
+    end
+  done
+
+let tdist_of t x =
+  let nx = Vec.get t.nodes x in
+  if nx.stale then refresh t x;
+  nx.tdist
+
 let rec max_tdist t vs acc =
   match vs with
   | [] -> acc
-  | v :: rest -> max_tdist t rest (max acc (Vec.get t.nodes v).tdist)
+  | v :: rest -> max_tdist t rest (max acc (tdist_of t v))
 
 let diameter t = t.diameter
 
-(* Mark [x] (ignoring the -1 of an absent thread neighbour) and queue
-   it at [tail] unless already marked. Returns the new tail. *)
-let enqueue t mark x tail =
-  if x < 0 || mark.(x) = t.stamp then tail
+(* Stamp [x] (ignoring the -1 of an absent thread neighbour) into
+   [down] and queue it at [tail] unless already stamped. Returns the new
+   tail. *)
+let enqueue t x tail =
+  if x < 0 || t.down.(x) = t.stamp then tail
   else begin
-    mark.(x) <- t.stamp;
+    t.down.(x) <- t.stamp;
     t.order.(tail) <- x;
     tail + 1
   end
 
-let rec enqueue_all t mark xs tail =
+let rec enqueue_all t xs tail =
   match xs with
   | [] -> tail
-  | x :: rest -> enqueue_all t mark rest (enqueue t mark x tail)
+  | x :: rest -> enqueue_all t rest (enqueue t x tail)
 
-(* Stamp into [mark] the up-set of [sources] (everything ⪯_S some
-   source), walking state preds; the down-set walks succs. Membership is
-   [mark.(x) = t.stamp]; callers bump the stamp first. The walk may
-   stop early once vertex [until] is marked. *)
-let closure ?(until = -1) t ~backward mark sources =
-  let head = ref 0 and tail = ref (enqueue_all t mark sources 0) in
-  while !head < !tail && (until < 0 || mark.(until) <> t.stamp) do
-    let w = Vec.get t.nodes t.order.(!head) in
-    incr head;
-    tail :=
-      if backward then enqueue_all t mark w.preds (enqueue t mark w.prev !tail)
-      else enqueue_all t mark w.succs (enqueue t mark w.next !tail)
-  done
-
+(* A walk down the state from [u] that stops once [v] is stamped. The
+   kernel itself never walks the state's order: the window vectors
+   answer feasibility. *)
 let precedes t u v =
   sync t;
   (Vec.get t.nodes u).scheduled
   && (Vec.get t.nodes v).scheduled
   && begin
        t.stamp <- t.stamp + 1;
-       closure ~until:v t ~backward:false t.down (state_succs t u);
+       let head = ref 0 and tail = ref (enqueue_all t (state_succs t u) 0) in
+       while !head < !tail && t.down.(v) <> t.stamp do
+         let w = Vec.get t.nodes t.order.(!head) in
+         incr head;
+         tail := enqueue_all t w.succs (enqueue t w.next !tail)
+       done;
        t.down.(v) = t.stamp
      end
 
@@ -361,19 +439,43 @@ let allowed_threads t v =
       (fun k -> Resources.equal_class t.classes.(k) cls)
       (List.init (n_threads t) Fun.id)
 
+(* --- window vectors ----------------------------------------------------- *)
+
+(* Threads are chains, so the up-set of v's ancestor frontier meets
+   thread k in a prefix, ending at the latest [lat] entry for k over the
+   frontier, and the down-set of its descendant frontier meets k in a
+   suffix, starting at the earliest [ear] entry. Entries of one column
+   are members of one thread, compared by [pos]; -1 is none. *)
+let pos t x = (Vec.get t.nodes x).pos
+
+(* Whether member [c] lies beyond [cur] (-1 for none) in their thread:
+   later if [later], else earlier. *)
+let beyond t ~later c cur =
+  cur < 0 || if later then pos t c > pos t cur else pos t c < pos t cur
+
+(* The latest ([later]) or earliest entry of column k of [rows] over
+   [vs], or [acc]: a window bound over a frontier. *)
+let rec bound t rows ~later k vs acc =
+  match vs with
+  | [] -> acc
+  | x :: rest ->
+    let c = rows.((x * t.width) + k) in
+    bound t rows ~later k rest
+      (if c >= 0 && beyond t ~later c acc then c else acc)
+
 (* All feasible positions for [v] with their costs, in deterministic
    scan order, plus the number of slots examined (the Theorem 3 work
-   measure). Marks the feasibility window first and reads the maintained
-   labels: a slot is feasible iff the member before it is outside the
-   down-set of v's [descendants] and the member after it is outside the
-   up-set of its [ancestors] — the two frontiers of v. [trace] reports
-   each feasible candidate to the telemetry sink — only the [schedule]
-   path sets it, so introspection helpers stay silent. *)
+   measure). Thread k's window runs from [lo] to [hi]: the head slot is
+   feasible iff [lo] is none, and the slot after w iff
+   pos lo <= pos w < pos hi (a missing [hi] counts as +∞). That is, the
+   member before the slot is outside the down-set of v's [descendants]
+   and the member after it outside the up-set of its [ancestors] — the
+   two frontiers of v. The scan starts at the window, so every slot it
+   examines is feasible. Costs read the maintained labels, forcing each
+   stale [tdist] they need. [trace] reports each feasible candidate to
+   the telemetry sink — only the [schedule] path sets it, so
+   introspection helpers stay silent. *)
 let scan_positions ?(trace = false) t v ~ancestors ~descendants =
-  t.stamp <- t.stamp + 1;
-  closure t ~backward:true t.up ancestors;
-  closure t ~backward:false t.down descendants;
-  let stamp = t.stamp and up = t.up and down = t.down in
   let intrinsic_src = max_sdist t ancestors 0 in
   let intrinsic_snk = max_tdist t descendants 0 in
   let delay_v = Graph.delay t.graph v in
@@ -381,14 +483,13 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
   let scanned = ref 0 in
   List.iter
     (fun k ->
+      let lo = bound t t.lat ~later:true k ancestors (-1) in
+      let hi = bound t t.ear ~later:false k descendants (-1) in
       (* Position at the head of thread k. *)
-      let first = t.head.(k) in
-      incr scanned;
-      let head_feasible = first < 0 || up.(first) <> stamp in
-      if head_feasible then begin
-        let tdist_next =
-          if first < 0 then 0 else (Vec.get t.nodes first).tdist
-        in
+      if lo < 0 then begin
+        let first = t.head.(k) in
+        incr scanned;
+        let tdist_next = if first < 0 then 0 else tdist_of t first in
         let cost =
           max 0 intrinsic_src + max tdist_next intrinsic_snk + delay_v
         in
@@ -397,33 +498,26 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
           Tel.emit (fun s ->
               s.Tel.Sink.candidate ~v ~thread:k ~after:None ~cost)
       end;
-      (* Positions after each member. *)
+      (* Positions after each member of the window. *)
       let rec after_each w =
-        if w >= 0 then begin
+        if w >= 0 && w <> hi then begin
           let nw = Vec.get t.nodes w in
           let next = nw.next in
           incr scanned;
-          let feasible =
-            down.(w) <> stamp && (next < 0 || up.(next) <> stamp)
+          let tdist_next = if next < 0 then 0 else tdist_of t next in
+          let cost =
+            max nw.sdist intrinsic_src
+            + max tdist_next intrinsic_snk
+            + delay_v
           in
-          if feasible then begin
-            let tdist_next =
-              if next < 0 then 0 else (Vec.get t.nodes next).tdist
-            in
-            let cost =
-              max nw.sdist intrinsic_src
-              + max tdist_next intrinsic_snk
-              + delay_v
-            in
-            result := ({ thread = k; after = Some w }, cost) :: !result;
-            if trace then
-              Tel.emit (fun s ->
-                  s.Tel.Sink.candidate ~v ~thread:k ~after:(Some w) ~cost)
-          end;
+          result := ({ thread = k; after = Some w }, cost) :: !result;
+          if trace then
+            Tel.emit (fun s ->
+                s.Tel.Sink.candidate ~v ~thread:k ~after:(Some w) ~cost);
           after_each next
         end
       in
-      after_each t.head.(k))
+      after_each (if lo < 0 then t.head.(k) else lo))
     (allowed_threads t v);
   (List.rev !result, !scanned)
 
@@ -438,6 +532,11 @@ let feasible_positions t v =
   else if is_free_op t v then []
   else List.map fst (fst (costed_positions t v))
 
+let sink_distance t v =
+  if not (node t v).scheduled then
+    invalid_arg "Threaded_graph.sink_distance: unscheduled vertex";
+  tdist_of t v
+
 let predicted_cost t v position =
   sync t;
   match List.assoc_opt position (fst (costed_positions t v)) with
@@ -445,16 +544,6 @@ let predicted_cost t v position =
   | None -> invalid_arg "Threaded_graph.predicted_cost: infeasible position"
 
 (* --- commit ------------------------------------------------------- *)
-
-let renumber_thread t k =
-  let rec walk v i =
-    if v >= 0 then begin
-      let n = Vec.get t.nodes v in
-      n.pos <- i;
-      walk n.next (i + 1)
-    end
-  in
-  walk t.head.(k) 0
 
 let add_explicit_edge t p v =
   let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
@@ -580,7 +669,15 @@ let splice t v { thread = k; after } =
     nw.next <- v;
     if next >= 0 then (Vec.get t.nodes next).prev <- v
     else t.tail.(k) <- v);
-  renumber_thread t k
+  (* The members before v keep their positions. *)
+  let rec renumber x i =
+    if x >= 0 then begin
+      let n = Vec.get t.nodes x in
+      n.pos <- i;
+      renumber n.next (i + 1)
+    end
+  in
+  renumber v (if nv.prev >= 0 then pos t nv.prev + 1 else 0)
 
 (* Re-tighten the edges between the freshly placed [v] (thread [k], -1
    if free) and its two frontiers. A scheduled G-ancestor off the
@@ -589,19 +686,102 @@ let link t ~v ~k ~ancestors ~descendants =
   List.iter (fun p -> link_ancestor t ~v ~k p) ancestors;
   List.iter (fun q -> link_descendant t ~v ~k q) descendants
 
+(* --- window vectors at commit ------------------------------------------ *)
+
+(* Merge [src]'s row of [rows] into [x]'s, keeping the later entry of
+   each column if [later], else the earlier. Returns whether [x]'s row
+   changed. *)
+let merge_row t rows ~later ~src x =
+  let w = t.width in
+  let changed = ref false in
+  for j = 0 to w - 1 do
+    let c = rows.((src * w) + j) in
+    if c >= 0 && beyond t ~later c rows.((x * w) + j) then begin
+      rows.((x * w) + j) <- c;
+      changed := true
+    end
+  done;
+  !changed
+
+let rec merge_rows t rows ~later xs v =
+  match xs with
+  | [] -> ()
+  | x :: rest ->
+    ignore (merge_row t rows ~later ~src:x v);
+    merge_rows t rows ~later rest v
+
+(* Merge [src]'s row into [x]'s and queue [x] at [tail] if that changed
+   it. Returns the new tail. *)
+let push_to t rows ~later ~src x tail =
+  if x >= 0 && merge_row t rows ~later ~src x then begin
+    t.order.(tail) <- x;
+    tail + 1
+  end
+  else tail
+
+let rec push_all t rows ~later ~src xs tail =
+  match xs with
+  | [] -> tail
+  | x :: rest ->
+    push_all t rows ~later ~src rest (push_to t rows ~later ~src x tail)
+
+(* Push [src]'s row on from [x]: to its state successors if [later],
+   else to its predecessors. *)
+let push_from t rows ~later ~src x tail =
+  let nx = Vec.get t.nodes x in
+  if later then
+    push_all t rows ~later ~src nx.succs
+      (push_to t rows ~later ~src nx.next tail)
+  else
+    push_all t rows ~later ~src nx.preds
+      (push_to t rows ~later ~src nx.prev tail)
+
+let push_row t rows ~later v =
+  let tail = ref (push_from t rows ~later ~src:v v 0) and head = ref 0 in
+  while !head < !tail do
+    let x = t.order.(!head) in
+    incr head;
+    tail := push_from t rows ~later ~src:v x !tail
+  done
+
+(* v's rows from its state neighbours after [link] (they hold -1 until
+   then: pushes follow state edges, which join scheduled vertices only),
+   then pushed. The commit orders exactly v's ancestors before v's
+   descendants, so every descendant x of v gets lat x := max (lat x)
+   (lat v) and every ancestor ear x := min (ear x) (ear v), column by
+   column. [lat] only grows along a state edge and [ear] only shrinks,
+   so a vertex whose row did not change already bounds every row beyond
+   it, and the push stops there. Each vertex is queued at most once per
+   push. *)
+let set_windows t v =
+  let nv = Vec.get t.nodes v in
+  let w = t.width in
+  if nv.prev >= 0 then ignore (merge_row t t.lat ~later:true ~src:nv.prev v);
+  merge_rows t t.lat ~later:true nv.preds v;
+  if nv.next >= 0 then ignore (merge_row t t.ear ~later:false ~src:nv.next v);
+  merge_rows t t.ear ~later:false nv.succs v;
+  if nv.thread >= 0 then begin
+    t.lat.((v * w) + nv.thread) <- v;
+    t.ear.((v * w) + nv.thread) <- v
+  end;
+  push_row t t.lat ~later:true v;
+  push_row t t.ear ~later:false v
+
 (* --- labels --------------------------------------------------------- *)
 
 (* A commit only adds edges at the committed vertex v (the splice
    [w -> v -> next], and [p -> v]/[v -> q] from [link]); every edge it
    drops is implied by a path through v. So no label shrinks, sdist can
-   grow only below v and tdist only above it, and the propagation below
-   starts from v and stops wherever a label does not grow.
+   grow only below v and tdist only above it. The sdist propagation
+   below starts from v and stops wherever a label does not grow; above
+   v, a tdist that may grow is only marked stale, and recomputed when
+   read.
 
-   The queue is a max-heap over [order] keyed on the label the pass does
-   not change: pushing sdist down pops by tdist, pushing tdist up pops
-   by sdist. By Lemma 6 those keys are already the vertices' final
-   labels. Along a state edge [x -> y], tdist x >= tdist y + delay x
-   and sdist y >= sdist x + delay y, so popping the largest key first
+   The queue is a max-heap over [order] keyed on tdist, which by Lemma 6
+   is already final below v (forcing v's own tdist made every
+   descendant of v fresh, so the keys cost no recomputation). Along a
+   state edge [x -> y], tdist x >= tdist y + delay x and
+   sdist y >= sdist x + delay y, so popping the largest key first
    settles a vertex before it is popped and relabels it once. Only a
    zero-delay end can tie, and for it a re-relaxation stays exact.
    While a vertex is queued, [queued] holds its key. *)
@@ -631,55 +811,44 @@ let rec sift_down t size x kx i =
     else t.order.(i) <- x
   end
 
-(* Offer [x], a state neighbour of a vertex whose pushed label is
-   [label], the label [label + delay x]; queue [x] if that grows its
-   label. A cycle the commit closes passes through v; when v has a
-   nonzero delay, labels grow all around it and the propagation comes
-   back to v. Returns the new heap size. *)
-let relax t ~down ~v ~label x size =
+(* Offer [x], a state successor of a vertex whose sdist is [label], the
+   label [label + delay x]; queue [x] if that grows its label. A cycle
+   the commit closes passes through v; when v has a nonzero delay,
+   labels grow all around it and the propagation comes back to v.
+   Returns the new heap size. *)
+let relax t ~v ~label x size =
   if x = v then
     failwith "Threaded_graph.relabel: scheduling state contains a cycle";
   let nx = Vec.get t.nodes x in
   let l = label + Graph.delay t.graph x in
-  let current = if down then nx.sdist else nx.tdist in
-  if l <= current then size
+  if l <= nx.sdist then size
   else begin
-    if down then nx.sdist <- l else nx.tdist <- l;
+    nx.sdist <- l;
     if t.queued.(x) >= 0 then size
     else begin
-      let kx = if down then nx.tdist else nx.sdist in
+      let kx = tdist_of t x in
       t.queued.(x) <- kx;
       sift_up t x kx size;
       size + 1
     end
   end
 
-let rec relax_all t ~down ~v ~label xs size =
+let rec relax_all t ~v ~label xs size =
   match xs with
   | [] -> size
-  | x :: rest ->
-    relax_all t ~down ~v ~label rest (relax t ~down ~v ~label x size)
+  | x :: rest -> relax_all t ~v ~label rest (relax t ~v ~label x size)
 
-(* Push [w]'s sdist to its state successors ([down]) or its tdist to
-   its state predecessors. *)
-let relax_neighbours t ~down ~v w size =
+(* Push [w]'s sdist to its state successors. *)
+let relax_neighbours t ~v w size =
   let nw = Vec.get t.nodes w in
-  if down then
-    let size =
-      if nw.next >= 0 then relax t ~down ~v ~label:nw.sdist nw.next size
-      else size
-    in
-    relax_all t ~down ~v ~label:nw.sdist nw.succs size
-  else
-    let size =
-      if nw.prev >= 0 then relax t ~down ~v ~label:nw.tdist nw.prev size
-      else size
-    in
-    relax_all t ~down ~v ~label:nw.tdist nw.preds size
+  let size =
+    if nw.next >= 0 then relax t ~v ~label:nw.sdist nw.next size else size
+  in
+  relax_all t ~v ~label:nw.sdist nw.succs size
 
-(* One pass of the propagation from [v]; returns the vertices popped. *)
-let propagate t v ~down =
-  let size = ref (relax_neighbours t ~down ~v v 0) in
+(* The sdist propagation from [v]; returns the vertices popped. *)
+let propagate t v =
+  let size = ref (relax_neighbours t ~v v 0) in
   let popped = ref 0 in
   while !size > 0 do
     let w = t.order.(0) in
@@ -688,27 +857,67 @@ let propagate t v ~down =
     let last = t.order.(!size) in
     sift_down t !size last t.queued.(last) 0;
     incr popped;
-    size := relax_neighbours t ~down ~v w !size
+    size := relax_neighbours t ~v w !size
   done;
   !popped
 
-(* The paper's forwardLabel/backwardLabel, made incremental: v's labels
-   from its neighbours, the diameter through v, then both propagations.
-   Returns the number of vertices relabelled, v included. *)
+(* Mark [x] stale and queue it at [tail], unless it is stale already (a
+   stale vertex's predecessors are stale too, so the walk stops there)
+   or [via] says its sink distance keeps: a fresh state predecessor of
+   the committed vertex is exact, and v (of sink distance [via]) is its
+   only new successor, so its sink distance grows iff
+   via + delay x > tdist x; if it does not, no ancestor's grows through
+   it. [via] is -1 above v's predecessors. Returns the new tail. *)
+let mark t ~via x tail =
+  let nx = Vec.get t.nodes x in
+  if nx.stale || (via >= 0 && via + Graph.delay t.graph x <= nx.tdist) then
+    tail
+  else begin
+    nx.stale <- true;
+    t.order.(tail) <- x;
+    tail + 1
+  end
+
+let rec mark_all t ~via xs tail =
+  match xs with
+  | [] -> tail
+  | x :: rest -> mark_all t ~via rest (mark t ~via x tail)
+
+let mark_preds t ~via x tail =
+  let nx = Vec.get t.nodes x in
+  let tail = if nx.prev >= 0 then mark t ~via nx.prev tail else tail in
+  mark_all t ~via nx.preds tail
+
+(* Mark stale every state ancestor of [v] whose sink distance may have
+   grown; returns how many were marked. *)
+let mark_stale t v =
+  let via = (Vec.get t.nodes v).tdist in
+  let tail = ref (mark_preds t ~via v 0) and head = ref 0 in
+  while !head < !tail do
+    let x = t.order.(!head) in
+    incr head;
+    tail := mark_preds t ~via:(-1) x !tail
+  done;
+  !tail
+
+(* The paper's forwardLabel/backwardLabel, made incremental and lazy:
+   v's labels from its neighbours (forcing the successors' tdist), the
+   diameter through v, the sdist propagation below v and the stale marks
+   above it. Counts v, the vertices popped and the new marks into
+   [relabelled]. *)
 let relabel t v =
   let nv = Vec.get t.nodes v in
   let delay_v = Graph.delay t.graph v in
   let before = if nv.prev >= 0 then (Vec.get t.nodes nv.prev).sdist else 0 in
   nv.sdist <- max_sdist t nv.preds before + delay_v;
-  let after = if nv.next >= 0 then (Vec.get t.nodes nv.next).tdist else 0 in
+  let after = if nv.next >= 0 then tdist_of t nv.next else 0 in
   nv.tdist <- max_tdist t nv.succs after + delay_v;
   t.diameter <- max t.diameter (nv.sdist + nv.tdist - delay_v);
-  let below = propagate t v ~down:true in
-  1 + below + propagate t v ~down:false
+  let below = propagate t v in
+  t.relabelled <- t.relabelled + 1 + below + mark_stale t v
 
 (* [ancestors]/[descendants] are v's frontiers, as computed for the scan
-   that chose [position]: placing v changes neither list. Returns the
-   relabelled count. *)
+   that chose [position]: placing v changes neither list. *)
 let commit t v position ~ancestors ~descendants =
   let nv = Vec.get t.nodes v in
   splice t v position;
@@ -716,6 +925,7 @@ let commit t v position ~ancestors ~descendants =
   t.n_scheduled <- t.n_scheduled + 1;
   link t ~v ~k:position.thread ~ancestors ~descendants;
   spread t v;
+  set_windows t v;
   relabel t v
 
 let commit_free t v =
@@ -727,6 +937,7 @@ let commit_free t v =
   t.n_scheduled <- t.n_scheduled + 1;
   link t ~v ~k:(-1) ~ancestors ~descendants;
   spread t v;
+  set_windows t v;
   relabel t v
 
 let commit_at t v position =
@@ -741,7 +952,43 @@ let commit_at t v position =
   let costed, _ = scan_positions t v ~ancestors ~descendants in
   if not (List.mem_assoc position costed) then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
-  ignore (commit t v position ~ancestors ~descendants)
+  commit t v position ~ancestors ~descendants
+
+let no_thread t v =
+  invalid_arg
+    (Printf.sprintf "Threaded_graph.schedule: no thread can execute %s (%s)"
+       (Graph.name t.graph v)
+       (Op.to_string (Graph.op t.graph v)))
+
+let schedule_degraded t v =
+  sync t;
+  let nv = node t v in
+  if not nv.scheduled then
+    if is_free_op t v then commit_free t v
+    else begin
+      let ancestors = frontier t ~backward:true v in
+      let descendants = frontier t ~backward:false v in
+      let position =
+        match (allowed_threads t v, descendants) with
+        | [], _ -> no_thread t v
+        | k0 :: ks, [] ->
+          (* Every tail slot is feasible: take the earliest-finishing. *)
+          let finish k =
+            if t.tail.(k) < 0 then 0 else (Vec.get t.nodes t.tail.(k)).sdist
+          in
+          let k =
+            List.fold_left
+              (fun k j -> if finish j < finish k then j else k)
+              k0 ks
+          in
+          let last = t.tail.(k) in
+          { thread = k; after = (if last < 0 then None else Some last) }
+        | k :: _, _ :: _ ->
+          let lo = bound t t.lat ~later:true k ancestors (-1) in
+          { thread = k; after = (if lo < 0 then None else Some lo) }
+      in
+      commit t v position ~ancestors ~descendants
+    end
 
 type tie_break = [ `First | `Balance | `Pack ]
 
@@ -755,7 +1002,7 @@ let thread_population t k =
    recount of edges and degree maxima (and an optional transitive-closure
    softness sample) — only ever run with a sink installed, never on the
    production path. *)
-let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~walked0 ~t0 =
+let emit_schedule_done t ~v ~thread ~scanned ~relabelled0 ~walked0 ~t0 =
   let state_edges, max_in, max_out = edge_degree_stats t in
   let ordered_pairs =
     if Tel.softness_due () then
@@ -765,7 +1012,7 @@ let emit_schedule_done t ~v ~thread ~scanned ~relabelled ~walked0 ~t0 =
   let summary =
     {
       Tel.scanned;
-      relabelled;
+      relabelled = t.relabelled - relabelled0;
       walked = t.walked - walked0;
       diameter = t.diameter;
       state_edges;
@@ -788,7 +1035,7 @@ let schedule ?(tie = `First) t v =
   if not nv.scheduled then begin
     let tel = Tel.enabled () in
     let t0 = if tel then Tel.now_ns () else 0 in
-    let walked0 = t.walked in
+    let walked0 = t.walked and relabelled0 = t.relabelled in
     if tel then
       Tel.emit (fun s ->
           s.Tel.Sink.schedule_start ~v ~name:(Graph.name t.graph v));
@@ -796,9 +1043,9 @@ let schedule ?(tie = `First) t v =
       if tel then
         Tel.emit (fun s ->
             s.Tel.Sink.free_placed ~v ~name:(Graph.name t.graph v));
-      let relabelled = commit_free t v in
+      commit_free t v;
       if tel then
-        emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled ~walked0
+        emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled0 ~walked0
           ~t0
     end
     else begin
@@ -808,12 +1055,7 @@ let schedule ?(tie = `First) t v =
         scan_positions ~trace:tel t v ~ancestors ~descendants
       in
       match costed with
-      | [] ->
-        invalid_arg
-          (Printf.sprintf
-             "Threaded_graph.schedule: no thread can execute %s (%s)"
-             (Graph.name t.graph v)
-             (Op.to_string (Graph.op t.graph v)))
+      | [] -> no_thread t v
       | (first_pos, first_cost) :: rest ->
         let best_cost =
           List.fold_left (fun acc (_, c) -> min acc c) first_cost rest
@@ -846,10 +1088,10 @@ let schedule ?(tie = `First) t v =
           Tel.emit (fun s ->
               s.Tel.Sink.chosen ~v ~thread:best_pos.thread
                 ~after:best_pos.after ~cost:best_cost);
-        let relabelled = commit t v best_pos ~ancestors ~descendants in
+        commit t v best_pos ~ancestors ~descendants;
         if tel then
           emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned
-            ~relabelled ~walked0 ~t0
+            ~relabelled0 ~walked0 ~t0
     end
   end
 
@@ -870,7 +1112,7 @@ let to_schedule ?(placement = `Asap) t =
         let n = Vec.get t.nodes v in
         match placement with
         | `Asap -> n.sdist - Graph.delay t.graph v
-        | `Alap -> dia - n.tdist)
+        | `Alap -> dia - tdist_of t v)
   in
   Schedule.make t.graph ~starts
 
@@ -924,6 +1166,7 @@ let copy t =
              succs = n.succs;
              sdist = n.sdist;
              tdist = n.tdist;
+             stale = n.stale;
              above = n.above;
              below = n.below;
            }))
@@ -934,12 +1177,17 @@ let copy t =
     head = Array.copy t.head;
     tail = Array.copy t.tail;
     nodes;
+    width = t.width;
+    lat = Array.copy t.lat;
+    ear = Array.copy t.ear;
     n_scheduled = t.n_scheduled;
     gen = t.gen;
     diameter = t.diameter;
     walked = 0;
+    relabelled = 0;
     queued = [||];
     order = [||];
+    stack = [||];
     up = [||];
     down = [||];
     stamp = 0;

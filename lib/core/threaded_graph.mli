@@ -27,12 +27,23 @@ open Import
     Three repairs relative to the paper's pseudo-code are implemented and
     documented in DESIGN.md §2: insertion at the head of a thread is
     allowed, the cost uses the {e new} vertex's delay, and feasibility is
-    checked against the state's full partial order (up-set/down-set
-    marks), not just the two adjacent positions.
+    checked against the state's full partial order, not just the two
+    adjacent positions. The state answers that check from per-vertex
+    window vectors (for each thread, the latest member ordered before the
+    vertex and the earliest one ordered after it), so a feasible window
+    is read off, not walked.
 
     The input graph may {e grow} after scheduling has started (spill
     code, wire delays, engineering changes): the state lazily extends
-    itself, which is precisely the refinement workflow of Figure 1. *)
+    itself, which is precisely the refinement workflow of Figure 1.
+
+    Sink distances are computed lazily: a commit marks the ones it may
+    lengthen stale, and the next read recomputes them. Reads that need
+    them ({!feasible_positions}, {!predicted_cost}, {!commit_at},
+    {!sink_distance} and [`Alap] export) therefore write the state's
+    label cache: a state must not be read from two domains at once. The
+    service, batch and race paths each build and read a state within
+    one job. *)
 
 type t
 
@@ -64,6 +75,16 @@ val schedule : ?tie:tie_break -> t -> Graph.vertex -> unit
 val schedule_all : ?tie:tie_break -> t -> Graph.vertex list -> unit
 (** Folds {!schedule} over a meta schedule. *)
 
+val schedule_degraded : t -> Graph.vertex -> unit
+(** The placement for a run past its deadline: one frontier walk each
+    way and one commit, with no position scan and no cost. With no
+    scheduled descendant (always under a topological remainder) the
+    operation is appended to the compatible thread whose tail finishes
+    earliest; otherwise it takes the first feasible slot in scan order.
+    Zero-resource operations are placed free. The state stays a valid
+    threaded state, just not a diameter-minimising one. No-op if
+    already scheduled. @raise Invalid_argument as {!schedule}. *)
+
 val is_scheduled : t -> Graph.vertex -> bool
 val n_scheduled : t -> int
 
@@ -77,8 +98,8 @@ val thread_members : t -> int -> Graph.vertex list
 val diameter : t -> int
 (** The paper's [‖S‖]: longest delay-weighted path in the state. This is
     what Definition 5 minimises and Lemma 4 proves monotonic. O(1): each
-    commit keeps it, and every vertex's source and sink distance, up to
-    date by propagating from the committed vertex. *)
+    commit keeps it, and every vertex's source distance, up to date by
+    propagating from the committed vertex. *)
 
 val state_graph : t -> Graph.t
 (** The scheduling state exported as a precedence graph over the
@@ -104,9 +125,9 @@ val to_schedule : ?placement:[ `Asap | `Alap ] -> t -> Schedule.t
 val copy : t -> t
 (** Deep copy sharing the (mutable) underlying graph — cheap state
     snapshotting for the naive reference scheduler and the tests. The
-    copy carries the labels, the diameter and the frontier-walk flags,
-    and owns its own kernel scratch, so a state and its copies may be
-    scheduled alternately. *)
+    copy carries the labels with their stale marks, the window vectors,
+    the diameter and the frontier-walk flags, and owns its own kernel
+    scratch, so a state and its copies may be scheduled alternately. *)
 
 type stats = {
   n_scheduled : int;
@@ -143,6 +164,12 @@ val commit_at : t -> Graph.vertex -> position -> unit
 (** Force a specific placement (bypasses [select]); used by the naive
     speculative scheduler and by adversarial tests.
     @raise Invalid_argument if the position is infeasible. *)
+
+val sink_distance : t -> Graph.vertex -> int
+(** A scheduled vertex's sink distance in the state: the longest
+    delay-weighted path from it to a sink, its own delay included, as
+    [`Alap] export reads it ([diameter - sink_distance] is the ALAP
+    start). @raise Invalid_argument on an unscheduled vertex. *)
 
 val predicted_cost : t -> Graph.vertex -> position -> int
 (** The select cost of a position: the resulting distance through the

@@ -11,6 +11,7 @@ type node = {
 type t = {
   nodes : node Vec.t;
   mutable n_edges : int;
+  mutable total_delay : int;
   edge_set : (vertex * vertex, unit) Hashtbl.t;
   mutable generation : int; (* bumped by every structural change *)
 }
@@ -24,6 +25,7 @@ let create () =
   {
     nodes = Vec.create ~dummy:dummy_node ();
     n_edges = 0;
+    total_delay = 0;
     edge_set = Hashtbl.create 64;
     generation = 0;
   }
@@ -38,9 +40,16 @@ let node g v =
     invalid_arg (Printf.sprintf "Graph: unknown vertex %d" v);
   Vec.get g.nodes v
 
+let max_total_delay = (1 lsl 53) - 1
+
 let add_vertex g ?delay ?name op =
   let delay = match delay with Some d -> d | None -> Delay.of_op op in
   if delay < 0 then invalid_arg "Graph.add_vertex: negative delay";
+  if delay > max_total_delay - g.total_delay then
+    invalid_arg
+      (Printf.sprintf "Graph.add_vertex: delay %d takes the total delay past %d"
+         delay max_total_delay);
+  g.total_delay <- g.total_delay + delay;
   let id = Vec.length g.nodes in
   let name = match name with Some n -> n | None -> Printf.sprintf "v%d" id in
   let _index =
@@ -201,11 +210,12 @@ let copy g =
   {
     nodes;
     n_edges = g.n_edges;
+    total_delay = g.total_delay;
     edge_set = Hashtbl.copy g.edge_set;
     generation = g.generation;
   }
 
-let total_delay g = fold_vertices (fun acc v -> acc + delay g v) 0 g
+let total_delay g = g.total_delay
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>graph: %d vertices, %d edges" (n_vertices g)

@@ -22,9 +22,16 @@ type vertex = int
 
 val create : unit -> t
 
+val max_total_delay : int
+(** 2{^53} - 1: the largest sum of delays a graph may carry. It bounds
+    every path length, hence every label, step and schedule length, so
+    none overflows and each prints exactly as a JSON number. *)
+
 val add_vertex : t -> ?delay:int -> ?name:string -> Op.t -> vertex
 (** Adds an operation vertex. [delay] defaults to {!Delay.of_op}.
-    [name] is a debugging / output label. *)
+    [name] is a debugging / output label. @raise Invalid_argument on a
+    negative delay, or one that takes {!total_delay} past
+    {!max_total_delay}, leaving the graph unchanged. *)
 
 val add_edge : t -> vertex -> vertex -> unit
 (** [add_edge g u v] records the dependence [u -> v] ("u before v").
@@ -102,7 +109,8 @@ val is_dag : t -> bool
 val copy : t -> t
 
 val total_delay : t -> int
-(** Sum of all vertex delays — a lower bound on any 1-resource schedule. *)
+(** Sum of all vertex delays — a lower bound on any 1-resource schedule.
+    O(1). *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line dump: one vertex per line with op, delay and successors. *)

@@ -58,7 +58,11 @@ let of_string text =
             | None -> fail line (Printf.sprintf "bad delay %S" d))
           | _ -> fail line "trailing tokens after delay"
         in
-        let v = Graph.add_vertex g ?delay ~name op in
+        let v =
+          try Graph.add_vertex g ?delay ~name op
+          with Invalid_argument _ ->
+            fail line "delay takes the total delay past 2^53 - 1"
+        in
         Hashtbl.replace by_name name v
       | [ "edge"; src; dst ] ->
         let u = lookup line src and v = lookup line dst in

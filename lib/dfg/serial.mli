@@ -19,7 +19,8 @@ val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
 (** @raise Parse_error on malformed input (unknown op, duplicate or
-    undeclared vertex name, negative delay, malformed line). *)
+    undeclared vertex name, negative delay, a delay that takes the
+    graph's total past {!Graph.max_total_delay}, malformed line). *)
 
 val load : string -> Graph.t
 (** Read a graph from a file path. *)

@@ -14,6 +14,7 @@ type t = {
   mutable preds_rev : (vertex * int) list array;
   mutable succs_rev : (vertex * int) list array;
   mutable n_edges : int;
+  mutable total_delay : int;
 }
 
 let create () =
@@ -25,6 +26,7 @@ let create () =
     preds_rev = [||];
     succs_rev = [||];
     n_edges = 0;
+    total_delay = 0;
   }
 
 let grow g =
@@ -46,6 +48,12 @@ let grow g =
 let add_vertex g ?delay ?name op =
   let delay = match delay with Some d -> d | None -> Delay.of_op op in
   if delay < 0 then invalid_arg "Loop_graph.add_vertex: negative delay";
+  if delay > Graph.max_total_delay - g.total_delay then
+    invalid_arg
+      (Printf.sprintf
+         "Loop_graph.add_vertex: delay %d takes the total delay past %d" delay
+         Graph.max_total_delay);
+  g.total_delay <- g.total_delay + delay;
   grow g;
   let v = g.n in
   g.n <- v + 1;
@@ -116,12 +124,7 @@ let max_distance g =
   iter_edges (fun _ _ d -> if d > !m then m := d) g;
   !m
 
-let total_delay g =
-  let acc = ref 0 in
-  for v = 0 to g.n - 1 do
-    acc := !acc + g.delays.(v)
-  done;
-  !acc
+let total_delay g = g.total_delay
 
 let vertices g = List.init g.n (fun v -> v)
 
@@ -270,6 +273,7 @@ let copy g =
     preds_rev = Array.copy g.preds_rev;
     succs_rev = Array.copy g.succs_rev;
     n_edges = g.n_edges;
+    total_delay = g.total_delay;
   }
 
 let pp ppf g =

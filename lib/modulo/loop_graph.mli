@@ -29,7 +29,9 @@ val create : unit -> t
 
 val add_vertex : t -> ?delay:int -> ?name:string -> Op.t -> vertex
 (** [delay] defaults to {!Delay.of_op}; [name] to ["v<i>"].
-    @raise Invalid_argument on a negative delay, leaving [t] unchanged. *)
+    @raise Invalid_argument on a negative delay, or one that takes
+    {!total_delay} past [Dfg.Graph.max_total_delay], leaving [t]
+    unchanged. *)
 
 val add_edge : t -> ?distance:int -> vertex -> vertex -> unit
 (** [add_edge g ?distance u v] records "[v] reads [u] from [distance]

@@ -68,7 +68,11 @@ let of_string text =
             | None -> fail line (Printf.sprintf "bad delay %S" d))
           | _ -> fail line "trailing tokens after delay"
         in
-        let v = Loop_graph.add_vertex g ?delay ~name op in
+        let v =
+          try Loop_graph.add_vertex g ?delay ~name op
+          with Invalid_argument _ ->
+            fail line "delay takes the total delay past 2^53 - 1"
+        in
         Hashtbl.replace by_name name v
       | "edge" :: src :: dst :: rest ->
         let u = lookup line src and v = lookup line dst in

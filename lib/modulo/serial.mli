@@ -22,7 +22,8 @@ val to_string : Loop_graph.t -> string
 
 val of_string : string -> Loop_graph.t
 (** @raise Parse_error on malformed input (unknown op, duplicate or
-    undeclared vertex name, negative delay or distance, a zero-distance
+    undeclared vertex name, negative delay or distance, a delay that
+    takes the total past [Dfg.Graph.max_total_delay], a zero-distance
     self loop, malformed line). *)
 
 val load : string -> Loop_graph.t

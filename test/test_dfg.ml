@@ -255,7 +255,18 @@ let test_graph_copy_independent () =
 let test_graph_total_delay () =
   let g, _, _, _, _ = diamond () in
   (* add(1) + mul(2) + sub(1) + add(1) *)
-  check Alcotest.int "total" 5 (Graph.total_delay g)
+  check Alcotest.int "total" 5 (Graph.total_delay g);
+  (* The total may reach 2^53 - 1 and no further; a refused vertex
+     leaves the graph as it was. *)
+  ignore (Graph.add_vertex g ~delay:(Graph.max_total_delay - 5) Op.Mul);
+  check Alcotest.int "at the bound" Graph.max_total_delay (Graph.total_delay g);
+  ignore (Graph.add_vertex g ~delay:0 Op.Wire);
+  (match Graph.add_vertex g ~delay:1 Op.Add with
+  | _ -> Alcotest.fail "a delay past the bound was accepted"
+  | exception Invalid_argument _ -> ());
+  check Alcotest.int "vertices" 6 (Graph.n_vertices g);
+  check Alcotest.int "total unchanged" Graph.max_total_delay
+    (Graph.total_delay (Graph.copy g))
 
 (* --- Topo ---------------------------------------------------------- *)
 
@@ -553,7 +564,15 @@ let test_serial_errors () =
   expect_serial_error "vertex a add 1\nvertex a add 1" "duplicate";
   expect_serial_error "edge a b" "undeclared";
   expect_serial_error "vertex a add -2" "negative delay";
-  expect_serial_error "frobnicate" "unknown directive"
+  expect_serial_error "frobnicate" "unknown directive";
+  (* two multiplies of delay 2^62 - 1 once overflowed every label *)
+  expect_serial_error
+    "vertex a mul 4611686018427387903\nvertex b mul 4611686018427387903\n\
+     vertex c add\nedge a b\nedge b c\n"
+    "line 1: delay takes the total delay past 2^53 - 1";
+  expect_serial_error
+    (Printf.sprintf "vertex a mul %d\nvertex b mul 1\n" Graph.max_total_delay)
+    "line 2: delay takes the total delay past"
 
 let test_serial_eval_preserved () =
   let g, _, _ = evaluable_graph () in

@@ -178,7 +178,11 @@ let test_serial_errors () =
   expect_parse_error "undeclared" "vertex a add\nedge a b\n";
   expect_parse_error "duplicate" "vertex a add\nvertex a add\n";
   expect_parse_error "line 3" "vertex a add\nvertex b add\nedge a b -1\n";
-  expect_parse_error "unknown directive" "frob a b\n"
+  expect_parse_error "unknown directive" "frob a b\n";
+  expect_parse_error "line 1: delay takes the total delay past 2^53 - 1"
+    "vertex a mul 4611686018427387903\nvertex b mul 4611686018427387903\n";
+  expect_parse_error "line 2: delay takes the total delay past"
+    (Printf.sprintf "vertex a mul %d\nvertex b mul 1\n" Dfg.Graph.max_total_delay)
 
 (* --- MII -------------------------------------------------------------- *)
 

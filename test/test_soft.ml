@@ -710,11 +710,27 @@ let prop_lemma6_stable_labels =
                (Graph.vertices g))
         (shuffled_order (seed + 6) g))
 
+(* Feed [order] to [call]; with [splice], splice a fresh vertex into the
+   graph's first edge halfway through and feed it last, so [sync] grows
+   the kernel's scratch and vectors mid-run. True iff every call
+   returned true; every call runs. *)
+let calls ?(splice = true) g order call =
+  let half = List.length order / 2 in
+  let spliced = ref [] in
+  let step i v =
+    (if splice && i = half then
+       match Graph.edges g with
+       | (src, dst) :: _ ->
+         spliced := [ Dfg.Mutate.insert_on_edge g ~src ~dst ~op:Op.Add () ]
+       | [] -> ());
+    call v
+  in
+  let stepped = List.for_all Fun.id (List.mapi step order) in
+  List.for_all Fun.id (stepped :: List.map call !spliced)
+
 let prop_labels_match_paths_oracle =
   (* The array-backed labelling against Dfg.Paths on the exported state
-     graph, after every call, for every Figure 3 config and meta. One
-     vertex is spliced into a graph edge halfway through each run, so
-     [sync] grows the kernel scratch mid-run. *)
+     graph, after every call, for every Figure 3 config and meta. *)
   QCheck.Test.make ~name:"labels equal the Paths oracle on the state graph"
     ~count:25 seeded_dag (fun spec ->
       List.for_all
@@ -736,27 +752,29 @@ let prop_labels_match_paths_oracle =
                     = Paths.diameter (T.state_graph trial))
                   (T.feasible_positions st v)
               in
+              (* After each call: the ALAP start of every scheduled vertex.
+                 It is read from a copy, because reading forces stale sink
+                 distances, and forcing them in [st] would hide a missed
+                 stale mark from the calls that follow. *)
+              let alap_ok () =
+                let sg = T.state_graph st and copy = T.copy st in
+                let dia = T.diameter st in
+                let alap = Paths.alap_starts sg ~deadline:dia in
+                List.for_all
+                  (fun x ->
+                    (not (T.is_scheduled st x))
+                    || dia - T.sink_distance copy x = alap.(x))
+                  (Graph.vertices g)
+              in
               let schedule_ok v =
                 let ok = positions_ok v in
                 T.schedule st v;
                 ok && T.diameter st = Paths.diameter (T.state_graph st)
+                && alap_ok ()
               in
-              let order = meta g in
-              let half = List.length order / 2 in
-              let spliced = ref [] in
-              let step i v =
-                (if i = half then
-                   match Graph.edges g with
-                   | (src, dst) :: _ ->
-                     spliced :=
-                       [ Dfg.Mutate.insert_on_edge g ~src ~dst ~op:Op.Add () ]
-                   | [] -> ());
-                schedule_ok v
-              in
-              let stepped = List.for_all Fun.id (List.mapi step order) in
-              let tail_ok = List.for_all schedule_ok !spliced in
+              let stepped = calls g (meta g) schedule_ok in
               let sg = T.state_graph st in
-              stepped && tail_ok
+              stepped
               && S.starts (T.to_schedule ~placement:`Asap st)
                  = Paths.asap_starts sg
               && S.starts (T.to_schedule ~placement:`Alap st)
@@ -958,6 +976,88 @@ let prop_closure_property =
             R.fig3_all)
         [ graph_of spec; dag_with_free_ops spec ])
 
+(* An oracle for the feasible positions that shares nothing with the
+   kernel's windows: ⪯_S through [precedes], v's G-relatives through
+   [Reach]. The head slot of a thread admits v iff the head ⪯_S no
+   scheduled G-ancestor of v; the slot after w iff no scheduled
+   G-descendant d of v has d ⪯_S w, and next w ⪯_S no scheduled
+   G-ancestor. Zero-resource ops have no position. *)
+let oracle_positions st v =
+  let g = T.graph st in
+  match R.class_of_op (Graph.op g v) with
+  | Some cls when Graph.delay g v > 0 ->
+    let reach = Reach.of_graph g in
+    let scheduled = List.filter (T.is_scheduled st) (Graph.vertices g) in
+    let ancestors = List.filter (fun a -> Reach.precedes reach a v) scheduled in
+    let descendants = List.filter (fun d -> Reach.precedes reach v d) scheduled in
+    let preceq a b = a = b || T.precedes st a b in
+    let under_no_ancestor x = not (List.exists (preceq x) ancestors) in
+    let rec after = function
+      | [] -> []
+      | w :: rest ->
+        let ok =
+          (not (List.exists (fun d -> preceq d w) descendants))
+          && match rest with [] -> true | next :: _ -> under_no_ancestor next
+        in
+        (if ok then [ Some w ] else []) @ after rest
+    in
+    List.concat_map
+      (fun k ->
+        if not (R.equal_class (T.thread_class st k) cls) then []
+        else
+          let members = T.thread_members st k in
+          let head =
+            match members with [] -> true | first :: _ -> under_no_ancestor first
+          in
+          List.map
+            (fun after -> { T.thread = k; after })
+            ((if head then [ None ] else []) @ after members))
+      (List.init (T.n_threads st) Fun.id)
+  | _ -> []
+
+let prop_feasibility_oracle =
+  QCheck.Test.make ~name:"feasible positions equal an independent oracle"
+    ~count:20 seeded_dag (fun ((_, _, seed) as spec) ->
+      List.for_all
+        (fun build ->
+          List.for_all
+            (fun (_, resources) ->
+              List.for_all
+                (fun meta ->
+                  let g = build spec in
+                  let st = T.create g ~resources in
+                  calls g (meta g) (fun v ->
+                      let ok = T.feasible_positions st v = oracle_positions st v in
+                      T.schedule st v;
+                      ok))
+                (Meta.random ~seed :: List.map snd (Meta.fig3 ~resources)))
+            R.fig3_all)
+        [ graph_of; dag_with_free_ops ])
+
+(* Past the deadline from the first vertex on, every placement is the
+   degraded one; the state must still be a correct threaded state whose
+   export is resource-valid. *)
+let prop_degraded_state_valid =
+  QCheck.Test.make ~name:"degraded placement keeps a valid state" ~count:30
+    seeded_dag (fun ((_, _, seed) as spec) ->
+      List.for_all
+        (fun build ->
+          List.for_all
+            (fun (_, resources) ->
+              List.for_all
+                (fun meta ->
+                  let g = build spec in
+                  let st, degraded =
+                    Soft.Engine.threaded_run ~deadline:0. ~meta ~resources g
+                  in
+                  degraded
+                  && Invariant.check_all st = Ok ()
+                  && S.check ~resources (T.to_schedule st) = Ok ()
+                  && closure_property g st)
+                (Meta.random ~seed :: List.map snd (Meta.fig3 ~resources)))
+            R.fig3_all)
+        [ graph_of; dag_with_free_ops ])
+
 (* The graph grows under a half-scheduled state: a two-vertex chain
    a -> b is spliced in front of a scheduled vertex x, then a and b are
    scheduled in that order. When a is scheduled, x lies beyond the
@@ -996,6 +1096,145 @@ let test_growth_after_scheduling () =
             [ a; b ])
         R.fig3_all)
     [ 1; 2; 3; 4; 5 ]
+
+(* --- decision digest ------------------------------------------------- *)
+
+(* Every placement decision the kernel makes on a fixed set of graphs,
+   reduced to one MD5 per graph. A cell is one graph under one Figure 3
+   configuration, one meta (the four of Figure 3 and a random order), one
+   tie rule, and with or without a vertex spliced into the graph's first
+   edge halfway through the run (and scheduled last). Its text records
+   the diameter after every call, the feasible positions before every
+   call on graphs of at most 40 vertices, the final threads and the
+   ASAP/ALAP starts. A kernel change that keeps every decision keeps
+   every digest. *)
+let decision_cell build ~resources ~meta ~tie ~splice =
+  let g = build () in
+  let st = T.create g ~resources in
+  let b = Buffer.create 4096 in
+  let small = Graph.n_vertices g <= 40 in
+  let call v =
+    if small then
+      List.iter
+        (fun { T.thread; after } ->
+          Printf.bprintf b "%d/%d " thread (Option.value after ~default:(-1)))
+        (T.feasible_positions st v);
+    T.schedule ~tie st v;
+    Printf.bprintf b "| %d\n" (T.diameter st)
+  in
+  ignore (calls ~splice g (meta g) (fun v -> call v; true));
+  for k = 0 to T.n_threads st - 1 do
+    List.iter (Printf.bprintf b "%d ") (T.thread_members st k);
+    Buffer.add_char b '\n'
+  done;
+  List.iter
+    (fun placement ->
+      Array.iter (Printf.bprintf b "%d ")
+        (S.starts (T.to_schedule ~placement st));
+      Buffer.add_char b '\n')
+    [ `Asap; `Alap ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let graph_digest build =
+  let cells = Buffer.create 4096 in
+  List.iter
+    (fun (_, resources) ->
+      let metas = Meta.fig3 ~resources @ [ ("random", Meta.random ~seed:7) ] in
+      List.iter
+        (fun (_, meta) ->
+          List.iter
+            (fun tie ->
+              List.iter
+                (fun splice ->
+                  Buffer.add_string cells
+                    (decision_cell build ~resources ~meta ~tie ~splice))
+                [ false; true ])
+            [ `First; `Balance; `Pack ])
+        metas)
+    R.fig3_all;
+  Digest.to_hex (Digest.string (Buffer.contents cells))
+
+let digest_graphs =
+  let seeded label f specs =
+    List.map (fun (a, b, seed) -> (label a b seed, fun () -> f (a, b, seed))) specs
+  in
+  List.map
+    (fun e -> (e.Hls_bench.Suite.name, e.Hls_bench.Suite.build))
+    Hls_bench.Suite.all
+  @ seeded
+      (Printf.sprintf "random n=%d p=%.2f seed=%d")
+      graph_of
+      [
+        (8, 0.5, 1); (12, 0.3, 2); (16, 0.2, 3); (20, 0.15, 4); (25, 0.25, 5);
+        (30, 0.1, 6); (35, 0.12, 7); (40, 0.08, 8); (50, 0.06, 9);
+        (60, 0.05, 10);
+      ]
+  @ seeded
+      (Printf.sprintf "free ops n=%d p=%.2f seed=%d")
+      dag_with_free_ops
+      [ (12, 0.3, 11); (20, 0.2, 12); (30, 0.15, 13); (40, 0.1, 14); (60, 0.06, 15) ]
+  @ seeded
+      (Printf.sprintf "layered %dx%d seed=%d")
+      (fun (layers, width, seed) ->
+        Generate.layered (Random.State.make [| seed |]) ~layers ~width ~fanin:2)
+      [ (4, 5, 21); (6, 4, 22); (8, 5, 23); (30, 10, 24) ]
+  @ List.map
+      (fun (size, seed) ->
+        ( Printf.sprintf "series-parallel size=%d seed=%d" size seed,
+          fun () -> Generate.series_parallel (Random.State.make [| seed |]) ~size ))
+      [ (8, 31); (16, 32); (24, 33); (40, 34) ]
+
+(* Taken from the kernel before window vectors and lazy sink distances,
+   which kept every decision. *)
+let expected_digests =
+  [
+    ("HAL", "d6ffc3b709af3c2f77009ccd08e1bfc4");
+    ("AR", "82666020246afc3b830ae74b8153cb39");
+    ("EF", "fa1c462f513d319e648bac7866688b17");
+    ("FIR", "5ab19418a1d6bc71df7ea3574601d29c");
+    ("DCT", "82042c63c916dc1febc4cad280f58a01");
+    ("IIR", "4000ff1853577cdf7eb01afcfe3a9c4b");
+    ("MM3", "084907b54271d84f0b8b86dbcb3dcd2a");
+    ("CONV", "640c7dbb058fa7a3dfe79fba919929b4");
+    ("random n=8 p=0.50 seed=1", "a3f37ba7fd68edee2a3f28ef5f122d92");
+    ("random n=12 p=0.30 seed=2", "5f5e1e47ee9db336fd7ba7e310383be8");
+    ("random n=16 p=0.20 seed=3", "63e4a5343b1c7e14475392f0e4f4fe40");
+    ("random n=20 p=0.15 seed=4", "f18d5486f3b03a85cdb8d62856ffb900");
+    ("random n=25 p=0.25 seed=5", "2199c22e8799026e95f6a3bc573b2dcc");
+    ("random n=30 p=0.10 seed=6", "d502f4e1b3cbaca7208accae7c84ceac");
+    ("random n=35 p=0.12 seed=7", "baeef6590d496aa0d9ed6866d573c026");
+    ("random n=40 p=0.08 seed=8", "1b50d0afba4830fbabc12c4911e38cde");
+    ("random n=50 p=0.06 seed=9", "c880d4b69c32b7da7b07e7ffcb58031f");
+    ("random n=60 p=0.05 seed=10", "a3d4e5dc4ed198aa33e220790681ef6a");
+    ("free ops n=12 p=0.30 seed=11", "33bf928263b3518a29512a272e6d0b72");
+    ("free ops n=20 p=0.20 seed=12", "6c98f83e7a03345a5906ccf3f4b9a0bd");
+    ("free ops n=30 p=0.15 seed=13", "4ea2e495e8dc4f85cba3ac3aeee1de52");
+    ("free ops n=40 p=0.10 seed=14", "fead312ab6974c22bac10ba441c40be1");
+    ("free ops n=60 p=0.06 seed=15", "7b3074f88eddad03d12f10e884f59f4a");
+    ("layered 4x5 seed=21", "602690b0dc1a62491a4bff7759b706c8");
+    ("layered 6x4 seed=22", "5bcda0312709cf5aa911e7e8875bdf8c");
+    ("layered 8x5 seed=23", "90c79ac698c75fcf091dc4cebfe51308");
+    ("layered 30x10 seed=24", "5aaaa6e005b3d90ae251deb37aa545a8");
+    ("series-parallel size=8 seed=31", "f3aa80a2f2ec4ae69a46aca94e558802");
+    ("series-parallel size=16 seed=32", "1996ce7acd59ac2fc010efc572f4857a");
+    ("series-parallel size=24 seed=33", "a1d5360f92be98c0e6c613999599bfcf");
+    ("series-parallel size=40 seed=34", "44edf8ba3854f7ddea43d5fbba8daa8d");
+  ]
+
+let test_decision_digest () =
+  let mismatches =
+    List.filter_map
+      (fun (label, build) ->
+        let actual = graph_digest build in
+        match List.assoc_opt label expected_digests with
+        | Some expected when expected = actual -> None
+        | _ -> Some (Printf.sprintf "(%S, %S);" label actual))
+      digest_graphs
+  in
+  if mismatches <> [] then
+    Alcotest.failf "decisions changed on %d graph(s):\n%s"
+      (List.length mismatches)
+      (String.concat "\n" mismatches)
 
 (* --- the engine list ------------------------------------------------ *)
 
@@ -1094,6 +1333,8 @@ let () =
           Alcotest.test_case "threads view" `Quick test_render_threads;
           Alcotest.test_case "timeline view" `Quick test_render_timeline;
         ] );
+      ( "kernel",
+        [ Alcotest.test_case "decision digest" `Quick test_decision_digest ] );
       ("engine", [ Alcotest.test_case "static list" `Quick test_engine_list ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1110,5 +1351,7 @@ let () =
             prop_labels_match_paths_oracle;
             prop_relabelling_bound;
             prop_closure_property;
+            prop_feasibility_oracle;
+            prop_degraded_state_valid;
           ] );
     ]
