@@ -43,20 +43,6 @@ let json_results : (string * string * float * string) list ref = ref []
 let record ~sec ~name ~unit value =
   json_results := (sec, name, value, unit) :: !json_results
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Stamp results with the report schema version and the source
    revision, so archived BENCH_softsched.json files stay attributable
    long after the run. *)
@@ -69,20 +55,23 @@ let write_json file =
   let tmp = file ^ ".tmp" in
   let oc = open_out tmp in
   let rows = List.rev !json_results in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"softsched\",\n  \"schema_version\": %d,\n  \
-     \"git\": \"%s\",\n  \"results\": ["
-    bench_schema_version
-    (json_escape (Qor.Report.git_describe ()));
-  List.iteri
-    (fun i (sec, name, value, unit) ->
-      Printf.fprintf oc
-        "%s\n    { \"section\": \"%s\", \"name\": \"%s\", \"value\": %g, \
-         \"unit\": \"%s\" }"
-        (if i = 0 then "" else ",")
-        (json_escape sec) (json_escape name) value (json_escape unit))
-    rows;
-  Printf.fprintf oc "\n  ]\n}\n";
+  let row (sec, name, value, unit) =
+    Json.Obj
+      [
+        ("section", Json.str sec); ("name", Json.str name);
+        ("value", Json.num value); ("unit", Json.str unit);
+      ]
+  in
+  output_string oc
+    (Json.to_string
+       (Json.Obj
+          [
+            ("suite", Json.str "softsched");
+            ("schema_version", Json.int bench_schema_version);
+            ("git", Json.str (Qor.Report.git_describe ()));
+            ("results", Json.Arr (List.map row rows));
+          ]));
+  output_char oc '\n';
   close_out oc;
   Sys.rename tmp file;
   Printf.printf "\nwrote %d result rows to %s\n" (List.length rows) file

@@ -198,10 +198,12 @@ module Tel_cli = struct
     else begin
       let counters = Telemetry.Counters.create () in
       let recorder = Telemetry.Recorder.create () in
+      (* Locked: batch, serve and races feed it from several domains. *)
       let sink =
-        Telemetry.Sink.tee
-          (Telemetry.Counters.sink counters)
-          (Telemetry.Recorder.sink recorder)
+        Telemetry.locked
+          (Telemetry.tee
+             (Telemetry.Counters.sink counters)
+             (Telemetry.Recorder.sink recorder))
       in
       (* Softness (|≺_S|) costs a transitive closure per sample; only
          pay for it when the counters are going to be printed. *)
@@ -797,7 +799,7 @@ let write_atomic path content =
 let dump_metrics service metrics path =
   let cache = Serve.Service.cache_stats service in
   write_atomic path
-    (Qor.Json.to_string ~minify:false
+    (Json.to_string ~minify:false
        (Serve.Metrics.snapshot_json ~cache metrics)
     ^ "\n");
   write_atomic (path ^ ".prom") (Serve.Metrics.to_prometheus ~cache metrics)
@@ -1020,11 +1022,11 @@ let run_stats socket tcp raw =
   in
   if raw then print_endline reply
   else
-    match Qor.Json.parse_result reply with
+    match Json.parse_result reply with
     | Error m -> failwith (Printf.sprintf "unparseable reply: %s" m)
     | Ok j -> (
-      match Qor.Json.member "stats" j with
-      | Some stats -> print_endline (Qor.Json.to_string ~minify:false stats)
+      match Json.member "stats" j with
+      | Some stats -> print_endline (Json.to_string ~minify:false stats)
       | None -> failwith (Printf.sprintf "daemon replied without stats: %s" reply))
 
 let stats_cmd =

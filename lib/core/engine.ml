@@ -49,12 +49,17 @@ type outcome = {
    dies just past its last consumer's start, living at least one cycle;
    constants are hardwired, stores live in memory, outputs and sinks
    produce nothing. Cheap and deterministic — it only has to order
-   outcomes, not drive binding. *)
+   outcomes, not drive binding. The peak is a sweep over the lifetimes'
+   2·|V| endpoints, not a per-cycle count: a schedule may be 2^53
+   cycles long. *)
 let peak_live g sched =
   let len = Schedule.length sched in
   if len = 0 then 0
   else begin
-    let pressure = Array.make (len + 1) 0 in
+    (* A value live over cycles [birth, last] is +1 at [birth] and -1
+       at [last + 1], encoded as 2·cycle + 1 and 2·cycle so that, at one
+       cycle, the ends sort before the births. *)
+    let points = ref [] in
     Graph.iter_vertices
       (fun v ->
         let produces_register =
@@ -69,12 +74,22 @@ let peak_live g sched =
               (fun acc s -> max acc (Schedule.start sched s + 1))
               (birth + 1) (Graph.succs g v)
           in
-          for c = birth to min (death - 1) len do
-            pressure.(c) <- pressure.(c) + 1
-          done
+          let last = min (death - 1) len in
+          points := (2 * birth) + 1 :: 2 * (last + 1) :: !points
         end)
       g;
-    Array.fold_left max 0 pressure
+    let points = Array.of_list !points in
+    Array.sort Int.compare points;
+    let live = ref 0 and peak = ref 0 in
+    Array.iter
+      (fun p ->
+        if p land 1 = 1 then begin
+          incr live;
+          if !live > !peak then peak := !live
+        end
+        else decr live)
+      points;
+    !peak
   end
 
 let now_s () = float_of_int (Telemetry.now_ns ()) /. 1e9

@@ -82,7 +82,7 @@ val run_traced :
   ?ctx:ctx ->
   engine ->
   resources:Resources.t ->
-  sink:Telemetry.Sink.t ->
+  sink:Telemetry.sink ->
   Graph.t ->
   outcome
 (** {!run} with the telemetry sink installed for the duration. *)

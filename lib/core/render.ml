@@ -22,45 +22,3 @@ let threads state =
       (Printf.sprintf "free: %s\n"
          (String.concat ", " (List.map (Graph.name g) free)));
   Buffer.contents buf
-
-let timeline state =
-  if Threaded_graph.n_scheduled state = 0 then "(empty state)\n"
-  else begin
-    let g = Threaded_graph.graph state in
-    let schedule =
-      (* render what is scheduled so far: pad missing vertices at 0 *)
-      if Threaded_graph.n_scheduled state = Graph.n_vertices g then
-        Some (Threaded_graph.to_schedule state)
-      else None
-    in
-    let buf = Buffer.create 512 in
-    (match schedule with
-    | None ->
-      Buffer.add_string buf
-        "(state partially scheduled; cycle view needs completion)\n";
-      Buffer.add_string buf (threads state)
-    | Some schedule ->
-      let total = Schedule.length schedule in
-      Buffer.add_string buf (Printf.sprintf "cycles: 0..%d\n" (total - 1));
-      for k = 0 to Threaded_graph.n_threads state - 1 do
-        Buffer.add_string buf
-          (Printf.sprintf "t%d %-4s|" k
-             (Resources.class_name (Threaded_graph.thread_class state k)));
-        let row = Bytes.make total '.' in
-        List.iter
-          (fun v ->
-            for c = Schedule.start schedule v to Schedule.finish schedule v - 1
-            do
-              if c < total then
-                Bytes.set row c
-                  (if c = Schedule.start schedule v then
-                     (let name = Graph.name g v in
-                      if String.length name > 0 then name.[0] else '#')
-                   else '#')
-            done)
-          (Threaded_graph.thread_members state k);
-        Buffer.add_string buf (Bytes.to_string row);
-        Buffer.add_char buf '\n'
-      done);
-    Buffer.contents buf
-  end

@@ -2,9 +2,5 @@
 (** ASCII rendering of a scheduling state — the Figure 1(e)-style view
     of threads and the cross-thread dependences between them. *)
 
-val timeline : Threaded_graph.t -> string
-(** One row per thread, operations boxed at their ASAP cycle with
-    [#] for occupied cycles; free vertices on a trailing row. *)
-
 val threads : Threaded_graph.t -> string
 (** Compact per-thread listing: [thread 0 (alu): a -> b -> c]. *)

@@ -23,7 +23,7 @@ val csteps :
 
 val run_traced :
   ?meta:Meta.t -> ?tie:Threaded_graph.tie_break -> resources:Resources.t ->
-  sink:Telemetry.Sink.t -> Graph.t -> Threaded_graph.t
+  sink:Telemetry.sink -> Graph.t -> Threaded_graph.t
 (** {!run} with [sink] installed for the duration of the call: every
     select scan step, tie-break, commit re-tightening and free placement
     is reported to it (see {!Telemetry}). The schedule produced is

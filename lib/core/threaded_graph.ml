@@ -495,8 +495,7 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
         in
         result := ({ thread = k; after = None }, cost) :: !result;
         if trace then
-          Tel.emit (fun s ->
-              s.Tel.Sink.candidate ~v ~thread:k ~after:None ~cost)
+          Tel.emit (Tel.Candidate { v; thread = k; after = None; cost })
       end;
       (* Positions after each member of the window. *)
       let rec after_each w =
@@ -512,8 +511,7 @@ let scan_positions ?(trace = false) t v ~ancestors ~descendants =
           in
           result := ({ thread = k; after = Some w }, cost) :: !result;
           if trace then
-            Tel.emit (fun s ->
-                s.Tel.Sink.candidate ~v ~thread:k ~after:(Some w) ~cost);
+            Tel.emit (Tel.Candidate { v; thread = k; after = Some w; cost });
           after_each next
         end
       in
@@ -552,16 +550,14 @@ let add_explicit_edge t p v =
   if not (List.memq v np.succs) then begin
     np.succs <- v :: np.succs;
     nv.preds <- p :: nv.preds;
-    if Tel.enabled () then
-      Tel.emit (fun s -> s.Tel.Sink.edge_added ~src:p ~dst:v)
+    if Tel.enabled () then Tel.emit (Tel.Edge_added { src = p; dst = v })
   end
 
 let remove_explicit_edge t p v =
   let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
   np.succs <- List.filter (fun x -> x <> v) np.succs;
   nv.preds <- List.filter (fun x -> x <> p) nv.preds;
-  if Tel.enabled () then
-    Tel.emit (fun s -> s.Tel.Sink.edge_removed ~src:p ~dst:v)
+  if Tel.enabled () then Tel.emit (Tel.Edge_removed { src = p; dst = v })
 
 let rec find_in_thread t k = function
   | [] -> None
@@ -1022,7 +1018,7 @@ let emit_schedule_done t ~v ~thread ~scanned ~relabelled0 ~walked0 ~t0 =
       elapsed_ns = Tel.now_ns () - t0;
     }
   in
-  Tel.emit (fun s -> s.Tel.Sink.schedule_done ~v ~thread ~summary)
+  Tel.emit (Tel.Schedule_done { v; thread; summary })
 
 let tie_rule_name = function
   | `First -> "first"
@@ -1037,12 +1033,10 @@ let schedule ?(tie = `First) t v =
     let t0 = if tel then Tel.now_ns () else 0 in
     let walked0 = t.walked and relabelled0 = t.relabelled in
     if tel then
-      Tel.emit (fun s ->
-          s.Tel.Sink.schedule_start ~v ~name:(Graph.name t.graph v));
+      Tel.emit (Tel.Schedule_start { v; name = Graph.name t.graph v });
     if is_free_op t v then begin
       if tel then
-        Tel.emit (fun s ->
-            s.Tel.Sink.free_placed ~v ~name:(Graph.name t.graph v));
+        Tel.emit (Tel.Free_placed { v; name = Graph.name t.graph v });
       commit_free t v;
       if tel then
         emit_schedule_done t ~v ~thread:None ~scanned:0 ~relabelled0 ~walked0
@@ -1065,9 +1059,9 @@ let schedule ?(tie = `First) t v =
             ((first_pos, first_cost) :: rest)
         in
         if tel && List.length minima > 1 then
-          Tel.emit (fun s ->
-              s.Tel.Sink.tie_break ~v ~rule:(tie_rule_name tie)
-                ~ties:(List.length minima));
+          Tel.emit
+            (Tel.Tie_break
+               { v; rule = tie_rule_name tie; ties = List.length minima });
         let best_pos =
           match tie, minima with
           | _, [] -> assert false
@@ -1085,9 +1079,14 @@ let schedule ?(tie = `First) t v =
                  (p0, weigh p0) rest)
         in
         if tel then
-          Tel.emit (fun s ->
-              s.Tel.Sink.chosen ~v ~thread:best_pos.thread
-                ~after:best_pos.after ~cost:best_cost);
+          Tel.emit
+            (Tel.Chosen
+               {
+                 v;
+                 thread = best_pos.thread;
+                 after = best_pos.after;
+                 cost = best_cost;
+               });
         commit t v best_pos ~ancestors ~descendants;
         if tel then
           emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned

@@ -136,16 +136,26 @@ let pp fmt t =
     by_start;
   Format.fprintf fmt "@]"
 
+(* Every suite design's chart is under 60 cycles wide. Past the cap a
+   row would be mostly dots and the chart as large as |V| times the
+   length; [pp] already lists every operation's cycles. *)
+let gantt_max_cycles = 200
+
 let gantt t =
   let total = length t in
-  let buf = Buffer.create 256 in
-  Graph.iter_vertices
-    (fun v ->
-      Buffer.add_string buf (Printf.sprintf "%-10s |" (Graph.name t.graph v));
-      for cycle = 0 to total - 1 do
-        let occupied = cycle >= start t v && cycle < finish t v in
-        Buffer.add_char buf (if occupied then '#' else '.')
-      done;
-      Buffer.add_char buf '\n')
-    t.graph;
-  Buffer.contents buf
+  if total > gantt_max_cycles then
+    Printf.sprintf "(no chart: %d control steps, more than %d)\n" total
+      gantt_max_cycles
+  else begin
+    let buf = Buffer.create 256 in
+    Graph.iter_vertices
+      (fun v ->
+        Buffer.add_string buf (Printf.sprintf "%-10s |" (Graph.name t.graph v));
+        for cycle = 0 to total - 1 do
+          let occupied = cycle >= start t v && cycle < finish t v in
+          Buffer.add_char buf (if occupied then '#' else '.')
+        done;
+        Buffer.add_char buf '\n')
+      t.graph;
+    Buffer.contents buf
+  end

@@ -42,5 +42,9 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 
+val gantt_max_cycles : int
+(** The widest chart {!gantt} draws: 200 cycles. *)
+
 val gantt : t -> string
-(** ASCII chart: one row per vertex, '#' in occupied cycles. *)
+(** ASCII chart: one row per vertex, '#' in occupied cycles. A schedule
+    longer than {!gantt_max_cycles} gets one line saying so instead. *)

@@ -1,6 +1,6 @@
 (* Minimal JSON: a tree type, a recursive-descent parser and a printer.
-   Shared by the run report, the regression diff and the exporter
-   round-trip tests; no external dependency. *)
+   Shared by the run report, the regression diff, the telemetry
+   exporters and the serving protocol; no external dependency. *)
 
 type t =
   | Null
@@ -13,6 +13,12 @@ type t =
 exception Parse_error of string
 
 (* --- parsing -------------------------------------------------------- *)
+
+(* The parser recurses once per open bracket, so an unbounded nesting
+   depth is an unbounded stack: a line of a million '[' takes seconds
+   and, on a fixed system stack, the process. The deepest JSON the
+   repository reads is 5 levels (a QoR report's metric object). *)
+let max_depth = 512
 
 let parse (s : string) : t =
   let n = String.length s in
@@ -102,9 +108,11 @@ let parse (s : string) : t =
     | Some f -> Num f
     | None -> fail "bad number"
   in
-  let rec value () =
+  let rec value depth =
     skip_ws ();
     match peek () with
+    | Some ('{' | '[') when depth = max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
     | Some '{' ->
       advance ();
       skip_ws ();
@@ -119,7 +127,7 @@ let parse (s : string) : t =
           let key = string_body () in
           skip_ws ();
           expect ':';
-          let v = value () in
+          let v = value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -141,7 +149,7 @@ let parse (s : string) : t =
       end
       else begin
         let rec elements acc =
-          let v = value () in
+          let v = value (depth + 1) in
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -163,7 +171,7 @@ let parse (s : string) : t =
     | Some _ -> number ()
     | None -> fail "unexpected end of input"
   in
-  let v = value () in
+  let v = value 0 in
   skip_ws ();
   if !pos <> n then fail "trailing bytes after value";
   v

@@ -1,11 +1,12 @@
 (** A minimal JSON tree, parser and printer.
 
-    The QoR layer speaks JSON in three places — the run report, the
-    regression diff and the exporter round-trip tests — and the project
-    deliberately carries no external JSON dependency, so this module is
-    the single shared implementation. It covers exactly the JSON the
-    repository emits: objects, arrays, strings with the usual escapes
-    (including [\uXXXX]), numbers, booleans and null. *)
+    The project's one JSON codec, in a library with no dependencies:
+    the QoR run report and diff, the telemetry exporters, the serving
+    protocol and the bench's [--json] all read and write through it,
+    and the project carries no external JSON dependency. It covers
+    exactly the JSON the repository emits: objects, arrays, strings
+    with the usual escapes (including [\uXXXX]), numbers, booleans and
+    null. *)
 
 type t =
   | Null
@@ -18,8 +19,12 @@ type t =
 exception Parse_error of string
 (** Carries a human-readable message with the byte offset. *)
 
+val max_depth : int
+(** The deepest nesting of arrays and objects {!parse} accepts (512). *)
+
 val parse : string -> t
-(** @raise Parse_error on malformed input (including trailing bytes). *)
+(** @raise Parse_error on malformed input (including trailing bytes)
+    and on nesting deeper than {!max_depth}. *)
 
 val parse_result : string -> (t, string) result
 (** Exception-free {!parse}. *)

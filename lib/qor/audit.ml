@@ -35,18 +35,12 @@ let run_check a state =
 
 let check_now a state = run_check a state
 
-let sink a ~state =
-  let base = Telemetry.Sink.null in
-  {
-    base with
-    Telemetry.Sink.schedule_done =
-      (fun ~v:_ ~thread:_ ~summary:_ ->
-        a.a_events_seen <- a.a_events_seen + 1;
-        if a.a_events_seen mod a.a_rate = 0 then
-          match state () with
-          | Some st -> run_check a st
-          | None -> ());
-  }
+let sink a ~state : Telemetry.sink = function
+  | Schedule_done _ ->
+    a.a_events_seen <- a.a_events_seen + 1;
+    if a.a_events_seen mod a.a_rate = 0 then (
+      match state () with Some st -> run_check a st | None -> ())
+  | _ -> ()
 
 let summary a =
   {

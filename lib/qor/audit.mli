@@ -25,7 +25,7 @@ val create : ?rate:int -> unit -> t
 (** [rate] defaults to 1 (audit every commit).
     @raise Invalid_argument if [rate < 1]. *)
 
-val sink : t -> state:(unit -> Soft.Threaded_graph.t option) -> Telemetry.Sink.t
+val sink : t -> state:(unit -> Soft.Threaded_graph.t option) -> Telemetry.sink
 (** A sink auditing [state ()] on sampled [schedule_done] events. The
     state is fetched per check (it may not exist yet while earlier flow
     stages run — [None] skips the check); tee it with counter or

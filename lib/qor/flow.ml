@@ -33,7 +33,7 @@ let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
     let c = Telemetry.Counters.sink counters in
     match auditor with
     | None -> c
-    | Some a -> Telemetry.Sink.tee c (Audit.sink a ~state:(fun () -> !state_ref))
+    | Some a -> Telemetry.tee c (Audit.sink a ~state:(fun () -> !state_ref))
   in
   let audit_boundary () =
     match (auditor, !state_ref) with

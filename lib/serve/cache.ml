@@ -81,8 +81,7 @@ let with_lock (s : 'a shard) f =
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
 let tell op key =
-  if Telemetry.enabled () then
-    Telemetry.emit (fun s -> s.Telemetry.Sink.cache_event ~op ~key)
+  if Telemetry.enabled () then Telemetry.emit (Cache_event { op; key })
 
 (* Shard selection by hash prefix: fingerprint keys open with hex
    digits (the fingerprint itself), which are already uniformly

@@ -22,8 +22,6 @@
    connection once it owes nothing. [wait] joins the loop and the
    pool. *)
 
-open Import
-
 let max_pipeline = 128  (* unanswered requests per connection *)
 let write_watermark = 4 * 1024 * 1024  (* stop reading above this *)
 let max_line = 8 * 1024 * 1024  (* a longer request line is abuse *)

@@ -1,5 +1,3 @@
-open Import
-
 (* The service's runtime metrics plane: per-request phase latencies in
    log-bucketed histograms, point-in-time gauges for the pool/daemon/
    cache, cumulative outcome counters, and a threshold-gated slow-
@@ -17,7 +15,6 @@ open Import
    ([--metrics-file]'s sibling .prom dump). *)
 
 module H = Telemetry.Histogram
-module G = Telemetry.Gauge
 
 (* Per-request phase timings, in nanoseconds. Mutable so each layer adds
    its own phase as the request passes through; the pool future's mutex
@@ -57,12 +54,13 @@ type t = {
   h_schedule : H.t;
   h_emit : H.t;
   h_total : H.t;
-  (* gauges *)
-  g_queue_depth : G.t;
-  g_in_flight : G.t;
-  g_connections : G.t;
-  g_cache_entries : G.t;
-  g_cache_capacity : G.t;
+  (* gauges: atomic, outside the lock; the event loop raises
+     [g_in_flight] while pool domains lower it *)
+  g_queue_depth : int Atomic.t;
+  g_in_flight : int Atomic.t;
+  g_connections : int Atomic.t;
+  g_cache_entries : int Atomic.t;
+  g_cache_capacity : int Atomic.t;
   (* cumulative counters *)
   mutable requests : int;
   mutable ok : int;
@@ -103,11 +101,11 @@ let create () =
     h_schedule = H.create ();
     h_emit = H.create ();
     h_total = H.create ();
-    g_queue_depth = G.create ();
-    g_in_flight = G.create ();
-    g_connections = G.create ();
-    g_cache_entries = G.create ();
-    g_cache_capacity = G.create ();
+    g_queue_depth = Atomic.make 0;
+    g_in_flight = Atomic.make 0;
+    g_connections = Atomic.make 0;
+    g_cache_entries = Atomic.make 0;
+    g_cache_capacity = Atomic.make 0;
     requests = 0;
     ok = 0;
     errors = 0;
@@ -126,15 +124,15 @@ let with_lock t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
 
-(* -- gauge updates (single word stores; the lock is not needed) ------- *)
+(* -- gauge updates (atomic; the lock is not needed) --------------------- *)
 
-let set_pool_queue_depth t n = G.set_int t.g_queue_depth n
-let set_connections t n = G.set_int t.g_connections n
-let add_in_flight t d = G.add t.g_in_flight (float_of_int d)
+let set_pool_queue_depth t n = Atomic.set t.g_queue_depth n
+let set_connections t n = Atomic.set t.g_connections n
+let add_in_flight t d = ignore (Atomic.fetch_and_add t.g_in_flight d)
 
 let set_cache_occupancy t ~entries ~capacity =
-  G.set_int t.g_cache_entries entries;
-  G.set_int t.g_cache_capacity capacity
+  Atomic.set t.g_cache_entries entries;
+  Atomic.set t.g_cache_capacity capacity
 
 (* -- slow-request log ------------------------------------------------- *)
 
@@ -284,7 +282,7 @@ let histogram_ms_json h =
       ("max", Json.num (ms (H.max_value h)));
     ]
 
-let gauge_json g = Json.num (G.get g)
+let gauge_json g = Json.int (Atomic.get g)
 
 let snapshot_json ?cache t =
   with_lock t (fun () ->
@@ -414,11 +412,11 @@ let to_prometheus ?cache t =
       labelled "softsched_engine_runs_total"
         "Completed scheduling runs, by engine." t.engine_runs;
       labelled "softsched_race_wins_total"
-        "Races won (Qor.Diff order), by engine." t.race_wins;
+        "Races won (Soft.Engine.compare_qor order), by engine." t.race_wins;
       let gauge name help g =
         line "# HELP %s %s" name help;
         line "# TYPE %s gauge" name;
-        line "%s %g" name (G.get g)
+        line "%s %d" name (Atomic.get g)
       in
       gauge "softsched_pool_queue_depth" "Jobs waiting in the worker pool."
         t.g_queue_depth;

@@ -3,18 +3,16 @@
     Per-request phase latencies (parse → cache lookup → queue wait →
     schedule → emit, plus the request total) land in log-bucketed
     {!Telemetry.Histogram}s; pool queue depth, in-flight requests, live
-    connections and cache occupancy are {!Telemetry.Gauge}s; outcomes
+    connections and cache occupancy are atomic integer gauges; outcomes
     accumulate in counters. One snapshot feeds both the [stats] admin
     reply / [--metrics-file] JSON dump and the Prometheus text
     exposition sibling. A threshold-gated slow-request log writes one
     NDJSON line per offending request.
 
     Thread-safe: recording and snapshotting take the plane's single
-    mutex; gauge stores are single-word writes. Everything here only
+    mutex; gauge updates are atomic. Everything here only
     observes — scheduling results are byte-identical with or without a
     metrics plane installed. *)
-
-open Import
 
 (** Per-request phase timings in nanoseconds. Each layer fills in its
     own phase as the request passes through (daemon/batch: parse, queue

@@ -3,7 +3,8 @@ open Import
 (* The NDJSON request/response vocabulary of `softsched batch` and
    `softsched serve`: one JSON object per line, field order fixed so
    equal requests produce byte-identical response lines (the batch
-   determinism contract). Built on Qor.Json — no external JSON dep. *)
+   determinism contract). Built on the json library — no external
+   JSON dep. *)
 
 type spec =
   | Named of string  (* benchmark registry name, e.g. "HAL" *)

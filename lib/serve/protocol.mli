@@ -1,5 +1,5 @@
 (** NDJSON request/response vocabulary shared by [softsched batch] and
-    [softsched serve]: one JSON object per line, over {!Qor.Json}.
+    [softsched serve]: one JSON object per line, over {!Json}.
 
     Requests name a design (benchmark registry name, inline [.dfg]
     text, or inline behavioral source), resources, a meta schedule, an

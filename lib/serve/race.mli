@@ -5,10 +5,10 @@ open Import
 
     Every engine runs the same [(graph, resources)] under one shared
     {!Soft.Engine.ctx}; the winner is the {!Soft.Engine.compare_qor}
-    minimum (control steps, then registers — the [Qor.Diff] metric
-    priority), ties resolved by portfolio order: between equal results
-    the earlier engine wins, never the faster one, so a race without
-    a deadline names the same winner on every run. Once an engine commits a
+    minimum (control steps, then registers), ties resolved by
+    portfolio order: between equal results the earlier engine wins,
+    never the faster one, so a race without a deadline names the same
+    winner on every run. Once an engine commits a
     {e provably optimal} schedule, still-queued rivals are cancelled —
     they cannot beat it on the leading metric and their latency is
     pure waste. Started work always completes ({!Pool}'s guarantee), so

@@ -28,10 +28,10 @@
     The request's [effort] field picks the execution strategy on a
     miss: [Fast] is one threaded-scheduler pass (byte-identical to the
     pre-portfolio service), [Race] fans out to an engine portfolio on a
-    private pool and keeps the {!Qor.Diff}-best result, [Exhaustive]
-    runs branch and bound. Efforts cache under distinct keys (the fast
-    key is unchanged, so persisted caches stay valid), and
-    race/exhaustive results are cacheable like any other — only
+    private pool and keeps the {!Soft.Engine.compare_qor}-best result,
+    [Exhaustive] runs branch and bound. Efforts cache under distinct
+    keys (the fast key is unchanged, so persisted caches stay valid),
+    and race/exhaustive results are cacheable like any other — only
     degraded ones are not. *)
 
 open Import
@@ -42,7 +42,7 @@ val create : ?cache_capacity:int -> ?metrics:Metrics.t -> unit -> t
 (** [cache_capacity] defaults to 256 results. [metrics] plugs the
     service into a metrics plane: cache-occupancy gauge updates plus
     lookup/schedule span attribution in {!execute}. Omitting it makes
-    every telemetry hook a no-op — results are bit-identical either
+    every metrics update a no-op — results are bit-identical either
     way. *)
 
 val cache_stats : t -> Cache.stats

@@ -9,56 +9,6 @@
    Perfetto plots them over the run. Load the file in chrome://tracing
    or https://ui.perfetto.dev. *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-type ctx = {
-  buf : Buffer.t;
-  mutable first : bool;
-  t0 : int;  (* ns of the first event; traces start at ts = 0 *)
-}
-
-let record ctx fields =
-  if ctx.first then ctx.first <- false else Buffer.add_string ctx.buf ",\n";
-  Buffer.add_string ctx.buf "  {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char ctx.buf ',';
-      Buffer.add_string ctx.buf (Printf.sprintf "\"%s\":%s" k v))
-    fields;
-  Buffer.add_char ctx.buf '}'
-
-let str s = Printf.sprintf "\"%s\"" (escape s)
-let us_of_ns ctx ns = Printf.sprintf "%.3f" (float_of_int (ns - ctx.t0) /. 1e3)
-
-let meta ctx ~name ~tid ~value =
-  record ctx
-    [
-      ("name", str name); ("ph", str "M"); ("pid", "1"); ("tid", string_of_int tid);
-      ("args", Printf.sprintf "{\"name\":%s}" (str value));
-    ]
-
-let counter ctx ~ts ~series ~value =
-  record ctx
-    [
-      ("name", str series); ("ph", str "C"); ("pid", "1"); ("tid", "0");
-      ("ts", us_of_ns ctx ts);
-      ("args", Printf.sprintf "{\"%s\":%d}" series value);
-    ]
-
 let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
     (events : Events.timed list) =
   let free_tid =
@@ -76,12 +26,29 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
     max_tid + 1
   in
   let t0 = match events with [] -> 0 | e :: _ -> e.Events.at_ns in
-  let ctx = { buf = Buffer.create 4096; first = true; t0 } in
-  Buffer.add_string ctx.buf "{\"traceEvents\":[\n";
-  meta ctx ~name:"process_name" ~tid:0 ~value:process_name;
-  List.iter (fun (tid, name) -> meta ctx ~name:"thread_name" ~tid ~value:name) tracks;
+  (* microseconds since the first event; traces start at ts = 0 *)
+  let us ns = Json.num (float_of_int ns /. 1e3) in
+  let rev_records = ref [] in
+  let record fields = rev_records := Json.Obj fields :: !rev_records in
+  let meta ~name ~tid ~value =
+    record
+      [
+        ("name", Json.str name); ("ph", Json.str "M"); ("pid", Json.int 1);
+        ("tid", Json.int tid); ("args", Json.Obj [ ("name", Json.str value) ]);
+      ]
+  in
+  let counter ~ts ~series ~value =
+    record
+      [
+        ("name", Json.str series); ("ph", Json.str "C"); ("pid", Json.int 1);
+        ("tid", Json.int 0); ("ts", us (ts - t0));
+        ("args", Json.Obj [ (series, Json.int value) ]);
+      ]
+  in
+  meta ~name:"process_name" ~tid:0 ~value:process_name;
+  List.iter (fun (tid, name) -> meta ~name:"thread_name" ~tid ~value:name) tracks;
   if not (List.mem_assoc free_tid tracks) then
-    meta ctx ~name:"thread_name" ~tid:free_tid ~value:"free (zero-resource)";
+    meta ~name:"thread_name" ~tid:free_tid ~value:"free (zero-resource)";
   (* Pair Schedule_start with Schedule_done per vertex, accumulating the
      decision details events in between carry. *)
   let starts = Hashtbl.create 64 in
@@ -100,17 +67,17 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
       | Events.Edge_removed _ -> incr edge_removes
       | Events.Free_placed _ -> ()
       | Events.Cache_event { op; key } ->
-        record ctx
+        record
           [
             ("name",
-             str
+             Json.str
                (match op with
                | `Hit -> "cache hit"
                | `Miss -> "cache miss"
                | `Evict -> "cache evict"));
-            ("cat", str "cache"); ("ph", str "i"); ("ts", us_of_ns ctx at_ns);
-            ("pid", "1"); ("tid", "0"); ("s", str "p");
-            ("args", Printf.sprintf "{\"key\":%s}" (str key));
+            ("cat", Json.str "cache"); ("ph", Json.str "i");
+            ("ts", us (at_ns - t0)); ("pid", Json.int 1); ("tid", Json.int 0);
+            ("s", Json.str "p"); ("args", Json.Obj [ ("key", Json.str key) ]);
           ]
       | Events.Schedule_done { v; thread; summary } ->
         let ts, name =
@@ -122,36 +89,45 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
         let tid = match thread with Some k -> k | None -> free_tid in
         let cost =
           match Hashtbl.find_opt chosen_cost v with
-          | Some c -> Printf.sprintf ",\"cost\":%d" c
-          | None -> ""
+          | Some c -> [ ("cost", Json.int c) ]
+          | None -> []
         in
-        let args =
-          Printf.sprintf
-            "{\"vertex\":%d,\"scanned\":%d,\"diameter\":%d,\"state_edges\":%d%s}"
-            v summary.Events.scanned summary.Events.diameter
-            summary.Events.state_edges cost
-        in
-        record ctx
+        record
           [
-            ("name", str name); ("cat", str "schedule"); ("ph", str "X");
-            ("ts", us_of_ns ctx ts);
-            ("dur",
-             Printf.sprintf "%.3f" (float_of_int (max 0 (at_ns - ts)) /. 1e3));
-            ("pid", "1"); ("tid", string_of_int tid); ("args", args);
+            ("name", Json.str name); ("cat", Json.str "schedule");
+            ("ph", Json.str "X"); ("ts", us (ts - t0));
+            ("dur", us (max 0 (at_ns - ts))); ("pid", Json.int 1);
+            ("tid", Json.int tid);
+            ("args",
+             Json.Obj
+               ([
+                  ("vertex", Json.int v);
+                  ("scanned", Json.int summary.Events.scanned);
+                  ("diameter", Json.int summary.Events.diameter);
+                  ("state_edges", Json.int summary.Events.state_edges);
+                ]
+               @ cost));
           ];
-        counter ctx ~ts:at_ns ~series:"diameter" ~value:summary.Events.diameter;
-        counter ctx ~ts:at_ns ~series:"state_edges"
+        counter ~ts:at_ns ~series:"diameter" ~value:summary.Events.diameter;
+        counter ~ts:at_ns ~series:"state_edges"
           ~value:summary.Events.state_edges;
         (match summary.Events.ordered_pairs with
-        | Some p -> counter ctx ~ts:at_ns ~series:"ordered_pairs" ~value:p
+        | Some p -> counter ~ts:at_ns ~series:"ordered_pairs" ~value:p
         | None -> ()))
     events;
-  Buffer.add_string ctx.buf
-    (Printf.sprintf
-       "\n],\n\"displayTimeUnit\":\"ms\",\n\
-        \"otherData\":{\"edges_added\":%d,\"edges_removed\":%d}}\n"
-       !edge_adds !edge_removes);
-  Buffer.contents ctx.buf
+  Json.to_string ~minify:true
+    (Json.Obj
+       [
+         ("traceEvents", Json.Arr (List.rev !rev_records));
+         ("displayTimeUnit", Json.str "ms");
+         ("otherData",
+          Json.Obj
+            [
+              ("edges_added", Json.int !edge_adds);
+              ("edges_removed", Json.int !edge_removes);
+            ]);
+       ])
+  ^ "\n"
 
 let write ?process_name ?tracks ~path events =
   let oc = open_out path in

@@ -1,5 +1,5 @@
 (* Monotonic counters over the scheduler's event stream. One mutable
-   record per collection; [sink] wires it to the event hooks, [snapshot]
+   record per collection; [sink] counts each event into it, [snapshot]
    freezes it. The [last_*] fields mirror the most recent end-of-call
    summary, so after a full run they agree with
    [Threaded_graph.stats] by construction. *)
@@ -78,42 +78,35 @@ let create () =
     cache_evictions = 0;
   }
 
-let sink (c : t) =
-  {
-    Events.Sink.schedule_start = (fun ~v:_ ~name:_ -> c.schedule_calls <- c.schedule_calls + 1);
-    candidate =
-      (fun ~v:_ ~thread:_ ~after:_ ~cost:_ -> c.candidates <- c.candidates + 1);
-    tie_break = (fun ~v:_ ~rule:_ ~ties:_ -> c.tie_breaks <- c.tie_breaks + 1);
-    chosen = (fun ~v:_ ~thread:_ ~after:_ ~cost:_ -> ());
-    edge_added = (fun ~src:_ ~dst:_ -> c.edges_added <- c.edges_added + 1);
-    edge_removed = (fun ~src:_ ~dst:_ -> c.edges_removed <- c.edges_removed + 1);
-    free_placed = (fun ~v:_ ~name:_ -> c.free_placements <- c.free_placements + 1);
-    schedule_done =
-      (fun ~v:_ ~thread:_ ~summary:(s : Events.summary) ->
-        c.positions_scanned <- c.positions_scanned + s.scanned;
-        if s.scanned > c.max_positions_in_call then
-          c.max_positions_in_call <- s.scanned;
-        c.vertices_relabelled <- c.vertices_relabelled + s.relabelled;
-        c.vertices_walked <- c.vertices_walked + s.walked;
-        if s.max_thread_in_degree > c.max_in_degree_observed then
-          c.max_in_degree_observed <- s.max_thread_in_degree;
-        if s.max_thread_out_degree > c.max_out_degree_observed then
-          c.max_out_degree_observed <- s.max_thread_out_degree;
-        c.last_diameter <- s.diameter;
-        c.last_state_edges <- s.state_edges;
-        c.last_max_in_degree <- s.max_thread_in_degree;
-        c.last_max_out_degree <- s.max_thread_out_degree;
-        (match s.ordered_pairs with
-        | Some _ as p -> c.last_ordered_pairs <- p
-        | None -> ());
-        c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns);
-    cache_event =
-      (fun ~op ~key:_ ->
-        match op with
-        | `Hit -> c.cache_hits <- c.cache_hits + 1
-        | `Miss -> c.cache_misses <- c.cache_misses + 1
-        | `Evict -> c.cache_evictions <- c.cache_evictions + 1);
-  }
+let sink (c : t) : Events.sink = function
+  | Schedule_start _ -> c.schedule_calls <- c.schedule_calls + 1
+  | Candidate _ -> c.candidates <- c.candidates + 1
+  | Tie_break _ -> c.tie_breaks <- c.tie_breaks + 1
+  | Chosen _ -> ()
+  | Edge_added _ -> c.edges_added <- c.edges_added + 1
+  | Edge_removed _ -> c.edges_removed <- c.edges_removed + 1
+  | Free_placed _ -> c.free_placements <- c.free_placements + 1
+  | Schedule_done { summary = s; _ } ->
+    c.positions_scanned <- c.positions_scanned + s.scanned;
+    if s.scanned > c.max_positions_in_call then
+      c.max_positions_in_call <- s.scanned;
+    c.vertices_relabelled <- c.vertices_relabelled + s.relabelled;
+    c.vertices_walked <- c.vertices_walked + s.walked;
+    if s.max_thread_in_degree > c.max_in_degree_observed then
+      c.max_in_degree_observed <- s.max_thread_in_degree;
+    if s.max_thread_out_degree > c.max_out_degree_observed then
+      c.max_out_degree_observed <- s.max_thread_out_degree;
+    c.last_diameter <- s.diameter;
+    c.last_state_edges <- s.state_edges;
+    c.last_max_in_degree <- s.max_thread_in_degree;
+    c.last_max_out_degree <- s.max_thread_out_degree;
+    (match s.ordered_pairs with
+    | Some _ as p -> c.last_ordered_pairs <- p
+    | None -> ());
+    c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns
+  | Cache_event { op = `Hit; _ } -> c.cache_hits <- c.cache_hits + 1
+  | Cache_event { op = `Miss; _ } -> c.cache_misses <- c.cache_misses + 1
+  | Cache_event { op = `Evict; _ } -> c.cache_evictions <- c.cache_evictions + 1
 
 let snapshot (c : t) : snapshot =
   {
@@ -141,10 +134,10 @@ let snapshot (c : t) : snapshot =
     cache_evictions = c.cache_evictions;
   }
 
-(* Key/value view of a snapshot, keys sorted, used by the aligned
-   [dump], the JSON export and the QoR report's per-phase counter
-   deltas. Gauge-like fields keep their [last_] prefix so delta-taking
-   clients can tell them from the monotone counters. *)
+(* Key/value view of a snapshot, keys sorted, used by the QoR report's
+   per-phase counter deltas. Gauge-like fields keep their [last_]
+   prefix so delta-taking clients can tell them from the monotone
+   counters. *)
 let to_alist (s : snapshot) : (string * float) list =
   let f = float_of_int in
   let rows =
@@ -186,33 +179,6 @@ let to_alist (s : snapshot) : (string * float) list =
       :: rows
   in
   List.sort (fun (a, _) (b, _) -> compare a b) rows
-
-let dump (s : snapshot) =
-  let rows = to_alist s in
-  let width =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 rows
-  in
-  let b = Buffer.create 512 in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf "%-*s %12.0f\n" width k v))
-    rows;
-  Buffer.contents b
-
-let json_number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let to_json (s : snapshot) =
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" k (json_number v)))
-    (to_alist s);
-  Buffer.add_char b '}';
-  Buffer.contents b
 
 let to_string (s : snapshot) =
   let b = Buffer.create 512 in

@@ -1,6 +1,6 @@
 (** Monotonic counters over the scheduler's telemetry stream.
 
-    Create one, install {!sink} (possibly {!Events.Sink.tee}-ed with a
+    Create one, install {!sink} (possibly {!Events.tee}-d with a
     recorder) and read {!snapshot} when the run is over. Counting is a
     handful of integer stores per event — cheap enough to leave on for
     whole benchmark sweeps. *)
@@ -36,8 +36,9 @@ type snapshot = {
 
 val create : unit -> t
 
-val sink : t -> Events.Sink.t
-(** A sink that accumulates into [t]. *)
+val sink : t -> Events.sink
+(** A sink that accumulates into [t]. Unlocked: a sink fed from several
+    domains goes through {!Events.locked}. *)
 
 val snapshot : t -> snapshot
 
@@ -45,16 +46,9 @@ val to_string : snapshot -> string
 (** Human-readable block, one counter per line (what [--stats] prints). *)
 
 val to_alist : snapshot -> (string * float) list
-(** Key/value view, keys sorted ascending. Gauge fields carry a [last_]
-    prefix (most-recent value, not a monotone count);
-    [last_ordered_pairs] is present only when a softness sample was
-    taken, and the [cache_*] trio only when any cache traffic was
+(** Key/value view, keys sorted ascending: the QoR run-report stores
+    each phase's delta of these rows as its [counters] object. Gauge
+    fields carry a [last_] prefix (most-recent value, not a monotone
+    count); [last_ordered_pairs] is present only when a softness sample
+    was taken, and the [cache_*] trio only when any cache traffic was
     observed (the cache-less flow keeps its historical key set). *)
-
-val dump : snapshot -> string
-(** One [key value] line per counter, keys sorted and aligned — the
-    stable machine-greppable sibling of {!to_string}. *)
-
-val to_json : snapshot -> string
-(** The {!to_alist} rows as one JSON object (sorted keys). Embedded
-    verbatim in the QoR run-report. *)

@@ -103,32 +103,3 @@ let fold_buckets t ~init ~f =
     (fun i n -> if n > 0 then acc := f !acc ~upper:(upper_bound i) ~count:n)
     t.buckets;
   !acc
-
-let json_number v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.12g" v
-
-let to_json t =
-  let f = float_of_int in
-  let rows =
-    [
-      ("count", f t.count);
-      ("sum", f t.sum);
-      ("min", f (min_value t));
-      ("max", f (max_value t));
-      ("mean", mean t);
-      ("p50", f (percentile t 50.0));
-      ("p90", f (percentile t 90.0));
-      ("p95", f (percentile t 95.0));
-      ("p99", f (percentile t 99.0));
-    ]
-  in
-  let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%s" k (json_number v)))
-    rows;
-  Buffer.add_char b '}';
-  Buffer.contents b

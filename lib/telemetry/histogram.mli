@@ -50,7 +50,3 @@ val fold_buckets : t -> init:'a -> f:('a -> upper:int -> count:int -> 'a) -> 'a
 (** Fold over the non-empty buckets in ascending value order; [upper]
     is the bucket's inclusive upper bound. The Prometheus exporter's
     cumulative walk. *)
-
-val to_json : t -> string
-(** One JSON object: count, sum, min, max, mean, p50/p90/p95/p99 — the
-    {!Counters.to_json} idiom. *)

@@ -6,6 +6,5 @@
 include Events
 module Counters = Counters
 module Histogram = Histogram
-module Gauge = Gauge
 module Chrome_trace = Chrome_trace
 module Text_trace = Text_trace

@@ -1,18 +1,18 @@
 (** Scheduler telemetry: structured decision tracing for the threaded
     (soft) scheduler.
 
-    The instrumented hot path ([Soft.Threaded_graph.schedule]) guards
-    every emission site with the inlined {!enabled} check, so with no
-    sink installed the cost is one boolean load and zero allocation —
-    scheduler results are bit-identical either way, telemetry only
-    observes.
+    A sink is a function over {!event}. The instrumented hot path
+    ([Soft.Threaded_graph.schedule]) builds each event only behind the
+    inlined {!enabled} check, so with no sink installed the cost is one
+    boolean load and zero allocation — scheduler results are
+    bit-identical either way, telemetry only observes.
 
     Typical use:
     {[
       let counters = Telemetry.Counters.create () in
       let recorder = Telemetry.Recorder.create () in
       let sink =
-        Telemetry.Sink.tee
+        Telemetry.tee
           (Telemetry.Counters.sink counters)
           (Telemetry.Recorder.sink recorder)
       in
@@ -32,6 +32,5 @@ end
 
 module Counters = Counters
 module Histogram = Histogram
-module Gauge = Gauge
 module Chrome_trace = Chrome_trace
 module Text_trace = Text_trace

@@ -175,6 +175,63 @@ let engine_validity_tests =
           (Soft.Threaded_graph.to_schedule st, Some st));
     ]
 
+(* --- register pressure ------------------------------------------------ *)
+
+(* Oracle for [Engine.peak_live]'s endpoint sweep: count the live
+   values cycle by cycle. *)
+let peak_live_per_cycle g sched =
+  let len = S.length sched in
+  if len = 0 then 0
+  else begin
+    let pressure = Array.make (len + 1) 0 in
+    Graph.iter_vertices
+      (fun v ->
+        let produces_register =
+          match Graph.op g v with
+          | Dfg.Op.Const _ | Dfg.Op.Store | Dfg.Op.Output _ -> false
+          | _ -> Graph.succs g v <> []
+        in
+        if produces_register then begin
+          let birth = S.finish sched v in
+          let death =
+            List.fold_left
+              (fun acc s -> max acc (S.start sched s + 1))
+              (birth + 1) (Graph.succs g v)
+          in
+          for c = birth to min (death - 1) len do
+            pressure.(c) <- pressure.(c) + 1
+          done
+        end)
+      g;
+    Array.fold_left max 0 pressure
+  end
+
+let peak_live_prop seed =
+  let g = random_graph seed in
+  List.for_all
+    (fun eng ->
+      let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
+      let sched = o.Engine.schedule in
+      let sweep = Engine.peak_live g sched
+      and recount = peak_live_per_cycle g sched in
+      sweep = recount
+      || QCheck.Test.fail_reportf "%s on seed %d: peak_live %d, recount %d"
+           (Engine.name eng) seed sweep recount)
+    Engine.all
+
+(* The largest total delay a graph accepts (2^53 - 1): a schedule that
+   long is annotated without one slot per cycle. *)
+let test_longest_schedule_annotated () =
+  let g =
+    Dfg.Serial.of_string
+      "vertex a mul 9007199254740989\nvertex b mul 1\nvertex c add\n\
+       edge a b\nedge b c\n"
+  in
+  let o = Engine.run (get_engine "soft") ~resources:two_two g in
+  check Alcotest.int "control steps" Graph.max_total_delay
+    o.Engine.annot.Engine.csteps;
+  check Alcotest.int "registers" 1 o.Engine.annot.Engine.registers
+
 (* --- determinism ------------------------------------------------------ *)
 
 let test_seed_determinism () =
@@ -363,6 +420,11 @@ let () =
           Alcotest.test_case "run annotates" `Quick test_run_annotations;
           Alcotest.test_case "qor order" `Quick test_compare_qor;
           Alcotest.test_case "deadline degrades" `Quick test_deadline_degrades;
+          Alcotest.test_case "longest schedule annotated" `Quick
+            test_longest_schedule_annotated;
+          QCheck_alcotest.to_alcotest
+            (QCheck.Test.make ~name:"peak_live matches a per-cycle recount"
+               ~count:25 QCheck.small_nat peak_live_prop);
         ] );
       ("validity", engine_validity_tests);
       ( "determinism",

@@ -126,7 +126,14 @@ let test_schedule_gantt () =
   let g, _, _, _ = chain3 () in
   let s = S.make g ~starts:[| 0; 1; 3 |] in
   let gantt = S.gantt s in
-  check Alcotest.bool "has bars" true (String.contains gantt '#')
+  check Alcotest.bool "has bars" true (String.contains gantt '#');
+  (* past the cap: one line, whatever the length *)
+  let long = S.make g ~starts:[| 0; 1; S.gantt_max_cycles |] in
+  check Alcotest.int "one line past the cap" 1
+    (List.length (String.split_on_char '\n' (String.trim (S.gantt long))));
+  let widest = S.make g ~starts:[| 0; 1; S.gantt_max_cycles - 1 |] in
+  check Alcotest.bool "chart up to the cap" true
+    (String.contains (S.gantt widest) '#')
 
 (* --- ASAP / ALAP --------------------------------------------------- *)
 

@@ -2,8 +2,6 @@
    schema (emit -> parse round-trip), the regression diff gate and the
    online invariant auditor over the whole benchmark suite. *)
 
-module Json = Qor.Json
-
 let check = Alcotest.check
 
 let resources = Hard.Resources.fig3_2alu_2mul
@@ -61,6 +59,33 @@ let test_json_numbers () =
   check Alcotest.string "integral" "1234567" (Json.to_string (Json.int 1234567));
   check Alcotest.bool "fraction round-trips" true
     (Json.parse (Json.to_string (Json.num 0.1)) = Json.Num 0.1)
+
+(* Nesting is bounded: the parser recurses once per level, so without
+   a bound a deep line takes seconds and, on a fixed stack, the
+   process. *)
+let test_json_depth () =
+  let nested d = String.make d '[' ^ String.make d ']' in
+  let rejected label s =
+    match Json.parse_result s with
+    | Ok _ -> Alcotest.failf "%s accepted" label
+    | Error m ->
+      check Alcotest.string (label ^ " names the bound and the offset")
+        (Printf.sprintf "nesting deeper than %d levels at byte %d"
+           Json.max_depth Json.max_depth)
+        m
+  in
+  check Alcotest.bool "max_depth levels parse" true
+    (Result.is_ok (Json.parse_result (nested Json.max_depth)));
+  rejected "one level more" (nested (Json.max_depth + 1));
+  rejected "a million levels" (nested 1_000_000);
+  let objects d =
+    String.concat "" (List.init d (fun _ -> {|{"a":|}))
+    ^ "1" ^ String.make d '}'
+  in
+  check Alcotest.bool "max_depth objects parse" true
+    (Result.is_ok (Json.parse_result (objects Json.max_depth)));
+  check Alcotest.bool "one object more is rejected" true
+    (Result.is_error (Json.parse_result (objects (Json.max_depth + 1))))
 
 (* --- report schema --------------------------------------------------- *)
 
@@ -299,6 +324,7 @@ let () =
           Alcotest.test_case "escapes" `Quick test_json_escapes;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
           Alcotest.test_case "number printing" `Quick test_json_numbers;
+          Alcotest.test_case "depth bound" `Quick test_json_depth;
         ] );
       ( "report schema",
         [

@@ -17,7 +17,6 @@ module Service = Serve.Service
 module Batch = Serve.Batch
 module Daemon = Serve.Daemon
 module Metrics = Serve.Metrics
-module Json = Qor.Json
 
 let check = Alcotest.check
 
@@ -801,6 +800,68 @@ let test_batch_fast_identity_beside_race () =
     (List.filteri (fun i _ -> i < 2) out_mixed);
   check Alcotest.bool "race line names its winning engine" true
     (contains (List.nth out_mixed 2) {|"engine":"|})
+
+(* Pool domains all feed the one installed sink. Behind
+   [Telemetry.locked], a parallel batch counts exactly the events of a
+   sequential one (the [last_*] rows and the time aside, which depend
+   on which call finishes last). *)
+let test_batch_locked_sink () =
+  let lines =
+    List.init 16 (fun i ->
+        let g =
+          Generate.layered (Random.State.make [| i |]) ~layers:60 ~width:10
+            ~fanin:3
+        in
+        Json.to_string ~minify:true
+          (Json.Obj
+             [
+               ("id", Json.str (string_of_int i));
+               ("dfg", Json.str (Serial.to_string g));
+               ("schedule", Json.Bool false);
+             ]))
+  in
+  let run jobs =
+    let counters = Telemetry.Counters.create () in
+    let recorder = Telemetry.Recorder.create () in
+    let sink =
+      Telemetry.locked
+        (Telemetry.tee
+           (Telemetry.Counters.sink counters)
+           (Telemetry.Recorder.sink recorder))
+    in
+    let out, _ =
+      Telemetry.with_sink sink (fun () ->
+          Batch.run_lines (Service.create ()) ~jobs lines)
+    in
+    let rows =
+      List.filter
+        (fun (k, _) ->
+          k <> "elapsed_ns" && not (String.starts_with ~prefix:"last_" k))
+        (Telemetry.Counters.to_alist (Telemetry.Counters.snapshot counters))
+    in
+    (out, rows, Telemetry.Recorder.length recorder)
+  in
+  let out1, rows1, events1 = run 1 in
+  let out4, rows4, events4 = run 4 in
+  check Alcotest.bool "every graph scheduled" true
+    (List.for_all (fun r -> contains r {|"status":"ok"|}) out1);
+  check Alcotest.(list string) "same replies" out1 out4;
+  check Alcotest.(list (pair string (float 0.))) "same counters" rows1 rows4;
+  check Alcotest.int "same event total" events1 events4
+
+(* A line of a million '[' is answered at once, naming the bound. *)
+let test_batch_deep_json () =
+  let n = 1_000_000 in
+  match
+    Batch.run_lines (Service.create ()) ~jobs:1
+      [ String.make n '[' ^ String.make n ']' ]
+  with
+  | [ reply ], stats ->
+    check Alcotest.int "an error reply" 1 stats.Batch.errors;
+    check Alcotest.bool "names the bound" true
+      (contains reply
+         (Printf.sprintf "nesting deeper than %d levels" Json.max_depth))
+  | out, _ -> Alcotest.failf "%d replies to one line" (List.length out)
 
 (* --- daemon ----------------------------------------------------------- *)
 
@@ -1820,6 +1881,9 @@ let () =
             test_batch_identical_with_metrics;
           Alcotest.test_case "fast identity beside a race" `Quick
             test_batch_fast_identity_beside_race;
+          Alcotest.test_case "locked sink counts" `Quick test_batch_locked_sink;
+          Alcotest.test_case "deep JSON names the bound" `Quick
+            test_batch_deep_json;
         ] );
       ( "certified",
         [

@@ -461,19 +461,6 @@ let test_render_threads () =
   check Alcotest.bool "mul thread" true (contains ~needle:"(mul)" text);
   check Alcotest.bool "free vertices" true (contains ~needle:"free:" text)
 
-let test_render_timeline () =
-  let g = (Hls_bench.Suite.find "HAL").build () in
-  let state = Soft.Scheduler.run ~resources:two_two g in
-  let text = Soft.Render.timeline state in
-  check Alcotest.bool "cycles header" true (contains ~needle:"cycles: 0.." text);
-  check Alcotest.bool "occupied marks" true (contains ~needle:"#" text);
-  (* partial state renders the fallback *)
-  let partial = T.create g ~resources:two_two in
-  T.schedule partial (List.hd (Graph.vertices g));
-  check Alcotest.bool "partial fallback" true
-    (contains ~needle:"partially scheduled"
-       (Soft.Render.timeline partial))
-
 (* --- property tests ------------------------------------------------ *)
 
 let seeded_dag =
@@ -818,13 +805,10 @@ let test_schedule_allocation_bound () =
    replaced touched: n_scheduled + n_state_edges after the call. *)
 let relabelling_within_one_pass g =
   let relabelled = ref (-1) in
-  let sink =
-    {
-      Telemetry.Sink.null with
-      schedule_done =
-        (fun ~v:_ ~thread:_ ~summary ->
-          relabelled := summary.Telemetry.relabelled);
-    }
+  let sink = function
+    | Telemetry.Schedule_done { summary; _ } ->
+      relabelled := summary.Telemetry.relabelled
+    | _ -> ()
   in
   List.for_all
     (fun (_, resources) ->
@@ -866,13 +850,10 @@ let prop_relabelling_bound =
 (* The whole run's [walked] count, summed from the telemetry summaries. *)
 let walked_in_run g ~resources ~meta =
   let walked = ref 0 in
-  let sink =
-    {
-      Telemetry.Sink.null with
-      schedule_done =
-        (fun ~v:_ ~thread:_ ~summary ->
-          walked := !walked + summary.Telemetry.walked);
-    }
+  let sink = function
+    | Telemetry.Schedule_done { summary; _ } ->
+      walked := !walked + summary.Telemetry.walked
+    | _ -> ()
   in
   ignore (Soft.Scheduler.run_traced ~meta ~resources ~sink g);
   !walked
@@ -1331,7 +1312,6 @@ let () =
       ( "render",
         [
           Alcotest.test_case "threads view" `Quick test_render_threads;
-          Alcotest.test_case "timeline view" `Quick test_render_timeline;
         ] );
       ( "kernel",
         [ Alcotest.test_case "decision digest" `Quick test_decision_digest ] );

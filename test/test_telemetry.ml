@@ -17,7 +17,7 @@ let build name = (Hls_bench.Suite.find name).Hls_bench.Suite.build ()
 let record_run ?(resources = two_two) g =
   let counters = Tel.Counters.create () in
   let recorder = Tel.Recorder.create () in
-  let sink = Tel.Sink.tee (Tel.Counters.sink counters) (Tel.Recorder.sink recorder) in
+  let sink = Tel.tee (Tel.Counters.sink counters) (Tel.Recorder.sink recorder) in
   let state = Soft.Scheduler.run_traced ~sink ~resources g in
   (state, Tel.Counters.snapshot counters, Tel.Recorder.events recorder)
 
@@ -199,9 +199,8 @@ let test_sink_restored () =
 
 (* --- exporters ------------------------------------------------------ *)
 
-(* Exporter output is parsed back with the shared JSON reader from the
-   QoR library — the same code path the `softsched diff` gate trusts. *)
-module Json = Qor.Json
+(* Exporter output is parsed back with the shared JSON reader — the
+   same code path the `softsched diff` gate trusts. *)
 
 let test_chrome_trace_json () =
   let g = build "HAL" in
@@ -260,39 +259,20 @@ let test_chrome_trace_json () =
          && Json.member "name" e = Some (Json.Str "diameter"))
        trace_events)
 
-let test_counters_json () =
+(* The key/value rows the QoR report stores per phase: sorted keys, the
+   snapshot's values, and no softness row without a sample. *)
+let test_counters_alist () =
   let g = build "HAL" in
   let _, snap, _ = record_run g in
-  let json =
-    match Json.parse (Tel.Counters.to_json snap) with
-    | j -> j
-    | exception Json.Parse_error m ->
-      Alcotest.failf "malformed counters JSON: %s" m
-  in
   let pairs = Tel.Counters.to_alist snap in
-  check Alcotest.bool "snapshot not empty" true (pairs <> []);
-  List.iter
-    (fun (k, v) ->
-      match Json.member k json with
-      | Some (Json.Num n) -> check (Alcotest.float 1e-9) k v n
-      | _ -> Alcotest.failf "counter %s missing from JSON" k)
-    pairs;
   let keys = List.map fst pairs in
   check Alcotest.bool "keys sorted" true (List.sort compare keys = keys);
-  (* dump: one aligned line per counter, numbers in a fixed column *)
-  let lines =
-    List.filter
-      (fun l -> String.length l > 0)
-      (String.split_on_char '\n' (Tel.Counters.dump snap))
-  in
-  check Alcotest.int "one dump line per counter" (List.length pairs)
-    (List.length lines);
-  match List.map String.length lines with
-  | [] -> ()
-  | w :: rest ->
-    List.iter
-      (fun w' -> check Alcotest.int "lines padded to equal width" w w')
-      rest
+  check Alcotest.(option (float 0.))
+    "positions scanned"
+    (Some (float_of_int snap.Tel.Counters.positions_scanned))
+    (List.assoc_opt "positions_scanned" pairs);
+  check Alcotest.bool "no softness row without a sample" false
+    (List.mem_assoc "last_ordered_pairs" pairs)
 
 let test_text_trace () =
   let g = build "HAL" in
@@ -326,7 +306,7 @@ let test_text_trace () =
          | None -> false)
        lines)
 
-(* --- histograms and gauges ------------------------------------------ *)
+(* --- histograms ----------------------------------------------------- *)
 
 module H = Tel.Histogram
 
@@ -429,32 +409,6 @@ let test_histogram_concurrent_merge () =
   Alcotest.(check bool) "merged == sequential" true (H.equal merged seq);
   Alcotest.(check int) "count" (n_threads * per_thread) (H.count merged)
 
-let test_histogram_json () =
-  let h = H.create () in
-  record_all h [ 5; 50; 500 ];
-  let s = H.to_json h in
-  match Qor.Json.parse_result s with
-  | Error m -> Alcotest.failf "to_json unparseable: %s" m
-  | Ok j ->
-    (match Qor.Json.member "count" j with
-    | Some (Qor.Json.Num n) -> Alcotest.(check int) "count" 3 (int_of_float n)
-    | _ -> Alcotest.fail "no count");
-    List.iter
-      (fun k ->
-        if Qor.Json.member k j = None then Alcotest.failf "missing %S" k)
-      [ "sum"; "min"; "max"; "mean"; "p50"; "p90"; "p95"; "p99" ]
-
-let test_gauge () =
-  let g = Tel.Gauge.create () in
-  Alcotest.(check (float 0.0)) "initial" 0.0 (Tel.Gauge.get g);
-  Tel.Gauge.set g 2.5;
-  Alcotest.(check (float 0.0)) "set" 2.5 (Tel.Gauge.get g);
-  Tel.Gauge.add g 1.0;
-  Tel.Gauge.add g (-3.0);
-  Alcotest.(check (float 1e-9)) "add" 0.5 (Tel.Gauge.get g);
-  Tel.Gauge.set_int g 7;
-  Alcotest.(check (float 0.0)) "set_int" 7.0 (Tel.Gauge.get g)
-
 let metrics_qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_merge_is_interleaved; prop_percentiles_monotone ]
@@ -490,7 +444,7 @@ let () =
         [
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_json;
-          Alcotest.test_case "counters json + dump" `Quick test_counters_json;
+          Alcotest.test_case "counters alist" `Quick test_counters_alist;
           Alcotest.test_case "text trace" `Quick test_text_trace;
         ] );
       ( "histogram",
@@ -500,8 +454,6 @@ let () =
             test_histogram_bucket_error;
           Alcotest.test_case "concurrent per-thread merge" `Quick
             test_histogram_concurrent_merge;
-          Alcotest.test_case "json export" `Quick test_histogram_json;
-          Alcotest.test_case "gauge" `Quick test_gauge;
         ]
         @ metrics_qcheck_cases );
     ]
