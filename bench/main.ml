@@ -925,33 +925,27 @@ let service_throughput () =
   record ~sec:"serve" ~name:"cold throughput jobs=4" ~unit:"requests/s" cold4;
   record ~sec:"serve" ~name:"warm throughput" ~unit:"requests/s" warm;
   record ~sec:"serve" ~name:"warm/cold speedup" ~unit:"x" speedup;
-  (* Per-request latency through the full request path (parse, prepare,
-     execute, render), one sample per request into a log-bucketed
-     histogram — the tail is what the throughput means conceal. *)
-  let one_request service h line =
-    let module H = Telemetry.Histogram in
-    let t0 = Telemetry.now_ns () in
-    (match Serve.Protocol.request_of_line line with
-    | Error _ -> ()
-    | Ok req -> (
-      match Serve.Service.prepare service req with
-      | Error _ -> ()
-      | Ok p ->
-        let o, cached = Serve.Service.execute service p in
-        ignore
-          (Serve.Service.line ~trace:"bench" ~cached
-             ~want_schedule:req.Serve.Protocol.want_schedule o)));
-    H.record h (Telemetry.now_ns () - t0)
+  (* Per-request latency through the full request path
+     (Service.respond: parse, prepare, execute, render), one sample per
+     request into a log-bucketed histogram — the tail is what the
+     throughput means conceal. *)
+  let latencies ~iters service_of =
+    let h = Telemetry.Histogram.create () in
+    for _ = 1 to iters do
+      let service = service_of () in
+      List.iter
+        (fun line ->
+          let t0 = Telemetry.now_ns () in
+          ignore
+            (Serve.Service.respond service ~trace:"bench" ~received:t0
+               ~turn:(Serve.Service.turn ()) line);
+          Telemetry.Histogram.record h (Telemetry.now_ns () - t0))
+        lines
+    done;
+    h
   in
-  let h_cold = Telemetry.Histogram.create () in
-  for _ = 1 to cold_iters do
-    let service = Serve.Service.create () in
-    List.iter (one_request service h_cold) lines
-  done;
-  let h_warm = Telemetry.Histogram.create () in
-  for _ = 1 to warm_iters do
-    List.iter (one_request service h_warm) lines
-  done;
+  let h_cold = latencies ~iters:cold_iters (fun () -> Serve.Service.create ()) in
+  let h_warm = latencies ~iters:warm_iters (fun () -> service) in
   let pct h p = float (Telemetry.Histogram.percentile h p) /. 1e6 in
   let report label h =
     Printf.printf "  %-26s %12.3f / %.3f / %.3f ms (p50/p95/p99)\n" label

@@ -205,14 +205,7 @@ module Tel_cli = struct
              (Telemetry.Counters.sink counters)
              (Telemetry.Recorder.sink recorder))
       in
-      (* Softness (|≺_S|) costs a transitive closure per sample; only
-         pay for it when the counters are going to be printed. *)
-      if o.stats then Telemetry.set_softness_period 1;
-      let result =
-        Fun.protect
-          ~finally:(fun () -> Telemetry.set_softness_period 0)
-          (fun () -> Telemetry.with_sink sink f)
-      in
+      let result = Telemetry.with_sink sink f in
       let events = Telemetry.Recorder.events recorder in
       let write_or_fail path f =
         (try f () with
@@ -298,6 +291,14 @@ let run_schedule design resources meta_s engine race seed tel =
           Soft.Engine.run ~ctx (engine_of_name engine) ~resources g)
   in
   let schedule = o.schedule and a = o.annot in
+  (* Softness (|≺_S|) costs a transitive closure: computed once, on the
+     final state, and only when the counters are printed. *)
+  (match o.state with
+  | Some state when tel.Tel_cli.stats -> (
+    match (Soft.Threaded_graph.stats ~with_softness:true state).ordered_pairs with
+    | Some p -> Printf.printf "  ordered pairs |≺_S|   %8d\n" p
+    | None -> ())
+  | Some _ | None -> ());
   (match o.state with
   | Some state -> print_string (Soft.Render.threads state)
   | None -> ());
@@ -396,9 +397,18 @@ let dot_cmd =
 
 (* --- verilog ------------------------------------------------------- *)
 
+(* verilog, sim and vliw bind each operation to its operands: a vertex
+   with another operand count than its operation's arity is an error in
+   the design, reported before anything is bound. *)
+let bindable_graph_of_spec design =
+  let g = graph_of_spec design in
+  match Dfg.Eval.check g with
+  | Ok () -> g
+  | Error m -> failwith (design ^ ": " ^ m)
+
 let run_verilog design resources meta_s tel =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = bindable_graph_of_spec design in
   let meta = meta_of_name ~resources meta_s in
   let state =
     Tel_cli.run tel
@@ -421,7 +431,7 @@ let verilog_cmd =
 
 let run_sim design resources inputs vcd_path testbench tel =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = bindable_graph_of_spec design in
   let env =
     List.map
       (fun kv ->
@@ -430,6 +440,20 @@ let run_sim design resources inputs vcd_path testbench tel =
         | _ -> failwith (Printf.sprintf "bad input binding %S (want name=int)" kv))
       inputs
   in
+  let unbound =
+    List.fold_left
+      (fun acc v ->
+        match Dfg.Graph.op g v with
+        | Dfg.Op.Input n when not (List.mem_assoc n env || List.mem n acc) ->
+          n :: acc
+        | _ -> acc)
+      [] (Dfg.Graph.vertices g)
+  in
+  if unbound <> [] then
+    failwith
+      (Printf.sprintf "%s: no binding for input%s %s (pass -i NAME=VAL)" design
+         (if List.length unbound > 1 then "s" else "")
+         (String.concat ", " (List.rev unbound)));
   let state =
     Tel_cli.run tel
       ~vertex:(fun v -> Dfg.Graph.name g v)
@@ -539,7 +563,7 @@ let retime_cmd =
 
 let run_vliw design resources =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = bindable_graph_of_spec design in
   let state = Soft.Scheduler.run ~resources g in
   let binding = Rtl.Binding.of_state state in
   let prog = Vliw.Emit.run binding in
@@ -709,7 +733,7 @@ let jobs_arg =
   let doc =
     "Workers for the scheduling pool (domains on OCaml 5, threads on 4.14). \
      Defaults to the detected core count; set explicitly to pin the \
-     parallelism. Batch output is byte-identical for any value."
+     parallelism."
   in
   Arg.(
     value
@@ -776,10 +800,17 @@ let batch_cmd =
        ~doc:
          "Schedule a stream of NDJSON requests: one JSON request object per \
           stdin line, one JSON response per stdout line, in input order. \
-          Identical requests are answered from the fingerprint cache; the \
-          output is byte-identical for any --jobs, with or without \
-          telemetry. A summary line goes to stderr; --stats adds the \
-          scheduler counters and a per-phase latency table (also stderr).")
+          The lines are one pipelined connection on the daemon's request \
+          path: each takes its cache place after the line before it, so \
+          repeats and renamed copies are answered from the fingerprint \
+          cache as in a sequential run, for any --jobs, with or without \
+          telemetry. Three cases can answer differently at different \
+          --jobs: a repeat whose entry a later result evicted (more \
+          distinct graphs than --cache-size), two isomorphic payloads \
+          that fail certification against each other, and requests \
+          with a deadline_ms, which runs from the start of the batch. A \
+          summary line goes to stderr; --stats adds the scheduler \
+          counters and a per-phase latency table (also stderr).")
     Term.(
       ret
         (const run_batch $ jobs_arg $ cache_size_arg $ cache_file_arg

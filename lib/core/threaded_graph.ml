@@ -995,16 +995,10 @@ let thread_population t k =
   walk t.head.(k) 0
 
 (* End-of-call telemetry summary: the maintained diameter plus an O(V+E)
-   recount of edges and degree maxima (and an optional transitive-closure
-   softness sample) — only ever run with a sink installed, never on the
-   production path. *)
+   recount of edges and degree maxima — only ever run with a sink
+   installed, never on the production path. *)
 let emit_schedule_done t ~v ~thread ~scanned ~relabelled0 ~walked0 ~t0 =
   let state_edges, max_in, max_out = edge_degree_stats t in
-  let ordered_pairs =
-    if Tel.softness_due () then
-      Some (Reach.count_pairs (Reach.of_graph (state_graph t)))
-    else None
-  in
   let summary =
     {
       Tel.scanned;
@@ -1014,7 +1008,6 @@ let emit_schedule_done t ~v ~thread ~scanned ~relabelled0 ~walked0 ~t0 =
       state_edges;
       max_thread_in_degree = max_in;
       max_thread_out_degree = max_out;
-      ordered_pairs;
       elapsed_ns = Tel.now_ns () - t0;
     }
   in

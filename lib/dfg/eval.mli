@@ -7,6 +7,12 @@
 type env = (string * int) list
 (** Values for [Op.Input] vertices, keyed by input name. *)
 
+val check : Graph.t -> (unit, string) result
+(** [Ok ()] when every vertex has as many operands as its operation's
+    {!Op.arity}; otherwise [Error] naming the first vertex (in vertex
+    order) that has not, worded as {!run} words it, e.g.
+    ["mul at a has 0 operands, expected 2"]. *)
+
 val run : Graph.t -> env -> int array
 (** [run g env] computes every vertex's value in topological order.
     @raise Not_found if an input name is missing from [env].

@@ -1,18 +1,22 @@
-(** NDJSON batch driver: request lines in, response lines out, fanned
-    over the worker pool.
+(** NDJSON batch driver: request lines in, response lines out, as one
+    pipelined connection to the daemon's per-request path
+    ({!Service.respond}).
 
-    Deterministic by construction: preparation and fingerprinting run
-    sequentially in input order, requests with one cache key are deduped
-    onto one scheduler run (a follower with another payload, such as a
-    renamed copy, gets the leader's result certified and remapped into
-    its own names, or is executed itself), trace ids are positional
-    ([b-000001], …) and responses come back in input order — so the
-    output is byte-identical for any [jobs], given the same entry cache
-    state. Blank lines are skipped without output. *)
+    Each non-blank line gets a positional trace id ([b-000001], …) and a
+    turn chained to the line before it; responses come back in input
+    order. The turns make requests take their cache places in input
+    order, and single flight makes a repeat of a key still being
+    computed join that computation as a hit, so, given the same entry
+    cache state, the output is that of a sequential run for any [jobs].
+    Three cases can answer differently at different [jobs]: a repeat
+    whose entry a later result evicted (more distinct keys than the
+    cache holds), two isomorphic payloads that fail certification
+    against each other, and requests with a [deadline_ms]. Blank lines
+    are skipped without output. *)
 
 type stats = {
   requests : int;
-  hits : int;  (** responses answered from cache (or a batch leader) *)
+  hits : int;  (** responses answered from cache *)
   degraded : int;
   errors : int;
   wall_s : float;
@@ -20,10 +24,12 @@ type stats = {
 
 val run_lines :
   ?pool:Pool.t -> Service.t -> jobs:int -> string list -> string list * stats
-(** [pool] lends an existing worker pool for the cold fan-out (it is
-    not shut down afterwards); by default a private [jobs]-wide pool is
-    created and drained per call. The response bytes are identical
-    either way.
+(** [pool] lends an existing FIFO worker pool (it is not shut down
+    afterwards). Without one, [jobs = 1] runs the lines one after
+    another on the calling thread, and a larger [jobs] creates a private
+    [jobs]-wide pool and drains it per call. The response bytes are the
+    same either way. Every line counts as received at the call: its
+    [deadline_ms] runs from there.
     @raise Invalid_argument on non-positive [jobs]. *)
 
 val run_channels : Service.t -> jobs:int -> in_channel -> out_channel -> stats

@@ -214,10 +214,6 @@ let add (t : 'a t) key value =
       Atomic.incr t.size);
   if Atomic.get t.size > t.capacity then evict_one t
 
-let mem (t : 'a t) key =
-  let s = shard_of t key in
-  with_lock s (fun () -> Hashtbl.mem s.table key)
-
 let length (t : 'a t) = Atomic.get t.size
 
 (* One consistent snapshot: hold every shard lock at once (in index

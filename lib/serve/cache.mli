@@ -50,9 +50,6 @@ val add : 'a t -> string -> 'a -> unit
 (** Inserts (or replaces) as most recently used, evicting the globally
     least-recent entry while over capacity. *)
 
-val mem : 'a t -> string -> bool
-(** Membership without touching recency or the counters. *)
-
 val length : 'a t -> int
 
 val stats : 'a t -> stats

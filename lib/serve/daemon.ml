@@ -8,12 +8,13 @@
    Per connection the loop keeps a read buffer (NDJSON line framing), a
    write queue, and a FIFO of reply slots: pipelined requests on one
    connection are answered strictly in request order even though the
-   pool completes them in any order, and they enter the cache in that
-   order too (see [turn]). Backpressure is explicit at every
-   layer — a connection stops being read once its pipeline or write
-   queue is deep enough, and a full pool queue turns into an immediate
-   ["server busy"] reply carrying a [retry_after_ms] hint instead of a
-   blocked submit.
+   pool completes them in any order, and they take their cache places
+   in that order too (Service.turn): each is answered by
+   Service.respond, the batch runner's path. Backpressure is explicit
+   at every layer — a connection stops being read once its pipeline or
+   write queue is deep enough, and a full pool queue turns into an
+   immediate ["server busy"] reply carrying a [retry_after_ms] hint
+   instead of a blocked submit.
 
    Shutdown is a drain, not an abort: [stop] raises a flag and pokes
    the loop's self-pipe; the loop closes the listeners, stops reading,
@@ -32,16 +33,6 @@ let max_line = 8 * 1024 * 1024  (* a longer request line is abuse *)
    slots from the front so responses keep request order. *)
 type slot = string option Atomic.t
 
-(* Pipelined requests on one connection enter the cache in request
-   order: after its own prepare, a request waits until its predecessor
-   on the connection has taken its place — found its entry, or led or
-   joined the computation of its key (Service.execute's [entered]) — or
-   has failed. Two pipelined requests for one key are then a miss and a
-   hit, in that order, however the workers interleave. The predecessor
-   was offered to the FIFO pool first, so it is already running: no
-   worker waits on a queued job. *)
-type turn = { mutable entered : bool }
-
 type conn = {
   cid : int;
   fd : Unix.file_descr;
@@ -53,7 +44,8 @@ type conn = {
   mutable out_bytes : int;  (* wchunk remainder + queued lines *)
   mutable reof : bool;  (* peer closed / read error: no more reads *)
   mutable close_after_flush : bool;
-  mutable last_turn : turn option;  (* the latest request's, loop-thread only *)
+  mutable last_turn : Service.turn option;
+      (* the latest request's, loop-thread only *)
 }
 
 type t = {
@@ -66,8 +58,6 @@ type t = {
   max_connections : int;
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
-  turn_lock : Mutex.t;
-  turn_done : Condition.t;
   stopping : bool Atomic.t;
   mutable listeners_open : bool;  (* loop-thread only *)
   mutable conns : conn list;  (* loop-thread only *)
@@ -80,83 +70,6 @@ let stopping t = Atomic.get t.stopping
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)
   with Unix.Unix_error _ -> ()
-
-(* -- request execution (pool workers) --------------------------------- *)
-
-let enter t turn =
-  Mutex.lock t.turn_lock;
-  turn.entered <- true;
-  Condition.broadcast t.turn_done;
-  Mutex.unlock t.turn_lock
-
-let await_turn t = function
-  | None -> ()
-  | Some prev ->
-    Mutex.lock t.turn_lock;
-    while not prev.entered do
-      Condition.wait t.turn_done t.turn_lock
-    done;
-    Mutex.unlock t.turn_lock
-
-(* One scheduling request line -> one response line, run inside a pool
-   worker. Admin lines never reach here (the loop answers them
-   inline). The span covers the same phases as ever: queue wait is
-   line-receipt -> worker start, parse/prepare/lookup/schedule/emit are
-   timed here and in [Service.execute]. Every scheduling request
-   (error paths included) is recorded exactly once. *)
-let answer_request t ~trace ~enqueued ~after ~turn line =
-  let m = t.metrics in
-  let now = Telemetry.now_ns in
-  let sp = Metrics.span () in
-  let t0 = now () in
-  sp.Metrics.queue_ns <- t0 - enqueued;
-  let record ~design ~ok ~cached ~degraded reply =
-    sp.Metrics.total_ns <- now () - enqueued;
-    Metrics.record m ~trace ~design ~ok ~cached ~degraded sp;
-    reply
-  in
-  let fail ?id ~design msg =
-    record ~design ~ok:false ~cached:false ~degraded:false
-      (Protocol.error_line ?id ~trace msg)
-  in
-  match Protocol.request_of_line line with
-  | Error (id, msg) ->
-    sp.Metrics.parse_ns <- now () - t0;
-    fail ?id ~design:"?" msg
-  | Ok req -> (
-    sp.Metrics.parse_ns <- now () - t0;
-    let id = req.Protocol.id in
-    let design = Protocol.spec_label req.Protocol.spec in
-    let t1 = now () in
-    match Service.prepare t.service req with
-    | Error msg ->
-      sp.Metrics.lookup_ns <- now () - t1;
-      fail ?id ~design msg
-    | Ok prepared -> (
-      sp.Metrics.lookup_ns <- now () - t1;
-      let deadline =
-        Option.map
-          (fun ms -> Unix.gettimeofday () +. (ms /. 1000.))
-          req.Protocol.deadline_ms
-      in
-      let tw = now () in
-      await_turn t after;
-      sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
-      match
-        Service.execute ?deadline ~span:sp
-          ~entered:(fun () -> enter t turn)
-          t.service prepared
-      with
-      | exception e -> fail ?id ~design (Printexc.to_string e)
-      | o, cached ->
-        let t2 = now () in
-        let reply =
-          Service.line ?id ~trace ~cached
-            ~want_schedule:req.Protocol.want_schedule o
-        in
-        sp.Metrics.emit_ns <- now () - t2;
-        let degraded = (Service.result_of o).Protocol.degraded in
-        record ~design ~ok:true ~cached ~degraded reply))
 
 (* -- the event loop (one thread) -------------------------------------- *)
 
@@ -205,24 +118,24 @@ let process_line t c line =
     match admin with
     | Some reply -> fill slot reply
     | None -> (
-      let enqueued = Telemetry.now_ns () in
-      let after = c.last_turn and turn = { entered = false } in
-      c.last_turn <- Some turn;
+      let received = Telemetry.now_ns () in
+      let after = c.last_turn and turn = Service.turn () in
       Metrics.add_in_flight t.metrics 1;
       match
         Pool.offer t.pool (fun () ->
             let reply =
-              try answer_request t ~trace ~enqueued ~after ~turn line
-              with e -> Protocol.error_line ~trace (Printexc.to_string e)
+              Service.respond t.service ~trace ~received ?after ~turn line
             in
-            enter t turn;
-            fill slot reply;
+            fill slot reply.Service.line;
             Metrics.add_in_flight t.metrics (-1);
             wake t)
       with
-      | `Future _ -> Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool)
+      | `Future _ ->
+        (* only a request that runs is the next one's predecessor; one
+           turned away below holds no turn *)
+        c.last_turn <- Some turn;
+        Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool)
       | `Full ->
-        enter t turn;
         Metrics.add_in_flight t.metrics (-1);
         Metrics.turned_away t.metrics;
         let retry_after_ms =
@@ -231,7 +144,6 @@ let process_line t c line =
         in
         fill slot (Protocol.error_line ~retry_after_ms ~trace "server busy")
       | `Draining ->
-        enter t turn;
         Metrics.add_in_flight t.metrics (-1);
         fill slot (Protocol.error_line ~trace "shutting down"))
   end
@@ -511,20 +423,17 @@ let tcp_listener host port =
     (try Unix.close lsock with Unix.Unix_error _ -> ());
     raise e
 
-let start service ?socket ?tcp ~jobs ?(max_connections = 32) ?metrics () =
+let start service ?socket ?tcp ~jobs ?(max_connections = 32) () =
   if max_connections <= 0 then
     invalid_arg "Daemon.start: non-positive max_connections";
   if socket = None && tcp = None then
     invalid_arg "Daemon.start: need a unix socket, a tcp endpoint, or both";
+  (* the service's plane, so the cache gauge and the request histograms
+     land in one snapshot *)
   let metrics =
-    match metrics with
+    match Service.metrics service with
     | Some m -> m
-    | None -> (
-      (* share the service's plane so the cache gauge and the request
-         histograms land in one snapshot *)
-      match Service.metrics service with
-      | Some m -> m
-      | None -> Metrics.create ())
+    | None -> invalid_arg "Daemon.start: the service has no metrics plane"
   in
   let unix_l = Option.map unix_listener socket in
   let tcp_l =
@@ -555,8 +464,6 @@ let start service ?socket ?tcp ~jobs ?(max_connections = 32) ?metrics () =
       max_connections;
       wake_r;
       wake_w;
-      turn_lock = Mutex.create ();
-      turn_done = Condition.create ();
       stopping = Atomic.make false;
       listeners_open = true;
       conns = [];
@@ -586,4 +493,3 @@ let wait t =
 
 let socket_path t = t.socket_path
 let tcp_port t = t.tcp_port
-let metrics t = t.metrics

@@ -9,7 +9,10 @@
     carrying a [retry_after_ms] back-off hint. Connections beyond
     [max_connections] get the same busy line at accept and are closed.
     The protocol is the NDJSON of {!Protocol}, one request line → one
-    response line, with per-request trace ids ([s-000001], …).
+    response line, with per-request trace ids ([s-000001], …). Each
+    scheduling line is answered by {!Service.respond} in a pool worker,
+    its turn chained to the connection's previous request — the path
+    {!Batch} runs too.
 
     Shutdown ({!stop}) is a {e drain}: the listeners close, no further
     requests are read, and every request already offered to the pool
@@ -24,17 +27,17 @@ val start :
   ?tcp:string * int ->
   jobs:int ->
   ?max_connections:int ->
-  ?metrics:Metrics.t ->
   unit ->
   t
 (** Binds the given transports ([socket] replaces any stale socket
     file; [tcp] is [(host, port)], port [0] picks an ephemeral port —
     see {!tcp_port}) and spawns the event loop. At least one transport
     is required. [max_connections] defaults to 32 and is shared across
-    transports. [metrics] defaults to the service's plane (so the cache
-    gauge and request histograms share one snapshot), or a fresh one if
-    the service has none.
-    @raise Invalid_argument without any transport.
+    transports. The daemon's metrics plane is the service's
+    ({!Service.metrics}), so the cache gauge and the request histograms
+    share one snapshot.
+    @raise Invalid_argument without any transport, or when the service
+    was created without a metrics plane.
     @raise Unix.Unix_error if a socket cannot be bound. *)
 
 val stop : t -> unit
@@ -48,6 +51,3 @@ val socket_path : t -> string option
 val tcp_port : t -> int option
 (** The bound TCP port (useful with port [0]); [None] without [?tcp]. *)
 
-val metrics : t -> Metrics.t
-(** The daemon's metrics plane — the source of the [stats] admin reply
-    and the CLI's periodic [--metrics-file] dumps. *)

@@ -15,9 +15,10 @@
     metrics plane installed. *)
 
 (** Per-request phase timings in nanoseconds. Each layer fills in its
-    own phase as the request passes through (daemon/batch: parse, queue
-    wait, emit, total; service: cache lookup, schedule), then the owner
-    hands the span to {!record} exactly once. *)
+    own phase as the request passes through ({!Service.respond}: parse,
+    queue wait, emit, total; {!Service.execute}: cache lookup,
+    schedule), then {!Service.respond} hands the span to {!record}
+    exactly once. *)
 type span = {
   mutable parse_ns : int;
   mutable lookup_ns : int;

@@ -63,8 +63,6 @@ let core o ~want_schedule =
       o.core_without <- Some s;
       s
 
-let render_core ~want_schedule o = ignore (core o ~want_schedule)
-
 let line ?id ~trace ~cached ~want_schedule o =
   Protocol.ok_line_with_core ?id ~trace ~cached (core o ~want_schedule)
 
@@ -157,6 +155,8 @@ type t = {
   flights : (string, flight) Hashtbl.t;
   trace_lock : Mutex.t;
   mutable traces : int;
+  turn_lock : Mutex.t;
+  turn_done : Condition.t;
   metrics : Metrics.t option;
 }
 
@@ -181,6 +181,8 @@ let create ?(cache_capacity = 256) ?metrics () =
     flights = Hashtbl.create 16;
     trace_lock = Mutex.create ();
     traces = 0;
+    turn_lock = Mutex.create ();
+    turn_done = Condition.create ();
     metrics;
   }
 
@@ -203,14 +205,29 @@ let next_trace t ~prefix =
       t.traces <- t.traces + 1;
       Printf.sprintf "%s-%06d" prefix t.traces)
 
-let key_of p = p.key
-let request_of p = p.req
-let same_payload (a : prepared) (b : prepared) = a.payload = b.payload
+(* A request's place in its connection's order: released (under
+   [turn_lock], broadcast on [turn_done]) once the request has taken its
+   cache place, or has failed and its predecessor's turn is released. A
+   request waits for its predecessor's turn before it looks in the
+   cache, so requests take their places in order however the workers
+   interleave. *)
+type turn = bool Atomic.t
 
-(* Advisory (the entry can be evicted between this and [execute]);
-   the batch runner uses it to answer warm requests inline instead of
-   paying a worker-pool handoff for a hash lookup. *)
-let cached t p = Cache.mem t.cache p.key
+let turn () = Atomic.make false
+
+let release t turn =
+  if not (Atomic.get turn) then
+    with_lock t.turn_lock (fun () ->
+        Atomic.set turn true;
+        Condition.broadcast t.turn_done)
+
+let await_turn t = function
+  | Some prev when not (Atomic.get prev) ->
+    with_lock t.turn_lock (fun () ->
+        while not (Atomic.get prev) do
+          Condition.wait t.turn_done t.turn_lock
+        done)
+  | Some _ | None -> ()
 
 (* -- request -> graph ------------------------------------------------- *)
 
@@ -303,53 +320,19 @@ let schedule_graph ?deadline ~meta ~resources g =
   in
   Engine.threaded_run ?deadline ~meta:meta_fn ~resources g
 
-let result_of_state ~key ~design ~resources ~meta ~degraded st =
-  let g = T.graph st in
-  let sched = T.to_schedule st in
-  let assignment =
-    List.map
-      (fun v ->
-        {
-          Protocol.vertex = Graph.name g v;
-          op = Op.to_string (Graph.op g v);
-          unit_ = T.thread_of st v;
-          step = Schedule.start sched v;
-        })
-      (Graph.vertices g)
-  in
-  {
-    Protocol.fingerprint =
-      (match String.index_opt key '|' with
-      | Some i -> String.sub key 0 i
-      | None -> key);
-    design;
-    resources_str = Resources.to_string resources;
-    meta;
-    vertices = Graph.n_vertices g;
-    edges = Graph.n_edges g;
-    diameter = T.diameter st;
-    degraded;
-    engine = None;
-    assignment;
-  }
-
-(* Build a result from an annotated engine outcome (race winner or
-   exhaustive run). Thread assignments are only known for soft-state
-   engines; for the hard ones the slots carry the step alone, like a
-   free placement. *)
-let result_of_outcome ~key ~design ~resources ~meta (o : Engine.outcome) =
-  let sched = o.Engine.schedule in
+(* The reply to [req] for [sched]. Thread assignments are known only
+   for soft-state engines; for the hard ones [thread_of] is absent and
+   the slots carry the step alone, like a free placement. *)
+let result_of_schedule ~key (req : Protocol.request) ?thread_of ~diameter
+    ~degraded ~engine sched =
   let g = Schedule.graph sched in
-  let thread_of v =
-    match o.Engine.state with Some st -> T.thread_of st v | None -> None
-  in
   let assignment =
     List.map
       (fun v ->
         {
           Protocol.vertex = Graph.name g v;
           op = Op.to_string (Graph.op g v);
-          unit_ = thread_of v;
+          unit_ = (match thread_of with Some f -> f v | None -> None);
           step = Schedule.start sched v;
         })
       (Graph.vertices g)
@@ -359,14 +342,14 @@ let result_of_outcome ~key ~design ~resources ~meta (o : Engine.outcome) =
       (match String.index_opt key '|' with
       | Some i -> String.sub key 0 i
       | None -> key);
-    design;
-    resources_str = Resources.to_string resources;
-    meta;
+    design = Protocol.spec_label req.Protocol.spec;
+    resources_str = Resources.to_string req.Protocol.resources;
+    meta = req.Protocol.meta;
     vertices = Graph.n_vertices g;
     edges = Graph.n_edges g;
-    diameter = Schedule.length sched;
-    degraded = o.Engine.annot.Engine.degraded;
-    engine = Some o.Engine.annot.Engine.engine;
+    diameter;
+    degraded;
+    engine;
     assignment;
   }
 
@@ -441,18 +424,26 @@ let compute ?deadline t (p : prepared) =
   in
   let resources = p.req.Protocol.resources in
   let meta = p.req.Protocol.meta in
-  let design = Protocol.spec_label p.req.Protocol.spec in
   let record_engine name =
     match t.metrics with
     | None -> ()
     | Some m -> Metrics.engine_run m ~engine:name
+  in
+  let of_outcome ?degraded (o : Engine.outcome) =
+    let sched = o.Engine.schedule in
+    result_of_schedule ~key:p.key p.req
+      ?thread_of:(Option.map T.thread_of o.Engine.state)
+      ~diameter:(Schedule.length sched)
+      ~degraded:(Option.value degraded ~default:o.Engine.annot.Engine.degraded)
+      ~engine:(Some o.Engine.annot.Engine.engine) sched
   in
   let result =
     match p.req.Protocol.effort with
     | Protocol.Fast ->
       let st, degraded = schedule_graph ?deadline ~meta ~resources g in
       record_engine "soft";
-      result_of_state ~key:p.key ~design ~resources ~meta ~degraded st
+      result_of_schedule ~key:p.key p.req ~thread_of:(T.thread_of st)
+        ~diameter:(T.diameter st) ~degraded ~engine:None (T.to_schedule st)
     | Protocol.Race ->
       (* The race builds its own private pool: execute already runs
          inside a pool worker (daemon/batch), and fanning out on that
@@ -473,12 +464,7 @@ let compute ?deadline t (p : prepared) =
         | None -> ()
         | Some m ->
           Metrics.race_win m ~engine:race.Race.winner.Engine.annot.Engine.engine);
-        {
-          (result_of_outcome ~key:p.key ~design ~resources ~meta
-             race.Race.winner)
-          with
-          Protocol.degraded = race.Race.degraded;
-        })
+        of_outcome ~degraded:race.Race.degraded race.Race.winner)
     | Protocol.Exhaustive ->
       let e =
         match Engine.find "bnb" with
@@ -488,7 +474,7 @@ let compute ?deadline t (p : prepared) =
       let ctx = Engine.ctx ?deadline ~meta () in
       let o = Engine.run ~ctx e ~resources g in
       record_engine o.Engine.annot.Engine.engine;
-      result_of_outcome ~key:p.key ~design ~resources ~meta o
+      of_outcome o
   in
   (match validate g resources result with
   | Ok () -> ()
@@ -500,7 +486,9 @@ let compute ?deadline t (p : prepared) =
   sync_cache_gauge t;
   o
 
-let execute ?deadline ?span ?(entered = ignore) t (p : prepared) =
+(* [turn], if given, is released once [p] has taken its place: found
+   its entry, or led or joined the computation of its key. *)
+let run ?deadline ?span ?turn t (p : prepared) =
   let now = Telemetry.now_ns in
   let add_span f =
     match span with
@@ -542,7 +530,7 @@ let execute ?deadline ?span ?(entered = ignore) t (p : prepared) =
               Hashtbl.replace t.flights p.key f;
               `Lead (Some f, missed)))
   in
-  entered ();
+  Option.iter (release t) turn;
   let fresh () =
     Cache.record t.cache p.key `Miss;
     let t1 = now () in
@@ -598,6 +586,84 @@ let execute ?deadline ?span ?(entered = ignore) t (p : prepared) =
       if not o.result.Protocol.degraded then count t `Cert_miss;
       fresh ()
     | Error _ -> fresh ())
+
+let execute ?deadline ?span t p = run ?deadline ?span t p
+
+(* -- one request line, end to end ------------------------------------- *)
+
+type reply = { line : string; ok : bool; cached : bool; degraded : bool }
+
+(* Parse, prepare, wait for the predecessor's turn, run, render, and
+   record the span (queue wait runs from receipt to the worker's start,
+   plus the wait for the turn; total from receipt to the rendered
+   line). The deadline, too, runs from receipt. The turn is released
+   on every path: when the request takes its place, or, when it fails
+   before that, once the predecessor has taken its own, so that the
+   failure does not let a successor overtake it. *)
+let respond t ~trace ~received ?after ~turn text =
+  let now = Telemetry.now_ns in
+  let sp = Metrics.span () in
+  let t0 = now () in
+  sp.Metrics.queue_ns <- t0 - received;
+  let finish ~design ~ok ~cached ~degraded line =
+    sp.Metrics.total_ns <- now () - received;
+    (match t.metrics with
+    | Some m -> Metrics.record m ~trace ~design ~ok ~cached ~degraded sp
+    | None -> ());
+    { line; ok; cached; degraded }
+  in
+  let fail ?id ~design msg =
+    finish ~design ~ok:false ~cached:false ~degraded:false
+      (Protocol.error_line ?id ~trace msg)
+  in
+  let answer_line () =
+    match Protocol.request_of_line text with
+    | Error (id, msg) ->
+      sp.Metrics.parse_ns <- now () - t0;
+      fail ?id ~design:"?" msg
+    | Ok req -> (
+      sp.Metrics.parse_ns <- now () - t0;
+      let id = req.Protocol.id in
+      let design = Protocol.spec_label req.Protocol.spec in
+      let t1 = now () in
+      match prepare t req with
+      | Error msg ->
+        sp.Metrics.lookup_ns <- now () - t1;
+        fail ?id ~design msg
+      | Ok p -> (
+        sp.Metrics.lookup_ns <- now () - t1;
+        let deadline =
+          Option.map
+            (fun ms -> (float received /. 1e9) +. (ms /. 1000.))
+            req.Protocol.deadline_ms
+        in
+        let tw = now () in
+        await_turn t after;
+        sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
+        match run ?deadline ~span:sp ~turn t p with
+        | exception e -> fail ?id ~design (Printexc.to_string e)
+        | o, cached ->
+          let t2 = now () in
+          let line =
+            line ?id ~trace ~cached ~want_schedule:req.Protocol.want_schedule o
+          in
+          sp.Metrics.emit_ns <- now () - t2;
+          finish ~design ~ok:true ~cached ~degraded:o.result.Protocol.degraded
+            line))
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      await_turn t after;
+      release t turn)
+    (fun () ->
+      try answer_line ()
+      with e ->
+        {
+          line = Protocol.error_line ~trace (Printexc.to_string e);
+          ok = false;
+          cached = false;
+          degraded = false;
+        })
 
 (* -- cache persistence ------------------------------------------------ *)
 

@@ -1,10 +1,10 @@
 (** The scheduling service: request → graph → fingerprint → cache → (on
     a miss) the threaded scheduler.
 
-    [prepare] resolves the design and computes the cache key; [execute]
-    consults the cache and schedules on a miss. The split exists so the
-    batch runner can dedupe requests by key {e before} fanning out to
-    the worker pool.
+    {!respond} is the one path from a request line to its reply line:
+    the daemon's workers and the batch runner both call it. Inside it,
+    [prepare] resolves the design and computes the cache key, and
+    [execute] consults the cache and schedules on a miss.
 
     Every cache entry carries the identity of the request that created
     it: its payload digest (MD5) and its graph's {!Fingerprint.canon}.
@@ -40,14 +40,15 @@ type t
 
 val create : ?cache_capacity:int -> ?metrics:Metrics.t -> unit -> t
 (** [cache_capacity] defaults to 256 results. [metrics] plugs the
-    service into a metrics plane: cache-occupancy gauge updates plus
-    lookup/schedule span attribution in {!execute}. Omitting it makes
-    every metrics update a no-op — results are bit-identical either
-    way. *)
+    service into a metrics plane: cache-occupancy gauge updates, cache
+    path and engine counters, and one record per {!respond}. Without a
+    plane every metrics update is a no-op — results are bit-identical
+    either way. A daemon needs a service with a plane. *)
 
 val cache_stats : t -> Cache.stats
 
 val metrics : t -> Metrics.t option
+(** The plane given to {!create}, if any. *)
 
 val memo : t -> int * int
 (** The payload memo's [(aliases, bound)]; the bound is four times the
@@ -68,27 +69,11 @@ val prepare : t -> Protocol.request -> (prepared, string) result
     (registry lookup / parse / lower), validate, and compute the cache
     key and the certificate in one fingerprint pass. *)
 
-val key_of : prepared -> string
-val request_of : prepared -> Protocol.request
-
-val same_payload : prepared -> prepared -> bool
-(** Do two requests carry the same payload (spec, resources, meta and
-    effort, by digest)? *)
-
-val cached : t -> prepared -> bool
-(** Advisory: is the result in cache right now? (Does not touch recency
-    or the counters.) *)
-
 type outcome
 (** A {!Protocol.result} plus memoized renderings of its response core
     — what the cache stores, so warm responses are a string splice. *)
 
 val result_of : outcome -> Protocol.result
-
-val render_core : want_schedule:bool -> outcome -> unit
-(** Render and memoize the response core now — in the worker that
-    produced the outcome — so a later {!line} only splices the id, the
-    trace and the cached flag around it. *)
 
 val line :
   ?id:string ->
@@ -100,21 +85,8 @@ val line :
 (** Render the ok response line; byte-identical to {!Protocol.ok_line}
     on [result_of], but reuses the memoized core. *)
 
-val follow : t -> outcome -> prepared -> outcome option
-(** [follow t o p] answers [p] from [o], the outcome of another request
-    with [p]'s key (a batch leader, or a computation [p] waited for):
-    [o] itself when [p] carries the payload that produced it, [o]
-    remapped into [p]'s names when their certificates agree and the
-    remapped reply validates. [None] when [o] is degraded or cannot be
-    certified for [p]: [p] must then be executed. *)
-
 val execute :
-  ?deadline:float ->
-  ?span:Metrics.span ->
-  ?entered:(unit -> unit) ->
-  t ->
-  prepared ->
-  outcome * bool
+  ?deadline:float -> ?span:Metrics.span -> t -> prepared -> outcome * bool
 (** Returns [(outcome, cached)]. [deadline] is an absolute
     [Unix.gettimeofday] instant: once it passes, the remaining
     operations are fast-placed (first feasible position — still a valid
@@ -124,12 +96,48 @@ val execute :
     timing never changes the result. A request joins a computation in
     flight only when that computation's deadline is no later than
     [deadline] (none counts as infinite); otherwise it computes its own
-    result. [entered] is called once the request has taken its place
-    (found its entry, or led or joined the computation of its key); the
-    daemon uses it to let pipelined requests on one connection enter
-    the cache in request order. May raise (scheduler errors, a
-    reply that fails validation, evicted-and-unbuildable specs);
-    callers run it under {!Pool} which captures exceptions. *)
+    result. May raise (scheduler errors, a reply that fails validation,
+    evicted-and-unbuildable specs). *)
+
+type turn
+(** A request's place in its connection's order. A request waits until
+    its predecessor's turn is released before it looks in the cache,
+    and its own turn is released once it has taken its place (found its
+    entry, or led or joined the computation of its key), or once it has
+    failed and its predecessor's turn is released. Pipelined requests
+    thus take their cache places in request order however the workers
+    interleave, failed lines between them included: two requests for
+    one key are a miss and then a hit. *)
+
+val turn : unit -> turn
+(** A fresh, unreleased turn. A turn handed to no {!respond} must be
+    nobody's [after]. *)
+
+type reply = {
+  line : string;  (** the reply line, without its newline *)
+  ok : bool;  (** [false] for an error reply *)
+  cached : bool;
+  degraded : bool;
+}
+
+val respond :
+  t ->
+  trace:string ->
+  received:int ->
+  ?after:turn ->
+  turn:turn ->
+  string ->
+  reply
+(** [respond t ~trace ~received ?after ~turn text] answers one request
+    line: parse, {!prepare}, wait for [after] (the predecessor's turn),
+    {!execute}, render. [received] is the line's receipt time
+    ({!Telemetry.now_ns}): a [deadline_ms] runs from it, and so do the
+    span's queue wait and total. The span is recorded exactly once in
+    the service's plane, if it has one. [turn] is released on every
+    path, a parse error and an exception included, but never before
+    [after]; an exception becomes an error reply. Run requests with
+    chained turns in submission order on a FIFO pool, or one after
+    another: a request never waits for one that has not started. *)
 
 val schedule_graph :
   ?deadline:float ->

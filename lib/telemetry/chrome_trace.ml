@@ -110,10 +110,7 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
           ];
         counter ~ts:at_ns ~series:"diameter" ~value:summary.Events.diameter;
         counter ~ts:at_ns ~series:"state_edges"
-          ~value:summary.Events.state_edges;
-        (match summary.Events.ordered_pairs with
-        | Some p -> counter ~ts:at_ns ~series:"ordered_pairs" ~value:p
-        | None -> ()))
+          ~value:summary.Events.state_edges)
     events;
   Json.to_string ~minify:true
     (Json.Obj

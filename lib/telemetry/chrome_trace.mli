@@ -4,7 +4,7 @@
     one track per functional-unit thread (named via [tracks]) plus a
     synthetic track for free placements, an ["X"] slice per [schedule]
     call on the track the operation landed in, and ["C"] counter series
-    for diameter / state edges / softness samples. *)
+    for diameter and state edges. *)
 
 val to_string :
   ?process_name:string -> ?tracks:(int * string) list ->

@@ -21,7 +21,6 @@ type t = {
   mutable last_state_edges : int;
   mutable last_max_in_degree : int;
   mutable last_max_out_degree : int;
-  mutable last_ordered_pairs : int option;
   mutable elapsed_ns : int;
   mutable cache_hits : int;
   mutable cache_misses : int;
@@ -46,7 +45,6 @@ type snapshot = {
   last_state_edges : int;
   last_max_in_degree : int;
   last_max_out_degree : int;
-  last_ordered_pairs : int option;
   elapsed_ns : int;
   cache_hits : int;
   cache_misses : int;
@@ -71,7 +69,6 @@ let create () =
     last_state_edges = 0;
     last_max_in_degree = 0;
     last_max_out_degree = 0;
-    last_ordered_pairs = None;
     elapsed_ns = 0;
     cache_hits = 0;
     cache_misses = 0;
@@ -100,9 +97,6 @@ let sink (c : t) : Events.sink = function
     c.last_state_edges <- s.state_edges;
     c.last_max_in_degree <- s.max_thread_in_degree;
     c.last_max_out_degree <- s.max_thread_out_degree;
-    (match s.ordered_pairs with
-    | Some _ as p -> c.last_ordered_pairs <- p
-    | None -> ());
     c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns
   | Cache_event { op = `Hit; _ } -> c.cache_hits <- c.cache_hits + 1
   | Cache_event { op = `Miss; _ } -> c.cache_misses <- c.cache_misses + 1
@@ -127,7 +121,6 @@ let snapshot (c : t) : snapshot =
     last_state_edges = c.last_state_edges;
     last_max_in_degree = c.last_max_in_degree;
     last_max_out_degree = c.last_max_out_degree;
-    last_ordered_pairs = c.last_ordered_pairs;
     elapsed_ns = c.elapsed_ns;
     cache_hits = c.cache_hits;
     cache_misses = c.cache_misses;
@@ -162,11 +155,6 @@ let to_alist (s : snapshot) : (string * float) list =
       ("vertices_walked", f s.vertices_walked);
     ]
   in
-  let rows =
-    match s.last_ordered_pairs with
-    | Some p -> ("last_ordered_pairs", f p) :: rows
-    | None -> rows
-  in
   (* Cache counters only appear when a cache was actually in play, so
      reports from the cache-less flow (and their committed baselines)
      keep their historical key set. *)
@@ -197,9 +185,6 @@ let to_string (s : snapshot) =
   line "  max thread in-degree  %8d  (out-degree %d)" s.last_max_in_degree
     s.last_max_out_degree;
   line "  final diameter        %8d" s.last_diameter;
-  (match s.last_ordered_pairs with
-  | Some p -> line "  ordered pairs |≺_S|   %8d" p
-  | None -> ());
   if s.cache_hits + s.cache_misses + s.cache_evictions > 0 then
     line "  result cache          %8d hits, %d misses, %d evictions"
       s.cache_hits s.cache_misses s.cache_evictions;

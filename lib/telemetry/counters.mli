@@ -27,7 +27,6 @@ type snapshot = {
   last_state_edges : int;  (** agrees with [Threaded_graph.stats] *)
   last_max_in_degree : int;
   last_max_out_degree : int;
-  last_ordered_pairs : int option;  (** most recent softness sample *)
   elapsed_ns : int;  (** wall time inside instrumented calls *)
   cache_hits : int;  (** result-cache lookups served from memory *)
   cache_misses : int;  (** lookups that fell through to the scheduler *)
@@ -49,6 +48,5 @@ val to_alist : snapshot -> (string * float) list
 (** Key/value view, keys sorted ascending: the QoR run-report stores
     each phase's delta of these rows as its [counters] object. Gauge
     fields carry a [last_] prefix (most-recent value, not a monotone
-    count); [last_ordered_pairs] is present only when a softness sample
-    was taken, and the [cache_*] trio only when any cache traffic was
-    observed (the cache-less flow keeps its historical key set). *)
+    count); the [cache_*] trio is present only when any cache traffic
+    was observed (the cache-less flow keeps its historical key set). *)

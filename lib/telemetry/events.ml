@@ -16,7 +16,6 @@ type summary = {
   state_edges : int;  (* implicit thread edges + explicit cross edges *)
   max_thread_in_degree : int;  (* Lemma 7 observable, in-thread preds *)
   max_thread_out_degree : int;
-  ordered_pairs : int option;  (* softness sample, when sampling is due *)
   elapsed_ns : int;  (* wall time spent inside the schedule call *)
 }
 
@@ -85,30 +84,6 @@ let with_sink sink f =
 (* --- clock --------------------------------------------------------- *)
 
 let now_ns () = Int64.to_int (Int64.of_float (Unix.gettimeofday () *. 1e9))
-
-(* --- softness sampling --------------------------------------------- *)
-
-(* [ordered_pairs] costs a transitive closure, far too much to compute
-   on every commit; the scheduler asks [softness_due] once per call and
-   samples only every [period] commits (0 = never, the default). *)
-
-let softness_period = ref 0
-let softness_tick = ref 0
-
-let set_softness_period p =
-  softness_period := max 0 p;
-  softness_tick := 0
-
-let softness_due () =
-  if !softness_period <= 0 then false
-  else begin
-    incr softness_tick;
-    if !softness_tick >= !softness_period then begin
-      softness_tick := 0;
-      true
-    end
-    else false
-  end
 
 (* --- recording ----------------------------------------------------- *)
 

@@ -47,13 +47,9 @@ let to_string ?(vertex = default_vertex) ?(thread = string_of_int)
           | None -> "free"
         in
         line at
-          "  done      %-24s diameter %d, %d state edges, %d scanned%s, %.1fus"
+          "  done      %-24s diameter %d, %d state edges, %d scanned, %.1fus"
           where summary.Events.diameter summary.Events.state_edges
-          summary.Events.scanned
-          (match summary.Events.ordered_pairs with
-          | Some p -> Printf.sprintf ", |pairs| %d" p
-          | None -> "")
-          (float_of_int summary.Events.elapsed_ns /. 1e3))
+          summary.Events.scanned (float_of_int summary.Events.elapsed_ns /. 1e3))
     events;
   Buffer.contents b
 

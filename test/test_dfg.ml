@@ -483,6 +483,17 @@ let test_eval_missing_input () =
   Alcotest.check_raises "missing" Not_found (fun () ->
       ignore (Eval.run g [ ("x", 3) ]))
 
+(* A mul with no operands and an add with one: [check] names the first,
+   in the words [run] raises with. *)
+let test_eval_check () =
+  let g, _, _ = evaluable_graph () in
+  check Alcotest.(result unit string) "evaluable graph" (Ok ()) (Eval.check g);
+  let bad = Dfg.Serial.of_string "vertex a mul 2\nvertex b add 1\nedge a b\n" in
+  let msg = "mul at a has 0 operands, expected 2" in
+  check Alcotest.(result unit string) "first offender" (Error msg) (Eval.check bad);
+  Alcotest.check_raises "run words it alike" (Invalid_argument ("Eval.run: " ^ msg))
+    (fun () -> ignore (Eval.run bad []))
+
 (* --- Dot ----------------------------------------------------------- *)
 
 let contains ~needle haystack =
@@ -860,6 +871,7 @@ let () =
         [
           Alcotest.test_case "run" `Quick test_eval_run;
           Alcotest.test_case "missing input" `Quick test_eval_missing_input;
+          Alcotest.test_case "operand check" `Quick test_eval_check;
         ] );
       ("dot", [ Alcotest.test_case "output" `Quick test_dot_output ]);
       ( "serial",

@@ -168,7 +168,6 @@ let test_cache_replace () =
   Cache.add c "a" 2;
   check Alcotest.int "no duplicate" 1 (Cache.length c);
   check Alcotest.(option int) "replaced" (Some 2) (Cache.find c "a");
-  check Alcotest.bool "mem is counter-neutral" true (Cache.mem c "a");
   let s = Cache.stats c in
   check Alcotest.int "one hit" 1 s.Cache.hits;
   check Alcotest.int "no misses" 0 s.Cache.misses
@@ -588,8 +587,8 @@ let test_service_cache_flow () =
   let p2 = prep "HAL" in
   let o2, cached2 = Service.execute service p2 in
   check Alcotest.bool "second run hits" true cached2;
-  check Alcotest.bool "hit is advertised" true (Service.cached service p2);
   let s = Service.cache_stats service in
+  check Alcotest.int "one entry" 1 s.Cache.length;
   check Alcotest.int "one hit" 1 s.Cache.hits;
   check Alcotest.int "one miss" 1 s.Cache.misses;
   (* The cached result is a valid schedule of the right shape. *)
@@ -623,8 +622,25 @@ let test_service_degraded_fallback () =
     check Alcotest.bool "computed, not cached" false cached;
     check Alcotest.bool "marked degraded" true
       (Service.result_of o).Protocol.degraded;
-    check Alcotest.bool "degraded result not stored" false
-      (Service.cached service p)
+    check Alcotest.int "degraded result not stored" 0
+      (Service.cache_stats service).Cache.length
+
+(* A deadline runs from the line's receipt, parse and queue wait
+   included: a line received 2 s ago with 1 s to go is answered
+   degraded, the same line received now is not. *)
+let test_deadline_from_receipt () =
+  let service = Service.create () in
+  let line = {|{"design":"HAL","deadline_ms":1000}|} in
+  let respond received =
+    Service.respond service ~trace:"t" ~received ~turn:(Service.turn ()) line
+  in
+  let late = respond (Telemetry.now_ns () - 2_000_000_000) in
+  check Alcotest.bool "received 2 s ago: degraded" true late.Service.degraded;
+  check Alcotest.bool "and the reply says so" true
+    (contains late.Service.line {|"degraded":true|});
+  let prompt = respond (Telemetry.now_ns ()) in
+  check Alcotest.bool "received now: ok" true prompt.Service.ok;
+  check Alcotest.bool "and not degraded" false prompt.Service.degraded
 
 let test_service_save_load () =
   let service = Service.create () in
@@ -878,7 +894,10 @@ let send oc line =
 let test_daemon_roundtrip_and_drain () =
   let socket = Filename.temp_file "softsched" ".sock" in
   (* temp_file created a regular file; Daemon.start replaces it *)
-  let service = Service.create () in
+  Alcotest.check_raises "a daemon needs a metrics plane"
+    (Invalid_argument "Daemon.start: the service has no metrics plane")
+    (fun () -> ignore (Daemon.start (Service.create ()) ~socket ~jobs:2 ()));
+  let service = Service.create ~metrics:(Metrics.create ()) () in
   let d = Daemon.start service ~socket ~jobs:2 () in
   let fd, ic, oc = connect socket in
   send oc {|{"id":"a","design":"HAL","schedule":false}|};
@@ -948,7 +967,10 @@ let test_error_replies_keep_ids () =
     stats.Batch.errors;
   check_error_ids "batch" out;
   let socket = Filename.temp_file "softsched" ".sock" in
-  let d = Daemon.start (Service.create ()) ~socket ~jobs:2 () in
+  let d =
+    Daemon.start (Service.create ~metrics:(Metrics.create ()) ()) ~socket
+      ~jobs:2 ()
+  in
   let fd, ic, oc = connect socket in
   List.iter (send oc) lines;
   check_error_ids "daemon" (List.map (fun _ -> input_line ic) lines);
@@ -958,7 +980,7 @@ let test_error_replies_keep_ids () =
 
 let test_daemon_connection_limit () =
   let socket = Filename.temp_file "softsched" ".sock" in
-  let service = Service.create () in
+  let service = Service.create ~metrics:(Metrics.create ()) () in
   let d = Daemon.start service ~socket ~jobs:1 ~max_connections:1 () in
   let fd1, ic1, oc1 = connect socket in
   (* Prove the first connection is live (so the daemon has admitted it
@@ -1805,6 +1827,108 @@ let test_daemon_tcp_smoke () =
   Daemon.wait d;
   try Unix.close fd with Unix.Unix_error _ -> ()
 
+(* The daemon runs batch's request path: the committed batch requests,
+   pipelined over one connection to a fresh daemon, are answered with
+   the committed batch bytes under the daemon's trace prefix. With each
+   line sent twice in a row, the first of a pair is that reply and the
+   second the same reply as a hit, even though the first copy carries a
+   megabyte of blanks that makes it the slower one to parse: requests
+   take their cache places in request order. *)
+let test_daemon_batch_bytes () =
+  let read path =
+    List.filter
+      (fun l -> l <> "")
+      (String.split_on_char '\n'
+         (In_channel.with_open_text path In_channel.input_all))
+  in
+  let requests = read "data/batch_suite.requests.ndjson" in
+  let batch = read "data/batch_suite.expected.ndjson" in
+  let replace_first ~sub ~by l =
+    let k = String.length sub in
+    let rec find i = if String.sub l i k = sub then i else find (i + 1) in
+    let i = find 0 in
+    String.sub l 0 i ^ by ^ String.sub l (i + k) (String.length l - i - k)
+  in
+  (* batch's reply [i] as the daemon's request number [n] *)
+  let as_daemon ~n ~cached i l =
+    let l =
+      replace_first
+        ~sub:(Printf.sprintf {|"trace":"b-%06d"|} (i + 1))
+        ~by:(Printf.sprintf {|"trace":"s-%06d"|} n)
+        l
+    in
+    if cached then replace_first ~sub:{|"cached":false|} ~by:{|"cached":true|} l
+    else l
+  in
+  let padded l =
+    "{" ^ String.make 1_000_000 ' ' ^ String.sub l 1 (String.length l - 1)
+  in
+  let pipeline lines =
+    let socket = Filename.temp_file "softsched" ".sock" in
+    let d =
+      Daemon.start (Service.create ~metrics:(Metrics.create ()) ()) ~socket
+        ~jobs:4 ()
+    in
+    let fd, ic, oc = connect socket in
+    output_string oc (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+    flush oc;
+    let replies = List.map (fun _ -> input_line ic) lines in
+    Daemon.stop d;
+    Daemon.wait d;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    replies
+  in
+  check Alcotest.(list string) "the committed batch bytes"
+    (List.mapi (fun i l -> as_daemon ~n:(i + 1) ~cached:false i l) batch)
+    (pipeline requests);
+  check Alcotest.(list string) "each line, then its hit"
+    (List.concat
+       (List.mapi
+          (fun i l ->
+            [
+              as_daemon ~n:((2 * i) + 1) ~cached:false i l;
+              as_daemon ~n:((2 * i) + 2) ~cached:true i l;
+            ])
+          batch))
+    (pipeline (List.concat_map (fun l -> [ padded l; l ]) requests))
+
+(* Batches of up to 12 lines over at most 6 random DAGs, each line the
+   graph itself, an exact repeat or a renamed copy in the same vertex
+   order, or an error line (bad JSON, an unknown design) between them:
+   the replies at 4 jobs are those at 1, byte for byte. *)
+let prop_batch_jobs =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 6) (QCheck.gen seeded_dag) >>= fun dags ->
+      list_size (int_range 2 12)
+        (pair
+           (int_range 0 (List.length dags - 1))
+           (oneofl
+              [ `Named "v"; `Named "v"; `Named "r"; `Named "w"; `Bad_json; `Unknown ]))
+      >|= fun picks ->
+      List.map
+        (fun (d, pick) ->
+          match pick with
+          | `Bad_json -> {|{"dfg":|}
+          | `Unknown -> {|{"design":"nope"}|}
+          | `Named prefix ->
+            Json.to_string ~minify:true
+              (Json.Obj
+                 [
+                   ( "dfg",
+                     Json.str
+                       (dfg_text
+                          ~name:(Printf.sprintf "%s%d" prefix)
+                          (graph_of (List.nth dags d))) );
+                 ]))
+        picks)
+  in
+  QCheck.Test.make ~name:"batch replies are the same at 1 and 4 jobs" ~count:200
+    (QCheck.make ~print:(String.concat "\n") gen)
+    (fun lines ->
+      let run jobs = fst (Batch.run_lines (Service.create ()) ~jobs lines) in
+      run 1 = run 4)
+
 (* --------------------------------------------------------------------- *)
 
 let qcheck_cases =
@@ -1814,6 +1938,7 @@ let qcheck_cases =
       prop_edge_moves_hash;
       prop_sharded_cache_oracle;
       prop_renamed_copies;
+      prop_batch_jobs;
     ]
 
 let () =
@@ -1871,6 +1996,8 @@ let () =
             test_service_effort_exhaustive;
           Alcotest.test_case "race under a deadline" `Quick
             test_service_race_deadline;
+          Alcotest.test_case "deadline from receipt" `Quick
+            test_deadline_from_receipt;
         ] );
       ( "batch",
         [
@@ -1911,6 +2038,7 @@ let () =
           Alcotest.test_case "tcp smoke" `Quick test_daemon_tcp_smoke;
           Alcotest.test_case "error replies keep ids" `Quick
             test_error_replies_keep_ids;
+          Alcotest.test_case "batch bytes" `Quick test_daemon_batch_bytes;
         ] );
       ( "metrics",
         [

@@ -117,20 +117,6 @@ let counters_agree name () =
   check Alcotest.bool "Lemma 7 out-bound" true
     (snap.Tel.Counters.max_out_degree_observed <= k)
 
-let test_softness_sampling () =
-  let g = build "HAL" in
-  Tel.set_softness_period 1;
-  Fun.protect
-    ~finally:(fun () -> Tel.set_softness_period 0)
-    (fun () ->
-      let state, snap, _ = record_run g in
-      let stats = T.stats ~with_softness:true state in
-      check
-        Alcotest.(option int)
-        "last softness sample = |pairs| of the final state"
-        stats.T.ordered_pairs
-        snap.Tel.Counters.last_ordered_pairs)
-
 (* --- telemetry only observes ---------------------------------------- *)
 
 let identical_schedules name () =
@@ -260,7 +246,7 @@ let test_chrome_trace_json () =
        trace_events)
 
 (* The key/value rows the QoR report stores per phase: sorted keys, the
-   snapshot's values, and no softness row without a sample. *)
+   snapshot's values, and no softness row. *)
 let test_counters_alist () =
   let g = build "HAL" in
   let _, snap, _ = record_run g in
@@ -271,7 +257,7 @@ let test_counters_alist () =
     "positions scanned"
     (Some (float_of_int snap.Tel.Counters.positions_scanned))
     (List.assoc_opt "positions_scanned" pairs);
-  check Alcotest.bool "no softness row without a sample" false
+  check Alcotest.bool "no softness row" false
     (List.mem_assoc "last_ordered_pairs" pairs)
 
 let test_text_trace () =
@@ -428,7 +414,6 @@ let () =
             (counters_agree "HAL");
           Alcotest.test_case "agree with stats (AR)" `Quick
             (counters_agree "AR");
-          Alcotest.test_case "softness sampling" `Quick test_softness_sampling;
         ] );
       ( "observation only",
         [
