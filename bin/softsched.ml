@@ -779,20 +779,16 @@ let run_batch jobs cache_size cache_file tel =
   term_of_failure @@ fun () ->
   if jobs <= 0 then failwith "--jobs must be positive";
   if cache_size <= 0 then failwith "--cache-size must be positive";
-  let metrics =
-    if tel.Tel_cli.stats then Some (Serve.Metrics.create ()) else None
-  in
-  let service = Serve.Service.create ~cache_capacity:cache_size ?metrics () in
+  let service = Serve.Service.create ~cache_capacity:cache_size () in
+  let metrics = Serve.Service.metrics service in
   load_cache_or_fail service cache_file;
-  let stats =
+  let wall_s =
     Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~tracks_of:(fun _ -> [])
       (fun () -> Serve.Batch.run_channels service ~jobs stdin stdout)
   in
   save_cache service cache_file;
-  prerr_endline (Serve.Batch.summary stats);
-  match metrics with
-  | Some m -> prerr_string (Serve.Metrics.summary m)
-  | None -> ()
+  prerr_endline (Serve.Batch.summary metrics ~wall_s);
+  if tel.Tel_cli.stats then prerr_string (Serve.Metrics.summary metrics)
 
 let batch_cmd =
   Cmd.v
@@ -827,8 +823,9 @@ let write_atomic path content =
 
 (* One dump = the JSON snapshot to FILE plus Prometheus text exposition
    to FILE.prom. *)
-let dump_metrics service metrics path =
-  let cache = Serve.Service.cache_stats service in
+let dump_metrics service path =
+  let cache = Serve.Service.cache_stats service
+  and metrics = Serve.Service.metrics service in
   write_atomic path
     (Json.to_string ~minify:false
        (Serve.Metrics.snapshot_json ~cache metrics)
@@ -847,19 +844,19 @@ let run_serve socket tcp jobs max_connections cache_size cache_file
   (match slow_ms with
   | Some t when t < 0.0 -> failwith "--slow-ms must be non-negative"
   | _ -> ());
-  let metrics = Serve.Metrics.create () in
+  let service = Serve.Service.create ~cache_capacity:cache_size () in
+  let metrics = Serve.Service.metrics service in
   (match (slow_ms, slow_log) with
   | None, None -> ()
   | threshold, target ->
     let threshold_ms = Option.value ~default:100.0 threshold in
     let target = match target with None -> `Stderr | Some p -> `File p in
     Serve.Metrics.set_slow_log metrics ~threshold_ms target);
-  let service = Serve.Service.create ~cache_capacity:cache_size ~metrics () in
   load_cache_or_fail service cache_file;
   let dump () =
     match metrics_file with
     | None -> ()
-    | Some path -> dump_metrics service metrics path
+    | Some path -> dump_metrics service path
   in
   Tel_cli.run ~log:stderr tel ~vertex:numeric_vertex ~tracks_of:(fun _ -> [])
     (fun () ->
@@ -900,13 +897,14 @@ let run_serve socket tcp jobs max_connections cache_size cache_file
       Serve.Daemon.wait daemon);
   save_cache service cache_file;
   dump ();
-  let s = Serve.Service.cache_stats service in
+  let s = Serve.Service.cache_stats service
+  and p = Serve.Metrics.paths metrics in
   Printf.eprintf
     "softsched serve: drained; cache %d/%d entries, %d hits, %d misses, %d \
      evictions\n\
      %!"
-    s.Serve.Cache.length s.Serve.Cache.capacity s.Serve.Cache.hits
-    s.Serve.Cache.misses s.Serve.Cache.evictions;
+    s.Serve.Cache.length s.Serve.Cache.capacity p.Serve.Metrics.hits
+    p.Serve.Metrics.misses s.Serve.Cache.evictions;
   prerr_string (Serve.Metrics.summary metrics);
   flush stderr;
   Serve.Metrics.close_slow_log metrics

@@ -21,19 +21,6 @@ let starts t = Array.copy t.starts
 let length t =
   Graph.fold_vertices (fun acc v -> max acc (finish t v)) 0 t.graph
 
-let usage t cls =
-  let cycles = Array.make (max (length t) 1) 0 in
-  Graph.iter_vertices
-    (fun v ->
-      match Resources.class_of_op (Graph.op t.graph v) with
-      | Some c when Resources.equal_class c cls ->
-        for cycle = start t v to finish t v - 1 do
-          cycles.(cycle) <- cycles.(cycle) + 1
-        done
-      | Some _ | None -> ())
-    t.graph;
-  cycles
-
 (* The busy intervals of [cls] (zero-delay ops occupy nothing), swept
    in start order against the sorted finishes: [f] sees the count of
    intervals open at each start once every interval starting there is
@@ -67,11 +54,6 @@ let sweep t cls f =
     incr open_;
     if i = n - 1 || starts.(i + 1) > starts.(i) then f starts.(i) !open_
   done
-
-let peak_usage t cls =
-  let peak = ref 0 in
-  sweep t cls (fun _ used -> peak := max !peak used);
-  !peak
 
 (* Starts are non-negative ([make]), so the edge test compares a
    difference of starts with a delay and cannot overflow. A finish past

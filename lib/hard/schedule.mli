@@ -32,11 +32,6 @@ val check : ?resources:Resources.t -> t -> (unit, string) result
     does not grow with the schedule's length). The error string
     pinpoints the first violation. *)
 
-val usage : t -> Resources.fu_class -> int array
-(** [usage s cls] has one entry per cycle: how many [cls] units are busy. *)
-
-val peak_usage : t -> Resources.fu_class -> int
-
 val equal : t -> t -> bool
 (** Same graph size and identical start times. *)
 

@@ -13,20 +13,12 @@
 
    Blank input lines are skipped without producing output. Every line
    is received when the batch starts: its deadline_ms and its span's
-   queue wait and total run from there. Each request's span is recorded
-   in the service's metrics plane, if any. *)
-
-type stats = {
-  requests : int;
-  hits : int;  (* responses answered from cache *)
-  degraded : int;
-  errors : int;
-  wall_s : float;
-}
+   queue wait and total run from there. Each request is counted once,
+   in the service's metrics plane, and the summary line reads it from
+   there. *)
 
 let run_lines ?pool service ~jobs lines =
   if jobs <= 0 then invalid_arg "Batch.run_lines: non-positive jobs";
-  let t0 = Unix.gettimeofday () in
   let received = Telemetry.now_ns () in
   let lines = List.filter (fun l -> String.trim l <> "") lines in
   let respond i ?after ~turn line =
@@ -45,39 +37,26 @@ let run_lines ?pool service ~jobs lines =
       (fun f -> match Pool.await f with Ok r -> r | Error e -> raise e)
       futures
   in
-  let replies =
-    match pool with
-    | Some p -> on_pool p
-    | None when jobs = 1 ->
-      (* One line after another on this thread: every predecessor has
-         taken its place already, and no idle domain slows the minor
-         collections. *)
-      List.mapi (fun i line -> respond i ~turn:(Service.turn ()) line) lines
-    | None ->
-      let p = Pool.create ~jobs () in
-      Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> on_pool p)
-  in
-  let count f = List.length (List.filter f replies) in
-  let stats =
-    {
-      requests = List.length replies;
-      hits = count (fun r -> r.Service.cached);
-      degraded = count (fun r -> r.Service.degraded);
-      errors = count (fun r -> not r.Service.ok);
-      wall_s = Unix.gettimeofday () -. t0;
-    }
-  in
-  (List.map (fun r -> r.Service.line) replies, stats)
+  match pool with
+  | Some p -> on_pool p
+  | None when jobs = 1 ->
+    (* One line after another on this thread: every predecessor has
+       taken its place already, and no idle domain slows the minor
+       collections. *)
+    List.mapi (fun i line -> respond i ~turn:(Service.turn ()) line) lines
+  | None ->
+    let p = Pool.create ~jobs () in
+    Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> on_pool p)
 
-let summary s =
-  let pct =
-    if s.requests = 0 then 0. else 100. *. float s.hits /. float s.requests
-  in
-  let rate = if s.wall_s > 0. then float s.requests /. s.wall_s else 0. in
+let summary metrics ~wall_s =
+  let { Metrics.requests; degraded; errors; _ } = Metrics.totals metrics in
+  let hits = (Metrics.paths metrics).Metrics.hits in
+  let pct = if requests = 0 then 0. else 100. *. float hits /. float requests in
+  let rate = if wall_s > 0. then float requests /. wall_s else 0. in
   Printf.sprintf
     "batch: %d requests, %d cache hits (%.0f%%), %d degraded, %d errors, %.1f \
      requests/s"
-    s.requests s.hits pct s.degraded s.errors rate
+    requests hits pct degraded errors rate
 
 let run_channels service ~jobs ic oc =
   let rec read acc =
@@ -85,11 +64,14 @@ let run_channels service ~jobs ic oc =
     | exception End_of_file -> List.rev acc
     | l -> read (l :: acc)
   in
-  let out, stats = run_lines service ~jobs (read []) in
+  let lines = read [] in
+  let t0 = Unix.gettimeofday () in
+  let out = run_lines service ~jobs lines in
+  let wall_s = Unix.gettimeofday () -. t0 in
   List.iter
     (fun l ->
       output_string oc l;
       output_char oc '\n')
     out;
   flush oc;
-  stats
+  wall_s

@@ -14,28 +14,22 @@
     against each other, and requests with a [deadline_ms]. Blank lines
     are skipped without output. *)
 
-type stats = {
-  requests : int;
-  hits : int;  (** responses answered from cache *)
-  degraded : int;
-  errors : int;
-  wall_s : float;
-}
-
 val run_lines :
-  ?pool:Pool.t -> Service.t -> jobs:int -> string list -> string list * stats
-(** [pool] lends an existing FIFO worker pool (it is not shut down
-    afterwards). Without one, [jobs = 1] runs the lines one after
-    another on the calling thread, and a larger [jobs] creates a private
-    [jobs]-wide pool and drains it per call. The response bytes are the
-    same either way. Every line counts as received at the call: its
-    [deadline_ms] runs from there.
+  ?pool:Pool.t -> Service.t -> jobs:int -> string list -> string list
+(** The reply lines, in input order. [pool] lends an existing FIFO
+    worker pool (it is not shut down afterwards). Without one,
+    [jobs = 1] runs the lines one after another on the calling thread,
+    and a larger [jobs] creates a private [jobs]-wide pool and drains it
+    per call. The response bytes are the same either way. Every line
+    counts as received at the call: its [deadline_ms] runs from there.
     @raise Invalid_argument on non-positive [jobs]. *)
 
-val run_channels : Service.t -> jobs:int -> in_channel -> out_channel -> stats
+val run_channels : Service.t -> jobs:int -> in_channel -> out_channel -> float
 (** Read all request lines from [ic], write response lines to [oc]
-    (flushed once at the end). *)
+    (flushed once at the end), and return the seconds spent answering
+    them. *)
 
-val summary : stats -> string
-(** One human line, e.g.
+val summary : Metrics.t -> wall_s:float -> string
+(** One human line from the service's plane and the batch's wall time,
+    e.g.
     ["batch: 8 requests, 8 cache hits (100%), 0 degraded, 0 errors, …"]. *)

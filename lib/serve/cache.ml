@@ -12,9 +12,8 @@
    therefore identical to the old single-mutex cache — the QCheck
    oracle in test_serve holds the sharded cache to exactly that.
 
-   Hit/miss/evict traffic is counted per shard (summed by [stats],
-   which takes every shard lock for one consistent snapshot) and
-   mirrored to the telemetry stream when a sink is installed. *)
+   The cache counts its evictions and nothing else: hits and misses are
+   the service's to count, once per request, in its metrics plane. *)
 
 type 'a node = {
   key : string;
@@ -29,9 +28,6 @@ type 'a shard = {
   table : (string, 'a node) Hashtbl.t;
   mutable mru : 'a node option;
   mutable lru : 'a node option;
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 type 'a t = {
@@ -40,16 +36,10 @@ type 'a t = {
   capacity : int;  (* global, not per shard *)
   clock : int Atomic.t;
   size : int Atomic.t;  (* total entries across shards *)
+  evictions : int Atomic.t;
 }
 
-type stats = {
-  length : int;
-  capacity : int;
-  hits : int;
-  misses : int;
-  evictions : int;
-  shards : int;
-}
+type stats = { length : int; capacity : int; evictions : int; shards : int }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
@@ -63,9 +53,6 @@ let create ?(shards = 16) ~capacity () =
       table = Hashtbl.create (min (max 16 (capacity / n)) 1024);
       mru = None;
       lru = None;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
     }
   in
   {
@@ -74,14 +61,12 @@ let create ?(shards = 16) ~capacity () =
     capacity;
     clock = Atomic.make 0;
     size = Atomic.make 0;
+    evictions = Atomic.make 0;
   }
 
 let with_lock (s : 'a shard) f =
   Mutex.lock s.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-let tell op key =
-  if Telemetry.enabled () then Telemetry.emit (Cache_event { op; key })
 
 (* Shard selection by hash prefix: fingerprint keys open with hex
    digits (the fingerprint itself), which are already uniformly
@@ -142,33 +127,23 @@ let evict_one (t : 'a t) =
       match !best with
       | None -> ()
       | Some (s, tick) ->
-        let evicted =
-          with_lock s (fun () ->
-              match s.lru with
-              | Some n when n.tick = tick ->
-                unlink s n;
-                Hashtbl.remove s.table n.key;
-                s.evictions <- s.evictions + 1;
-                Atomic.decr t.size;
-                Some n.key
-              | Some _ | None -> None)
-        in
-        (match evicted with
-        | Some key ->
-          tell `Evict key;
-          attempt ()  (* keep going while still over capacity *)
-        | None -> attempt ())
+        with_lock s (fun () ->
+            match s.lru with
+            | Some n when n.tick = tick ->
+              unlink s n;
+              Hashtbl.remove s.table n.key;
+              Atomic.incr t.evictions;
+              Atomic.decr t.size
+            | Some _ | None -> ());
+        attempt ()  (* keep going while still over capacity *)
     end
   in
   attempt ()
 
 (* -- public operations ----------------------------------------------- *)
 
-(* The service certifies a hit before it counts it: [accept] runs under
-   the shard lock, and only an accepted entry is touched. Nothing is
-   tallied: the caller knows only later whether the request was a hit
-   (a certified entry it could answer from, or a computation in flight
-   it joined) and then tallies it with [record]. *)
+(* The service certifies a hit before it uses it: [accept] runs under
+   the shard lock, and only an accepted entry is touched. *)
 let find_if (t : 'a t) key accept =
   let s = shard_of t key in
   with_lock s (fun () ->
@@ -180,23 +155,6 @@ let find_if (t : 'a t) key accept =
         `Hit n.value
       | Some _ -> `Rejected
       | None -> `Absent)
-
-let record (t : 'a t) key outcome =
-  let s = shard_of t key in
-  with_lock s (fun () ->
-      match outcome with
-      | `Hit -> s.hits <- s.hits + 1
-      | `Miss -> s.misses <- s.misses + 1);
-  tell (outcome :> [ `Hit | `Miss | `Evict ]) key
-
-let find (t : 'a t) key =
-  match find_if t key (fun _ -> true) with
-  | `Hit v ->
-    record t key `Hit;
-    Some v
-  | `Rejected | `Absent ->
-    record t key `Miss;
-    None
 
 let add (t : 'a t) key value =
   let s = shard_of t key in
@@ -216,34 +174,13 @@ let add (t : 'a t) key value =
 
 let length (t : 'a t) = Atomic.get t.size
 
-(* One consistent snapshot: hold every shard lock at once (in index
-   order, so concurrent stats calls cannot deadlock) while reading the
-   counters — a field-by-field read without the locks could pair a hit
-   count from before an eviction with a length from after it. *)
 let stats (t : 'a t) =
-  Array.iter (fun s -> Mutex.lock s.lock) t.shards;
-  Fun.protect
-    ~finally:(fun () -> Array.iter (fun s -> Mutex.unlock s.lock) t.shards)
-    (fun () ->
-      let length = ref 0
-      and hits = ref 0
-      and misses = ref 0
-      and evictions = ref 0 in
-      Array.iter
-        (fun s ->
-          length := !length + Hashtbl.length s.table;
-          hits := !hits + s.hits;
-          misses := !misses + s.misses;
-          evictions := !evictions + s.evictions)
-        t.shards;
-      {
-        length = !length;
-        capacity = t.capacity;
-        hits = !hits;
-        misses = !misses;
-        evictions = !evictions;
-        shards = Array.length t.shards;
-      })
+  {
+    length = Atomic.get t.size;
+    capacity = t.capacity;
+    evictions = Atomic.get t.evictions;
+    shards = Array.length t.shards;
+  }
 
 (* Most-recent-first key walk, for the persistence layer and the tests
    (the order *is* the recency order, so saving and reloading preserves

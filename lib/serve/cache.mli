@@ -6,21 +6,21 @@
     lookups for different keys proceed in parallel. Recency and
     capacity are {e global}: every touch is stamped from one atomic
     clock and eviction removes the globally least-recent entry, so the
-    observable behaviour (hits, evictions, {!fold_mru} order, the
-    persistence format) is exactly that of a single LRU — the sharded
-    and single-mutex caches are QCheck-equivalent by test.
+    observable behaviour (which lookups find their entry, evictions,
+    {!fold_mru} order, the persistence format) is exactly that of a
+    single LRU — the sharded and single-mutex caches are
+    QCheck-equivalent by test.
 
-    Hit/miss/eviction traffic is tallied locally ({!stats}) and
-    mirrored to the telemetry stream ({!Telemetry.Counters} [cache_*]
-    fields) whenever a sink is installed. *)
+    The cache only caches: it counts its evictions, but whether a
+    request was a hit or a miss is the caller's to count (the service
+    counts each request once, in its metrics plane), and it emits no
+    telemetry. *)
 
 type 'a t
 
 type stats = {
   length : int;
   capacity : int;
-  hits : int;
-  misses : int;
   evictions : int;
   shards : int;
 }
@@ -32,19 +32,10 @@ val create : ?shards:int -> capacity:int -> unit -> 'a t
     @raise Invalid_argument on a non-positive capacity or shard
     count. *)
 
-val find : 'a t -> string -> 'a option
-(** A hit refreshes the entry's (global) recency; both outcomes are
-    counted. *)
-
 val find_if :
   'a t -> string -> ('a -> bool) -> [ `Hit of 'a | `Rejected | `Absent ]
 (** A lookup whose hit must pass [accept] (run under the shard lock).
-    Only [`Hit] refreshes recency. Nothing is counted: the caller
-    tallies the request with {!record} once it knows how it was
-    answered. *)
-
-val record : 'a t -> string -> [ `Hit | `Miss ] -> unit
-(** Count one hit or miss for [key] without a lookup. *)
+    Only [`Hit] refreshes the entry's (global) recency. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Inserts (or replaces) as most recently used, evicting the globally
@@ -53,8 +44,8 @@ val add : 'a t -> string -> 'a -> unit
 val length : 'a t -> int
 
 val stats : 'a t -> stats
-(** One consistent snapshot, taken with every shard lock held — the
-    counters and the length all describe the same instant. *)
+(** Read without a lock: while writers run, [length] may exceed the
+    capacity by at most the number of adds in progress. *)
 
 val fold_mru : 'a t -> ('acc -> string -> 'a -> 'acc) -> 'acc -> 'acc
 (** Fold over entries from most to least recently used (the persistence

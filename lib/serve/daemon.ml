@@ -80,7 +80,6 @@ let push_reply c line =
   c.out_bytes <- c.out_bytes + String.length line + 1
 
 let stats_reply t ?id ~trace () =
-  Service.sync_cache_gauge t.service;
   Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool);
   Protocol.stats_line ?id ~trace
     (Metrics.snapshot_json ~cache:(Service.cache_stats t.service) t.metrics)
@@ -123,10 +122,8 @@ let process_line t c line =
       Metrics.add_in_flight t.metrics 1;
       match
         Pool.offer t.pool (fun () ->
-            let reply =
-              Service.respond t.service ~trace ~received ?after ~turn line
-            in
-            fill slot reply.Service.line;
+            fill slot
+              (Service.respond t.service ~trace ~received ?after ~turn line);
             Metrics.add_in_flight t.metrics (-1);
             wake t)
       with
@@ -428,13 +425,6 @@ let start service ?socket ?tcp ~jobs ?(max_connections = 32) () =
     invalid_arg "Daemon.start: non-positive max_connections";
   if socket = None && tcp = None then
     invalid_arg "Daemon.start: need a unix socket, a tcp endpoint, or both";
-  (* the service's plane, so the cache gauge and the request histograms
-     land in one snapshot *)
-  let metrics =
-    match Service.metrics service with
-    | Some m -> m
-    | None -> invalid_arg "Daemon.start: the service has no metrics plane"
-  in
   let unix_l = Option.map unix_listener socket in
   let tcp_l =
     match tcp with
@@ -457,7 +447,7 @@ let start service ?socket ?tcp ~jobs ?(max_connections = 32) () =
     {
       service;
       pool = Pool.create ~jobs ();
-      metrics;
+      metrics = Service.metrics service;
       listeners;
       socket_path = socket;
       tcp_port = Option.map snd tcp_l;

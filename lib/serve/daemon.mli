@@ -33,11 +33,9 @@ val start :
     file; [tcp] is [(host, port)], port [0] picks an ephemeral port —
     see {!tcp_port}) and spawns the event loop. At least one transport
     is required. [max_connections] defaults to 32 and is shared across
-    transports. The daemon's metrics plane is the service's
-    ({!Service.metrics}), so the cache gauge and the request histograms
-    share one snapshot.
-    @raise Invalid_argument without any transport, or when the service
-    was created without a metrics plane.
+    transports. The daemon's gauges and busy turn-aways go to the
+    service's plane ({!Service.metrics}), beside its request records.
+    @raise Invalid_argument without any transport.
     @raise Unix.Unix_error if a socket cannot be bound. *)
 
 val stop : t -> unit

@@ -1,9 +1,12 @@
-(* The service's runtime metrics plane: per-request phase latencies in
-   log-bucketed histograms, point-in-time gauges for the pool/daemon/
-   cache, cumulative outcome counters, and a threshold-gated slow-
-   request log. One mutex guards the lot — recording a finished request
-   is six histogram inserts and a few integer bumps under one lock,
-   cheap next to the microseconds even a warm request costs.
+(* The service's runtime metrics plane, the one ledger of served
+   requests: per-request phase latencies in log-bucketed histograms,
+   point-in-time gauges for the pool and daemon, cumulative outcome
+   counters, lock-free cache-path counters, and a threshold-gated slow-
+   request log. One mutex guards the histograms and outcome counters —
+   recording a finished request is six histogram inserts and a few
+   integer bumps under one lock, cheap next to the microseconds even a
+   warm request costs. Cache occupancy is not pushed here: snapshots
+   read it from the cache's own stats.
 
    Request threads fill in a [span] as the request moves through the
    layers (daemon: parse/queue/emit, service: cache lookup/schedule)
@@ -44,6 +47,25 @@ type slow_log = {
   owns_channel : bool;  (* close on re-target; stderr is never closed *)
 }
 
+type totals = {
+  requests : int;
+  ok : int;
+  errors : int;
+  degraded : int;
+  busy_turnaways : int;
+  slow : int;
+}
+
+type paths = {
+  hits : int;
+  misses : int;
+  no_parse : int;
+  remapped : int;
+  cert_misses : int;
+  invalid : int;
+  flight_waits : int;
+}
+
 type t = {
   lock : Mutex.t;
   started_at : float;
@@ -59,13 +81,10 @@ type t = {
   g_queue_depth : int Atomic.t;
   g_in_flight : int Atomic.t;
   g_connections : int Atomic.t;
-  g_cache_entries : int Atomic.t;
-  g_cache_capacity : int Atomic.t;
   (* cumulative counters *)
   mutable requests : int;
   mutable ok : int;
   mutable errors : int;
-  mutable cached : int;
   mutable degraded : int;
   mutable busy_turnaways : int;
   mutable slow : int;
@@ -76,20 +95,10 @@ type t = {
   engine_runs : (string, int) Hashtbl.t;
   race_wins : (string, int) Hashtbl.t;
   mutable races : int;
-  (* how the service answered from its cache (see [path]) *)
-  mutable paths : paths;
+  (* how the service used its cache, one counter per [path], outside
+     the lock: a warm hit takes no plane lock before [record] *)
+  paths : int Atomic.t array;
 }
-
-and paths = {
-  no_parse : int;
-  remapped : int;
-  cert_misses : int;
-  invalid : int;
-  flight_waits : int;
-}
-
-let no_paths =
-  { no_parse = 0; remapped = 0; cert_misses = 0; invalid = 0; flight_waits = 0 }
 
 let create () =
   {
@@ -104,12 +113,9 @@ let create () =
     g_queue_depth = Atomic.make 0;
     g_in_flight = Atomic.make 0;
     g_connections = Atomic.make 0;
-    g_cache_entries = Atomic.make 0;
-    g_cache_capacity = Atomic.make 0;
     requests = 0;
     ok = 0;
     errors = 0;
-    cached = 0;
     degraded = 0;
     busy_turnaways = 0;
     slow = 0;
@@ -117,7 +123,7 @@ let create () =
     engine_runs = Hashtbl.create 8;
     race_wins = Hashtbl.create 8;
     races = 0;
-    paths = no_paths;
+    paths = Array.init 7 (fun _ -> Atomic.make 0);
   }
 
 let with_lock t f =
@@ -129,10 +135,6 @@ let with_lock t f =
 let set_pool_queue_depth t n = Atomic.set t.g_queue_depth n
 let set_connections t n = Atomic.set t.g_connections n
 let add_in_flight t d = ignore (Atomic.fetch_and_add t.g_in_flight d)
-
-let set_cache_occupancy t ~entries ~capacity =
-  Atomic.set t.g_cache_entries entries;
-  Atomic.set t.g_cache_capacity capacity
 
 (* -- slow-request log ------------------------------------------------- *)
 
@@ -182,7 +184,6 @@ let record t ~trace ~design ~ok:is_ok ~cached ~degraded (sp : span) =
   with_lock t (fun () ->
       t.requests <- t.requests + 1;
       if is_ok then t.ok <- t.ok + 1 else t.errors <- t.errors + 1;
-      if cached then t.cached <- t.cached + 1;
       if degraded then t.degraded <- t.degraded + 1;
       H.record t.h_parse sp.parse_ns;
       H.record t.h_lookup sp.lookup_ns;
@@ -198,12 +199,26 @@ let record t ~trace ~design ~ok:is_ok ~cached ~degraded (sp : span) =
             ~status:(if is_ok then "ok" else "error")
             ~cached ~degraded sp
         in
-        output_string s.slow_oc line;
-        output_char s.slow_oc '\n';
-        flush s.slow_oc
+        (* a failed write loses the log line, never the reply *)
+        (try
+           output_string s.slow_oc line;
+           output_char s.slow_oc '\n';
+           flush s.slow_oc
+         with Sys_error _ -> ())
       | Some _ | None -> ())
 
 let turned_away t = with_lock t (fun () -> t.busy_turnaways <- t.busy_turnaways + 1)
+
+let totals t =
+  with_lock t (fun () ->
+      {
+        requests = t.requests;
+        ok = t.ok;
+        errors = t.errors;
+        degraded = t.degraded;
+        busy_turnaways = t.busy_turnaways;
+        slow = t.slow;
+      })
 
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
@@ -215,18 +230,29 @@ let race_win t ~engine =
       t.races <- t.races + 1;
       bump t.race_wins engine)
 
-let path t p =
-  with_lock t (fun () ->
-      let c = t.paths in
-      t.paths <-
-        (match p with
-        | `No_parse -> { c with no_parse = c.no_parse + 1 }
-        | `Remapped -> { c with remapped = c.remapped + 1 }
-        | `Cert_miss -> { c with cert_misses = c.cert_misses + 1 }
-        | `Invalid -> { c with invalid = c.invalid + 1 }
-        | `Flight_wait -> { c with flight_waits = c.flight_waits + 1 }))
+(* a path's slot in [t.paths], in the order of the [paths] record *)
+let slot = function
+  | `Hit -> 0
+  | `Miss -> 1
+  | `No_parse -> 2
+  | `Remapped -> 3
+  | `Cert_miss -> 4
+  | `Invalid -> 5
+  | `Flight_wait -> 6
 
-let paths t = with_lock t (fun () -> t.paths)
+let path t p = Atomic.incr t.paths.(slot p)
+
+let paths t =
+  let n i = Atomic.get t.paths.(i) in
+  {
+    hits = n 0;
+    misses = n 1;
+    no_parse = n 2;
+    remapped = n 3;
+    cert_misses = n 4;
+    invalid = n 5;
+    flight_waits = n 6;
+  }
 
 let path_counts c =
   [
@@ -284,15 +310,16 @@ let histogram_ms_json h =
 
 let gauge_json g = Json.int (Atomic.get g)
 
-let snapshot_json ?cache t =
+let snapshot_json ~(cache : Cache.stats) t =
   with_lock t (fun () ->
+      let p = paths t in
       let requests =
         Json.Obj
           [
             ("total", Json.int t.requests);
             ("ok", Json.int t.ok);
             ("errors", Json.int t.errors);
-            ("cached", Json.int t.cached);
+            ("cached", Json.int p.hits);
             ("degraded", Json.int t.degraded);
             ("busy_turnaways", Json.int t.busy_turnaways);
             ("slow", Json.int t.slow);
@@ -308,8 +335,8 @@ let snapshot_json ?cache t =
             ("pool_queue_depth", gauge_json t.g_queue_depth);
             ("in_flight_requests", gauge_json t.g_in_flight);
             ("connections", gauge_json t.g_connections);
-            ("cache_entries", gauge_json t.g_cache_entries);
-            ("cache_capacity", gauge_json t.g_cache_capacity);
+            ("cache_entries", Json.int cache.length);
+            ("cache_capacity", Json.int cache.capacity);
           ]
       in
       let engines =
@@ -336,9 +363,9 @@ let snapshot_json ?cache t =
       in
       let cache_paths =
         Json.Obj
-          (List.map (fun (k, _, v) -> (k, Json.int v)) (path_counts t.paths))
+          (List.map (fun (k, _, v) -> (k, Json.int v)) (path_counts p))
       in
-      let base =
+      Json.Obj
         [
           ("uptime_s", Json.num (Unix.gettimeofday () -. t.started_at));
           ("requests", requests);
@@ -347,33 +374,25 @@ let snapshot_json ?cache t =
           ("races", Json.int t.races);
           ("engines", engines);
           ("gauges", gauges);
-        ]
-      in
-      let cache_field =
-        match cache with
-        | None -> []
-        | Some (s : Cache.stats) ->
-          [
-            ( "cache",
-              Json.Obj
-                [
-                  ("hits", Json.int s.hits);
-                  ("misses", Json.int s.misses);
-                  ("evictions", Json.int s.evictions);
-                  ("entries", Json.int s.length);
-                  ("capacity", Json.int s.capacity);
-                  ("shards", Json.int s.shards);
-                ] );
-          ]
-      in
-      Json.Obj (base @ cache_field))
+          ( "cache",
+            Json.Obj
+              [
+                ("hits", Json.int p.hits);
+                ("misses", Json.int p.misses);
+                ("evictions", Json.int cache.evictions);
+                ("entries", Json.int cache.length);
+                ("capacity", Json.int cache.capacity);
+                ("shards", Json.int cache.shards);
+              ] );
+        ])
 
 (* Prometheus text exposition format, one histogram family with a
    [phase] label, buckets in seconds. Cumulative bucket counts walk the
    log buckets in ascending order and close with +Inf == _count, which
    is what makes the output valid for a scraper. *)
-let to_prometheus ?cache t =
+let to_prometheus ~(cache : Cache.stats) t =
   with_lock t (fun () ->
+      let p = paths t in
       let b = Buffer.create 4096 in
       let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
       let sec ns = float_of_int ns /. 1e9 in
@@ -389,17 +408,19 @@ let to_prometheus ?cache t =
       counter "softsched_request_errors_total" "Requests answered with an error."
         t.errors;
       counter "softsched_requests_cached_total"
-        "Requests served from the fingerprint cache." t.cached;
+        "Requests served from the fingerprint cache." p.hits;
       counter "softsched_requests_degraded_total"
         "Requests whose deadline overran (fast-placed tail)." t.degraded;
       counter "softsched_busy_turnaways_total"
-        "Connections turned away at the connection cap." t.busy_turnaways;
+        "Connections turned away at the connection cap, and requests \
+         answered busy because the pool queue was full."
+        t.busy_turnaways;
       counter "softsched_slow_requests_total"
         "Requests over the slow-log threshold." t.slow;
       counter "softsched_races_total" "Engine races run." t.races;
       List.iter
         (fun (k, help, v) -> counter ("softsched_cache_path_" ^ k ^ "_total") help v)
-        (path_counts t.paths);
+        (path_counts p);
       let labelled name help tbl =
         if Hashtbl.length tbl > 0 then begin
           line "# HELP %s %s" name help;
@@ -413,28 +434,24 @@ let to_prometheus ?cache t =
         "Completed scheduling runs, by engine." t.engine_runs;
       labelled "softsched_race_wins_total"
         "Races won (Soft.Engine.compare_qor order), by engine." t.race_wins;
-      let gauge name help g =
+      let gauge name help v =
         line "# HELP %s %s" name help;
         line "# TYPE %s gauge" name;
-        line "%s %d" name (Atomic.get g)
+        line "%s %d" name v
       in
       gauge "softsched_pool_queue_depth" "Jobs waiting in the worker pool."
-        t.g_queue_depth;
+        (Atomic.get t.g_queue_depth);
       gauge "softsched_in_flight_requests" "Requests currently being processed."
-        t.g_in_flight;
-      gauge "softsched_connections" "Live daemon connections." t.g_connections;
-      gauge "softsched_cache_entries" "Fingerprint-cache entries."
-        t.g_cache_entries;
+        (Atomic.get t.g_in_flight);
+      gauge "softsched_connections" "Live daemon connections."
+        (Atomic.get t.g_connections);
+      gauge "softsched_cache_entries" "Fingerprint-cache entries." cache.length;
       gauge "softsched_cache_capacity" "Fingerprint-cache capacity."
-        t.g_cache_capacity;
-      (match cache with
-      | None -> ()
-      | Some (s : Cache.stats) ->
-        counter "softsched_cache_hits_total" "Fingerprint-cache hits." s.hits;
-        counter "softsched_cache_misses_total" "Fingerprint-cache misses."
-          s.misses;
-        counter "softsched_cache_evictions_total" "Fingerprint-cache evictions."
-          s.evictions);
+        cache.capacity;
+      counter "softsched_cache_hits_total" "Fingerprint-cache hits." p.hits;
+      counter "softsched_cache_misses_total" "Fingerprint-cache misses." p.misses;
+      counter "softsched_cache_evictions_total" "Fingerprint-cache evictions."
+        cache.evictions;
       line
         "# HELP softsched_request_phase_seconds Per-phase request latency \
          (log-bucketed).";
@@ -467,11 +484,11 @@ let summary t =
   with_lock t (fun () ->
       let b = Buffer.create 512 in
       let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+      let c = paths t in
       line "service metrics: %d requests (%d ok, %d errors, %d cached, %d \
             degraded, %d turned away)"
-        t.requests t.ok t.errors t.cached t.degraded t.busy_turnaways;
-      let c = t.paths in
-      if c <> no_paths then
+        t.requests t.ok t.errors c.hits t.degraded t.busy_turnaways;
+      if List.exists (fun (_, _, v) -> v > 0) (path_counts c) then
         line "  cache paths: %d without a parse, %d remapped, %d certification \
               misses, %d invalid, %d waited in flight"
           c.no_parse c.remapped c.cert_misses c.invalid c.flight_waits;

@@ -157,7 +157,7 @@ type t = {
   mutable traces : int;
   turn_lock : Mutex.t;
   turn_done : Condition.t;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;
 }
 
 type prepared = {
@@ -167,10 +167,7 @@ type prepared = {
   graph : (Graph.t * Fingerprint.canon) option;  (* None: a digest hit *)
 }
 
-let create ?(cache_capacity = 256) ?metrics () =
-  (match metrics with
-  | Some m -> Metrics.set_cache_occupancy m ~entries:0 ~capacity:cache_capacity
-  | None -> ());
+let create ?(cache_capacity = 256) () =
   let memo_bound = 4 * cache_capacity in
   {
     cache = Cache.create ~capacity:cache_capacity ();
@@ -183,22 +180,13 @@ let create ?(cache_capacity = 256) ?metrics () =
     traces = 0;
     turn_lock = Mutex.create ();
     turn_done = Condition.create ();
-    metrics;
+    metrics = Metrics.create ();
   }
 
 let cache_stats t = Cache.stats t.cache
 let metrics t = t.metrics
 let memo t = (Memo.length t.memo, t.memo_bound)
-
-let sync_cache_gauge t =
-  match t.metrics with
-  | None -> ()
-  | Some m ->
-    let s = Cache.stats t.cache in
-    Metrics.set_cache_occupancy m ~entries:s.Cache.length
-      ~capacity:s.Cache.capacity
-
-let count t p = match t.metrics with Some m -> Metrics.path m p | None -> ()
+let count t p = Metrics.path t.metrics p
 
 let next_trace t ~prefix =
   with_lock t.trace_lock (fun () ->
@@ -424,11 +412,7 @@ let compute ?deadline t (p : prepared) =
   in
   let resources = p.req.Protocol.resources in
   let meta = p.req.Protocol.meta in
-  let record_engine name =
-    match t.metrics with
-    | None -> ()
-    | Some m -> Metrics.engine_run m ~engine:name
-  in
+  let record_engine name = Metrics.engine_run t.metrics ~engine:name in
   let of_outcome ?degraded (o : Engine.outcome) =
     let sched = o.Engine.schedule in
     result_of_schedule ~key:p.key p.req
@@ -460,10 +444,8 @@ let compute ?deadline t (p : prepared) =
           (fun (e : Race.entry) ->
             if Option.is_some e.Race.outcome then record_engine e.Race.engine)
           race.Race.entries;
-        (match t.metrics with
-        | None -> ()
-        | Some m ->
-          Metrics.race_win m ~engine:race.Race.winner.Engine.annot.Engine.engine);
+        Metrics.race_win t.metrics
+          ~engine:race.Race.winner.Engine.annot.Engine.engine;
         of_outcome ~degraded:race.Race.degraded race.Race.winner)
     | Protocol.Exhaustive ->
       let e =
@@ -483,7 +465,6 @@ let compute ?deadline t (p : prepared) =
     failwith ("invalid schedule: " ^ m));
   let o = outcome ~payload:p.payload ~canon result in
   if not result.Protocol.degraded then Cache.add t.cache p.key o;
-  sync_cache_gauge t;
   o
 
 (* [turn], if given, is released once [p] has taken its place: found
@@ -532,14 +513,14 @@ let run ?deadline ?span ?turn t (p : prepared) =
   in
   Option.iter (release t) turn;
   let fresh () =
-    Cache.record t.cache p.key `Miss;
+    count t `Miss;
     let t1 = now () in
     let o = compute ?deadline t p in
     add_schedule (now () - t1);
     (o, false)
   in
   let hit o =
-    Cache.record t.cache p.key `Hit;
+    count t `Hit;
     (o, true)
   in
   match role with
@@ -591,15 +572,14 @@ let execute ?deadline ?span t p = run ?deadline ?span t p
 
 (* -- one request line, end to end ------------------------------------- *)
 
-type reply = { line : string; ok : bool; cached : bool; degraded : bool }
-
 (* Parse, prepare, wait for the predecessor's turn, run, render, and
    record the span (queue wait runs from receipt to the worker's start,
    plus the wait for the turn; total from receipt to the rendered
-   line). The deadline, too, runs from receipt. The turn is released
-   on every path: when the request takes its place, or, when it fails
-   before that, once the predecessor has taken its own, so that the
-   failure does not let a successor overtake it. *)
+   line). Every reply is recorded once, an error included. The
+   deadline, too, runs from receipt. The turn is released on every
+   path: when the request takes its place, or, when it fails before
+   that, once the predecessor has taken its own, so that the failure
+   does not let a successor overtake it. *)
 let respond t ~trace ~received ?after ~turn text =
   let now = Telemetry.now_ns in
   let sp = Metrics.span () in
@@ -607,10 +587,8 @@ let respond t ~trace ~received ?after ~turn text =
   sp.Metrics.queue_ns <- t0 - received;
   let finish ~design ~ok ~cached ~degraded line =
     sp.Metrics.total_ns <- now () - received;
-    (match t.metrics with
-    | Some m -> Metrics.record m ~trace ~design ~ok ~cached ~degraded sp
-    | None -> ());
-    { line; ok; cached; degraded }
+    Metrics.record t.metrics ~trace ~design ~ok ~cached ~degraded sp;
+    line
   in
   let fail ?id ~design msg =
     finish ~design ~ok:false ~cached:false ~degraded:false
@@ -656,14 +634,7 @@ let respond t ~trace ~received ?after ~turn text =
       await_turn t after;
       release t turn)
     (fun () ->
-      try answer_line ()
-      with e ->
-        {
-          line = Protocol.error_line ~trace (Printexc.to_string e);
-          ok = false;
-          cached = false;
-          degraded = false;
-        })
+      try answer_line () with e -> fail ~design:"?" (Printexc.to_string e))
 
 (* -- cache persistence ------------------------------------------------ *)
 

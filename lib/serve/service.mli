@@ -38,25 +38,20 @@ open Import
 
 type t
 
-val create : ?cache_capacity:int -> ?metrics:Metrics.t -> unit -> t
-(** [cache_capacity] defaults to 256 results. [metrics] plugs the
-    service into a metrics plane: cache-occupancy gauge updates, cache
-    path and engine counters, and one record per {!respond}. Without a
-    plane every metrics update is a no-op — results are bit-identical
-    either way. A daemon needs a service with a plane. *)
+val create : ?cache_capacity:int -> unit -> t
+(** [cache_capacity] defaults to 256 results. The service builds its
+    own metrics plane, the one ledger of its requests: one record per
+    {!respond}, and the cache-path and engine counters. The plane only
+    observes: no result depends on it. *)
 
 val cache_stats : t -> Cache.stats
 
-val metrics : t -> Metrics.t option
-(** The plane given to {!create}, if any. *)
+val metrics : t -> Metrics.t
+(** The service's plane. *)
 
 val memo : t -> int * int
 (** The payload memo's [(aliases, bound)]; the bound is four times the
     cache capacity. *)
-
-val sync_cache_gauge : t -> unit
-(** Refresh the metrics plane's cache-occupancy gauge from
-    {!cache_stats}; no-op without a metrics plane. *)
 
 val next_trace : t -> prefix:string -> string
 (** Monotone per-service trace ids, e.g. [s-000042]. *)
@@ -113,13 +108,6 @@ val turn : unit -> turn
 (** A fresh, unreleased turn. A turn handed to no {!respond} must be
     nobody's [after]. *)
 
-type reply = {
-  line : string;  (** the reply line, without its newline *)
-  ok : bool;  (** [false] for an error reply *)
-  cached : bool;
-  degraded : bool;
-}
-
 val respond :
   t ->
   trace:string ->
@@ -127,17 +115,18 @@ val respond :
   ?after:turn ->
   turn:turn ->
   string ->
-  reply
+  string
 (** [respond t ~trace ~received ?after ~turn text] answers one request
-    line: parse, {!prepare}, wait for [after] (the predecessor's turn),
-    {!execute}, render. [received] is the line's receipt time
-    ({!Telemetry.now_ns}): a [deadline_ms] runs from it, and so do the
-    span's queue wait and total. The span is recorded exactly once in
-    the service's plane, if it has one. [turn] is released on every
-    path, a parse error and an exception included, but never before
-    [after]; an exception becomes an error reply. Run requests with
-    chained turns in submission order on a FIFO pool, or one after
-    another: a request never waits for one that has not started. *)
+    line with its reply line (without a newline): parse, {!prepare},
+    wait for [after] (the predecessor's turn), {!execute}, render.
+    [received] is the line's receipt time ({!Telemetry.now_ns}): a
+    [deadline_ms] runs from it, and so do the span's queue wait and
+    total. Every reply, an error included, is recorded exactly once in
+    the service's plane. [turn] is released on every path, a parse
+    error and an exception included, but never before [after]; an
+    exception becomes an error reply. Run requests with chained turns
+    in submission order on a FIFO pool, or one after another: a request
+    never waits for one that has not started. *)
 
 val schedule_graph :
   ?deadline:float ->

@@ -66,19 +66,6 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
       | Events.Edge_added _ -> incr edge_adds
       | Events.Edge_removed _ -> incr edge_removes
       | Events.Free_placed _ -> ()
-      | Events.Cache_event { op; key } ->
-        record
-          [
-            ("name",
-             Json.str
-               (match op with
-               | `Hit -> "cache hit"
-               | `Miss -> "cache miss"
-               | `Evict -> "cache evict"));
-            ("cat", Json.str "cache"); ("ph", Json.str "i");
-            ("ts", us (at_ns - t0)); ("pid", Json.int 1); ("tid", Json.int 0);
-            ("s", Json.str "p"); ("args", Json.Obj [ ("key", Json.str key) ]);
-          ]
       | Events.Schedule_done { v; thread; summary } ->
         let ts, name =
           match Hashtbl.find_opt starts v with

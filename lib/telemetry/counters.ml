@@ -22,9 +22,6 @@ type t = {
   mutable last_max_in_degree : int;
   mutable last_max_out_degree : int;
   mutable elapsed_ns : int;
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  mutable cache_evictions : int;
 }
 
 type snapshot = {
@@ -46,9 +43,6 @@ type snapshot = {
   last_max_in_degree : int;
   last_max_out_degree : int;
   elapsed_ns : int;
-  cache_hits : int;
-  cache_misses : int;
-  cache_evictions : int;
 }
 
 let create () =
@@ -70,9 +64,6 @@ let create () =
     last_max_in_degree = 0;
     last_max_out_degree = 0;
     elapsed_ns = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    cache_evictions = 0;
   }
 
 let sink (c : t) : Events.sink = function
@@ -98,9 +89,6 @@ let sink (c : t) : Events.sink = function
     c.last_max_in_degree <- s.max_thread_in_degree;
     c.last_max_out_degree <- s.max_thread_out_degree;
     c.elapsed_ns <- c.elapsed_ns + s.elapsed_ns
-  | Cache_event { op = `Hit; _ } -> c.cache_hits <- c.cache_hits + 1
-  | Cache_event { op = `Miss; _ } -> c.cache_misses <- c.cache_misses + 1
-  | Cache_event { op = `Evict; _ } -> c.cache_evictions <- c.cache_evictions + 1
 
 let snapshot (c : t) : snapshot =
   {
@@ -122,51 +110,34 @@ let snapshot (c : t) : snapshot =
     last_max_in_degree = c.last_max_in_degree;
     last_max_out_degree = c.last_max_out_degree;
     elapsed_ns = c.elapsed_ns;
-    cache_hits = c.cache_hits;
-    cache_misses = c.cache_misses;
-    cache_evictions = c.cache_evictions;
   }
 
-(* Key/value view of a snapshot, keys sorted, used by the QoR report's
-   per-phase counter deltas. Gauge-like fields keep their [last_]
-   prefix so delta-taking clients can tell them from the monotone
-   counters. *)
+(* Key/value view of a snapshot, keys in ascending order as written,
+   used by the QoR report's per-phase counter deltas. Gauge-like fields
+   keep their [last_] prefix so delta-taking clients can tell them from
+   the monotone counters. *)
 let to_alist (s : snapshot) : (string * float) list =
   let f = float_of_int in
-  let rows =
-    [
-      ("candidates", f s.candidates);
-      ("cross_edges_touched", f s.cross_edges_touched);
-      ("edges_added", f s.edges_added);
-      ("edges_removed", f s.edges_removed);
-      ("elapsed_ns", f s.elapsed_ns);
-      ("free_placements", f s.free_placements);
-      ("last_diameter", f s.last_diameter);
-      ("last_max_in_degree", f s.last_max_in_degree);
-      ("last_max_out_degree", f s.last_max_out_degree);
-      ("last_state_edges", f s.last_state_edges);
-      ("max_in_degree_observed", f s.max_in_degree_observed);
-      ("max_out_degree_observed", f s.max_out_degree_observed);
-      ("max_positions_in_call", f s.max_positions_in_call);
-      ("positions_scanned", f s.positions_scanned);
-      ("schedule_calls", f s.schedule_calls);
-      ("tie_breaks", f s.tie_breaks);
-      ("vertices_relabelled", f s.vertices_relabelled);
-      ("vertices_walked", f s.vertices_walked);
-    ]
-  in
-  (* Cache counters only appear when a cache was actually in play, so
-     reports from the cache-less flow (and their committed baselines)
-     keep their historical key set. *)
-  let rows =
-    if s.cache_hits + s.cache_misses + s.cache_evictions = 0 then rows
-    else
-      ("cache_evictions", f s.cache_evictions)
-      :: ("cache_hits", f s.cache_hits)
-      :: ("cache_misses", f s.cache_misses)
-      :: rows
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) rows
+  [
+    ("candidates", f s.candidates);
+    ("cross_edges_touched", f s.cross_edges_touched);
+    ("edges_added", f s.edges_added);
+    ("edges_removed", f s.edges_removed);
+    ("elapsed_ns", f s.elapsed_ns);
+    ("free_placements", f s.free_placements);
+    ("last_diameter", f s.last_diameter);
+    ("last_max_in_degree", f s.last_max_in_degree);
+    ("last_max_out_degree", f s.last_max_out_degree);
+    ("last_state_edges", f s.last_state_edges);
+    ("max_in_degree_observed", f s.max_in_degree_observed);
+    ("max_out_degree_observed", f s.max_out_degree_observed);
+    ("max_positions_in_call", f s.max_positions_in_call);
+    ("positions_scanned", f s.positions_scanned);
+    ("schedule_calls", f s.schedule_calls);
+    ("tie_breaks", f s.tie_breaks);
+    ("vertices_relabelled", f s.vertices_relabelled);
+    ("vertices_walked", f s.vertices_walked);
+  ]
 
 let to_string (s : snapshot) =
   let b = Buffer.create 512 in
@@ -185,8 +156,5 @@ let to_string (s : snapshot) =
   line "  max thread in-degree  %8d  (out-degree %d)" s.last_max_in_degree
     s.last_max_out_degree;
   line "  final diameter        %8d" s.last_diameter;
-  if s.cache_hits + s.cache_misses + s.cache_evictions > 0 then
-    line "  result cache          %8d hits, %d misses, %d evictions"
-      s.cache_hits s.cache_misses s.cache_evictions;
   line "  time in scheduler     %11.2f ms" (float_of_int s.elapsed_ns /. 1e6);
   Buffer.contents b

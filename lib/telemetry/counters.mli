@@ -28,9 +28,6 @@ type snapshot = {
   last_max_in_degree : int;
   last_max_out_degree : int;
   elapsed_ns : int;  (** wall time inside instrumented calls *)
-  cache_hits : int;  (** result-cache lookups served from memory *)
-  cache_misses : int;  (** lookups that fell through to the scheduler *)
-  cache_evictions : int;  (** LRU entries dropped to stay within capacity *)
 }
 
 val create : unit -> t
@@ -48,5 +45,6 @@ val to_alist : snapshot -> (string * float) list
 (** Key/value view, keys sorted ascending: the QoR run-report stores
     each phase's delta of these rows as its [counters] object. Gauge
     fields carry a [last_] prefix (most-recent value, not a monotone
-    count); the [cache_*] trio is present only when any cache traffic
-    was observed (the cache-less flow keeps its historical key set). *)
+    count). Every row describes the scheduler's decisions: the serving
+    layer's cache hits and misses are counted by its metrics plane
+    ([Serve.Metrics]), not here. *)

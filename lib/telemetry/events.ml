@@ -19,10 +19,6 @@ type summary = {
   elapsed_ns : int;  (* wall time spent inside the schedule call *)
 }
 
-(* Result-cache traffic (the serving layer's fingerprint cache): a
-   lookup that hit, a lookup that missed, or an LRU eviction. *)
-type cache_op = [ `Hit | `Miss | `Evict ]
-
 type event =
   | Schedule_start of { v : int; name : string }
       (** [schedule v] entered for a not-yet-scheduled vertex *)
@@ -42,8 +38,6 @@ type event =
       (** zero-resource vertex committed as a free (thread-less) op *)
   | Schedule_done of { v : int; thread : int option; summary : summary }
       (** the call returned; [thread = None] for free vertices *)
-  | Cache_event of { op : cache_op; key : string }
-      (** fingerprint-cache traffic; [key] is fingerprint + configuration *)
 
 type sink = event -> unit
 

@@ -1,11 +1,9 @@
 (* Log-bucketed latency histogram: an HdrHistogram-style layout with
    [sub = 8] sub-buckets per power of two, so every recorded value lands
    in a bucket whose upper bound overshoots it by at most 12.5%. The
-   bucket count is fixed at creation (a few hundred words), recording is
-   two array loads, one store and four scalar updates — no allocation,
-   no locking — and two histograms merge by summing buckets, which is
-   what makes per-thread recording + a merge on read exact: the merged
-   histogram is identical to one that saw the interleaved sequence. *)
+   bucket count is fixed at creation (a few hundred words), and
+   recording is two array loads, one store and four scalar updates — no
+   allocation, no locking. *)
 
 let sub_bits = 3
 let sub = 1 lsl sub_bits (* 8 sub-buckets per octave *)
@@ -31,7 +29,6 @@ let create () =
 let count t = t.count
 let sum t = t.sum
 let is_empty t = t.count = 0
-let min_value t = if t.count = 0 then 0 else t.min_v
 let max_value t = if t.count = 0 then 0 else t.max_v
 let mean t = if t.count = 0 then 0.0 else float_of_int t.sum /. float_of_int t.count
 
@@ -64,21 +61,6 @@ let record t v =
   t.sum <- t.sum + v;
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
-
-let merge a b =
-  let m = create () in
-  Array.iteri (fun i n -> m.buckets.(i) <- n + b.buckets.(i)) a.buckets;
-  m.count <- a.count + b.count;
-  m.sum <- a.sum + b.sum;
-  m.min_v <- min a.min_v b.min_v;
-  m.max_v <- max a.max_v b.max_v;
-  m
-
-let equal a b =
-  a.count = b.count && a.sum = b.sum
-  && min_value a = min_value b
-  && max_value a = max_value b
-  && a.buckets = b.buckets
 
 let percentile t p =
   if t.count = 0 then 0

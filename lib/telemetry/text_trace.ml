@@ -36,10 +36,6 @@ let to_string ?(vertex = default_vertex) ?(thread = string_of_int)
         line at "  edge -  %s -> %s (implied)" (vertex src) (vertex dst)
       | Events.Free_placed { v; name } ->
         line at "  free placement of %s (%s)" (vertex v) name
-      | Events.Cache_event { op; key } ->
-        line at "cache %s %s"
-          (match op with `Hit -> "hit  " | `Miss -> "miss " | `Evict -> "evict")
-          key
       | Events.Schedule_done { v = _; thread = k; summary } ->
         let where =
           match k with

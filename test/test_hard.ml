@@ -108,14 +108,6 @@ let test_schedule_zero_units () =
       (String.length m > 0)
   | Ok () -> Alcotest.fail "expected unschedulable")
 
-let test_schedule_usage () =
-  let g, _, _, _ = chain3 () in
-  let s = S.make g ~starts:[| 0; 1; 3 |] in
-  let mul_usage = S.usage s R.Multiplier in
-  check Alcotest.(list int) "mul per cycle" [ 0; 1; 1; 0 ]
-    (Array.to_list mul_usage);
-  check Alcotest.int "peak alu" 1 (S.peak_usage s R.Alu)
-
 let test_schedule_negative_start () =
   let g, _, _, _ = chain3 () in
   Alcotest.check_raises "negative"
@@ -484,7 +476,6 @@ let () =
           Alcotest.test_case "resource violation" `Quick
             test_schedule_resource_violation;
           Alcotest.test_case "zero units" `Quick test_schedule_zero_units;
-          Alcotest.test_case "usage" `Quick test_schedule_usage;
           Alcotest.test_case "negative start" `Quick
             test_schedule_negative_start;
           Alcotest.test_case "gantt" `Quick test_schedule_gantt;

@@ -31,6 +31,10 @@ let default_resources () =
   Resources.make
     [ (Resources.Alu, 2); (Resources.Multiplier, 2); (Resources.Memory, 1) ]
 
+(* The service's ledger: its plane's outcome totals and cache paths. *)
+let totals service = Metrics.totals (Service.metrics service)
+let paths service = Metrics.paths (Service.metrics service)
+
 (* --- fingerprint ---------------------------------------------------- *)
 
 (* The same dataflow built under different names, a different vertex
@@ -141,20 +145,24 @@ let prop_edge_moves_hash =
 
 (* --- cache ----------------------------------------------------------- *)
 
+(* A plain lookup: the entry, if any. *)
+let find c key =
+  match Cache.find_if c key (fun _ -> true) with
+  | `Hit v -> Some v
+  | `Rejected | `Absent -> None
+
 let test_cache_lru_eviction () =
   let c = Cache.create ~capacity:2 () in
-  check Alcotest.(option int) "miss on empty" None (Cache.find c "a");
+  check Alcotest.(option int) "miss on empty" None (find c "a");
   Cache.add c "a" 1;
   Cache.add c "b" 2;
-  check Alcotest.(option int) "hit a" (Some 1) (Cache.find c "a");
+  check Alcotest.(option int) "hit a" (Some 1) (find c "a");
   (* "a" is now most recent; adding "c" must evict "b" *)
   Cache.add c "c" 3;
-  check Alcotest.(option int) "b evicted" None (Cache.find c "b");
-  check Alcotest.(option int) "a kept" (Some 1) (Cache.find c "a");
-  check Alcotest.(option int) "c kept" (Some 3) (Cache.find c "c");
+  check Alcotest.(option int) "b evicted" None (find c "b");
+  check Alcotest.(option int) "a kept" (Some 1) (find c "a");
+  check Alcotest.(option int) "c kept" (Some 3) (find c "c");
   let s = Cache.stats c in
-  check Alcotest.int "hits" 3 s.Cache.hits;
-  check Alcotest.int "misses" 2 s.Cache.misses;
   check Alcotest.int "evictions" 1 s.Cache.evictions;
   check Alcotest.int "length" 2 s.Cache.length;
   check
@@ -167,59 +175,69 @@ let test_cache_replace () =
   Cache.add c "a" 1;
   Cache.add c "a" 2;
   check Alcotest.int "no duplicate" 1 (Cache.length c);
-  check Alcotest.(option int) "replaced" (Some 2) (Cache.find c "a");
-  let s = Cache.stats c in
-  check Alcotest.int "one hit" 1 s.Cache.hits;
-  check Alcotest.int "no misses" 0 s.Cache.misses
+  check Alcotest.(option int) "replaced" (Some 2) (find c "a");
+  check Alcotest.int "no eviction" 0 (Cache.stats c).Cache.evictions
 
+(* The event stream carries the scheduler's decisions only: cache
+   lookups, adds and evictions, and a request the service answers from
+   its cache, leave the telemetry counters at zero and record no event.
+   The hit is counted once, in the service's plane. *)
 let test_cache_telemetry_counters () =
   let counters = Telemetry.Counters.create () in
-  Telemetry.with_sink (Telemetry.Counters.sink counters) (fun () ->
-      let c = Cache.create ~capacity:2 () in
-      ignore (Cache.find c "a");
-      Cache.add c "a" 1;
-      ignore (Cache.find c "a");
-      Cache.add c "b" 2;
-      Cache.add c "c" 3);
-  let s = Telemetry.Counters.snapshot counters in
-  check Alcotest.int "cache_hits" 1 s.Telemetry.Counters.cache_hits;
-  check Alcotest.int "cache_misses" 1 s.Telemetry.Counters.cache_misses;
-  check Alcotest.int "cache_evictions" 1 s.Telemetry.Counters.cache_evictions;
-  check Alcotest.bool "cache rows surface in to_alist" true
-    (List.mem_assoc "cache_hits" (Telemetry.Counters.to_alist s));
-  (* A cache-less run keeps its historical key set. *)
-  let empty =
-    Telemetry.Counters.snapshot (Telemetry.Counters.create ())
+  let recorder = Telemetry.Recorder.create () in
+  let sink =
+    Telemetry.tee (Telemetry.Counters.sink counters)
+      (Telemetry.Recorder.sink recorder)
   in
-  check Alcotest.bool "no cache rows without traffic" false
-    (List.mem_assoc "cache_hits" (Telemetry.Counters.to_alist empty))
+  let c = Cache.create ~capacity:2 () in
+  let service = Service.create () in
+  let respond () =
+    Service.respond service ~trace:"t" ~received:(Telemetry.now_ns ())
+      ~turn:(Service.turn ()) {|{"design":"HAL"}|}
+  in
+  ignore (respond ());
+  Telemetry.with_sink sink (fun () ->
+      ignore (find c "a");
+      Cache.add c "a" 1;
+      ignore (find c "a");
+      Cache.add c "b" 2;
+      Cache.add c "c" 3;
+      check Alcotest.bool "the repeat is a hit" true
+        (contains (respond ()) {|"cached":true|}));
+  check Alcotest.int "the cache counted its eviction" 1
+    (Cache.stats c).Cache.evictions;
+  check Alcotest.int "no event recorded" 0 (Telemetry.Recorder.length recorder);
+  check
+    Alcotest.(list (pair string (float 0.)))
+    "every counter at zero"
+    (Telemetry.Counters.to_alist
+       (Telemetry.Counters.snapshot (Telemetry.Counters.create ())))
+    (Telemetry.Counters.to_alist (Telemetry.Counters.snapshot counters));
+  check Alcotest.(pair int int) "one hit, one miss, in the plane" (1, 1)
+    ((paths service).Metrics.hits, (paths service).Metrics.misses)
 
 (* The sharded cache must be observably equivalent to a single LRU: a
    pure reference model (mru-first assoc list) and the sharded cache
    replay one random interleaved find/add trace and must agree on every
-   find result, every counter, and the final recency order — for any
-   shard count, any capacity, and keys both hex-prefixed (the shard
-   fast path) and not (the Hashtbl.hash fallback). *)
+   find result, the eviction count, the length and the final recency
+   order — for any shard count, any capacity, and keys both
+   hex-prefixed (the shard fast path) and not (the Hashtbl.hash
+   fallback). *)
 module Lru_model = struct
   type t = {
     capacity : int;
     mutable entries : (string * int) list;  (* mru first *)
-    mutable hits : int;
-    mutable misses : int;
     mutable evictions : int;
   }
 
-  let create capacity = { capacity; entries = []; hits = 0; misses = 0; evictions = 0 }
+  let create capacity = { capacity; entries = []; evictions = 0 }
 
   let find m k =
     match List.assoc_opt k m.entries with
     | Some v ->
-      m.hits <- m.hits + 1;
       m.entries <- (k, v) :: List.remove_assoc k m.entries;
       Some v
-    | None ->
-      m.misses <- m.misses + 1;
-      None
+    | None -> None
 
   let add m k v =
     m.entries <- (k, v) :: List.remove_assoc k m.entries;
@@ -229,7 +247,7 @@ module Lru_model = struct
     end
 end
 
-type cache_op = C_find of int | C_add of int * int
+type trace_op = C_find of int | C_add of int * int
 
 let cache_trace_arb =
   (* Keys mix fingerprint-shaped hex prefixes with arbitrary names so
@@ -267,7 +285,7 @@ let prop_sharded_cache_oracle =
       List.iter
         (function
           | C_find k ->
-            let got = Cache.find c keys.(k) in
+            let got = find c keys.(k) in
             let want = Lru_model.find m keys.(k) in
             if got <> want then
               QCheck.Test.fail_reportf "find %s: cache %s, model %s" keys.(k)
@@ -278,11 +296,6 @@ let prop_sharded_cache_oracle =
             Lru_model.add m keys.(k) v)
         ops;
       let s = Cache.stats c in
-      if s.Cache.hits <> m.Lru_model.hits then
-        QCheck.Test.fail_reportf "hits: %d vs %d" s.Cache.hits m.Lru_model.hits;
-      if s.Cache.misses <> m.Lru_model.misses then
-        QCheck.Test.fail_reportf "misses: %d vs %d" s.Cache.misses
-          m.Lru_model.misses;
       if s.Cache.evictions <> m.Lru_model.evictions then
         QCheck.Test.fail_reportf "evictions: %d vs %d" s.Cache.evictions
           m.Lru_model.evictions;
@@ -297,11 +310,10 @@ let prop_sharded_cache_oracle =
           (String.concat ";" want_order);
       true)
 
-(* [stats] under concurrent traffic: every snapshot must be internally
-   consistent — the touch count (hits+misses) can only grow between
-   snapshots, and the length can never exceed capacity by more than the
-   number of writers mid-add (insert and the global eviction are two
-   steps). *)
+(* [stats] under concurrent traffic: the eviction count can only grow
+   between snapshots, and the length can never exceed capacity by more
+   than the number of writers mid-add (insert and the global eviction
+   are two steps). *)
 let test_cache_stats_snapshot_under_load () =
   let jobs = 4 in
   let c = Cache.create ~shards:4 ~capacity:32 () in
@@ -312,16 +324,16 @@ let test_cache_stats_snapshot_under_load () =
         Pool.submit p (fun () ->
             for i = 0 to (finds + adds) / jobs do
               let key = Printf.sprintf "%x" (((w * 7919) + i) mod 64) in
-              if i land 1 = 0 then ignore (Cache.find c key)
+              if i land 1 = 0 then ignore (find c key)
               else Cache.add c key i
             done))
   in
   let last = ref 0 in
   for _ = 1 to 200 do
     let s = Cache.stats c in
-    let touches = s.Cache.hits + s.Cache.misses in
-    check Alcotest.bool "touch count monotone" true (touches >= !last);
-    last := touches;
+    check Alcotest.bool "eviction count monotone" true
+      (s.Cache.evictions >= !last);
+    last := s.Cache.evictions;
     check Alcotest.bool "length bounded" true
       (s.Cache.length >= 0 && s.Cache.length <= s.Cache.capacity + jobs)
   done;
@@ -587,10 +599,9 @@ let test_service_cache_flow () =
   let p2 = prep "HAL" in
   let o2, cached2 = Service.execute service p2 in
   check Alcotest.bool "second run hits" true cached2;
-  let s = Service.cache_stats service in
-  check Alcotest.int "one entry" 1 s.Cache.length;
-  check Alcotest.int "one hit" 1 s.Cache.hits;
-  check Alcotest.int "one miss" 1 s.Cache.misses;
+  check Alcotest.int "one entry" 1 (Service.cache_stats service).Cache.length;
+  check Alcotest.int "one hit" 1 (paths service).Metrics.hits;
+  check Alcotest.int "one miss" 1 (paths service).Metrics.misses;
   (* The cached result is a valid schedule of the right shape. *)
   let n =
     Graph.n_vertices ((Hls_bench.Suite.find "HAL").Hls_bench.Suite.build ())
@@ -635,12 +646,14 @@ let test_deadline_from_receipt () =
     Service.respond service ~trace:"t" ~received ~turn:(Service.turn ()) line
   in
   let late = respond (Telemetry.now_ns () - 2_000_000_000) in
-  check Alcotest.bool "received 2 s ago: degraded" true late.Service.degraded;
-  check Alcotest.bool "and the reply says so" true
-    (contains late.Service.line {|"degraded":true|});
+  check Alcotest.bool "received 2 s ago: degraded" true
+    (contains late {|"degraded":true|});
   let prompt = respond (Telemetry.now_ns ()) in
-  check Alcotest.bool "received now: ok" true prompt.Service.ok;
-  check Alcotest.bool "and not degraded" false prompt.Service.degraded
+  check Alcotest.bool "received now: ok" true (contains prompt {|"status":"ok"|});
+  check Alcotest.bool "and not degraded" false
+    (contains prompt {|"degraded":true|});
+  check Alcotest.int "the plane counts one degraded reply" 1
+    (totals service).Metrics.degraded
 
 let test_service_save_load () =
   let service = Service.create () in
@@ -767,49 +780,63 @@ let batch_lines =
 let test_batch_deterministic_across_jobs () =
   let run jobs =
     let service = Service.create () in
-    Batch.run_lines service ~jobs batch_lines
+    (Batch.run_lines service ~jobs batch_lines, service)
   in
-  let out1, stats1 = run 1 in
+  let out1, service1 = run 1 in
   let out2, _ = run 2 in
   let out8, _ = run 8 in
   check Alcotest.(list string) "jobs=2 equals jobs=1" out1 out2;
   check Alcotest.(list string) "jobs=8 equals jobs=1" out1 out8;
-  check Alcotest.int "blank line skipped" 6 stats1.Batch.requests;
-  check Alcotest.int "duplicate rides the leader" 1 stats1.Batch.hits;
-  check Alcotest.int "one bad design" 1 stats1.Batch.errors;
+  check Alcotest.int "blank line skipped" 6 (totals service1).Metrics.requests;
+  check Alcotest.int "duplicate rides the leader" 1
+    (paths service1).Metrics.hits;
+  check Alcotest.int "one bad design" 1 (totals service1).Metrics.errors;
   check Alcotest.int "responses in input order" 6 (List.length out1);
   (* The duplicate's response differs from the leader's only in id,
      trace and cached flag. *)
   check Alcotest.bool "dup marked cached" true
     (contains (List.nth out1 2) {|"cached":true|})
 
+(* Two batch runs sharing a cache file, as the CLI's --cache-file does:
+   the second run's plane, and so its summary line, reads 100% hits. *)
 let test_batch_warm_hit_rate () =
-  let service = Service.create () in
+  let cold = Service.create () in
   let lines =
     List.map
       (fun (e : Hls_bench.Suite.entry) ->
         Printf.sprintf {|{"design":%S}|} e.Hls_bench.Suite.name)
       Hls_bench.Suite.all
   in
-  let _, cold = Batch.run_lines service ~jobs:4 lines in
-  check Alcotest.int "cold pass misses" 0 cold.Batch.hits;
-  let out_warm, warm = Batch.run_lines service ~jobs:4 lines in
-  check Alcotest.int "warm pass all hits" warm.Batch.requests warm.Batch.hits;
+  ignore (Batch.run_lines cold ~jobs:4 lines);
+  check Alcotest.int "cold pass misses" 0 (paths cold).Metrics.hits;
+  let path = Filename.temp_file "softsched_cache" ".ndjson" in
+  Service.save_cache cold path;
+  let warm = Service.create () in
+  (match Service.load_cache warm path with
+  | Ok _ -> Sys.remove path
+  | Error m -> Alcotest.fail m);
+  let out_warm = Batch.run_lines warm ~jobs:4 lines in
+  check Alcotest.int "warm pass all hits" (totals warm).Metrics.requests
+    (paths warm).Metrics.hits;
   check Alcotest.int "every design answered" (List.length lines)
     (List.length out_warm);
-  check Alcotest.bool "summary advertises 100%" true
-    (contains (Batch.summary warm) "(100%)")
+  check Alcotest.string "summary advertises 100%"
+    "batch: 8 requests, 8 cache hits (100%), 0 degraded, 0 errors, 8.0 \
+     requests/s"
+    (Batch.summary (Service.metrics warm) ~wall_s:1.0)
 
 let test_batch_fast_identity_beside_race () =
   (* The byte-identity contract: fast responses are unchanged by a race
      request sharing the batch (and the cache). The race line comes
      last so the positional trace ids of the fast lines agree. *)
   let plain = [ {|{"id":"1","design":"HAL"}|}; {|{"id":"2","design":"AR"}|} ] in
-  let out_plain, _ = Batch.run_lines (Service.create ()) ~jobs:2 plain in
+  let out_plain = Batch.run_lines (Service.create ()) ~jobs:2 plain in
   let mixed = plain @ [ {|{"id":"3","design":"HAL","effort":"race"}|} ] in
-  let out_mixed, stats = Batch.run_lines (Service.create ()) ~jobs:2 mixed in
+  let service = Service.create () in
+  let out_mixed = Batch.run_lines service ~jobs:2 mixed in
   check Alcotest.int "all answered" 3 (List.length out_mixed);
-  check Alcotest.int "race misses the fast HAL entry" 0 stats.Batch.hits;
+  check Alcotest.int "race misses the fast HAL entry" 0
+    (paths service).Metrics.hits;
   check
     Alcotest.(list string)
     "fast lines byte-identical beside a race" out_plain
@@ -845,7 +872,7 @@ let test_batch_locked_sink () =
            (Telemetry.Counters.sink counters)
            (Telemetry.Recorder.sink recorder))
     in
-    let out, _ =
+    let out =
       Telemetry.with_sink sink (fun () ->
           Batch.run_lines (Service.create ()) ~jobs lines)
     in
@@ -868,16 +895,16 @@ let test_batch_locked_sink () =
 (* A line of a million '[' is answered at once, naming the bound. *)
 let test_batch_deep_json () =
   let n = 1_000_000 in
+  let service = Service.create () in
   match
-    Batch.run_lines (Service.create ()) ~jobs:1
-      [ String.make n '[' ^ String.make n ']' ]
+    Batch.run_lines service ~jobs:1 [ String.make n '[' ^ String.make n ']' ]
   with
-  | [ reply ], stats ->
-    check Alcotest.int "an error reply" 1 stats.Batch.errors;
+  | [ reply ] ->
+    check Alcotest.int "an error reply" 1 (totals service).Metrics.errors;
     check Alcotest.bool "names the bound" true
       (contains reply
          (Printf.sprintf "nesting deeper than %d levels" Json.max_depth))
-  | out, _ -> Alcotest.failf "%d replies to one line" (List.length out)
+  | out -> Alcotest.failf "%d replies to one line" (List.length out)
 
 (* --- daemon ----------------------------------------------------------- *)
 
@@ -894,10 +921,7 @@ let send oc line =
 let test_daemon_roundtrip_and_drain () =
   let socket = Filename.temp_file "softsched" ".sock" in
   (* temp_file created a regular file; Daemon.start replaces it *)
-  Alcotest.check_raises "a daemon needs a metrics plane"
-    (Invalid_argument "Daemon.start: the service has no metrics plane")
-    (fun () -> ignore (Daemon.start (Service.create ()) ~socket ~jobs:2 ()));
-  let service = Service.create ~metrics:(Metrics.create ()) () in
+  let service = Service.create () in
   let d = Daemon.start service ~socket ~jobs:2 () in
   let fd, ic, oc = connect socket in
   send oc {|{"id":"a","design":"HAL","schedule":false}|};
@@ -962,15 +986,13 @@ let check_error_ids label replies =
 
 let test_error_replies_keep_ids () =
   let lines = List.map snd bad_field_lines in
-  let out, stats = Batch.run_lines (Service.create ()) ~jobs:2 lines in
+  let service = Service.create () in
+  let out = Batch.run_lines service ~jobs:2 lines in
   check Alcotest.int "batch: every line an error" (List.length lines)
-    stats.Batch.errors;
+    (totals service).Metrics.errors;
   check_error_ids "batch" out;
   let socket = Filename.temp_file "softsched" ".sock" in
-  let d =
-    Daemon.start (Service.create ~metrics:(Metrics.create ()) ()) ~socket
-      ~jobs:2 ()
-  in
+  let d = Daemon.start (Service.create ()) ~socket ~jobs:2 () in
   let fd, ic, oc = connect socket in
   List.iter (send oc) lines;
   check_error_ids "daemon" (List.map (fun _ -> input_line ic) lines);
@@ -980,7 +1002,7 @@ let test_error_replies_keep_ids () =
 
 let test_daemon_connection_limit () =
   let socket = Filename.temp_file "softsched" ".sock" in
-  let service = Service.create ~metrics:(Metrics.create ()) () in
+  let service = Service.create () in
   let d = Daemon.start service ~socket ~jobs:1 ~max_connections:1 () in
   let fd1, ic1, oc1 = connect socket in
   (* Prove the first connection is live (so the daemon has admitted it
@@ -1013,6 +1035,16 @@ let json_int j path =
   | Json.Num n -> int_of_float n
   | _ -> Alcotest.failf "snapshot member %s not a number" (String.concat "." path)
 
+(* The plane's snapshot as a client parses it, its cache occupancy read
+   from [cache] (an empty cache by default). *)
+let snapshot ?(cache = Cache.stats (Cache.create ~capacity:1 ())) m =
+  match
+    Json.parse_result
+      (Json.to_string ~minify:true (Metrics.snapshot_json ~cache m))
+  with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "snapshot not JSON: %s" e
+
 let test_metrics_snapshot_and_prometheus () =
   let m = Metrics.create () in
   let record ?(ok = true) ?(cached = false) total_ns =
@@ -1028,20 +1060,20 @@ let test_metrics_snapshot_and_prometheus () =
   record ~cached:true 10_000;
   record ~ok:false 5_000;
   Metrics.turned_away m;
-  List.iter (Metrics.path m) [ `No_parse; `No_parse; `Remapped; `Flight_wait ];
+  List.iter (Metrics.path m)
+    [ `Miss; `Hit; `No_parse; `No_parse; `Remapped; `Flight_wait ];
   Metrics.set_pool_queue_depth m 3;
-  Metrics.set_cache_occupancy m ~entries:2 ~capacity:8;
-  let j =
-    match
-      Json.parse_result (Json.to_string ~minify:true (Metrics.snapshot_json m))
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "snapshot not JSON: %s" e
-  in
+  let c = Cache.create ~capacity:8 () in
+  Cache.add c "a" 1;
+  Cache.add c "b" 2;
+  let cache = Cache.stats c in
+  let j = snapshot ~cache m in
   check Alcotest.int "requests" 3 (json_int j [ "requests"; "total" ]);
   check Alcotest.int "ok" 2 (json_int j [ "requests"; "ok" ]);
   check Alcotest.int "errors" 1 (json_int j [ "requests"; "errors" ]);
   check Alcotest.int "cached" 1 (json_int j [ "requests"; "cached" ]);
+  check Alcotest.(pair int int) "cache hits and misses" (1, 1)
+    (json_int j [ "cache"; "hits" ], json_int j [ "cache"; "misses" ]);
   check Alcotest.int "turnaways" 1 (json_int j [ "requests"; "busy_turnaways" ]);
   check
     Alcotest.(list int)
@@ -1053,6 +1085,8 @@ let test_metrics_snapshot_and_prometheus () =
     (json_int j [ "gauges"; "pool_queue_depth" ]);
   check Alcotest.int "cache entries gauge" 2
     (json_int j [ "gauges"; "cache_entries" ]);
+  check Alcotest.int "cache capacity gauge" 8
+    (json_int j [ "gauges"; "cache_capacity" ]);
   List.iter
     (fun phase ->
       check Alcotest.int
@@ -1062,7 +1096,7 @@ let test_metrics_snapshot_and_prometheus () =
     [ "parse"; "cache_lookup"; "queue_wait"; "schedule"; "emit"; "total" ];
   (* Prometheus exposition: histogram family present, +Inf closes each
      phase at the total count. *)
-  let prom = Metrics.to_prometheus m in
+  let prom = Metrics.to_prometheus ~cache m in
   check Alcotest.bool "bucket series present" true
     (contains prom "softsched_request_phase_seconds_bucket{phase=\"total\"");
   check Alcotest.bool "+Inf equals count" true
@@ -1079,13 +1113,7 @@ let test_metrics_engine_counters () =
   Metrics.engine_run m ~engine:"list";
   Metrics.engine_run m ~engine:"bnb";
   Metrics.race_win m ~engine:"list";
-  let j =
-    match
-      Json.parse_result (Json.to_string ~minify:true (Metrics.snapshot_json m))
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "snapshot not JSON: %s" e
-  in
+  let j = snapshot m in
   check Alcotest.int "races counted" 1 (json_int j [ "races" ]);
   check Alcotest.int "list runs" 2 (json_int j [ "engines"; "list"; "runs" ]);
   check Alcotest.int "list wins" 1
@@ -1093,7 +1121,9 @@ let test_metrics_engine_counters () =
   (* a racer that never won still shows its run count *)
   check Alcotest.int "bnb runs" 1 (json_int j [ "engines"; "bnb"; "runs" ]);
   check Alcotest.int "bnb wins" 0 (json_int j [ "engines"; "bnb"; "race_wins" ]);
-  let prom = Metrics.to_prometheus m in
+  let prom =
+    Metrics.to_prometheus ~cache:(Cache.stats (Cache.create ~capacity:1 ())) m
+  in
   check Alcotest.bool "labelled run counter" true
     (contains prom {|softsched_engine_runs_total{engine="list"} 2|});
   check Alcotest.bool "labelled win counter" true
@@ -1107,8 +1137,8 @@ let test_metrics_modulo_engine_visible () =
   (match Soft.Engine.of_string "modulo" with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "modulo not in the engine list: %s" m);
-  let m = Metrics.create () in
-  let service = Service.create ~metrics:m () in
+  let service = Service.create () in
+  let m = Service.metrics service in
   let prep req =
     match Service.prepare service req with
     | Ok p -> p
@@ -1123,16 +1153,11 @@ let test_metrics_modulo_engine_visible () =
     check Alcotest.bool "winner from the subset" true
       (List.mem e [ "modulo"; "list" ])
   | None -> Alcotest.fail "race result lacks engine");
-  let j =
-    match
-      Json.parse_result (Json.to_string ~minify:true (Metrics.snapshot_json m))
-    with
-    | Ok j -> j
-    | Error e -> Alcotest.failf "snapshot not JSON: %s" e
-  in
+  let cache = Service.cache_stats service in
+  let j = snapshot ~cache m in
   check Alcotest.int "modulo ran once" 1
     (json_int j [ "engines"; "modulo"; "runs" ]);
-  let prom = Metrics.to_prometheus m in
+  let prom = Metrics.to_prometheus ~cache m in
   check Alcotest.bool "modulo run counter exported" true
     (contains prom {|softsched_engine_runs_total{engine="modulo"} 1|})
 
@@ -1190,8 +1215,7 @@ let test_metrics_slow_log_file () =
 
 let test_daemon_stats_admin () =
   let socket = Filename.temp_file "softsched" ".sock" in
-  let metrics = Metrics.create () in
-  let service = Service.create ~metrics () in
+  let service = Service.create () in
   let d = Daemon.start service ~socket ~jobs:2 () in
   let fd, ic, oc = connect socket in
   send oc {|{"design":"HAL","schedule":false}|};
@@ -1224,7 +1248,7 @@ let test_daemon_stats_admin () =
 
 let test_daemon_busy_retry_hint () =
   let socket = Filename.temp_file "softsched" ".sock" in
-  let service = Service.create ~metrics:(Metrics.create ()) () in
+  let service = Service.create () in
   let d = Daemon.start service ~socket ~jobs:1 ~max_connections:1 () in
   let fd1, ic1, oc1 = connect socket in
   send oc1 {|{"design":"HAL","schedule":false}|};
@@ -1249,7 +1273,210 @@ let test_daemon_busy_retry_hint () =
       true
       (hint >= 25 && hint <= 5000)
 
-let test_batch_identical_with_metrics () =
+(* A full pool queue turns a request away busy. One worker and a queue
+   of four, and twenty pipelined 2,000-vertex graphs on one connection:
+   the loop reads them faster than the worker schedules them, so the
+   excess get "server busy" with a back-off hint. Every line is answered
+   in request order (trace ids are handed out per line, in order), and
+   the plane counts each busy reply once as a busy turn-away and never
+   as a request. *)
+let test_daemon_pool_full () =
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let service = Service.create () in
+  let d = Daemon.start service ~socket ~jobs:1 () in
+  let lines =
+    List.init 20 (fun i ->
+        let g =
+          Generate.layered (Random.State.make [| i |]) ~layers:200 ~width:10
+            ~fanin:3
+        in
+        Json.to_string ~minify:true
+          (Json.Obj
+             [
+               ("id", Json.str (Printf.sprintf "r%02d" i));
+               ("dfg", Json.str (Serial.to_string g));
+               ("schedule", Json.Bool false);
+             ]))
+  in
+  let fd, ic, oc = connect socket in
+  output_string oc (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  flush oc;
+  let replies = List.map (fun _ -> input_line ic) lines in
+  Daemon.stop d;
+  Daemon.wait d;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  let busy r = contains r {|"error":"server busy"|} in
+  List.iteri
+    (fun i r ->
+      check Alcotest.bool
+        (Printf.sprintf "reply %d answers request %d" i i)
+        true
+        (contains r (Printf.sprintf {|"trace":"s-%06d"|} (i + 1))
+        && (busy r || contains r (Printf.sprintf {|"id":"r%02d"|} i)));
+      if busy r then
+        check Alcotest.bool
+          (Printf.sprintf "busy reply %d carries retry_after_ms" i)
+          true
+          (contains r {|"retry_after_ms":|})
+      else
+        check Alcotest.bool (Printf.sprintf "reply %d ok" i) true
+          (contains r {|"status":"ok"|}))
+    replies;
+  let n_busy = List.length (List.filter busy replies) in
+  check Alcotest.bool "the first four fit the queue" false
+    (List.exists busy (List.filteri (fun i _ -> i < 4) replies));
+  check Alcotest.bool
+    (Printf.sprintf "the excess turned away (%d of 20)" n_busy)
+    true (n_busy > 0);
+  let t = totals service in
+  check Alcotest.int "busy_turnaways counts the busy replies" n_busy
+    t.Metrics.busy_turnaways;
+  check Alcotest.int "and requests the rest" (20 - n_busy) t.Metrics.requests
+
+(* The stats interface, pinned. A burst of a graph, its exact repeat, a
+   renamed copy, a bad .dfg and a race of the graph goes through one
+   daemon connection; the {"admin":"stats"} snapshot then has exactly
+   these key paths, in this order, and the Prometheus exposition
+   exactly these series. Each fact is counted once, so the snapshot
+   agrees with itself: the cached requests are the cache hits, the
+   hits and misses are the requests that reached the cache (all but
+   the bad .dfg), and the entries gauge is the cache's own count. *)
+let test_daemon_stats_interface () =
+  let graph = "vertex x mul 2\nvertex y mul 2\nvertex z add 1\nedge x z\nedge y z\n" in
+  let renamed = "vertex p mul 2\nvertex q mul 2\nvertex r add 1\nedge p r\nedge q r\n" in
+  let line ?(effort = []) id dfg =
+    Json.to_string ~minify:true
+      (Json.Obj ([ ("id", Json.str id); ("dfg", Json.str dfg) ] @ effort))
+  in
+  let burst =
+    [
+      line "graph" graph;
+      line "repeat" graph;
+      line "renamed" renamed;
+      line "bad" "vertex a frob 1\n";
+      line ~effort:[ ("effort", Json.str "race") ] "race" graph;
+    ]
+  in
+  let parse l =
+    match Json.parse_result l with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "reply not JSON: %s" e
+  in
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let service = Service.create () in
+  let d = Daemon.start service ~socket ~jobs:2 () in
+  let fd, ic, oc = connect socket in
+  List.iter (send oc) burst;
+  let statuses =
+    List.map (fun _ -> Json.member "status" (parse (input_line ic))) burst
+  in
+  (* asked once every reply is in, so the snapshot covers the burst *)
+  send oc {|{"admin":"stats"}|};
+  let stats = json_path (parse (input_line ic)) [ "stats" ] in
+  Daemon.stop d;
+  Daemon.wait d;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  check
+    Alcotest.(list (option string))
+    "one error, the bad .dfg"
+    [ Some "ok"; Some "ok"; Some "ok"; Some "error"; Some "ok" ]
+    (List.map (Option.map (function Json.Str s -> s | _ -> "?")) statuses);
+  let rec key_paths prefix = function
+    | Json.Obj fields ->
+      List.concat_map
+        (fun (k, v) ->
+          key_paths (if prefix = "" then k else prefix ^ "." ^ k) v)
+        fields
+    | _ -> [ prefix ]
+  in
+  let under group keys = List.map (fun k -> group ^ "." ^ k) keys in
+  let phases =
+    [ "parse"; "cache_lookup"; "queue_wait"; "schedule"; "emit"; "total" ]
+  in
+  let engines = [ "anneal"; "fdls"; "list"; "soft" ] in
+  check
+    Alcotest.(list string)
+    "snapshot key paths"
+    ([ "uptime_s" ]
+    @ under "requests"
+        [ "total"; "ok"; "errors"; "cached"; "degraded"; "busy_turnaways"; "slow" ]
+    @ under "cache_paths"
+        [ "no_parse"; "remapped"; "cert_misses"; "invalid"; "flight_waits" ]
+    @ List.concat_map
+        (fun phase ->
+          under ("latency_ms." ^ phase)
+            [ "count"; "mean"; "p50"; "p90"; "p95"; "p99"; "max" ])
+        phases
+    @ [ "races" ]
+    @ List.concat_map (fun e -> under ("engines." ^ e) [ "runs"; "race_wins" ]) engines
+    @ under "gauges"
+        [
+          "pool_queue_depth"; "in_flight_requests"; "connections";
+          "cache_entries"; "cache_capacity";
+        ]
+    @ under "cache" [ "hits"; "misses"; "evictions"; "entries"; "capacity"; "shards" ])
+    (key_paths "" stats);
+  let n path = json_int stats path in
+  check Alcotest.(pair int int) "requests.cached = cache.hits = 2" (2, 2)
+    (n [ "requests"; "cached" ], n [ "cache"; "hits" ]);
+  check Alcotest.int "cache.hits + cache.misses = the requests that reached it"
+    (n [ "requests"; "total" ] - n [ "requests"; "errors" ])
+    (n [ "cache"; "hits" ] + n [ "cache"; "misses" ]);
+  check Alcotest.(pair int int) "gauges.cache_entries = cache.entries = 2" (2, 2)
+    (n [ "gauges"; "cache_entries" ], n [ "cache"; "entries" ]);
+  let prom =
+    Metrics.to_prometheus ~cache:(Service.cache_stats service)
+      (Service.metrics service)
+  in
+  let samples =
+    List.filter
+      (fun l -> l <> "" && l.[0] <> '#')
+      (String.split_on_char '\n' prom)
+  in
+  let series l =
+    let name = List.hd (String.split_on_char ' ' l) in
+    match String.index_opt name ',' with
+    | Some i when contains name "le=" -> String.sub name 0 i ^ ",le=*}"
+    | _ -> name
+  in
+  let labelled name values =
+    List.map (fun v -> Printf.sprintf "%s{%s}" name v) values
+  in
+  let phase_series suffix extra =
+    labelled ("softsched_request_phase_seconds_" ^ suffix)
+      (List.map (fun p -> Printf.sprintf "phase=%S%s" p extra) phases)
+  in
+  check
+    Alcotest.(list string)
+    "Prometheus series"
+    (List.sort compare
+       ([
+          "softsched_uptime_seconds"; "softsched_requests_total";
+          "softsched_request_errors_total"; "softsched_requests_cached_total";
+          "softsched_requests_degraded_total"; "softsched_busy_turnaways_total";
+          "softsched_slow_requests_total"; "softsched_races_total";
+          "softsched_pool_queue_depth"; "softsched_in_flight_requests";
+          "softsched_connections"; "softsched_cache_entries";
+          "softsched_cache_capacity"; "softsched_cache_hits_total";
+          "softsched_cache_misses_total"; "softsched_cache_evictions_total";
+        ]
+       @ List.map
+           (fun k -> "softsched_cache_path_" ^ k ^ "_total")
+           [ "no_parse"; "remapped"; "cert_misses"; "invalid"; "flight_waits" ]
+       @ labelled "softsched_engine_runs_total"
+           (List.map (Printf.sprintf "engine=%S") engines)
+       @ [ {|softsched_race_wins_total{engine="soft"}|} ]
+       @ phase_series "bucket" ",le=*" @ phase_series "sum" ""
+       @ phase_series "count" ""))
+    (List.sort_uniq compare (List.map series samples));
+  List.iter
+    (fun sample ->
+      check Alcotest.bool sample true (List.mem sample samples))
+    [ "softsched_cache_hits_total 2"; "softsched_requests_cached_total 2" ]
+
+(* A plain service counts every batch line in its plane, the error line
+   included, at one job and at four, and the replies are the same. *)
+let test_batch_plane_counts_every_line () =
   let lines =
     [
       {|{"id":"a","design":"HAL"}|};
@@ -1259,30 +1486,29 @@ let test_batch_identical_with_metrics () =
       {|{"id":"d","design":"AR","schedule":false}|};
     ]
   in
-  let plain, _ = Batch.run_lines (Service.create ()) ~jobs:1 lines in
-  List.iter
-    (fun jobs ->
-      let metrics = Metrics.create () in
-      let service = Service.create ~metrics () in
-      let out, _ = Batch.run_lines service ~jobs lines in
-      check
-        Alcotest.(list string)
-        (Printf.sprintf "metrics-on output identical (jobs=%d)" jobs)
-        plain out;
-      (* ...and the plane saw every request, error included. *)
-      let j =
-        match
-          Json.parse_result
-            (Json.to_string ~minify:true (Metrics.snapshot_json metrics))
-        with
-        | Ok j -> j
-        | Error e -> Alcotest.failf "snapshot not JSON: %s" e
-      in
-      check Alcotest.int "all requests recorded" (List.length lines)
-        (json_int j [ "requests"; "total" ]);
-      check Alcotest.int "the bad line recorded as error" 1
-        (json_int j [ "requests"; "errors" ]))
-    [ 1; 4 ]
+  let replies =
+    List.map
+      (fun jobs ->
+        let service = Service.create () in
+        let out = Batch.run_lines service ~jobs lines in
+        let t = totals service and p = paths service in
+        let label = Printf.sprintf "%s (jobs=%d)" in
+        check Alcotest.int (label "every line recorded" jobs)
+          (List.length lines) t.Metrics.requests;
+        check Alcotest.int (label "the bad line recorded as error" jobs) 1
+          t.Metrics.errors;
+        check Alcotest.(pair int int) (label "one hit, three misses" jobs) (1, 3)
+          (p.Metrics.hits, p.Metrics.misses);
+        check Alcotest.int (label "one latency sample per line" jobs)
+          (List.length lines)
+          (json_int
+             (snapshot (Service.metrics service))
+             [ "latency_ms"; "total"; "count" ]);
+        out)
+      [ 1; 4 ]
+  in
+  check Alcotest.(list string) "jobs=4 replies equal jobs=1" (List.hd replies)
+    (List.nth replies 1)
 
 (* --- certified cache hits ---------------------------------------------- *)
 
@@ -1391,8 +1617,10 @@ let test_remap_batch_followers () =
             Json.to_string ~minify:true (Json.Obj [ ("dfg", Json.str text) ]))
           [ first; renamed ]
       in
-      let out, stats = Batch.run_lines (Service.create ()) ~jobs:2 lines in
-      check Alcotest.int "the renamed copy is a hit" 1 stats.Batch.hits;
+      let service = Service.create () in
+      let out = Batch.run_lines service ~jobs:2 lines in
+      check Alcotest.int "the renamed copy is a hit" 1
+        (paths service).Metrics.hits;
       check Alcotest.bool "follower marked cached" true
         (contains (List.nth out 1) {|"cached":true|});
       List.iter2 check_reply_in_own_names [ first; renamed ] out)
@@ -1401,17 +1629,17 @@ let test_remap_batch_followers () =
 let test_remap_across_calls () =
   List.iter
     (fun (first, renamed) ->
-      let metrics = Metrics.create () in
-      let service = Service.create ~metrics () in
+      let service = Service.create () in
       let cold = run_request service (inline_request first) in
       check Alcotest.bool "first computes" false (snd cold);
       let warm = run_request service (inline_request renamed) in
       check Alcotest.bool "renamed copy hits" true (snd warm);
       check_reply_in_own_names first (reply_line cold);
       check_reply_in_own_names renamed (reply_line warm);
-      check Alcotest.int "one remapped hit" 1 (Metrics.paths metrics).Metrics.remapped;
-      let s = Service.cache_stats service in
-      check Alcotest.int "hits + misses = requests" 2 (s.Cache.hits + s.Cache.misses))
+      let p = paths service in
+      check Alcotest.int "one remapped hit" 1 p.Metrics.remapped;
+      check Alcotest.int "hits + misses = requests" 2
+        (p.Metrics.hits + p.Metrics.misses))
     repro_pairs
 
 (* The validator on hand-made replies: three independent muls and an
@@ -1450,8 +1678,7 @@ let test_validator () =
    names the line, sent before anything is scheduled, and nothing is
    cached. *)
 let test_overflow_is_an_error () =
-  let metrics = Metrics.create () in
-  let service = Service.create ~metrics () in
+  let service = Service.create () in
   let line =
     Json.to_string ~minify:true
       (Json.Obj
@@ -1463,20 +1690,18 @@ let test_overflow_is_an_error () =
                   max_int max_int) );
          ])
   in
-  let out, stats = Batch.run_lines service ~jobs:1 [ line ] in
-  check Alcotest.int "an error reply" 1 stats.Batch.errors;
+  let out = Batch.run_lines service ~jobs:1 [ line ] in
+  check Alcotest.int "an error reply" 1 (totals service).Metrics.errors;
   check Alcotest.bool "status error" true
     (contains (List.hd out) {|"status":"error"|});
   check Alcotest.bool "refused as it is parsed" true
     (contains (List.hd out) "line 1: delay takes the total delay past 2^53 - 1");
-  check Alcotest.int "nothing scheduled" 0
-    (Service.cache_stats service).Cache.misses;
+  check Alcotest.int "nothing scheduled" 0 (paths service).Metrics.misses;
   check Alcotest.int "nothing cached" 0 (Service.cache_stats service).Cache.length
 
 let test_digest_paths () =
-  let metrics = Metrics.create () in
-  let service = Service.create ~cache_capacity:2 ~metrics () in
-  let no_parse () = (Metrics.paths metrics).Metrics.no_parse in
+  let service = Service.create ~cache_capacity:2 () in
+  let no_parse () = (paths service).Metrics.no_parse in
   let first, renamed = List.nth repro_pairs 1 in
   let cold = reply_line (run_request service (inline_request first)) in
   check Alcotest.int "a miss parses" 0 (no_parse ());
@@ -1551,8 +1776,7 @@ let test_service_race_deadline () =
     cut.Protocol.diameter
 
 let test_single_flight () =
-  let metrics = Metrics.create () in
-  let service = Service.create ~metrics () in
+  let service = Service.create () in
   let g = Generate.layered (Random.State.make [| 7 |]) ~layers:20 ~width:12 ~fanin:3 in
   let text = dfg_text ~name:(Printf.sprintf "v%d") g in
   let renamed = dfg_text ~name:(Printf.sprintf "w%d") g in
@@ -1564,9 +1788,9 @@ let test_single_flight () =
   in
   let answers = List.map (fun f -> match Pool.await f with Ok a -> a | Error e -> raise e) futs in
   Pool.shutdown pool;
-  let s = Service.cache_stats service in
-  check Alcotest.int "one computation" 1 s.Cache.misses;
-  check Alcotest.int "every other request a hit" 7 s.Cache.hits;
+  let p = paths service in
+  check Alcotest.int "one computation" 1 p.Metrics.misses;
+  check Alcotest.int "every other request a hit" 7 p.Metrics.hits;
   check Alcotest.int "one fresh reply" 1
     (List.length (List.filter (fun (_, cached) -> not cached) answers));
   List.iteri
@@ -1583,8 +1807,7 @@ let test_single_flight () =
    parse, and must still be in flight when the urgent request looks for
    it. *)
 let test_single_flight_deadline () =
-  let metrics = Metrics.create () in
-  let service = Service.create ~metrics () in
+  let service = Service.create () in
   let g = Generate.layered (Random.State.make [| 7 |]) ~layers:160 ~width:25 ~fanin:3 in
   let text = dfg_text ~name:(Printf.sprintf "v%d") g in
   let p =
@@ -1595,7 +1818,7 @@ let test_single_flight_deadline () =
   let pool = Pool.create ~jobs:1 () in
   let leader = Pool.submit pool (fun () -> run_request service (inline_request text)) in
   (* the leader counts its miss as it starts computing *)
-  while (Service.cache_stats service).Cache.misses = 0 do
+  while (paths service).Metrics.misses = 0 do
     Unix.sleepf 0.001
   done;
   let t0 = Unix.gettimeofday () in
@@ -1603,7 +1826,7 @@ let test_single_flight_deadline () =
   let latency = Unix.gettimeofday () -. t0 in
   let led = match Pool.await leader with Ok a -> a | Error e -> raise e in
   Pool.shutdown pool;
-  check Alcotest.int "no wait" 0 (Metrics.paths metrics).Metrics.flight_waits;
+  check Alcotest.int "no wait" 0 (paths service).Metrics.flight_waits;
   check Alcotest.bool "computed, not cached" false (snd urgent);
   check Alcotest.bool "degraded under its own deadline" true
     (Service.result_of (fst urgent)).Protocol.degraded;
@@ -1627,10 +1850,9 @@ let test_cache_file_certified () =
   let path = Filename.temp_file "softsched_cache" ".ndjson" in
   Service.save_cache service path;
   let reload () =
-    let metrics = Metrics.create () in
-    let s = Service.create ~metrics () in
+    let s = Service.create () in
     match Service.load_cache s path with
-    | Ok counts -> (s, metrics, counts)
+    | Ok counts -> (s, Service.metrics s, counts)
     | Error m -> Alcotest.fail m
   in
   let s2, m2, (loaded, skipped) = reload () in
@@ -1669,8 +1891,9 @@ let test_cache_file_certified () =
   check Alcotest.bool "certification fails: a miss" false (snd doctored);
   check Alcotest.int "counted" 1 (Metrics.paths m4).Metrics.cert_misses;
   check_reply_in_own_names renamed (reply_line doctored);
-  let s = Service.cache_stats s4 in
-  check Alcotest.(pair int int) "one miss, no hit" (1, 0) (s.Cache.misses, s.Cache.hits);
+  let p = paths s4 in
+  check Alcotest.(pair int int) "one miss, no hit" (1, 0)
+    (p.Metrics.misses, p.Metrics.hits);
   check Alcotest.bool "the fresh result replaced the entry" true
     (snd (run_request s4 (inline_request renamed))
     && (Metrics.paths m4).Metrics.no_parse = 1);
@@ -1792,8 +2015,7 @@ let connect_tcp port =
    stats interleaved), and a drain closes the connection after the
    owed replies. Port 0 binds ephemerally; tcp_port reports it. *)
 let test_daemon_tcp_smoke () =
-  let metrics = Metrics.create () in
-  let service = Service.create ~metrics () in
+  let service = Service.create () in
   let d = Daemon.start service ~tcp:("127.0.0.1", 0) ~jobs:2 () in
   check Alcotest.bool "no unix socket" true (Daemon.socket_path d = None);
   let port =
@@ -1865,10 +2087,7 @@ let test_daemon_batch_bytes () =
   in
   let pipeline lines =
     let socket = Filename.temp_file "softsched" ".sock" in
-    let d =
-      Daemon.start (Service.create ~metrics:(Metrics.create ()) ()) ~socket
-        ~jobs:4 ()
-    in
+    let d = Daemon.start (Service.create ()) ~socket ~jobs:4 () in
     let fd, ic, oc = connect socket in
     output_string oc (String.concat "" (List.map (fun l -> l ^ "\n") lines));
     flush oc;
@@ -1926,7 +2145,7 @@ let prop_batch_jobs =
   QCheck.Test.make ~name:"batch replies are the same at 1 and 4 jobs" ~count:200
     (QCheck.make ~print:(String.concat "\n") gen)
     (fun lines ->
-      let run jobs = fst (Batch.run_lines (Service.create ()) ~jobs lines) in
+      let run jobs = Batch.run_lines (Service.create ()) ~jobs lines in
       run 1 = run 4)
 
 (* --------------------------------------------------------------------- *)
@@ -2004,8 +2223,8 @@ let () =
           Alcotest.test_case "deterministic across jobs" `Quick
             test_batch_deterministic_across_jobs;
           Alcotest.test_case "warm hit rate" `Quick test_batch_warm_hit_rate;
-          Alcotest.test_case "byte-identical with metrics" `Quick
-            test_batch_identical_with_metrics;
+          Alcotest.test_case "plane counts every line" `Quick
+            test_batch_plane_counts_every_line;
           Alcotest.test_case "fast identity beside a race" `Quick
             test_batch_fast_identity_beside_race;
           Alcotest.test_case "locked sink counts" `Quick test_batch_locked_sink;
@@ -2035,6 +2254,10 @@ let () =
             test_daemon_stats_admin;
           Alcotest.test_case "busy turn-away retry hint" `Quick
             test_daemon_busy_retry_hint;
+          Alcotest.test_case "pool-full turn-away" `Quick
+            test_daemon_pool_full;
+          Alcotest.test_case "stats interface" `Quick
+            test_daemon_stats_interface;
           Alcotest.test_case "tcp smoke" `Quick test_daemon_tcp_smoke;
           Alcotest.test_case "error replies keep ids" `Quick
             test_error_replies_keep_ids;
