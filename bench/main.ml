@@ -166,10 +166,10 @@ let figure1_spill () =
       (* Spill the register-busiest value: longest-lived computed one. *)
       let schedule = Hard.List_sched.run ~resources:R.fig3_2alu_2mul g in
       let victim =
-        let ivs = Refine.Lifetime.intervals schedule in
+        let ivs = Hard.Lifetime.intervals schedule in
         let computed =
           List.filter
-            (fun (iv : Refine.Lifetime.interval) ->
+            (fun (iv : Hard.Lifetime.interval) ->
               match Graph.op g iv.producer with
               | Op.Input _ | Op.Const _ -> false
               | _ -> true)
@@ -177,7 +177,7 @@ let figure1_spill () =
         in
         match
           List.sort
-            (fun (a : Refine.Lifetime.interval) b ->
+            (fun (a : Hard.Lifetime.interval) b ->
               compare (b.death - b.birth, a.producer) (a.death - a.birth, b.producer))
             computed
         with
@@ -288,8 +288,8 @@ let telemetry_linearity () =
       let c = Telemetry.Counters.create () in
       let _state, seconds =
         time_once (fun () ->
-            Soft.Scheduler.run_traced ~sink:(Telemetry.Counters.sink c)
-              ~resources g)
+            Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
+                Soft.Scheduler.run ~resources g))
       in
       let s = Telemetry.Counters.snapshot c in
       let nv = Graph.n_vertices g in
@@ -323,8 +323,8 @@ let telemetry_linearity () =
       let g = e.build () in
       let c = Telemetry.Counters.create () in
       let state =
-        Soft.Scheduler.run_traced ~sink:(Telemetry.Counters.sink c) ~resources
-          g
+        Telemetry.with_sink (Telemetry.Counters.sink c) (fun () ->
+            Soft.Scheduler.run ~resources g)
       in
       let k = T.n_threads state in
       let s = Telemetry.Counters.snapshot c in
@@ -510,10 +510,10 @@ let ablation_pressure () =
     (fun (e : Hls_bench.Suite.entry) ->
       let state () = Soft.Scheduler.run ~resources (e.build ()) in
       let asap =
-        Refine.Lifetime.max_pressure (T.to_schedule (state ()))
+        Hard.Lifetime.max_pressure (T.to_schedule (state ()))
       in
       let alap =
-        Refine.Lifetime.max_pressure
+        Hard.Lifetime.max_pressure
           (T.to_schedule ~placement:`Alap (state ()))
       in
       let aware = Refine.Pressure.max_pressure_of_state (state ()) in
@@ -524,7 +524,7 @@ let ablation_pressure () =
         match Refine.Spill.until_fits ~registers:budget s with
         | spills ->
           Printf.sprintf "%d regs after %d spill(s)"
-            (Refine.Lifetime.max_pressure (Refine.Pressure.extract s))
+            (Hard.Lifetime.max_pressure (Refine.Pressure.extract s))
             (List.length spills)
         | exception Invalid_argument _ -> "budget unreachable"
       in

@@ -708,7 +708,6 @@ let run_selfcheck design resources =
     {
       Refine.Regalloc.assignment = binding.Rtl.Binding.register_of_value;
       n_registers = binding.Rtl.Binding.n_registers;
-      spilled = [];
     }
   in
   report "register binding"

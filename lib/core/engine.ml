@@ -44,54 +44,6 @@ type outcome = {
   state : Threaded_graph.t option;
 }
 
-(* Same liveness convention as Refine.Lifetime (which lib/core cannot
-   link against): a register value is born at its producer's finish and
-   dies just past its last consumer's start, living at least one cycle;
-   constants are hardwired, stores live in memory, outputs and sinks
-   produce nothing. Cheap and deterministic — it only has to order
-   outcomes, not drive binding. The peak is a sweep over the lifetimes'
-   2·|V| endpoints, not a per-cycle count: a schedule may be 2^53
-   cycles long. *)
-let peak_live g sched =
-  let len = Schedule.length sched in
-  if len = 0 then 0
-  else begin
-    (* A value live over cycles [birth, last] is +1 at [birth] and -1
-       at [last + 1], encoded as 2·cycle + 1 and 2·cycle so that, at one
-       cycle, the ends sort before the births. *)
-    let points = ref [] in
-    Graph.iter_vertices
-      (fun v ->
-        let produces_register =
-          match Graph.op g v with
-          | Op.Const _ | Op.Store | Op.Output _ -> false
-          | _ -> Graph.succs g v <> []
-        in
-        if produces_register then begin
-          let birth = Schedule.finish sched v in
-          let death =
-            List.fold_left
-              (fun acc s -> max acc (Schedule.start sched s + 1))
-              (birth + 1) (Graph.succs g v)
-          in
-          let last = min (death - 1) len in
-          points := (2 * birth) + 1 :: 2 * (last + 1) :: !points
-        end)
-      g;
-    let points = Array.of_list !points in
-    Array.sort Int.compare points;
-    let live = ref 0 and peak = ref 0 in
-    Array.iter
-      (fun p ->
-        if p land 1 = 1 then begin
-          incr live;
-          if !live > !peak then peak := !live
-        end
-        else decr live)
-      points;
-    !peak
-  end
-
 let now_s () = float_of_int (Telemetry.now_ns ()) /. 1e9
 
 let run ?(ctx = default_ctx) (module E : S) ~resources g =
@@ -104,16 +56,13 @@ let run ?(ctx = default_ctx) (module E : S) ~resources g =
       {
         engine = E.name;
         csteps = Schedule.length schedule;
-        registers = peak_live g schedule;
+        registers = Hard.Lifetime.max_pressure schedule;
         wall_s;
         optimal = info.optimal;
         degraded = info.degraded;
       };
     state = info.state;
   }
-
-let run_traced ?ctx engine ~resources ~sink g =
-  Telemetry.with_sink sink (fun () -> run ?ctx engine ~resources g)
 
 let compare_qor a b =
   match compare a.annot.csteps b.annot.csteps with

@@ -63,7 +63,9 @@ val name : engine -> string
 type annotations = {
   engine : string;
   csteps : int;  (** schedule length — the Figure 3 quantity *)
-  registers : int;  (** peak simultaneously-live values *)
+  registers : int;
+      (** peak simultaneously-live values, {!Hard.Lifetime.max_pressure}:
+          the register count the binder allocates *)
   wall_s : float;
   optimal : bool;
   degraded : bool;
@@ -78,24 +80,10 @@ type outcome = {
 val run : ?ctx:ctx -> engine -> resources:Resources.t -> Graph.t -> outcome
 (** Time the engine and annotate its schedule. *)
 
-val run_traced :
-  ?ctx:ctx ->
-  engine ->
-  resources:Resources.t ->
-  sink:Telemetry.sink ->
-  Graph.t ->
-  outcome
-(** {!run} with the telemetry sink installed for the duration. *)
-
 val compare_qor : outcome -> outcome -> int
 (** The race arbiter's order, matching [Qor.Diff]'s metric priority:
     fewer control steps first, then fewer registers. Negative when the
     first argument wins, [0] on equal QoR whatever the wall times. *)
-
-val peak_live : Graph.t -> Schedule.t -> int
-(** Register-pressure annotation: the maximum number of values live in
-    any cycle (a value is live from its producer's finish to its last
-    consumer's start; sink values occupy nothing). *)
 
 (** {2 The engine list} *)
 

@@ -10,6 +10,3 @@ let run_to_schedule ?meta ?tie ~resources g =
 
 let csteps ?meta ?tie ~resources g =
   Schedule.length (run_to_schedule ?meta ?tie ~resources g)
-
-let run_traced ?meta ?tie ~resources ~sink g =
-  Telemetry.with_sink sink (fun () -> run ?meta ?tie ~resources g)

@@ -20,11 +20,3 @@ val csteps :
   ?meta:Meta.t -> ?tie:Threaded_graph.tie_break -> resources:Resources.t ->
   Graph.t -> int
 (** Number of control steps — the Figure 3 cell value. *)
-
-val run_traced :
-  ?meta:Meta.t -> ?tie:Threaded_graph.tie_break -> resources:Resources.t ->
-  sink:Telemetry.sink -> Graph.t -> Threaded_graph.t
-(** {!run} with [sink] installed for the duration of the call: every
-    select scan step, tie-break, commit re-tightening and free placement
-    is reported to it (see {!Telemetry}). The schedule produced is
-    bit-identical to {!run}'s — telemetry only observes. *)

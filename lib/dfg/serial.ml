@@ -17,8 +17,11 @@ let to_string g =
     g;
   Buffer.contents buf
 
-let of_string text =
-  let g = Graph.create () in
+(* One closure call per line, to [add_vertex] or [add_edge]: [of_string]
+   runs on every cache miss of the scheduling service. *)
+let read ~distances
+    ~(add_vertex : ?delay:int -> ?name:string -> Op.t -> 'v)
+    ~(add_edge : 'v -> 'v -> int -> unit) text =
   let by_name = Hashtbl.create 32 in
   let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg)) in
   let lookup line name =
@@ -59,17 +62,32 @@ let of_string text =
           | _ -> fail line "trailing tokens after delay"
         in
         let v =
-          try Graph.add_vertex g ?delay ~name op
+          try add_vertex ?delay ~name op
           with Invalid_argument _ ->
             fail line "delay takes the total delay past 2^53 - 1"
         in
         Hashtbl.replace by_name name v
-      | [ "edge"; src; dst ] ->
+      | "edge" :: src :: dst :: rest when distances || rest = [] ->
         let u = lookup line src and v = lookup line dst in
-        (try Graph.add_edge g u v
-         with Invalid_argument m -> fail line m)
+        let distance =
+          match rest with
+          | [] -> 0
+          | [ d ] ->
+            (match int_of_string_opt d with
+            | Some d when d >= 0 -> d
+            | Some _ -> fail line "negative distance"
+            | None -> fail line (Printf.sprintf "bad distance %S" d))
+          | _ -> fail line "trailing tokens after distance"
+        in
+        (try add_edge u v distance with Invalid_argument m -> fail line m)
       | word :: _ -> fail line (Printf.sprintf "unknown directive %S" word))
-    (String.split_on_char '\n' text);
+    (String.split_on_char '\n' text)
+
+let of_string text =
+  let g = Graph.create () in
+  read ~distances:false ~add_vertex:(Graph.add_vertex g)
+    ~add_edge:(fun u v _ -> Graph.add_edge g u v)
+    text;
   g
 
 let load path =

@@ -22,6 +22,22 @@ val of_string : string -> Graph.t
     undeclared vertex name, negative delay, a delay that takes the
     graph's total past {!Graph.max_total_delay}, malformed line). *)
 
+val read :
+  distances:bool ->
+  add_vertex:(?delay:int -> ?name:string -> Op.t -> 'v) ->
+  add_edge:('v -> 'v -> int -> unit) ->
+  string ->
+  unit
+(** The line reader behind {!of_string} and the [.ldfg] loop-graph
+    format: comments, tab and CR folding, [vertex] lines (duplicate
+    names, unknown ops, delays and the delay-total bound, reported when
+    [add_vertex] raises [Invalid_argument]) and [edge] lines over
+    declared names. With [distances], an edge line may carry a third
+    token, the iteration distance (default 0) passed to [add_edge];
+    without it such a line is an unknown directive. [add_edge]'s
+    [Invalid_argument] message is reported on its line.
+    @raise Parse_error on the first malformed line. *)
+
 val load : string -> Graph.t
 (** Read a graph from a file path. *)
 

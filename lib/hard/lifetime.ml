@@ -35,18 +35,17 @@ let intervals schedule =
     (fun a b -> compare (a.birth, a.producer) (b.birth, b.producer))
     result
 
-let pressure schedule =
-  let horizon = max (Schedule.length schedule + 1) 1 in
-  let counts = Array.make horizon 0 in
-  List.iter
-    (fun { birth; death; _ } ->
-      for cycle = birth to min (death - 1) (horizon - 1) do
-        counts.(cycle) <- counts.(cycle) + 1
-      done)
-    (intervals schedule);
-  counts
+let sweep schedule f =
+  let ivs = Array.of_list (intervals schedule) in
+  Schedule.sweep
+    ~starts:(Array.map (fun iv -> iv.birth) ivs)
+    ~finishes:(Array.map (fun iv -> iv.death) ivs)
+    f
 
-let max_pressure schedule = Array.fold_left max 0 (pressure schedule)
+let max_pressure schedule =
+  let peak = ref 0 in
+  sweep schedule (fun _ _ live -> if live > !peak then peak := live);
+  !peak
 
 let live_at schedule ~cycle =
   List.filter_map

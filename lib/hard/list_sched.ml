@@ -1,17 +1,7 @@
 open Import
 
-type priority = Graph.t -> Graph.vertex -> int
-
-let critical_path_priority g =
-  let tdist = Paths.sink_distances g in
-  fun v -> tdist.(v)
-
-let mobility_priority g =
-  let slack = Paths.slack g ~deadline:(Paths.diameter g) in
-  fun v -> -slack.(v)
-
 (* Shared engine: returns start times and the dispatch order. *)
-let engine ?(priority = critical_path_priority) ~resources g =
+let engine ~resources g =
   Graph.iter_vertices
     (fun v ->
       match Resources.class_of_op (Graph.op g v) with
@@ -23,10 +13,8 @@ let engine ?(priority = critical_path_priority) ~resources g =
       | Some _ | None -> ())
     g;
   let n = Graph.n_vertices g in
-  let prio =
-    let f = priority g in
-    Array.init n f
-  in
+  (* Priority: sink distance (Definition 1), the classic heuristic. *)
+  let prio = Paths.sink_distances g in
   let starts = Array.make n (-1) in
   let remaining_preds = Array.init n (fun v -> Graph.in_degree g v) in
   let finish v = starts.(v) + Graph.delay g v in
@@ -115,7 +103,5 @@ let engine ?(priority = critical_path_priority) ~resources g =
   done;
   (Schedule.make g ~starts, List.rev !dispatched)
 
-let run ?priority ~resources g = fst (engine ?priority ~resources g)
-
-let dispatch_order ?priority ~resources g =
-  snd (engine ?priority ~resources g)
+let run ~resources g = fst (engine ~resources g)
+let dispatch_order ~resources g = snd (engine ~resources g)

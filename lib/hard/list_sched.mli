@@ -8,26 +8,15 @@ open Import
     not pipelined; multi-cycle operations hold their unit until they
     finish. Operations that consume no unit (constants, inputs, outputs,
     wire-delay pseudo-ops, or anything with zero delay) are placed the
-    moment they become ready. *)
+    moment they become ready. Among simultaneously-ready operations the
+    larger sink distance (Definition 1) goes first, ties to the smaller
+    vertex id, so the scheduler is deterministic. *)
 
-type priority = Graph.t -> Graph.vertex -> int
-(** Larger = scheduled first among simultaneously-ready ops. Ties break
-    on the smaller vertex id, making the scheduler deterministic. *)
-
-val critical_path_priority : priority
-(** Sink distance (Definition 1) — the classic list-scheduling heuristic. *)
-
-val mobility_priority : priority
-(** Negated slack under the tightest deadline: zero-slack (critical)
-    operations first. *)
-
-val run : ?priority:priority -> resources:Resources.t -> Graph.t -> Schedule.t
+val run : resources:Resources.t -> Graph.t -> Schedule.t
 (** @raise Invalid_argument if some operation's unit class has no units
-    in [resources] (the graph is then unschedulable). Default priority
-    is {!critical_path_priority}. *)
+    in [resources] (the graph is then unschedulable). *)
 
-val dispatch_order :
-  ?priority:priority -> resources:Resources.t -> Graph.t -> Graph.vertex list
+val dispatch_order : resources:Resources.t -> Graph.t -> Graph.vertex list
 (** The order in which {!run} dispatches operations — used as the
     paper's meta schedule 4 ("an order similar to those determined by
     the list scheduling heuristics"). *)

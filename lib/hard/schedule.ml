@@ -21,39 +21,49 @@ let starts t = Array.copy t.starts
 let length t =
   Graph.fold_vertices (fun acc v -> max acc (finish t v)) 0 t.graph
 
-(* The busy intervals of [cls] (zero-delay ops occupy nothing), swept
-   in start order against the sorted finishes: [f] sees the count of
-   intervals open at each start once every interval starting there is
-   counted. Allocation is O(vertices), not O(schedule length). *)
-let sweep t cls f =
-  let busy v =
-    Graph.delay t.graph v > 0
-    &&
-    match Resources.class_of_op (Graph.op t.graph v) with
-    | Some c -> Resources.equal_class c cls
-    | None -> false
-  in
-  let n = Graph.fold_vertices (fun n v -> if busy v then n + 1 else n) 0 t.graph in
-  let starts = Array.make n 0 and finishes = Array.make n 0 and k = ref 0 in
-  Graph.iter_vertices
-    (fun v ->
-      if busy v then begin
-        starts.(!k) <- start t v;
-        finishes.(!k) <- finish t v;
-        incr k
-      end)
-    t.graph;
+(* Both endpoint arrays sorted, the count changes only at an endpoint:
+   consume every start and finish at the next one, then report the run
+   of cycles up to the endpoint after it. An open interval has a finish
+   still to come, so [finishes.(!j)] exists whenever [open_ > 0]. *)
+let sweep ~starts ~finishes f =
+  let n = Array.length starts in
   Array.sort Int.compare starts;
   Array.sort Int.compare finishes;
-  let open_ = ref 0 and j = ref 0 in
-  for i = 0 to n - 1 do
-    while !j < n && finishes.(!j) <= starts.(i) do
+  let next i j =
+    if i < n && starts.(i) < finishes.(j) then starts.(i) else finishes.(j)
+  in
+  let i = ref 0 and j = ref 0 and open_ = ref 0 in
+  while !j < n do
+    let cycle = next !i !j in
+    while !i < n && starts.(!i) = cycle do
+      incr i;
+      incr open_
+    done;
+    while !j < n && finishes.(!j) = cycle do
       incr j;
       decr open_
     done;
-    incr open_;
-    if i = n - 1 || starts.(i + 1) > starts.(i) then f starts.(i) !open_
+    if !open_ > 0 then f cycle (next !i !j) !open_
   done
+
+(* The busy intervals of [cls]: zero-delay ops occupy nothing. *)
+let sweep_class t cls f =
+  let busy =
+    Graph.fold_vertices
+      (fun acc v ->
+        if
+          Graph.delay t.graph v > 0
+          &&
+          match Resources.class_of_op (Graph.op t.graph v) with
+          | Some c -> Resources.equal_class c cls
+          | None -> false
+        then v :: acc
+        else acc)
+      [] t.graph
+  in
+  let busy = Array.of_list busy in
+  sweep ~starts:(Array.map (start t) busy) ~finishes:(Array.map (finish t) busy)
+    f
 
 (* Starts are non-negative ([make]), so the edge test compares a
    difference of starts with a delay and cannot overflow. A finish past
@@ -82,7 +92,7 @@ let check ?resources t =
   | Some r ->
     List.iter
       (fun (cls, available) ->
-        sweep t cls (fun cycle used ->
+        sweep_class t cls (fun cycle _ used ->
             if used > available then
               record
                 (Printf.sprintf "resource overflow: %d %s busy at cycle %d, %d available"
@@ -117,6 +127,21 @@ let pp fmt t =
         (Graph.op t.graph v))
     by_start;
   Format.fprintf fmt "@]"
+
+(* Every suite schedule is under 60 cycles. Output with one record per
+   control step (FSM states, RTL, VLIW bundles, simulation traces, the
+   flow's pressure-aware extraction) would outgrow memory long before a
+   2^53-cycle schedule ends, so it is refused past the cap instead. *)
+let cycle_cap = 1 lsl 20
+
+let check_cycle_cap t =
+  let n = length t in
+  if n > cycle_cap then
+    failwith
+      (Printf.sprintf
+         "schedule of %d control steps is past the cycle cap of %d for \
+          per-cycle output"
+         n cycle_cap)
 
 (* Every suite design's chart is under 60 cycles wide. Past the cap a
    row would be mostly dots and the chart as large as |V| times the

@@ -1,6 +1,6 @@
 open Import
 
-exception Parse_error of string
+exception Parse_error = Dfg.Serial.Parse_error
 
 let to_string g =
   let buf = Buffer.create 512 in
@@ -27,69 +27,9 @@ let to_string g =
 
 let of_string text =
   let g = Loop_graph.create () in
-  let by_name = Hashtbl.create 32 in
-  let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg)) in
-  let lookup line name =
-    match Hashtbl.find_opt by_name name with
-    | Some v -> v
-    | None -> fail line (Printf.sprintf "undeclared vertex %S" name)
-  in
-  List.iteri
-    (fun index raw ->
-      let line = index + 1 in
-      let content =
-        match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
-      in
-      let words =
-        List.filter
-          (fun w -> w <> "")
-          (String.split_on_char ' '
-             (String.map (function '\t' | '\r' -> ' ' | c -> c) content))
-      in
-      match words with
-      | [] -> ()
-      | "vertex" :: name :: op_text :: rest ->
-        if Hashtbl.mem by_name name then
-          fail line (Printf.sprintf "duplicate vertex %S" name);
-        let op =
-          match Op.of_string op_text with
-          | Some op -> op
-          | None -> fail line (Printf.sprintf "unknown op %S" op_text)
-        in
-        let delay =
-          match rest with
-          | [] -> None
-          | [ d ] ->
-            (match int_of_string_opt d with
-            | Some d when d >= 0 -> Some d
-            | Some _ -> fail line "negative delay"
-            | None -> fail line (Printf.sprintf "bad delay %S" d))
-          | _ -> fail line "trailing tokens after delay"
-        in
-        let v =
-          try Loop_graph.add_vertex g ?delay ~name op
-          with Invalid_argument _ ->
-            fail line "delay takes the total delay past 2^53 - 1"
-        in
-        Hashtbl.replace by_name name v
-      | "edge" :: src :: dst :: rest ->
-        let u = lookup line src and v = lookup line dst in
-        let distance =
-          match rest with
-          | [] -> 0
-          | [ d ] ->
-            (match int_of_string_opt d with
-            | Some d when d >= 0 -> d
-            | Some _ -> fail line "negative distance"
-            | None -> fail line (Printf.sprintf "bad distance %S" d))
-          | _ -> fail line "trailing tokens after distance"
-        in
-        (try Loop_graph.add_edge g ~distance u v
-         with Invalid_argument m -> fail line m)
-      | word :: _ -> fail line (Printf.sprintf "unknown directive %S" word))
-    (String.split_on_char '\n' text);
+  Dfg.Serial.read ~distances:true ~add_vertex:(Loop_graph.add_vertex g)
+    ~add_edge:(fun u v distance -> Loop_graph.add_edge g ~distance u v)
+    text;
   g
 
 let load path =

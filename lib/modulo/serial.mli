@@ -16,7 +16,9 @@
     them; vertex names must be unique and declared before use. *)
 
 exception Parse_error of string
-(** Message carries the 1-based line number. *)
+(** The same exception as {!Dfg.Serial.Parse_error}: both formats are
+    read by {!Dfg.Serial.read}. The message carries the 1-based line
+    number. *)
 
 val to_string : Loop_graph.t -> string
 

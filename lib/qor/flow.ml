@@ -9,6 +9,7 @@ module Graph = Dfg.Graph
 module Op = Dfg.Op
 module Paths = Dfg.Paths
 module Reach = Dfg.Reach
+module Lifetime = Hard.Lifetime
 module T = Soft.Threaded_graph
 module M = Metrics
 
@@ -127,33 +128,34 @@ let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
                   (List.fold_left Float.min 1.0 utils);
               ] ))
       in
+      (* Every phase from here on walks the schedule cycle by cycle. *)
+      Hard.Schedule.check_cycle_cap (T.to_schedule state);
       (* -- refine_pressure: register pressure across extractions ------ *)
       let aware_pressure =
         span "refine_pressure" (fun () ->
-            let asap =
-              Refine.Lifetime.max_pressure (T.to_schedule state)
-            in
+            let asap = Lifetime.max_pressure (T.to_schedule state) in
             let alap =
-              Refine.Lifetime.max_pressure
-                (T.to_schedule ~placement:`Alap state)
+              Lifetime.max_pressure (T.to_schedule ~placement:`Alap state)
             in
             let aware_schedule = Refine.Pressure.extract state in
-            let aware = Refine.Lifetime.max_pressure aware_schedule in
-            let profile =
-              Array.to_list
-                (Array.map float_of_int
-                   (Refine.Lifetime.pressure aware_schedule))
-            in
-            ( aware,
+            (* One sweep gives the peak and the cycles each value is
+               live, summed; every value dies by cycle length + 1, so
+               their mean over those cycles is the mean pressure. *)
+            let aware = ref 0 and live_cycles = ref 0 in
+            Lifetime.sweep aware_schedule (fun first past live ->
+                aware := max !aware live;
+                live_cycles := !live_cycles + (live * (past - first)));
+            let horizon = Hard.Schedule.length aware_schedule + 1 in
+            ( !aware,
               [
                 M.metric_i ~units:"registers" ~direction:M.Lower_better
-                  "pressure_peak" aware;
+                  "pressure_peak" !aware;
                 M.metric_i ~units:"registers" "pressure_asap" asap;
                 M.metric_i ~units:"registers" "pressure_alap" alap;
-                M.metric ~units:"registers" "pressure_mean" (mean profile);
+                M.metric ~units:"registers" "pressure_mean"
+                  (float_of_int !live_cycles /. float_of_int horizon);
                 M.metric_i ~units:"values" "live_intervals"
-                  (List.length
-                     (Refine.Lifetime.intervals aware_schedule));
+                  (List.length (Lifetime.intervals aware_schedule));
               ] ))
       in
       (* -- refine_spill: spill to one register under the aware peak --- *)
@@ -165,9 +167,7 @@ let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
             | exception Invalid_argument _ -> 0
           in
           audit_boundary ();
-          let after =
-            Refine.Lifetime.max_pressure (Refine.Pressure.extract state)
-          in
+          let after = Lifetime.max_pressure (Refine.Pressure.extract state) in
           ( (),
             [
               M.metric_i ~units:"registers" "spill_budget" budget;

@@ -3,88 +3,28 @@ open Import
 type allocation = {
   assignment : (Graph.vertex * int) list;
   n_registers : int;
-  spilled : Graph.vertex list;
 }
 
-(* Left-edge: sweep intervals by birth; give each the smallest register
-   whose previous occupant has died. *)
-let pack intervals =
-  let sorted =
-    List.sort
-      (fun (a : Lifetime.interval) b ->
-        compare (a.birth, a.producer) (b.birth, b.producer))
-      intervals
-  in
+(* Left-edge: sweep intervals by birth ([Lifetime.intervals]' order);
+   give each the smallest register whose previous occupant has died. *)
+let left_edge schedule =
   let free_at = ref [] in (* register -> cycle it becomes free *)
   let assignment = ref [] in
   List.iter
     (fun (iv : Lifetime.interval) ->
-      let rec find idx = function
-        | (r, free) :: rest ->
-          if free <= iv.birth then Some r
-          else begin
-            ignore idx;
-            find (idx + 1) rest
-          end
-        | [] -> None
-      in
-      let sorted_regs =
-        List.sort (fun (a, _) (b, _) -> compare a b) !free_at
-      in
       let reg =
-        match find 0 sorted_regs with
-        | Some r -> r
+        match
+          List.find_opt
+            (fun (_, free) -> free <= iv.birth)
+            (List.sort compare !free_at)
+        with
+        | Some (r, _) -> r
         | None -> List.length !free_at
       in
       free_at := (reg, iv.death) :: List.remove_assoc reg !free_at;
       assignment := (iv.producer, reg) :: !assignment)
-    sorted;
-  {
-    assignment = List.rev !assignment;
-    n_registers = List.length !free_at;
-    spilled = [];
-  }
-
-let left_edge schedule = pack (Lifetime.intervals schedule)
-
-let with_limit ~registers schedule =
-  if registers < 1 then invalid_arg "Regalloc.with_limit: need a register";
-  let intervals = Lifetime.intervals schedule in
-  (* Sweep cycles; wherever pressure exceeds the budget, spill the live
-     value whose next use is furthest (approximated by interval death,
-     i.e. last use). Inputs of ongoing operations are kept. *)
-  let spilled = ref [] in
-  let alive (iv : Lifetime.interval) cycle =
-    iv.birth <= cycle && cycle < iv.death
-    && not (List.mem iv.producer !spilled)
-  in
-  let horizon = Schedule.length schedule + 1 in
-  for cycle = 0 to horizon - 1 do
-    let live = List.filter (fun iv -> alive iv cycle) intervals in
-    let excess = List.length live - registers in
-    if excess > 0 then begin
-      let by_death =
-        List.sort
-          (fun (a : Lifetime.interval) b ->
-            compare (-a.death, a.producer) (-b.death, b.producer))
-          live
-      in
-      let rec take n = function
-        | iv :: rest when n > 0 ->
-          spilled := iv.Lifetime.producer :: !spilled;
-          take (n - 1) rest
-        | _ -> ()
-      in
-      take excess by_death
-    end
-  done;
-  let kept =
-    List.filter
-      (fun (iv : Lifetime.interval) -> not (List.mem iv.producer !spilled))
-      intervals
-  in
-  let packed = pack kept in
-  { packed with spilled = List.rev !spilled }
+    (Lifetime.intervals schedule);
+  { assignment = List.rev !assignment; n_registers = List.length !free_at }
 
 let verify allocation schedule =
   let intervals = Lifetime.intervals schedule in
@@ -99,9 +39,7 @@ let verify allocation schedule =
   (* Coverage. *)
   List.iter
     (fun (iv : Lifetime.interval) ->
-      let assigned = List.mem_assoc iv.producer allocation.assignment in
-      let spilled = List.mem iv.producer allocation.spilled in
-      if not (assigned || spilled) then
+      if not (List.mem_assoc iv.producer allocation.assignment) then
         record (Printf.sprintf "value of vertex %d unplaced" iv.producer))
     intervals;
   (* No overlapping co-residents. *)

@@ -1,30 +1,20 @@
 open Import
 
-(** Register allocation over a hard schedule: the left-edge algorithm
-    plus spill selection when the datapath has fewer registers than the
-    peak value pressure — the first phase-coupling scenario of
-    Section 1. *)
+(** Register allocation over a hard schedule: the left-edge algorithm,
+    the binder's side of the first phase-coupling scenario of Section 1
+    (spilling under a register budget is {!Spill.until_fits}). *)
 
 type allocation = {
   assignment : (Graph.vertex * int) list;
       (** producer -> register index, for every register value *)
   n_registers : int;  (** registers actually used *)
-  spilled : Graph.vertex list;
-      (** producers whose values were pushed to background memory *)
 }
 
 val left_edge : Schedule.t -> allocation
-(** Classic left-edge packing, no spilling ([spilled = []]);
-    [n_registers] equals the peak pressure (left-edge is optimal for
-    interval graphs). *)
-
-val with_limit : registers:int -> Schedule.t -> allocation
-(** Left-edge under a register budget. When an interval does not fit,
-    the live value with the furthest next use is spilled (Belady's
-    heuristic) and excluded from register packing. The caller is
-    expected to materialise the spills with {!Spill.apply} and refine
-    the schedule. @raise Invalid_argument if [registers < 1]. *)
+(** Classic left-edge packing; [n_registers] equals
+    {!Lifetime.max_pressure} (left-edge is optimal for interval
+    graphs). *)
 
 val verify : allocation -> Schedule.t -> (unit, string) result
 (** No two overlapping intervals share a register; every register value
-    is either assigned or spilled. *)
+    is assigned. *)

@@ -56,16 +56,15 @@ let until_fits ~registers state =
        value-killing ops go early, so a spill actually shortens the
        victim's register residency. *)
     let schedule = Pressure.extract state in
-    if Lifetime.max_pressure schedule <= registers then List.rev !spilled
-    else begin
+    let over = ref None in
+    Lifetime.sweep schedule (fun cycle _ live ->
+        if live > registers && !over = None then over := Some cycle);
+    match !over with
+    | None -> List.rev !spilled
+    | Some cycle ->
       (* Victim: the live value with the longest lifetime at the first
          over-pressure cycle, not yet spilled, with a spillable class. *)
-      let pressure = Lifetime.pressure schedule in
-      let cycle = ref 0 in
-      Array.iteri
-        (fun c p -> if p > registers && !cycle = 0 then cycle := c)
-        pressure;
-      let live = Lifetime.live_at schedule ~cycle:!cycle in
+      let live = Lifetime.live_at schedule ~cycle in
       (* Reloaded and constant values cannot be spilled (again); any
          other register value — including a sampled input — can, as
          long as it has a consumer strictly past the pressure point to
@@ -75,7 +74,7 @@ let until_fits ~registers state =
           (Graph.fold_succs
              (fun acc c ->
                if
-                 Schedule.start schedule c > !cycle
+                 Schedule.start schedule c > cycle
                  && match Graph.op g c with Op.Store -> false | _ -> true
                then c :: acc
                else acc)
@@ -112,7 +111,6 @@ let until_fits ~registers state =
         in
         spilled := (victim, st, ld) :: !spilled;
         loop (guard - 1)
-    end
   in
   loop (Graph.n_vertices g + 1)
 

@@ -22,9 +22,10 @@ val until_fits :
   registers:int -> Threaded_graph.t ->
   (Graph.vertex * Graph.vertex * Graph.vertex) list
 (** Close the scheduling/register-allocation loop: while the extracted
-    schedule needs more than [registers] registers, spill the live
-    value with the longest remaining lifetime ({!Regalloc.with_limit}'s
-    choice) and refine the state online; repeat. Returns
+    schedule needs more than [registers] registers, spill the value
+    with the longest remaining lifetime among those live at the first
+    over-budget cycle (read from {!Lifetime.sweep}; Belady's choice)
+    and refine the state online; repeat. Returns
     [(value, store, load)] per spill, in order.
     @raise Invalid_argument if [registers < 1] or if the budget is
     unreachable (no spillable value remains). *)

@@ -17,6 +17,7 @@ type t = {
 
 let of_state ?(register_policy = `Left_edge) state =
   let schedule = Threaded_graph.to_schedule state in
+  Schedule.check_cycle_cap schedule;
   let g = Schedule.graph schedule in
   let fu_of_op =
     List.concat_map

@@ -29,7 +29,10 @@ type t = {
 }
 
 val of_state : ?register_policy:Regbind.policy -> Threaded_graph.t -> t
-(** @raise Invalid_argument unless the state is fully scheduled.
+(** Every FSM, RTL, simulation and VLIW output starts here, one record
+    per control step, so the schedule must fit {!Schedule.cycle_cap}.
+    @raise Invalid_argument unless the state is fully scheduled.
+    @raise Failure naming the control steps past the cycle cap.
     [register_policy] defaults to [`Left_edge]; see {!Regbind}. *)
 
 val fu_of : t -> Graph.vertex -> int option

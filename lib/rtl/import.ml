@@ -4,5 +4,5 @@ module Eval = Dfg.Eval
 module Resources = Hard.Resources
 module Schedule = Hard.Schedule
 module Threaded_graph = Soft.Threaded_graph
-module Lifetime = Refine.Lifetime
+module Lifetime = Hard.Lifetime
 module Regalloc = Refine.Regalloc

@@ -16,12 +16,6 @@ let mux_aware state schedule =
     Dfg.Vec.create ~dummy:{ free_at = 0; writer_fus = []; reader_fus = [] } ()
   in
   let assignment = ref [] in
-  let sorted =
-    List.sort
-      (fun (a : Lifetime.interval) b ->
-        compare (a.birth, a.producer) (b.birth, b.producer))
-      (Lifetime.intervals schedule)
-  in
   List.iter
     (fun (iv : Lifetime.interval) ->
       let producer_fu = fu_of iv.producer in
@@ -67,11 +61,10 @@ let mux_aware state schedule =
             reg.reader_fus <- fu :: reg.reader_fus)
         consumer_fus;
       assignment := (iv.producer, r) :: !assignment)
-    sorted;
+    (Lifetime.intervals schedule);
   {
     Regalloc.assignment = List.rev !assignment;
     n_registers = Dfg.Vec.length registers;
-    spilled = [];
   }
 
 let bind policy state schedule =

@@ -177,46 +177,51 @@ let engine_validity_tests =
 
 (* --- register pressure ------------------------------------------------ *)
 
-(* Oracle for [Engine.peak_live]'s endpoint sweep: count the live
-   values cycle by cycle. *)
+(* Oracle for the [registers] annotation: count the live values cycle
+   by cycle. *)
 let peak_live_per_cycle g sched =
   let len = S.length sched in
-  if len = 0 then 0
-  else begin
-    let pressure = Array.make (len + 1) 0 in
-    Graph.iter_vertices
-      (fun v ->
-        let produces_register =
-          match Graph.op g v with
-          | Dfg.Op.Const _ | Dfg.Op.Store | Dfg.Op.Output _ -> false
-          | _ -> Graph.succs g v <> []
+  let pressure = Array.make (len + 1) 0 in
+  Graph.iter_vertices
+    (fun v ->
+      let produces_register =
+        match Graph.op g v with
+        | Dfg.Op.Const _ | Dfg.Op.Store | Dfg.Op.Output _ -> false
+        | _ -> Graph.succs g v <> []
+      in
+      if produces_register then begin
+        let birth = S.finish sched v in
+        let death =
+          List.fold_left
+            (fun acc s -> max acc (S.start sched s + 1))
+            (birth + 1) (Graph.succs g v)
         in
-        if produces_register then begin
-          let birth = S.finish sched v in
-          let death =
-            List.fold_left
-              (fun acc s -> max acc (S.start sched s + 1))
-              (birth + 1) (Graph.succs g v)
-          in
-          for c = birth to min (death - 1) len do
-            pressure.(c) <- pressure.(c) + 1
-          done
-        end)
-      g;
-    Array.fold_left max 0 pressure
-  end
+        for c = birth to min (death - 1) len do
+          pressure.(c) <- pressure.(c) + 1
+        done
+      end)
+    g;
+  Array.fold_left max 0 pressure
 
+(* Every engine's [registers] is the one liveness rule's peak, and the
+   register count the binder's left-edge allocation reaches. *)
 let peak_live_prop seed =
   let g = random_graph seed in
   List.for_all
     (fun eng ->
       let o = Engine.run ~ctx:property_ctx eng ~resources:two_two g in
       let sched = o.Engine.schedule in
-      let sweep = Engine.peak_live g sched
-      and recount = peak_live_per_cycle g sched in
-      sweep = recount
-      || QCheck.Test.fail_reportf "%s on seed %d: peak_live %d, recount %d"
-           (Engine.name eng) seed sweep recount)
+      let registers = o.Engine.annot.Engine.registers
+      and recount = peak_live_per_cycle g sched
+      and lifetime = Hard.Lifetime.max_pressure sched
+      and left_edge =
+        (Refine.Regalloc.left_edge sched).Refine.Regalloc.n_registers
+      in
+      (registers = recount && registers = lifetime && registers = left_edge)
+      || QCheck.Test.fail_reportf
+           "%s on seed %d: registers %d, recount %d, max_pressure %d, \
+            left edge %d"
+           (Engine.name eng) seed registers recount lifetime left_edge)
     Engine.all
 
 (* The largest total delay a graph accepts (2^53 - 1): a schedule that

@@ -158,7 +158,6 @@ let test_sim_detects_wrong_binding () =
           {
             Refine.Regalloc.assignment = swapped;
             n_registers = broken.Rtl.Binding.n_registers;
-            spilled = [];
           }
         in
         expect_error "binding swap"

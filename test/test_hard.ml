@@ -184,20 +184,6 @@ let test_list_sched_benchmarks () =
         R.fig3_all)
     Hls_bench.Suite.all
 
-let test_list_sched_priorities_differ_gracefully () =
-  let g = (Hls_bench.Suite.find "AR").build () in
-  let s1 =
-    Hard.List_sched.run ~priority:Hard.List_sched.critical_path_priority
-      ~resources:two_two g
-  in
-  let s2 =
-    Hard.List_sched.run ~priority:Hard.List_sched.mobility_priority
-      ~resources:two_two g
-  in
-  check Alcotest.bool "both valid" true
-    (S.check ~resources:two_two s1 = Ok ()
-    && S.check ~resources:two_two s2 = Ok ())
-
 let test_dispatch_order_covers_everything () =
   let g = (Hls_bench.Suite.find "HAL").build () in
   let order = Hard.List_sched.dispatch_order ~resources:two_two g in
@@ -458,6 +444,132 @@ let test_pipeline_custom_predicate () =
     (t.Hard.Pipeline.issue_of.(m) = t.Hard.Pipeline.result_of.(m)
     && Graph.delay sp t.Hard.Pipeline.issue_of.(m) = 2)
 
+(* --- One sweep, checked against per-cycle counts --------------------- *)
+
+(* A random DAG whose operations include inputs, constants, output
+   markers and memory traffic, with delays of 0 to 2, scheduled ASAP
+   plus random slack. In one case in four every delay and slack is 0,
+   so the schedule is 0 cycles long. *)
+let random_schedule seed =
+  let rng = Random.State.make [| seed; 0x5eeb |] in
+  let flat = Random.State.int rng 4 = 0 in
+  let ops =
+    [| Op.Input "x"; Op.Const 3; Op.Add; Op.Sub; Op.Mul; Op.Load; Op.Store;
+       Op.Output "y" |]
+  in
+  let g = Graph.create () in
+  let n = 1 + Random.State.int rng 16 in
+  for i = 0 to n - 1 do
+    let op = ops.(Random.State.int rng (Array.length ops)) in
+    let delay = if flat then 0 else Random.State.int rng 3 in
+    let v = Graph.add_vertex g ~delay op in
+    for u = 0 to i - 1 do
+      if Random.State.int rng 4 = 0 then Graph.add_edge g u v
+    done
+  done;
+  let starts = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let ready =
+      Graph.fold_preds
+        (fun acc u -> max acc (starts.(u) + Graph.delay g u))
+        0 g v
+    in
+    starts.(v) <- (ready + if flat then 0 else Random.State.int rng 3)
+  done;
+  let units () = 1 + Random.State.int rng 2 in
+  let resources =
+    R.make [ (R.Alu, units ()); (R.Multiplier, units ()); (R.Memory, units ()) ]
+  in
+  (S.make g ~starts, resources)
+
+(* The per-cycle table the sweep replaced: one slot per control step,
+   each register value counted from its producer's finish to just past
+   its last consumer's start. *)
+let pressure_per_cycle s =
+  let g = S.graph s in
+  let horizon = S.length s + 1 in
+  let counts = Array.make horizon 0 in
+  Graph.iter_vertices
+    (fun v ->
+      match Graph.op g v with
+      | Op.Const _ | Op.Store | Op.Output _ -> ()
+      | _ when Graph.out_degree g v = 0 -> ()
+      | _ ->
+        let birth = S.finish s v in
+        let death =
+          Graph.fold_succs
+            (fun acc c -> max acc (S.start s c + 1))
+            (birth + 1) g v
+        in
+        for c = birth to min (death - 1) (horizon - 1) do
+          counts.(c) <- counts.(c) + 1
+        done)
+    g;
+  counts
+
+(* The first occupancy overflow, counted cycle by cycle in class order. *)
+let overflow_per_cycle s resources =
+  let g = S.graph s in
+  List.find_map
+    (fun (cls, available) ->
+      List.find_map
+        (fun cycle ->
+          let used =
+            Graph.fold_vertices
+              (fun acc v ->
+                if
+                  Graph.delay g v > 0
+                  && R.class_of_op (Graph.op g v) = Some cls
+                  && S.start s v <= cycle && cycle < S.finish s v
+                then acc + 1
+                else acc)
+              0 g
+          in
+          if used > available then
+            Some
+              (Printf.sprintf
+                 "resource overflow: %d %s busy at cycle %d, %d available" used
+                 (R.class_name cls) cycle available)
+          else None)
+        (List.init (S.length s) Fun.id))
+    (R.classes resources)
+
+let prop_sweep_matches_per_cycle =
+  QCheck.Test.make ~name:"sweep matches per-cycle counts" ~count:300
+    QCheck.small_nat (fun seed ->
+      let s, resources = random_schedule seed in
+      let counts = pressure_per_cycle s in
+      let peak = Array.fold_left max 0 counts in
+      let total = Array.fold_left ( + ) 0 counts in
+      let first_over budget =
+        let over = ref None in
+        Hard.Lifetime.sweep s (fun first _ live ->
+            if live > budget && !over = None then over := Some first);
+        !over
+      in
+      let first_over_per_cycle budget =
+        let rec scan c =
+          if c >= Array.length counts then None
+          else if counts.(c) > budget then Some c
+          else scan (c + 1)
+        in
+        scan 0
+      in
+      let swept_total = ref 0 in
+      Hard.Lifetime.sweep s (fun first past live ->
+          swept_total := !swept_total + (live * (past - first)));
+      let occupancy =
+        match S.check ~resources s with
+        | Ok () -> None
+        | Error m -> Some m
+      in
+      Hard.Lifetime.max_pressure s = peak
+      && List.for_all
+           (fun b -> first_over b = first_over_per_cycle b)
+           (List.init (peak + 2) Fun.id)
+      && !swept_total = total
+      && occupancy = overflow_per_cycle s resources)
+
 let () =
   Alcotest.run "hard"
     [
@@ -491,8 +603,6 @@ let () =
             test_list_sched_unschedulable;
           Alcotest.test_case "all benchmarks valid" `Quick
             test_list_sched_benchmarks;
-          Alcotest.test_case "priorities" `Quick
-            test_list_sched_priorities_differ_gracefully;
           Alcotest.test_case "dispatch order" `Quick
             test_dispatch_order_covers_everything;
         ] );
@@ -535,5 +645,5 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [ prop_list_sched_valid; prop_fdls_valid;
-            prop_exact_not_worse_than_list ] );
+            prop_exact_not_worse_than_list; prop_sweep_matches_per_cycle ] );
     ]

@@ -7,7 +7,7 @@ module Generate = Dfg.Generate
 module R = Hard.Resources
 module S = Hard.Schedule
 module T = Soft.Threaded_graph
-module Lifetime = Refine.Lifetime
+module Lifetime = Hard.Lifetime
 module Regalloc = Refine.Regalloc
 
 let check = Alcotest.check
@@ -48,9 +48,15 @@ let test_lifetime_intervals () =
 
 let test_lifetime_pressure () =
   let _g, s, _, _, _, _ = small_schedule () in
-  let p = Lifetime.pressure s in
-  (* cycle 0: x and y live *)
-  check Alcotest.int "cycle 0" 2 p.(0);
+  let runs = ref [] in
+  Lifetime.sweep s (fun first past live ->
+      runs := (first, past, live) :: !runs);
+  (* cycle 0: x and y live; cycle 1: y and a; cycle 2: none; cycle 3: m *)
+  check
+    Alcotest.(list (triple int int int))
+    "runs"
+    [ (0, 1, 2); (1, 2, 2); (3, 4, 1) ]
+    (List.rev !runs);
   check Alcotest.int "max" 2 (Lifetime.max_pressure s)
 
 let test_lifetime_live_at () =
@@ -64,31 +70,7 @@ let test_left_edge_optimal () =
   let alloc = Regalloc.left_edge s in
   check Alcotest.int "registers = pressure" (Lifetime.max_pressure s)
     alloc.Regalloc.n_registers;
-  check Alcotest.bool "verified" true (Regalloc.verify alloc s = Ok ());
-  check Alcotest.(list int) "no spills" [] alloc.Regalloc.spilled
-
-let test_with_limit_spills () =
-  let g = (Hls_bench.Suite.find "EF").build () in
-  let s = Hard.List_sched.run ~resources:two_two g in
-  let need = Lifetime.max_pressure s in
-  let limit = need - 3 in
-  let alloc = Regalloc.with_limit ~registers:limit s in
-  check Alcotest.bool "spilled something" true
-    (alloc.Regalloc.spilled <> []);
-  check Alcotest.bool "fits budget" true
-    (alloc.Regalloc.n_registers <= limit);
   check Alcotest.bool "verified" true (Regalloc.verify alloc s = Ok ())
-
-let test_with_limit_enough_registers () =
-  let _g, s, _, _, _, _ = small_schedule () in
-  let alloc = Regalloc.with_limit ~registers:10 s in
-  check Alcotest.(list int) "no spills" [] alloc.Regalloc.spilled
-
-let test_with_limit_rejects_zero () =
-  let _g, s, _, _, _, _ = small_schedule () in
-  Alcotest.check_raises "zero registers"
-    (Invalid_argument "Regalloc.with_limit: need a register") (fun () ->
-      ignore (Regalloc.with_limit ~registers:0 s))
 
 let prop_left_edge_valid =
   QCheck.Test.make ~name:"left edge never double-books a register" ~count:60
@@ -220,6 +202,22 @@ let test_until_fits_unreachable_raises () =
      ignore (Refine.Spill.until_fits ~registers:1 state);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
+
+(* Inputs a and b are both live in cycle 0, over a one-register budget:
+   the first victim is the value live there with the longest lifetime,
+   b (read by the whole chain), not v, born in cycle 1 and read at the
+   end. The budget is unreachable, so the first spill is read back from
+   the graph: its store is the first vertex added. *)
+let test_until_fits_cycle_zero_over_budget () =
+  let g = long_liver_graph () in
+  let first_added = Graph.n_vertices g in
+  let state = Soft.Scheduler.run ~meta ~resources:two_two g in
+  let schedule = Refine.Pressure.extract state in
+  check Alcotest.int "cycle 0 over budget" 2
+    (List.length (Lifetime.live_at schedule ~cycle:0));
+  (try ignore (Refine.Spill.until_fits ~registers:1 state)
+   with Invalid_argument _ -> ());
+  check Alcotest.string "first spill" "b_st" (Graph.name g first_added)
 
 let test_alap_extraction_lowers_pressure () =
   let g = (Hls_bench.Suite.find "EF").build () in
@@ -554,11 +552,6 @@ let () =
       ( "regalloc",
         [
           Alcotest.test_case "left edge optimal" `Quick test_left_edge_optimal;
-          Alcotest.test_case "with limit spills" `Quick test_with_limit_spills;
-          Alcotest.test_case "enough registers" `Quick
-            test_with_limit_enough_registers;
-          Alcotest.test_case "zero registers" `Quick
-            test_with_limit_rejects_zero;
         ] );
       ( "spill",
         [
@@ -575,6 +568,8 @@ let () =
             test_until_fits_noop_when_fitting;
           Alcotest.test_case "until_fits unreachable" `Quick
             test_until_fits_unreachable_raises;
+          Alcotest.test_case "until_fits cycle 0 over budget" `Quick
+            test_until_fits_cycle_zero_over_budget;
           Alcotest.test_case "alap extraction" `Quick
             test_alap_extraction_lowers_pressure;
         ] );

@@ -855,7 +855,9 @@ let walked_in_run g ~resources ~meta =
       walked := !walked + summary.Telemetry.walked
     | _ -> ()
   in
-  ignore (Soft.Scheduler.run_traced ~meta ~resources ~sink g);
+  ignore
+    (Telemetry.with_sink sink (fun () ->
+         Soft.Scheduler.run ~meta ~resources g));
   !walked
 
 (* Under a topological meta every predecessor of the vertex being

@@ -18,7 +18,7 @@ let record_run ?(resources = two_two) g =
   let counters = Tel.Counters.create () in
   let recorder = Tel.Recorder.create () in
   let sink = Tel.tee (Tel.Counters.sink counters) (Tel.Recorder.sink recorder) in
-  let state = Soft.Scheduler.run_traced ~sink ~resources g in
+  let state = Tel.with_sink sink (fun () -> Soft.Scheduler.run ~resources g) in
   (state, Tel.Counters.snapshot counters, Tel.Recorder.events recorder)
 
 (* --- causal order --------------------------------------------------- *)
@@ -146,7 +146,9 @@ let refined_starts ~instrument =
   let state =
     if instrument then begin
       let sink = Tel.Counters.sink (Tel.Counters.create ()) in
-      let state = Soft.Scheduler.run_traced ~sink ~resources:two_two g in
+      let state =
+        Tel.with_sink sink (fun () -> Soft.Scheduler.run ~resources:two_two g)
+      in
       Tel.with_sink sink (fun () -> refine state);
       state
     end
