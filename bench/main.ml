@@ -1040,7 +1040,7 @@ let service_scaling () =
       time (fun () ->
           let futs =
             List.init jobs (fun _ ->
-                Serve.Pool.submit pool (fun () ->
+                Serve.Pool.fork ~pool (fun () ->
                     for _ = 1 to per_worker do
                       List.iter
                         (fun r ->
@@ -1068,9 +1068,10 @@ let service_scaling () =
 
 (* Every engine in Soft.Engine.all over the whole benchmark suite: control
    steps per design plus the engine's total wall clock, and a race row
-   (the default portfolio on the worker pool). The recorded rows land
-   under the "portfolio" key in BENCH_softsched.json so later PRs can
-   regression-gate engine quality. *)
+   (the default portfolio, raced on the calling thread as batch does at
+   --jobs 1). The recorded rows land under the "portfolio" key in
+   BENCH_softsched.json so later PRs can regression-gate engine
+   quality. *)
 let portfolio () =
   section "Scheduler portfolio: control steps per engine (2 ALU, 2 MUL, 1 MEM)";
   let resources =

@@ -262,7 +262,12 @@ let run_schedule design resources meta_s engine race seed tel =
         match race with
         | Some spec -> (
           let engines = parse_portfolio spec in
-          match Serve.Race.run ~seed ~meta:meta_s ~engines ~resources g with
+          (* one racer per core, the calling thread being one *)
+          let jobs = min (List.length engines) (Serve.Pool.default_jobs ()) - 1 in
+          let pool = if jobs > 0 then Some (Serve.Pool.create ~jobs ()) else None in
+          Fun.protect ~finally:(fun () -> Option.iter Serve.Pool.shutdown pool)
+          @@ fun () ->
+          match Serve.Race.run ?pool ~seed ~meta:meta_s ~engines ~resources g with
           | Error m -> failwith m
           | Ok race ->
             Printf.printf "race over %d engines (%.3f ms wall):\n"

@@ -192,6 +192,12 @@ let run ?(should_stop = fun () -> false) ~resources g =
       | Some _ | None -> ())
     g;
   let lower = Paths.diameter g in
+  (* every attempt keeps per-cycle distribution graphs *)
+  if lower > Schedule.cycle_cap then
+    failwith
+      (Printf.sprintf
+         "Fdls: critical path of %d control steps is past the cycle cap of %d"
+         lower Schedule.cycle_cap);
   (* generous upper bound: serialise everything *)
   let upper = Graph.total_delay g + 1 in
   let rec search deadline =

@@ -25,4 +25,5 @@ val run :
     polled once per control step of each attempt; when it fires, the
     search is abandoned for {!List_sched.run}'s schedule and [stopped]
     is set. @raise Invalid_argument if some operation's class has no
-    units. *)
+    units. @raise Failure, naming both, on a critical path longer than
+    {!Schedule.cycle_cap}. *)

@@ -39,27 +39,27 @@ let engine ~resources g =
   let consumes_unit v =
     Graph.delay g v > 0 && Resources.class_of_op (Graph.op g v) <> None
   in
-  (* Busy units per class: finish times of in-flight ops. *)
-  let busy = Hashtbl.create 7 in
-  let busy_count cls cycle =
-    match Hashtbl.find_opt busy cls with
-    | None -> 0
-    | Some finishes -> List.length (List.filter (fun f -> f > cycle) finishes)
-  in
-  let occupy cls ~until ~now =
-    let finishes =
-      match Hashtbl.find_opt busy cls with None -> [] | Some l -> l
-    in
-    Hashtbl.replace busy cls (until :: List.filter (fun f -> f > now) finishes)
+  (* Busy units: the class and finish time of each op holding one. An
+     op with finish f occupies cycles [start, f); it is busy during
+     cycle c iff f > c. *)
+  let busy = ref [] in
+  (* The next cycle at which an input arrives or a unit frees: nothing
+     can be placed before it. *)
+  let next_event c =
+    let soonest = ref max_int in
+    let later t = if t > c && t < !soonest then soonest := t in
+    Graph.iter_vertices
+      (fun v -> if starts.(v) < 0 && remaining_preds.(v) = 0 then later ready_at.(v))
+      g;
+    List.iter (fun (_, f) -> later f) !busy;
+    if !soonest = max_int then
+      failwith "List_sched: no progress (is the graph a DAG?)";
+    !soonest
   in
   let cycle = ref 0 in
-  let guard = ref 0 in
-  let max_cycles = (Graph.total_delay g + n + 1) * 2 + 16 in
   while !n_scheduled < n do
-    incr guard;
-    if !guard > max_cycles then
-      failwith "List_sched: no progress (is the graph a DAG?)";
     let c = !cycle in
+    busy := List.filter (fun (_, f) -> f > c) !busy;
     (* 1. Place all ready unit-free ops, cascading zero-delay chains. *)
     let progress = ref true in
     while !progress do
@@ -75,9 +75,9 @@ let engine ~resources g =
     (* 2. Fill free units per class in priority order. *)
     List.iter
       (fun (cls, available) ->
-        (* An op with finish f occupies cycles [start, f); it is busy
-           during cycle c iff f > c. *)
-        let free = ref (available - busy_count cls c) in
+        let free =
+          ref (available - List.length (List.filter (fun (k, _) -> k = cls) !busy))
+        in
         let candidates =
           List.filter
             (fun v ->
@@ -94,12 +94,12 @@ let engine ~resources g =
           (fun v ->
             if !free > 0 then begin
               place v c;
-              occupy cls ~until:(c + Graph.delay g v) ~now:c;
+              busy := (cls, c + Graph.delay g v) :: !busy;
               decr free
             end)
           sorted)
       (Resources.classes resources);
-    cycle := c + 1
+    if !n_scheduled < n then cycle := next_event c
   done;
   (Schedule.make g ~starts, List.rev !dispatched)
 

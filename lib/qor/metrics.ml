@@ -45,9 +45,11 @@ let counter_deltas ~(before : Telemetry.Counters.snapshot)
         (k, va -. vb))
     a
 
+(* [quick_stat]'s minor count moves only at a minor collection (and
+   5.1's [Gc.counters] reads the live minor heap at an eighth). *)
 let allocated_words () =
   let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
 let with_span ?counters t phase f =
   let before = Option.map Telemetry.Counters.snapshot counters in

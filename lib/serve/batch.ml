@@ -2,14 +2,15 @@
 
    Each non-blank line gets its positional trace id (b-000001, …) and a
    turn chained to the line before it, and runs Service.respond, the
-   daemon's per-request path, on the worker pool (at one job without a
-   lent pool: in order on the calling thread); replies are collected in
-   input order. The turns make the requests take their cache places in
-   input order, and single flight makes a repeat of a key still being
-   computed join that computation as a hit, so the replies are those of
-   a sequential run for any --jobs. The exceptions: a repeat whose entry
-   a later result evicted, two isomorphic payloads that fail
-   certification against each other, and deadline_ms requests.
+   daemon's per-request path, on the worker pool its races share (at
+   one job without a lent pool, on the calling thread); replies are
+   collected in input order. The turns make the requests take their
+   cache places in input order, and single flight makes a repeat of a
+   key still being computed join that computation as a hit, so the
+   replies are those of a sequential run for any --jobs. The
+   exceptions: a repeat whose entry a later result evicted, two
+   isomorphic payloads that fail certification against each other,
+   and deadline_ms requests.
 
    Blank input lines are skipped without producing output. Every line
    is received when the batch starts: its deadline_ms and its span's
@@ -21,28 +22,30 @@ let run_lines ?pool service ~jobs lines =
   if jobs <= 0 then invalid_arg "Batch.run_lines: non-positive jobs";
   let received = Telemetry.now_ns () in
   let lines = List.filter (fun l -> String.trim l <> "") lines in
-  let respond i ?after ~turn line =
-    Service.respond service
+  let respond ?pool i ?after ~turn line =
+    Service.respond ?pool service
       ~trace:(Printf.sprintf "b-%06d" (i + 1))
       ~received ?after ~turn line
   in
-  let on_pool p =
-    let submit (i, after, futures) line =
+  let on_pool pool =
+    let fork (i, after, futures) line =
       let turn = Service.turn () in
-      let future = Pool.submit p (fun () -> respond i ?after ~turn line) in
+      let future = Pool.fork ~pool (fun () -> respond ~pool i ?after ~turn line) in
       (i + 1, Some turn, future :: futures)
     in
-    let _, _, futures = List.fold_left submit (0, None, []) lines in
-    List.rev_map
+    let _, _, futures = List.fold_left fork (0, None, []) lines in
+    (* in input order: a line no worker has started runs here, after
+       every line before it *)
+    List.map
       (fun f -> match Pool.await f with Ok r -> r | Error e -> raise e)
-      futures
+      (List.rev futures)
   in
   match pool with
   | Some p -> on_pool p
   | None when jobs = 1 ->
-    (* One line after another on this thread: every predecessor has
-       taken its place already, and no idle domain slows the minor
-       collections. *)
+    (* One line after another on this thread, races included: every
+       predecessor has taken its place already, and no idle domain
+       slows the minor collections. *)
     List.mapi (fun i line -> respond i ~turn:(Service.turn ()) line) lines
   | None ->
     let p = Pool.create ~jobs () in

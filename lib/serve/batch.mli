@@ -20,8 +20,10 @@ val run_lines :
     worker pool (it is not shut down afterwards). Without one,
     [jobs = 1] runs the lines one after another on the calling thread,
     and a larger [jobs] creates a private [jobs]-wide pool and drains it
-    per call. The response bytes are the same either way. Every line
-    counts as received at the call: its [deadline_ms] runs from there.
+    per call. The lines' races fork onto the same pool, and run on the
+    calling thread without one. The response bytes are the same either
+    way. Every line counts as received at the call: its [deadline_ms]
+    runs from there.
     @raise Invalid_argument on non-positive [jobs]. *)
 
 val run_channels : Service.t -> jobs:int -> in_channel -> out_channel -> float

@@ -3,7 +3,7 @@
    the shared pool with a non-blocking [Pool.offer] and replies flow
    back through per-request slots, so no thread is ever parked on a
    client and the pool's workers — domains on OCaml 5 — are the only
-   place scheduling runs.
+   place scheduling runs, races included (Service.respond ~pool).
 
    Per connection the loop keeps a read buffer (NDJSON line framing), a
    write queue, and a FIFO of reply slots: pipelined requests on one
@@ -11,17 +11,16 @@
    pool completes them in any order, and they take their cache places
    in that order too (Service.turn): each is answered by
    Service.respond, the batch runner's path. Backpressure is explicit
-   at every layer — a connection stops being read once its pipeline or
-   write queue is deep enough, and a full pool queue turns into an
-   immediate ["server busy"] reply carrying a [retry_after_ms] hint
-   instead of a blocked submit.
+   at every layer: a connection stops being read once its pipeline or
+   write queue is deep enough, or once a line of it finds the pool's
+   queue full; that line and the rest wait in the read buffer.
 
    Shutdown is a drain, not an abort: [stop] raises a flag and pokes
-   the loop's self-pipe; the loop closes the listeners, stops reading,
-   flushes every reply still owed (requests already offered to the pool
-   always complete — that is the pool's own guarantee) and closes each
-   connection once it owes nothing. [wait] joins the loop and the
-   pool. *)
+   the loop's self-pipe; the loop closes the listeners, stops reading
+   (a line still waiting gets "shutting down"), flushes every reply
+   still owed (requests already offered to the pool always complete —
+   that is the pool's own guarantee) and closes each connection once it
+   owes nothing. [wait] joins the loop and the pool. *)
 
 let max_pipeline = 128  (* unanswered requests per connection *)
 let write_watermark = 4 * 1024 * 1024  (* stop reading above this *)
@@ -36,7 +35,9 @@ type slot = string option Atomic.t
 type conn = {
   cid : int;
   fd : Unix.file_descr;
-  rbuf : Buffer.t;  (* bytes read, not yet terminated by '\n' *)
+  rbuf : Buffer.t;  (* bytes read, not yet taken as requests *)
+  mutable received : int;  (* when rbuf's complete lines arrived *)
+  mutable paused : bool;  (* rbuf starts with a line the pool left *)
   pending : slot Queue.t;  (* request order; front flushes first *)
   out : string Queue.t;  (* rendered lines awaiting write *)
   mutable wchunk : string;  (* chunk currently being written *)
@@ -62,10 +63,15 @@ type t = {
   mutable listeners_open : bool;  (* loop-thread only *)
   mutable conns : conn list;  (* loop-thread only *)
   mutable next_conn : int;  (* loop-thread only *)
+  mutable traces : int;  (* the last trace id taken, loop-thread only *)
   mutable driver : Thread.t option;
 }
 
 let stopping t = Atomic.get t.stopping
+
+let next_trace t =
+  t.traces <- t.traces + 1;
+  Printf.sprintf "s-%06d" t.traces
 
 let wake t =
   try ignore (Unix.write_substring t.wake_w "x" 0 1)
@@ -73,105 +79,103 @@ let wake t =
 
 (* -- the event loop (one thread) -------------------------------------- *)
 
-let fill slot reply = Atomic.set slot (Some reply)
-
-let push_reply c line =
-  Queue.push line c.out;
-  c.out_bytes <- c.out_bytes + String.length line + 1
-
-let stats_reply t ?id ~trace () =
-  Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool);
-  Protocol.stats_line ?id ~trace
-    (Metrics.snapshot_json ~cache:(Service.cache_stats t.service) t.metrics)
-
-(* Classify and dispatch one request line. Admin requests are answered
-   inline — they must work even when the pool is saturated, that is
-   their point — but still through a slot, so a stats probe pipelined
-   behind a scheduling request keeps its place in the response order.
-   Everything else (including parse errors) goes to a worker; the
-   event loop never parses big payloads. *)
+(* Take one request line, or leave it ([false]) when the pool's queue
+   is full: the line, with no slot, turn or trace id yet, then waits in
+   the read buffer. Admin requests are answered inline — they must work
+   even when the pool is saturated, that is their point — but still
+   through a slot, so a stats probe pipelined behind a scheduling
+   request keeps its place in the response order. Everything else
+   (including parse errors) goes to a worker; the event loop never
+   parses big payloads. *)
 let process_line t c line =
-  if line = "" then ()
-  else begin
-    let trace = Service.next_trace t.service ~prefix:"s" in
-    let slot : slot = Atomic.make None in
-    Queue.push slot c.pending;
-    let admin =
-      if String.length line > 512 then None
-      else
-        match Json.parse_result line with
-        | Error _ -> None
-        | Ok j -> (
-          match Protocol.admin_of_json j with
-          | Error msg -> Some (Protocol.error_line ~trace msg)
-          | Ok (Some (Protocol.Stats, id)) ->
-            Metrics.add_in_flight t.metrics 1;
-            let reply =
-              Fun.protect
-                ~finally:(fun () -> Metrics.add_in_flight t.metrics (-1))
-                (fun () -> stats_reply t ?id ~trace ())
-            in
-            Some reply
-          | Ok None -> None)
-    in
+  line = ""
+  ||
+  let trace = Printf.sprintf "s-%06d" (t.traces + 1) in
+  let admin =
+    if String.length line > 512 then None
+    else
+      match Json.parse_result line with
+      | Error _ -> None
+      | Ok j -> (
+        match Protocol.admin_of_json j with
+        | Error msg -> Some (Protocol.error_line ~trace msg)
+        | Ok (Some (Protocol.Stats, id)) ->
+          Metrics.add_in_flight t.metrics 1;
+          Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool);
+          Fun.protect
+            ~finally:(fun () -> Metrics.add_in_flight t.metrics (-1))
+            (fun () ->
+              Some
+                (Protocol.stats_line ?id ~trace
+                   (Metrics.snapshot_json
+                      ~cache:(Service.cache_stats t.service) t.metrics)))
+        | Ok None -> None)
+  in
+  let inline =
     match admin with
-    | Some reply -> fill slot reply
-    | None -> (
-      let received = Telemetry.now_ns () in
-      let after = c.last_turn and turn = Service.turn () in
-      Metrics.add_in_flight t.metrics 1;
-      match
-        Pool.offer t.pool (fun () ->
-            fill slot
-              (Service.respond t.service ~trace ~received ?after ~turn line);
-            Metrics.add_in_flight t.metrics (-1);
-            wake t)
-      with
-      | `Future _ ->
-        (* only a request that runs is the next one's predecessor; one
-           turned away below holds no turn *)
-        c.last_turn <- Some turn;
-        Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool)
-      | `Full ->
-        Metrics.add_in_flight t.metrics (-1);
-        Metrics.turned_away t.metrics;
-        let retry_after_ms =
-          Metrics.retry_after_ms t.metrics
-            ~queue_depth:(Pool.queue_length t.pool)
-        in
-        fill slot (Protocol.error_line ~retry_after_ms ~trace "server busy")
-      | `Draining ->
-        Metrics.add_in_flight t.metrics (-1);
-        fill slot (Protocol.error_line ~trace "shutting down"))
-  end
+    | None when stopping t -> Some (Protocol.error_line ~trace "shutting down")
+    | reply -> reply
+  in
+  let slot : slot = Atomic.make inline in
+  let taken =
+    Option.is_some inline
+    ||
+    let after = c.last_turn and turn = Service.turn () in
+    Metrics.add_in_flight t.metrics 1;
+    match
+      Pool.offer t.pool (fun () ->
+          Atomic.set slot
+            (Some
+               (Service.respond ~pool:t.pool t.service ~trace
+                  ~received:c.received ?after ~turn line));
+          Metrics.add_in_flight t.metrics (-1);
+          wake t)
+    with
+    | `Future _ ->
+      c.last_turn <- Some turn;
+      Metrics.set_pool_queue_depth t.metrics (Pool.queue_length t.pool);
+      true
+    | `Full | `Draining ->
+      Metrics.add_in_flight t.metrics (-1);
+      false
+  in
+  if taken then begin
+    t.traces <- t.traces + 1;
+    Queue.push slot c.pending
+  end;
+  taken
 
-(* Split complete lines out of the read buffer; the tail (no newline
-   yet) stays buffered. *)
+(* Take complete lines out of the read buffer in order. When one does
+   not fit the pool's queue, it and the rest stay buffered and the
+   connection is paused (not read) until the loop offers them again
+   after a worker finishes. The tail (no newline yet) stays buffered. *)
 let drain_rbuf t c =
   let data = Buffer.contents c.rbuf in
-  Buffer.clear c.rbuf;
   let n = String.length data in
-  let start = ref 0 in
-  (try
-     while !start <= n - 1 do
-       match String.index_from data !start '\n' with
-       | exception Not_found ->
-         Buffer.add_substring c.rbuf data !start (n - !start);
-         start := n
-       | nl ->
-         let line = String.sub data !start (nl - !start) in
-         process_line t c line;
-         start := nl + 1
-     done
-   with e ->
-     (* process_line must not kill the loop; drop the connection. *)
-     ignore e;
-     c.close_after_flush <- true);
-  if Buffer.length c.rbuf > max_line then begin
-    push_reply c
-      (Protocol.error_line
-         ~trace:(Service.next_trace t.service ~prefix:"s")
-         "request line too long");
+  let rec take start =
+    match String.index_from_opt data start '\n' with
+    | Some nl when process_line t c (String.sub data start (nl - start)) ->
+      take (nl + 1)
+    | nl ->
+      c.paused <- nl <> None;
+      start
+  in
+  let rest =
+    try take 0
+    with _ ->
+      (* process_line must not kill the loop; drop the connection. *)
+      c.paused <- false;
+      c.close_after_flush <- true;
+      n
+  in
+  Buffer.clear c.rbuf;
+  Buffer.add_substring c.rbuf data rest (n - rest);
+  if (not c.paused) && Buffer.length c.rbuf > max_line then begin
+    (* through a slot, behind the replies still owed *)
+    let trace = next_trace t in
+    Queue.push
+      (Atomic.make (Some (Protocol.error_line ~trace "request line too long")))
+      c.pending;
     c.reof <- true;
     c.close_after_flush <- true;
     Buffer.clear c.rbuf
@@ -185,32 +189,33 @@ let handle_read t c =
   | exception Unix.Unix_error _ -> c.reof <- true
   | 0 -> c.reof <- true
   | n ->
+    c.received <- Telemetry.now_ns ();
     Buffer.add_subbytes c.rbuf buf 0 n;
-    drain_rbuf t c
+    (* Only a newline completes a line: a long line is not copied out
+       of the buffer once per chunk. The search runs from the chunk's
+       end, where a request's newline usually is. *)
+    let rec newline i = i >= 0 && (Bytes.get buf i = '\n' || newline (i - 1)) in
+    if newline (n - 1) || Buffer.length c.rbuf > max_line then drain_rbuf t c
 
+(* Write until the kernel's buffer is full or nothing is left. *)
 let handle_write c =
-  let progress = ref true in
-  (try
-     while !progress do
-       if c.wchunk = "" then
-         if Queue.is_empty c.out then progress := false
-         else begin
-           c.wchunk <- Queue.pop c.out ^ "\n";
-           c.woff <- 0
-         end
-       else begin
-         let remaining = String.length c.wchunk - c.woff in
-         let n = Unix.write_substring c.fd c.wchunk c.woff remaining in
-         c.woff <- c.woff + n;
-         c.out_bytes <- c.out_bytes - n;
-         if c.woff >= String.length c.wchunk then begin
-           c.wchunk <- "";
-           c.woff <- 0
-         end
-         else progress := false  (* kernel buffer full *)
-       end
-     done
-   with
+  let rec write () =
+    if c.wchunk = "" && not (Queue.is_empty c.out) then begin
+      c.wchunk <- Queue.pop c.out ^ "\n";
+      c.woff <- 0
+    end;
+    let remaining = String.length c.wchunk - c.woff in
+    if remaining > 0 then begin
+      let n = Unix.write_substring c.fd c.wchunk c.woff remaining in
+      c.woff <- c.woff + n;
+      c.out_bytes <- c.out_bytes - n;
+      if n = remaining then begin
+        c.wchunk <- "";
+        write ()
+      end
+    end
+  in
+  try write () with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | Unix.Unix_error _ | Sys_error _ ->
     (* Peer went away mid-write: nothing left to flush to them. *)
@@ -220,7 +225,7 @@ let handle_write c =
     c.woff <- 0;
     Queue.clear c.out;
     c.out_bytes <- 0;
-    Queue.clear c.pending)
+    Queue.clear c.pending
 
 (* Move completed replies (front of the pending FIFO only — order!)
    into the write queue. *)
@@ -230,7 +235,8 @@ let promote_ready c =
     match Atomic.get (Queue.peek c.pending) with
     | Some reply ->
       ignore (Queue.pop c.pending);
-      push_reply c reply
+      Queue.push reply c.out;
+      c.out_bytes <- c.out_bytes + String.length reply + 1
     | None -> continue := false
   done
 
@@ -238,6 +244,7 @@ let has_output c = c.wchunk <> "" || not (Queue.is_empty c.out)
 
 let wants_read t c =
   (not c.reof)
+  && (not c.paused)
   && (not c.close_after_flush)
   && (not (stopping t))
   && Queue.length c.pending < max_pipeline
@@ -247,7 +254,8 @@ let wants_read t c =
    nothing buffered, and either the peer hung up, we decided to close,
    or we are draining (no further requests will be read). *)
 let finished_conn t c =
-  Queue.is_empty c.pending
+  (not c.paused)
+  && Queue.is_empty c.pending
   && (not (has_output c))
   && (c.reof || c.close_after_flush || stopping t)
 
@@ -273,7 +281,7 @@ let accept_ready t lsock =
        with Unix.Unix_error _ | Invalid_argument _ -> ());
       if stopping t || List.length t.conns >= t.max_connections then begin
         let busy = not (stopping t) in
-        let trace = Service.next_trace t.service ~prefix:"s" in
+        let trace = next_trace t in
         (* A turn-away carries a back-off hint scaled by the queue the
            client would have joined, so it doesn't hot-loop on
            reconnect. *)
@@ -304,6 +312,8 @@ let accept_ready t lsock =
             cid;
             fd;
             rbuf = Buffer.create 256;
+            received = 0;
+            paused = false;
             last_turn = None;
             pending = Queue.create ();
             out = Queue.create ();
@@ -329,11 +339,12 @@ let close_listeners t =
 
 let event_loop t =
   let rec loop () =
-    (* Publish finished work, then reap connections that owe nothing. *)
+    (* Offer paused lines again, publish finished work, then reap
+       connections that owe nothing. *)
+    List.iter (fun c -> if c.paused then drain_rbuf t c) t.conns;
     List.iter promote_ready t.conns;
     if stopping t then close_listeners t;
-    List.iter (fun c -> if finished_conn t c then close_conn t c)
-      (List.filter (finished_conn t) t.conns);
+    List.iter (close_conn t) (List.filter (finished_conn t) t.conns);
     if stopping t && t.conns = [] then close_listeners t
     else begin
       let rds =
@@ -349,7 +360,6 @@ let event_loop t =
           t.conns
       in
       (match Unix.select rds wrs [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | exception Unix.Unix_error _ -> ()
       | ready_r, ready_w, _ ->
         if List.mem t.wake_r ready_r then begin
@@ -458,6 +468,7 @@ let start service ?socket ?tcp ~jobs ?(max_connections = 32) () =
       listeners_open = true;
       conns = [];
       next_conn = 1;
+      traces = 0;
       driver = None;
     }
   in

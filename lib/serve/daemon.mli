@@ -3,21 +3,23 @@
     A single [select]-based event loop owns every connection: per-client
     read/write buffers, NDJSON line framing, and a FIFO of reply slots
     so pipelined requests are answered strictly in request order.
-    Scheduling work is offered to a shared {!Pool} (domains on OCaml 5,
-    threads on 4.14) without ever blocking the loop — when the pool
-    queue is full the client gets an immediate ["server busy"] error
-    carrying a [retry_after_ms] back-off hint. Connections beyond
-    [max_connections] get the same busy line at accept and are closed.
-    The protocol is the NDJSON of {!Protocol}, one request line → one
-    response line, with per-request trace ids ([s-000001], …). Each
-    scheduling line is answered by {!Service.respond} in a pool worker,
-    its turn chained to the connection's previous request — the path
-    {!Batch} runs too.
+    Scheduling work is offered to one shared {!Pool} (domains on OCaml
+    5, threads on 4.14), which races share, without ever blocking the
+    loop. When its queue is full the connection pauses: its lines wait
+    in its read buffer, keeping their receipt time, until a worker
+    finishes. Only a connection beyond [max_connections] is turned away
+    ["server busy"], with a [retry_after_ms] back-off hint. The
+    protocol is the NDJSON of {!Protocol}, one request line → one
+    response line, with trace ids ([s-000001], …) in the order lines
+    are taken. Each scheduling line is answered by {!Service.respond}
+    in a pool worker, its turn chained to the connection's previous
+    request — the path {!Batch} runs too.
 
     Shutdown ({!stop}) is a {e drain}: the listeners close, no further
-    requests are read, and every request already offered to the pool
-    completes and gets its response before {!wait} returns. The CLI
-    wires SIGTERM/SIGINT to {!stop}. *)
+    requests are read (a waiting line gets ["shutting down"]), and
+    every request already offered to the pool completes and gets its
+    response before {!wait} returns. The CLI wires SIGTERM/SIGINT to
+    {!stop}. *)
 
 type t
 

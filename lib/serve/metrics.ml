@@ -25,7 +25,7 @@ module H = Telemetry.Histogram
 type span = {
   mutable parse_ns : int;  (* NDJSON line -> request *)
   mutable lookup_ns : int;  (* prepare (memo, fingerprint) + cache find *)
-  mutable queue_ns : int;  (* pool submit -> job start *)
+  mutable queue_ns : int;  (* receipt -> job start, + the turn wait *)
   mutable schedule_ns : int;  (* the scheduler proper, 0 on a warm hit *)
   mutable emit_ns : int;  (* response rendering *)
   mutable total_ns : int;  (* request wall clock (sum of phases in batch) *)

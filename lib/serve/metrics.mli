@@ -54,8 +54,8 @@ val record :
 
 val turned_away : t -> unit
 (** Count one busy turn-away: a connection refused at the connection
-    cap, or a request answered ["server busy"] because the pool's queue
-    was full. *)
+    cap. (A full pool queue turns nothing away: it pauses the
+    connection.) *)
 
 (** Outcome counts: requests answered ([ok] + [errors]), and how many
     were degraded, turned away busy ({!turned_away}; a turned-away

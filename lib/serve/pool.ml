@@ -1,15 +1,16 @@
-(* Bounded work queue + worker pool over Pool_backend: Domains on
-   OCaml 5.x (true parallelism), Threads on 4.14 (concurrency under
-   the master lock). Mutex/Condition are domain-safe on 5.x, so the
-   queue discipline below is identical on both backends.
+(* Work queue + worker pool over Pool_backend: Domains on OCaml 5.x
+   (true parallelism), Threads on 4.14 (concurrency under the master
+   lock). Mutex/Condition are domain-safe on 5.x, so the queue
+   discipline below is identical on both backends.
 
-   Submission blocks while the queue is at capacity (backpressure
-   towards the batch reader rather than unbounded buffering); [offer]
-   is the non-blocking variant the daemon's event loop uses — an event
-   loop must never sleep on a queue slot, it replies "busy" instead. A
-   future can be cancelled while still queued; a job that already
-   started always runs to completion — in-flight work is never
-   abandoned, which is what makes the daemon's SIGTERM drain exact. *)
+   Two ways in, neither of which blocks: [offer], the event loop's
+   admission, answers `Full while [queue_cap] jobs wait, and [fork]
+   never refuses. A queued job runs on the first worker to claim it, or
+   on the thread that awaits its future if that comes first, so the
+   queue may hold claimed or cancelled jobs, which workers skip;
+   [waiting] counts the unclaimed ones. A job that started always runs
+   to completion — in-flight work is never abandoned, which is what
+   makes the daemon's SIGTERM drain exact. *)
 
 type 'a state =
   | Queued of (unit -> 'a)
@@ -21,6 +22,7 @@ type 'a future = {
   flock : Mutex.t;
   fcond : Condition.t;
   mutable state : 'a state;
+  waiting : int Atomic.t;  (* the count of the pool it is queued on *)
 }
 
 type job = Job : 'a future -> job
@@ -28,8 +30,8 @@ type job = Job : 'a future -> job
 type t = {
   lock : Mutex.t;
   not_empty : Condition.t;
-  not_full : Condition.t;
   queue : job Queue.t;
+  waiting : int Atomic.t;  (* queued jobs nobody claimed or cancelled *)
   queue_cap : int;
   mutable workers : Pool_backend.handle list;
   mutable draining : bool;
@@ -42,17 +44,17 @@ let with_lock m f =
   Mutex.lock m;
   Fun.protect ~finally:(fun () -> Mutex.unlock m) f
 
-(* Run one job: claim it (Queued -> Running), execute outside the
-   future's lock, publish the result. Cancelled jobs are skipped. *)
-let run_job (Job fut) =
+(* Claim [fut]'s job if it is still queued (Queued -> Running), run it
+   here outside the future's lock, publish the result. *)
+let run_here fut =
   let work =
     with_lock fut.flock (fun () ->
         match fut.state with
         | Queued f ->
           fut.state <- Running;
+          Atomic.decr fut.waiting;
           Some f
-        | Cancelled -> None
-        | Running | Done _ -> assert false)
+        | Running | Done _ | Cancelled -> None)
   in
   match work with
   | None -> ()
@@ -67,11 +69,7 @@ let worker pool =
     let job =
       with_lock pool.lock (fun () ->
           let rec wait () =
-            if not (Queue.is_empty pool.queue) then begin
-              let j = Queue.pop pool.queue in
-              Condition.signal pool.not_full;
-              Some j
-            end
+            if not (Queue.is_empty pool.queue) then Some (Queue.pop pool.queue)
             else if pool.draining then None
             else begin
               Condition.wait pool.not_empty pool.lock;
@@ -81,8 +79,8 @@ let worker pool =
           wait ())
     in
     match job with
-    | Some j ->
-      run_job j;
+    | Some (Job fut) ->
+      run_here fut;
       loop ()
     | None -> ()
   in
@@ -100,8 +98,8 @@ let create ?queue_cap ~jobs () =
     {
       lock = Mutex.create ();
       not_empty = Condition.create ();
-      not_full = Condition.create ();
       queue = Queue.create ();
+      waiting = Atomic.make 0;
       queue_cap;
       workers = [];
       draining = false;
@@ -111,51 +109,42 @@ let create ?queue_cap ~jobs () =
     List.init jobs (fun _ -> Pool_backend.spawn (fun () -> worker pool));
   pool
 
-let fresh_future f =
-  { flock = Mutex.create (); fcond = Condition.create (); state = Queued f }
+let future ~waiting f =
+  { flock = Mutex.create (); fcond = Condition.create (); state = Queued f; waiting }
 
-let try_submit pool f =
-  let fut = fresh_future f in
-  with_lock pool.lock (fun () ->
-      let rec wait () =
-        if pool.draining then None
-        else if Queue.length pool.queue >= pool.queue_cap then begin
-          Condition.wait pool.not_full pool.lock;
-          wait ()
-        end
-        else begin
-          Queue.push (Job fut) pool.queue;
-          Condition.signal pool.not_empty;
-          Some fut
-        end
-      in
-      wait ())
+(* Under [pool.lock], on a pool that is not draining. *)
+let push pool f =
+  let fut = future ~waiting:pool.waiting f in
+  Atomic.incr pool.waiting;
+  Queue.push (Job fut) pool.queue;
+  Condition.signal pool.not_empty;
+  fut
 
-let submit pool f =
-  match try_submit pool f with
-  | Some fut -> fut
-  | None -> invalid_arg "Pool.submit: pool is draining"
+(* A draining pool's workers may already be gone: a job forked into it
+   is not queued, and its awaiter runs it, as without a pool. *)
+let fork ?pool f =
+  let alone () = future ~waiting:(Atomic.make 1) f in
+  match pool with
+  | None -> alone ()
+  | Some pool ->
+    with_lock pool.lock (fun () ->
+        if pool.draining then alone () else push pool f)
 
 (* Non-blocking admission decision for the event loop: a full queue is
-   an answer (reply busy with a back-off hint), not a reason to park
-   the thread that owns every connection. *)
+   an answer (pause the connection), not a reason to park the thread
+   that owns every connection. *)
 let offer pool f =
-  let fut = fresh_future f in
   with_lock pool.lock (fun () ->
       if pool.draining then `Draining
-      else if Queue.length pool.queue >= pool.queue_cap then `Full
-      else begin
-        Queue.push (Job fut) pool.queue;
-        Condition.signal pool.not_empty;
-        `Future fut
-      end)
+      else if Atomic.get pool.waiting >= pool.queue_cap then `Full
+      else `Future (push pool f))
 
 (* Observability sample for the metrics plane's queue-depth gauge; the
-   value is stale the moment the lock drops, which is fine for a
-   gauge. *)
-let queue_length pool = with_lock pool.lock (fun () -> Queue.length pool.queue)
+   value is stale the moment it is read, which is fine for a gauge. *)
+let queue_length pool = Atomic.get pool.waiting
 
 let await fut =
+  run_here fut;
   with_lock fut.flock (fun () ->
       let rec wait () =
         match fut.state with
@@ -172,22 +161,19 @@ let cancel fut =
       match fut.state with
       | Queued _ ->
         fut.state <- Cancelled;
+        Atomic.decr fut.waiting;
         Condition.broadcast fut.fcond;
         true
       | Running | Done _ | Cancelled -> false)
 
 (* Stop accepting work, let the workers finish everything already
-   queued, and join them. Idempotent (joining a joined worker returns
-   immediately on the threads backend; the domains backend joins each
-   handle exactly once because shutdown runs under the caller's
-   discipline of calling it once — the daemon and batch both do). *)
+   queued, and join them. Idempotent: the second call finds no workers
+   left to join. *)
 let shutdown pool =
-  with_lock pool.lock (fun () ->
-      pool.draining <- true;
-      Condition.broadcast pool.not_empty;
-      Condition.broadcast pool.not_full);
   let workers =
     with_lock pool.lock (fun () ->
+        pool.draining <- true;
+        Condition.broadcast pool.not_empty;
         let w = pool.workers in
         pool.workers <- [];
         w)

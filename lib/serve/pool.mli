@@ -1,15 +1,14 @@
-(** Bounded work queue + worker pool, parallel on OCaml 5.
+(** Work queue + worker pool, parallel on OCaml 5.
 
     Workers are spawned through {!module:Pool_backend}: one [Domain]
     each on 5.x (true parallelism), one [Thread] each on 4.14 (the
     GIL-bound fallback). {!backend} names the compiled-in choice.
 
-    [submit] enqueues a thunk and returns a future; it {e blocks} while
-    the queue is at capacity, pushing backpressure to the producer
-    instead of buffering without bound. {!offer} is the non-blocking
-    variant for event loops. Queued work can be cancelled; running work
-    always completes — that guarantee is what makes the daemon's
-    SIGTERM drain exact. *)
+    Nothing blocks on a queue slot: {!offer} is an event loop's
+    admission, and {!fork} never refuses. Whoever {!await}s a future
+    runs its job if no worker has started it. Queued work can be
+    cancelled; running work always completes — that guarantee is what
+    makes the daemon's SIGTERM drain exact. *)
 
 type t
 type 'a future
@@ -23,31 +22,30 @@ val default_jobs : unit -> int
     [--jobs]. *)
 
 val create : ?queue_cap:int -> jobs:int -> unit -> t
-(** [jobs] workers; [queue_cap] defaults to [4 * jobs].
-    @raise Invalid_argument on non-positive sizes. *)
+(** [jobs] workers; [queue_cap] (the bound {!offer} checks) defaults to
+    [4 * jobs]. @raise Invalid_argument on non-positive sizes. *)
 
-val submit : t -> (unit -> 'a) -> 'a future
-(** Blocks while the queue is full. @raise Invalid_argument if the pool
-    is draining. *)
-
-val try_submit : t -> (unit -> 'a) -> 'a future option
-(** Like {!submit} but returns [None] instead of raising when the pool
-    is draining (the daemon's "shutting down" reply path). *)
+val fork : ?pool:t -> (unit -> 'a) -> 'a future
+(** Queue a job on [pool]'s workers, past [queue_cap] too. Without a
+    pool, or on a draining one, the job runs only when its future is
+    {!run_here} or {!await}ed. *)
 
 val offer : t -> (unit -> 'a) -> [ `Draining | `Full | `Future of 'a future ]
-(** Non-blocking {!submit}: [`Full] when the queue is at capacity
-    (the event loop turns that into a busy reply with a
-    [retry_after_ms] hint) and [`Draining] during shutdown. Never
-    blocks. *)
+(** Non-blocking admission: [`Full] while [queue_cap] jobs wait
+    unclaimed (forked ones included), [`Draining] during shutdown. *)
+
+val run_here : 'a future -> unit
+(** Run the job on the calling thread if it is still queued; else
+    return at once. *)
 
 val await : 'a future -> ('a, exn) result
-(** Blocks until the job ran (or was cancelled — that surfaces as
-    [Error Invalid_argument]). Exceptions raised by the job are
-    captured, not re-raised. *)
+(** {!run_here}, then block until the job finished (or was cancelled —
+    that surfaces as [Error Invalid_argument]). Exceptions raised by
+    the job are captured, not re-raised. *)
 
 val queue_length : t -> int
-(** Jobs currently waiting (not yet claimed by a worker) — the metrics
-    plane's queue-depth gauge. Advisory: stale as soon as it returns. *)
+(** Jobs waiting unclaimed — the metrics plane's queue-depth gauge.
+    Advisory: stale as soon as it returns. *)
 
 val cancel : 'a future -> bool
 (** [true] iff the job was still queued and is now cancelled; a job
@@ -55,5 +53,5 @@ val cancel : 'a future -> bool
     alone. *)
 
 val shutdown : t -> unit
-(** Drain: stop accepting submissions, run everything already queued,
-    join the workers. Blocks until done. *)
+(** Drain: stop queueing, let the workers run everything already
+    queued, join them. Blocks until done; idempotent. *)

@@ -22,52 +22,44 @@ let run ?pool ?deadline ?seed ?meta ?budget ~engines ~resources g =
   | [] -> Error "race needs at least one engine"
   | engines ->
     let ctx = Engine.ctx ?deadline ?seed ?meta ?budget () in
-    let own, pool =
-      match pool with
-      | Some p -> (false, p)
-      | None -> (true, Pool.create ~jobs:(min (List.length engines) 8) ())
-    in
     let t0 = Unix.gettimeofday () in
-    Fun.protect ~finally:(fun () -> if own then Pool.shutdown pool)
-    @@ fun () ->
-    let futures =
+    let optimal = Atomic.make false in
+    let racer e () =
+      let o = Engine.run ~ctx e ~resources g in
+      if o.Engine.annot.Engine.optimal then Atomic.set optimal true;
+      o
+    in
+    let futures = List.map (fun e -> (e, Pool.fork ?pool (racer e))) engines in
+    (* This thread runs, in portfolio order, every racer no worker has
+       started, and only then waits for the others. Once a racer has
+       committed a provably optimal schedule, the rest still queued are
+       cancelled instead: nothing can beat it on csteps, and the
+       register tie is not worth the tail latency. Cancellation only
+       reaches queued jobs — running ones finish and still count. *)
+    let cancelled =
       List.map
-        (fun e -> (e, Pool.submit pool (fun () -> Engine.run ~ctx e ~resources g)))
-        engines
+        (fun (_, fut) ->
+          if Atomic.get optimal then Pool.cancel fut
+          else begin
+            Pool.run_here fut;
+            false
+          end)
+        futures
     in
-    (* Await in portfolio order. The moment a racer commits a provably
-       optimal schedule, cancel whatever is still queued: nothing can
-       beat it on csteps, and the register tie is not worth the tail
-       latency. Cancellation only reaches queued jobs — running
-       ones finish and still count. *)
-    let cancelled = Hashtbl.create 8 in
-    let settle (e, fut) =
-      let r = Pool.await fut in
-      (match r with
-      | Ok o when o.Engine.annot.Engine.optimal ->
-        List.iter
-          (fun (e', fut') ->
-            if Pool.cancel fut' then Hashtbl.replace cancelled (Engine.name e') ())
-          futures
-      | _ -> ());
-      (e, r)
-    in
-    let settled = List.map settle futures in
     let entries =
-      List.map
-        (fun (e, r) ->
-          let name = Engine.name e in
-          match r with
-          | Ok o -> { engine = name; outcome = Some o; error = None; cancelled = false }
-          | Error exn ->
-            let cancelled = Hashtbl.mem cancelled name in
-            {
-              engine = name;
-              outcome = None;
-              error = (if cancelled then None else Some (Printexc.to_string exn));
-              cancelled;
-            })
-        settled
+      List.map2
+        (fun (e, fut) cancelled ->
+          let r = Pool.await fut in
+          {
+            engine = Engine.name e;
+            outcome = Result.to_option r;
+            error =
+              (match r with
+              | Error exn when not cancelled -> Some (Printexc.to_string exn)
+              | Ok _ | Error _ -> None);
+            cancelled;
+          })
+        futures cancelled
     in
     let wall_s = Unix.gettimeofday () -. t0 in
     let winner =

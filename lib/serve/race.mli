@@ -1,18 +1,22 @@
 open Import
 
-(** Race mode: fan one scheduling problem out to several engines on a
-    worker pool, keep the QoR winner.
+(** Race mode: fan one scheduling problem out to several engines, keep
+    the QoR winner.
 
     Every engine runs the same [(graph, resources)] under one shared
     {!Soft.Engine.ctx}; the winner is the {!Soft.Engine.compare_qor}
     minimum (control steps, then registers), ties resolved by
     portfolio order: between equal results the earlier engine wins,
     never the faster one, so a race without a deadline names the same
-    winner on every run. Once an engine commits a
-    {e provably optimal} schedule, still-queued rivals are cancelled —
-    they cannot beat it on the leading metric and their latency is
-    pure waste. Started work always completes ({!Pool}'s guarantee), so
-    cancellation never corrupts state.
+    winner on every run. The racers are forked onto the pool the
+    request already runs on; the calling thread runs, in portfolio
+    order, every racer no worker has started, and only then waits for
+    the others. It runs no other request's job: one could sit beneath a
+    request waiting on this one's single flight. Once a racer commits a {e provably optimal} schedule,
+    the racers still queued are cancelled — they cannot beat it on the
+    leading metric and their latency is pure waste. Started work always
+    completes ({!Pool}'s guarantee), so cancellation never corrupts
+    state.
 
     A [deadline] reaches every racer through the shared context. A
     racer that it cut short reports [degraded], and so does the whole
@@ -50,8 +54,6 @@ val run :
   resources:Resources.t ->
   Graph.t ->
   (t, string) result
-(** [Error] on an empty portfolio or when every engine crashed. With no
-    [pool], a private pool sized to the portfolio is created and drained
-    before returning — callers already running {e inside} a pool worker
-    (the service) must rely on that default, since racing on their own
-    pool would deadlock its workers against each other. *)
+(** [Error] on an empty portfolio or when every engine crashed. Without
+    a [pool] the calling thread runs every racer itself, in portfolio
+    order: a race never spawns a domain. *)

@@ -153,8 +153,6 @@ type t = {
   flight_lock : Mutex.t;
   flight_done : Condition.t;
   flights : (string, flight) Hashtbl.t;
-  trace_lock : Mutex.t;
-  mutable traces : int;
   turn_lock : Mutex.t;
   turn_done : Condition.t;
   metrics : Metrics.t;
@@ -176,8 +174,6 @@ let create ?(cache_capacity = 256) () =
     flight_lock = Mutex.create ();
     flight_done = Condition.create ();
     flights = Hashtbl.create 16;
-    trace_lock = Mutex.create ();
-    traces = 0;
     turn_lock = Mutex.create ();
     turn_done = Condition.create ();
     metrics = Metrics.create ();
@@ -187,11 +183,6 @@ let cache_stats t = Cache.stats t.cache
 let metrics t = t.metrics
 let memo t = (Memo.length t.memo, t.memo_bound)
 let count t p = Metrics.path t.metrics p
-
-let next_trace t ~prefix =
-  with_lock t.trace_lock (fun () ->
-      t.traces <- t.traces + 1;
-      Printf.sprintf "%s-%06d" prefix t.traces)
 
 (* A request's place in its connection's order: released (under
    [turn_lock], broadcast on [turn_done]) once the request has taken its
@@ -406,7 +397,7 @@ let follow t (o : outcome) (p : prepared) =
 
 (* Schedule [p] afresh (its graph is present), validate, and cache the
    result unless it is degraded. *)
-let compute ?deadline t (p : prepared) =
+let compute ?pool ?deadline t (p : prepared) =
   let g, canon =
     match p.graph with Some gc -> gc | None -> invalid_arg "Service.compute"
   in
@@ -429,15 +420,12 @@ let compute ?deadline t (p : prepared) =
       result_of_schedule ~key:p.key p.req ~thread_of:(T.thread_of st)
         ~diameter:(T.diameter st) ~degraded ~engine:None (T.to_schedule st)
     | Protocol.Race ->
-      (* The race builds its own private pool: execute already runs
-         inside a pool worker (daemon/batch), and fanning out on that
-         same pool would deadlock its workers against each other. *)
       let engines =
         match p.req.Protocol.engines with
         | Some names -> List.filter_map Engine.find names
         | None -> Race.default_portfolio ()
       in
-      (match Race.run ?deadline ~meta ~engines ~resources g with
+      (match Race.run ?pool ?deadline ~meta ~engines ~resources g with
       | Error m -> failwith m
       | Ok race ->
         List.iter
@@ -469,7 +457,7 @@ let compute ?deadline t (p : prepared) =
 
 (* [turn], if given, is released once [p] has taken its place: found
    its entry, or led or joined the computation of its key. *)
-let run ?deadline ?span ?turn t (p : prepared) =
+let run ?pool ?deadline ?span ?turn t (p : prepared) =
   let now = Telemetry.now_ns in
   let add_span f =
     match span with
@@ -515,7 +503,7 @@ let run ?deadline ?span ?turn t (p : prepared) =
   let fresh () =
     count t `Miss;
     let t1 = now () in
-    let o = compute ?deadline t p in
+    let o = compute ?pool ?deadline t p in
     add_schedule (now () - t1);
     (o, false)
   in
@@ -568,7 +556,7 @@ let run ?deadline ?span ?turn t (p : prepared) =
       fresh ()
     | Error _ -> fresh ())
 
-let execute ?deadline ?span t p = run ?deadline ?span t p
+let execute ?pool ?deadline ?span t p = run ?pool ?deadline ?span t p
 
 (* -- one request line, end to end ------------------------------------- *)
 
@@ -580,7 +568,7 @@ let execute ?deadline ?span t p = run ?deadline ?span t p
    path: when the request takes its place, or, when it fails before
    that, once the predecessor has taken its own, so that the failure
    does not let a successor overtake it. *)
-let respond t ~trace ~received ?after ~turn text =
+let respond ?pool t ~trace ~received ?after ~turn text =
   let now = Telemetry.now_ns in
   let sp = Metrics.span () in
   let t0 = now () in
@@ -618,7 +606,7 @@ let respond t ~trace ~received ?after ~turn text =
         let tw = now () in
         await_turn t after;
         sp.Metrics.queue_ns <- sp.Metrics.queue_ns + (now () - tw);
-        match run ?deadline ~span:sp ~turn t p with
+        match run ?pool ?deadline ~span:sp ~turn t p with
         | exception e -> fail ?id ~design (Printexc.to_string e)
         | o, cached ->
           let t2 = now () in

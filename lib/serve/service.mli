@@ -27,8 +27,8 @@
 
     The request's [effort] field picks the execution strategy on a
     miss: [Fast] is one threaded-scheduler pass (byte-identical to the
-    pre-portfolio service), [Race] fans out to an engine portfolio on a
-    private pool and keeps the {!Soft.Engine.compare_qor}-best result,
+    pre-portfolio service), [Race] runs an engine portfolio on the
+    request's pool and keeps the {!Soft.Engine.compare_qor}-best result,
     [Exhaustive] runs branch and bound. Efforts cache under distinct
     keys (the fast key is unchanged, so persisted caches stay valid),
     and race/exhaustive results are cacheable like any other — only
@@ -52,9 +52,6 @@ val metrics : t -> Metrics.t
 val memo : t -> int * int
 (** The payload memo's [(aliases, bound)]; the bound is four times the
     cache capacity. *)
-
-val next_trace : t -> prefix:string -> string
-(** Monotone per-service trace ids, e.g. [s-000042]. *)
 
 type prepared
 
@@ -81,8 +78,10 @@ val line :
     on [result_of], but reuses the memoized core. *)
 
 val execute :
-  ?deadline:float -> ?span:Metrics.span -> t -> prepared -> outcome * bool
-(** Returns [(outcome, cached)]. [deadline] is an absolute
+  ?pool:Pool.t -> ?deadline:float -> ?span:Metrics.span -> t -> prepared ->
+  outcome * bool
+(** Returns [(outcome, cached)]. A race forks its racers onto [pool],
+    the one the caller runs on ({!Race.run}). [deadline] is an absolute
     [Unix.gettimeofday] instant: once it passes, the remaining
     operations are fast-placed (first feasible position — still a valid
     threaded schedule, marked [degraded]) instead of diameter-optimised.
@@ -109,6 +108,7 @@ val turn : unit -> turn
     nobody's [after]. *)
 
 val respond :
+  ?pool:Pool.t ->
   t ->
   trace:string ->
   received:int ->

@@ -301,6 +301,38 @@ let test_fdls_should_stop () =
   check Alcotest.bool "unflagged without a stop" false
     (Hard.Fdls.run ~resources:two_two g).Hard.Fdls.stopped
 
+(* The largest total delay a graph accepts, in a three-vertex chain: fdls
+   refuses it before its first attempt (one distribution slot per cycle
+   would not fit in memory), naming the critical path and the cap, and
+   in a race only its entry carries the error. *)
+let test_fdls_past_the_cap () =
+  let g =
+    Dfg.Serial.of_string
+      "vertex a mul 9007199254740989\nvertex b mul 1\nvertex c add\nedge a b\nedge b c\n"
+  in
+  let message =
+    Printf.sprintf
+      "Fdls: critical path of 9007199254740991 control steps is past the \
+       cycle cap of %d"
+      S.cycle_cap
+  in
+  (match Hard.Fdls.run ~resources:two_two g with
+  | exception Failure m -> check Alcotest.string "refused" message m
+  | _ -> Alcotest.fail "fdls should refuse a critical path past the cap");
+  match Race.run ~engines:(Race.default_portfolio ()) ~resources:two_two g with
+  | Error m -> Alcotest.fail m
+  | Ok race ->
+    List.iter
+      (fun (e : Race.entry) ->
+        if e.Race.engine = "fdls" then
+          check Alcotest.(option string) "fdls carries the error"
+            (Some (Printexc.to_string (Failure message)))
+            e.Race.error
+        else
+          check Alcotest.bool (e.Race.engine ^ " answers") true
+            (Option.is_some e.Race.outcome))
+      race.Race.entries
+
 let test_bnb_still_optimal_on_chain () =
   (* The ALAP/ASAP pruning must not cut the optimum away. *)
   let g = Generate.chain ~n:6 in
@@ -401,6 +433,41 @@ let test_race_deadline () =
       (S.length (Hard.List_sched.run ~resources:two_two g))
       race.Race.winner.Engine.annot.Engine.csteps
 
+(* A race forks its racers onto the pool its caller runs on, or runs
+   them all on the calling thread without one. Either way the winner
+   and every racer's control steps and registers are those of a race on
+   a private pool per race, recorded here. *)
+let test_race_on_a_pool () =
+  let pool = Serve.Pool.create ~jobs:1 () in
+  Fun.protect ~finally:(fun () -> Serve.Pool.shutdown pool) @@ fun () ->
+  let qor (e : Race.entry) =
+    match e.Race.outcome with
+    | Some o -> (e.Race.engine, o.Engine.annot.Engine.csteps, o.Engine.annot.Engine.registers)
+    | None -> (e.Race.engine, -1, -1)
+  in
+  List.iter
+    (fun (design, resources, g, winner, racers) ->
+      List.iter
+        (fun (how, pool) ->
+          match Race.run ?pool ~engines:(Race.default_portfolio ()) ~resources g with
+          | Error m -> Alcotest.fail m
+          | Ok race ->
+            check Alcotest.string
+              (Printf.sprintf "%s %s: winner" design how)
+              winner race.Race.winner.Engine.annot.Engine.engine;
+            check
+              Alcotest.(list (triple string int int))
+              (Printf.sprintf "%s %s: racers" design how)
+              racers
+              (List.map qor race.Race.entries))
+        [ ("on a one-worker pool", Some pool); ("without a pool", None) ])
+    [
+      ( "Fig1", Hls_bench.Fig1.resources, Hls_bench.Fig1.graph (), "soft",
+        [ ("soft", 4, 2); ("list", 4, 2); ("fdls", 4, 2); ("anneal", 4, 2) ] );
+      ( "HAL", two_two, Hls_bench.Suite.(find "HAL").build (), "list",
+        [ ("soft", 8, 7); ("list", 7, 6); ("fdls", 8, 7); ("anneal", 7, 6) ] );
+    ]
+
 let test_race_subset_and_errors () =
   let g = Hls_bench.Fig1.graph () in
   let resources = Hls_bench.Fig1.resources in
@@ -446,8 +513,11 @@ let () =
                QCheck.small_nat bnb_matches_unpruned_prop);
         ] );
       ( "fdls",
-        [ Alcotest.test_case "should_stop cutoff" `Quick test_fdls_should_stop ]
-      );
+        [
+          Alcotest.test_case "should_stop cutoff" `Quick test_fdls_should_stop;
+          Alcotest.test_case "critical path past the cap" `Quick
+            test_fdls_past_the_cap;
+        ] );
       ( "race",
         [
           Alcotest.test_case "fig1 no worse" `Quick test_race_fig1;
@@ -455,6 +525,7 @@ let () =
           Alcotest.test_case "ties go to portfolio order" `Quick
             test_race_tie_goes_to_portfolio_order;
           Alcotest.test_case "deadline" `Quick test_race_deadline;
+          Alcotest.test_case "on a pool or none" `Quick test_race_on_a_pool;
           Alcotest.test_case "subsets and errors" `Quick
             test_race_subset_and_errors;
         ] );

@@ -308,6 +308,25 @@ let test_flow_deterministic () =
       (Qor.Diff.ok r && r.Qor.Diff.regressions = []
       && r.Qor.Diff.improvements = [])
 
+(* --- spans ------------------------------------------------------------ *)
+
+(* A 10^4-element list is 3·10^4 words (a cons cell is a header and two
+   fields), however little of the minor heap the span fills. *)
+let test_span_allocation () =
+  let t = Qor.Metrics.create () in
+  let n =
+    Qor.Metrics.with_span t "list" (fun () ->
+        (List.length (Sys.opaque_identity (List.init 10_000 Fun.id)), []))
+  in
+  check Alcotest.int "built" 10_000 n;
+  match Qor.Metrics.spans t with
+  | [ sp ] ->
+    check Alcotest.bool
+      (Printf.sprintf "%.0f words >= 30000" sp.Qor.Metrics.alloc_words)
+      true
+      (sp.Qor.Metrics.alloc_words >= 30_000.)
+  | _ -> Alcotest.fail "one span expected"
+
 let () =
   let suite_audit =
     List.map
@@ -342,6 +361,11 @@ let () =
             test_diff_improvement_passes;
           Alcotest.test_case "design mismatch refused" `Quick
             test_diff_design_mismatch;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "allocation counts every word" `Quick
+            test_span_allocation;
         ] );
       ("audit: suite is invariant-clean", suite_audit);
       ( "determinism",

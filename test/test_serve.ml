@@ -321,7 +321,7 @@ let test_cache_stats_snapshot_under_load () =
   let finds = 2000 and adds = 2000 in
   let futs =
     List.init jobs (fun w ->
-        Pool.submit p (fun () ->
+        Pool.fork ~pool:p (fun () ->
             for i = 0 to (finds + adds) / jobs do
               let key = Printf.sprintf "%x" (((w * 7919) + i) mod 64) in
               if i land 1 = 0 then ignore (find c key)
@@ -348,7 +348,7 @@ let test_cache_stats_snapshot_under_load () =
 
 let test_pool_results () =
   let p = Pool.create ~jobs:4 () in
-  let futs = List.init 40 (fun i -> Pool.submit p (fun () -> i * i)) in
+  let futs = List.init 40 (fun i -> Pool.fork ~pool:p (fun () -> i * i)) in
   List.iteri
     (fun i f ->
       match Pool.await f with
@@ -359,7 +359,7 @@ let test_pool_results () =
 
 let test_pool_exception_captured () =
   let p = Pool.create ~jobs:1 () in
-  let f = Pool.submit p (fun () -> failwith "boom") in
+  let f = Pool.fork ~pool:p (fun () -> failwith "boom") in
   (match Pool.await f with
   | Error (Failure m) when m = "boom" -> ()
   | Ok _ | Error _ -> Alcotest.fail "expected the captured Failure");
@@ -371,7 +371,7 @@ let test_pool_cancel_and_drain () =
   let cond = Condition.create () in
   let release = ref false in
   let blocker =
-    Pool.submit p (fun () ->
+    Pool.fork ~pool:p (fun () ->
         Mutex.lock gate;
         while not !release do
           Condition.wait cond gate
@@ -380,8 +380,8 @@ let test_pool_cancel_and_drain () =
         "blocker")
   in
   Thread.delay 0.05 (* let the single worker claim the blocker *);
-  let queued = Pool.submit p (fun () -> "queued") in
-  let doomed = Pool.submit p (fun () -> "doomed") in
+  let queued = Pool.fork ~pool:p (fun () -> "queued") in
+  let doomed = Pool.fork ~pool:p (fun () -> "doomed") in
   check Alcotest.bool "queued job cancels" true (Pool.cancel doomed);
   check Alcotest.bool "cancel is idempotent-false" false (Pool.cancel doomed);
   check Alcotest.bool "running job does not cancel" false (Pool.cancel blocker);
@@ -397,11 +397,20 @@ let test_pool_cancel_and_drain () =
   (match Pool.await blocker with
   | Ok "blocker" -> ()
   | _ -> Alcotest.fail "blocker should have completed");
-  (match Pool.await queued with
+  match Pool.await queued with
   | Ok "queued" -> ()
-  | _ -> Alcotest.fail "queued job should have run during the drain");
-  check Alcotest.bool "draining pool refuses work" true
-    (Pool.try_submit p (fun () -> ()) = None)
+  | _ -> Alcotest.fail "queued job should have run during the drain"
+
+(* A drained pool has no workers left, but fork never refuses: the job
+   waits for its awaiter, which runs it on the calling thread. *)
+let test_pool_fork_after_drain () =
+  let p = Pool.create ~jobs:2 () in
+  Pool.shutdown p;
+  let late = Pool.fork ~pool:p (fun () -> Thread.id (Thread.self ())) in
+  check Alcotest.int "no worker waits for it" 0 (Pool.queue_length p);
+  match Pool.await late with
+  | Ok id -> check Alcotest.int "run by its awaiter" (Thread.id (Thread.self ())) id
+  | Error e -> Alcotest.failf "forked job lost: %s" (Printexc.to_string e)
 
 (* Hammer the pool from the outside while the workers (domains on 5.x)
    chew through real compute: no future may be lost, every submitted
@@ -413,7 +422,7 @@ let test_pool_parallel_hammer () =
   let n = 300 in
   let futs =
     List.init n (fun i ->
-        Pool.submit p (fun () ->
+        Pool.fork ~pool:p (fun () ->
             (* a little real work so workers overlap *)
             let acc = ref 0 in
             for k = 1 to 1000 do
@@ -432,7 +441,7 @@ let test_pool_parallel_hammer () =
   (* Drain exactness: submissions that beat the shutdown all complete. *)
   let before = Atomic.make 0 in
   let futs2 =
-    List.init 50 (fun _ -> Pool.submit p (fun () -> Atomic.incr before))
+    List.init 50 (fun _ -> Pool.fork ~pool:p (fun () -> Atomic.incr before))
   in
   Pool.shutdown p;
   check Alcotest.int "drain ran everything queued" 50 (Atomic.get before);
@@ -444,7 +453,7 @@ let test_pool_offer_backpressure () =
   let cond = Condition.create () in
   let release = ref false in
   let blocker =
-    Pool.submit p (fun () ->
+    Pool.fork ~pool:p (fun () ->
         Mutex.lock gate;
         while not !release do
           Condition.wait cond gate
@@ -1273,31 +1282,32 @@ let test_daemon_busy_retry_hint () =
       true
       (hint >= 25 && hint <= 5000)
 
-(* A full pool queue turns a request away busy. One worker and a queue
-   of four, and twenty pipelined 2,000-vertex graphs on one connection:
-   the loop reads them faster than the worker schedules them, so the
-   excess get "server busy" with a back-off hint. Every line is answered
-   in request order (trace ids are handed out per line, in order), and
-   the plane counts each busy reply once as a busy turn-away and never
-   as a request. *)
+(* A full pool queue pauses the connection; it turns nothing away. One
+   worker and a queue of four, and twenty pipelined 2,000-vertex graphs
+   on one connection: the loop reads them faster than the worker
+   schedules them, so the excess wait in the read buffer and are
+   offered as the worker frees up. Every line is answered ok, in
+   request order, with its id (trace ids are taken in line order), and
+   the plane counts twenty requests and no busy turn-away. *)
+let big_requests n =
+  List.init n (fun i ->
+      let g =
+        Generate.layered (Random.State.make [| i |]) ~layers:200 ~width:10
+          ~fanin:3
+      in
+      Json.to_string ~minify:true
+        (Json.Obj
+           [
+             ("id", Json.str (Printf.sprintf "r%02d" i));
+             ("dfg", Json.str (Serial.to_string g));
+             ("schedule", Json.Bool false);
+           ]))
+
 let test_daemon_pool_full () =
   let socket = Filename.temp_file "softsched" ".sock" in
   let service = Service.create () in
   let d = Daemon.start service ~socket ~jobs:1 () in
-  let lines =
-    List.init 20 (fun i ->
-        let g =
-          Generate.layered (Random.State.make [| i |]) ~layers:200 ~width:10
-            ~fanin:3
-        in
-        Json.to_string ~minify:true
-          (Json.Obj
-             [
-               ("id", Json.str (Printf.sprintf "r%02d" i));
-               ("dfg", Json.str (Serial.to_string g));
-               ("schedule", Json.Bool false);
-             ]))
-  in
+  let lines = big_requests 20 in
   let fd, ic, oc = connect socket in
   output_string oc (String.concat "" (List.map (fun l -> l ^ "\n") lines));
   flush oc;
@@ -1305,33 +1315,203 @@ let test_daemon_pool_full () =
   Daemon.stop d;
   Daemon.wait d;
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  let busy r = contains r {|"error":"server busy"|} in
   List.iteri
     (fun i r ->
       check Alcotest.bool
-        (Printf.sprintf "reply %d answers request %d" i i)
+        (Printf.sprintf "reply %d answers request %d, ok" i i)
         true
         (contains r (Printf.sprintf {|"trace":"s-%06d"|} (i + 1))
-        && (busy r || contains r (Printf.sprintf {|"id":"r%02d"|} i)));
-      if busy r then
-        check Alcotest.bool
-          (Printf.sprintf "busy reply %d carries retry_after_ms" i)
-          true
-          (contains r {|"retry_after_ms":|})
-      else
-        check Alcotest.bool (Printf.sprintf "reply %d ok" i) true
-          (contains r {|"status":"ok"|}))
+        && contains r (Printf.sprintf {|"id":"r%02d"|} i)
+        && contains r {|"status":"ok"|}))
     replies;
-  let n_busy = List.length (List.filter busy replies) in
-  check Alcotest.bool "the first four fit the queue" false
-    (List.exists busy (List.filteri (fun i _ -> i < 4) replies));
-  check Alcotest.bool
-    (Printf.sprintf "the excess turned away (%d of 20)" n_busy)
-    true (n_busy > 0);
   let t = totals service in
-  check Alcotest.int "busy_turnaways counts the busy replies" n_busy
-    t.Metrics.busy_turnaways;
-  check Alcotest.int "and requests the rest" (20 - n_busy) t.Metrics.requests
+  check Alcotest.int "no busy turn-away" 0 t.Metrics.busy_turnaways;
+  check Alcotest.int "twenty requests" 20 t.Metrics.requests
+
+(* While a connection is paused on a full pool queue, a stats request on
+   another connection is answered at once; a drain then answers the
+   lines the paused connection has read but not taken "shutting down",
+   after the replies owed to the lines taken before them. Each request
+   races fdls alone on its own 100-vertex graph, tens of milliseconds,
+   so one worker keeps its queue of four full. Lines still unread when
+   the drain begins are not read, and get no reply. *)
+let test_daemon_drain_paused () =
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let d = Daemon.start (Service.create ()) ~socket ~jobs:1 () in
+  let line i =
+    let g =
+      Generate.layered (Random.State.make [| i |]) ~layers:10 ~width:10
+        ~fanin:2
+    in
+    Json.to_string ~minify:true
+      (Json.Obj
+         [
+           ("id", Json.str (Printf.sprintf "r%02d" i));
+           ("dfg", Json.str (Serial.to_string g));
+           ("effort", Json.str "race");
+           ("engines", Json.Arr [ Json.str "fdls" ]);
+           ("schedule", Json.Bool false);
+         ])
+  in
+  let fd, ic, oc = connect socket in
+  output_string oc (String.concat "" (List.init 20 (fun i -> line i ^ "\n")));
+  flush oc;
+  let sfd, sic, soc = connect socket in
+  let stats () =
+    send soc {|{"admin":"stats"}|};
+    match Json.parse_result (input_line sic) with
+    | Ok j -> json_path j [ "stats" ]
+    | Error e -> Alcotest.failf "stats reply not JSON: %s" e
+  in
+  check Alcotest.bool "stats answered while the burst waits" true
+    (json_int (stats ()) [ "requests"; "total" ] < 5);
+  let give_up = Unix.gettimeofday () +. 10. in
+  while
+    json_int (stats ()) [ "gauges"; "pool_queue_depth" ] < 4
+    && Unix.gettimeofday () < give_up
+  do
+    Thread.delay 0.001
+  done;
+  Daemon.stop d;
+  let rec replies acc =
+    match input_line ic with
+    | r -> replies (r :: acc)
+    | exception (End_of_file | Sys_error _) -> List.rev acc
+  in
+  let replies = replies [] in
+  Daemon.wait d;
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ fd; sfd ];
+  let ok i r =
+    contains r (Printf.sprintf {|"id":"r%02d"|} i)
+    && contains r {|"status":"ok"|}
+  in
+  let refused r = contains r {|"error":"shutting down"|} in
+  let n_ok = List.length (List.filter (fun r -> not (refused r)) replies) in
+  List.iteri
+    (fun i r ->
+      check Alcotest.bool
+        (Printf.sprintf "reply %d in order" i)
+        true
+        (if i < n_ok then ok i r else refused r))
+    replies;
+  check Alcotest.bool
+    (Printf.sprintf "%d answered, %d refused" n_ok (List.length replies - n_ok))
+    true
+    (n_ok >= 5 && n_ok < List.length replies)
+
+(* Races fork onto the daemon's pool. Eight concurrent default races on
+   two workers all answer, and meanwhile the process never runs more
+   threads (a domain is one) than right after Daemon.start; a race with
+   a pool of its own would spawn a domain per racer. The thread count
+   is read from /proc/self/status, and that check is skipped where the
+   file is absent. *)
+let test_daemon_races_share_pool () =
+  let threads () =
+    match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
+    | exception Sys_error _ -> None
+    | status ->
+      List.find_map
+        (fun l ->
+          match String.split_on_char ':' l with
+          | [ "Threads"; n ] -> int_of_string_opt (String.trim n)
+          | _ -> None)
+        (String.split_on_char '\n' status)
+  in
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let d = Daemon.start (Service.create ()) ~socket ~jobs:2 () in
+  (* a new domain's helper thread may start a moment after the spawn *)
+  Thread.delay 0.1;
+  let base = threads () in
+  let peak = ref base in
+  let designs = [ "HAL"; "AR"; "EF"; "FIR"; "DCT"; "IIR"; "MM3"; "CONV" ] in
+  let conns =
+    List.map
+      (fun design ->
+        let ((_, _, oc) as conn) = connect socket in
+        send oc
+          (Printf.sprintf {|{"id":%S,"design":%S,"effort":"race"}|} design design);
+        conn)
+      designs
+  in
+  let replies = Hashtbl.create 8 in
+  let give_up = Unix.gettimeofday () +. 60. in
+  while Hashtbl.length replies < 8 && Unix.gettimeofday () < give_up do
+    peak := max !peak (threads ());
+    let waiting =
+      List.filter_map
+        (fun (fd, _, _) -> if Hashtbl.mem replies fd then None else Some fd)
+        conns
+    in
+    let ready, _, _ = Unix.select waiting [] [] 0.001 in
+    List.iter
+      (fun (fd, ic, _) ->
+        if List.mem fd ready then Hashtbl.replace replies fd (input_line ic))
+      conns
+  done;
+  Daemon.stop d;
+  Daemon.wait d;
+  List.iter2
+    (fun design (fd, _, _) ->
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      match Hashtbl.find_opt replies fd with
+      | None -> Alcotest.failf "the %s race did not answer" design
+      | Some r ->
+        check Alcotest.bool (design ^ " race answers ok") true
+          (contains r (Printf.sprintf {|"id":%S|} design)
+          && contains r {|"status":"ok"|}
+          && contains r {|"engine":|}))
+    designs conns;
+  match (base, !peak) with
+  | Some base, Some peak ->
+    check Alcotest.bool
+      (Printf.sprintf "threads stay at %d (peak %d)" base peak)
+      true (peak <= base)
+  | _ -> ()
+
+(* A line past the 8 MiB limit is refused through a reply slot, behind
+   the replies its connection still owes: the request sent before it (a
+   half-second fdls race on 400 vertices) is answered first. *)
+let test_daemon_too_long_keeps_order () =
+  let socket = Filename.temp_file "softsched" ".sock" in
+  let d = Daemon.start (Service.create ()) ~socket ~jobs:1 () in
+  let g =
+    Generate.layered (Random.State.make [| 1 |]) ~layers:40 ~width:10 ~fanin:2
+  in
+  let fd, ic, oc = connect socket in
+  send oc
+    (Json.to_string ~minify:true
+       (Json.Obj
+          [
+            ("id", Json.str "first");
+            ("dfg", Json.str (Serial.to_string g));
+            ("effort", Json.str "race");
+            ("engines", Json.Arr [ Json.str "fdls" ]);
+            ("deadline_ms", Json.int 500);
+          ]));
+  (* no newline: the daemon refuses the line and stops reading *)
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  let writer =
+    Thread.create
+      (fun () ->
+        try
+          output_string oc (String.make (9 * 1024 * 1024) 'x');
+          flush oc
+        with Sys_error _ -> ())
+      ()
+  in
+  let first = input_line ic in
+  let second = input_line ic in
+  Thread.join writer;
+  Sys.set_signal Sys.sigpipe previous;
+  Daemon.stop d;
+  Daemon.wait d;
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  check Alcotest.bool "the earlier request first" true
+    (contains first {|"id":"first"|} && contains first {|"status":"ok"|});
+  check Alcotest.bool "then the refusal" true
+    (contains second "request line too long")
 
 (* The stats interface, pinned. A burst of a graph, its exact repeat, a
    renamed copy, a bad .dfg and a race of the graph goes through one
@@ -1783,7 +1963,7 @@ let test_single_flight () =
   let pool = Pool.create ~jobs:4 () in
   let futs =
     List.init 8 (fun i ->
-        Pool.submit pool (fun () ->
+        Pool.fork ~pool (fun () ->
             run_request service (inline_request (if i mod 2 = 0 then text else renamed))))
   in
   let answers = List.map (fun f -> match Pool.await f with Ok a -> a | Error e -> raise e) futs in
@@ -1816,7 +1996,7 @@ let test_single_flight_deadline () =
     | Error m -> Alcotest.fail m
   in
   let pool = Pool.create ~jobs:1 () in
-  let leader = Pool.submit pool (fun () -> run_request service (inline_request text)) in
+  let leader = Pool.fork ~pool (fun () -> run_request service (inline_request text)) in
   (* the leader counts its miss as it starts computing *)
   while (paths service).Metrics.misses = 0 do
     Unix.sleepf 0.001
@@ -2187,6 +2367,8 @@ let () =
             test_pool_exception_captured;
           Alcotest.test_case "cancel and drain" `Quick
             test_pool_cancel_and_drain;
+          Alcotest.test_case "fork after drain" `Quick
+            test_pool_fork_after_drain;
           Alcotest.test_case "parallel hammer" `Quick test_pool_parallel_hammer;
           Alcotest.test_case "offer backpressure" `Quick
             test_pool_offer_backpressure;
@@ -2262,6 +2444,12 @@ let () =
           Alcotest.test_case "error replies keep ids" `Quick
             test_error_replies_keep_ids;
           Alcotest.test_case "batch bytes" `Quick test_daemon_batch_bytes;
+          Alcotest.test_case "races add no domains" `Quick
+            test_daemon_races_share_pool;
+          Alcotest.test_case "too-long line keeps order" `Quick
+            test_daemon_too_long_keeps_order;
+          Alcotest.test_case "drain answers paused lines" `Quick
+            test_daemon_drain_paused;
         ] );
       ( "metrics",
         [
