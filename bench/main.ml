@@ -68,7 +68,7 @@ let write_json file =
           [
             ("suite", Json.str "softsched");
             ("schema_version", Json.int bench_schema_version);
-            ("git", Json.str (Qor.Report.git_describe ()));
+            ("git", Json.str Stamp.git);
             ("results", Json.Arr (List.map row rows));
           ]));
   output_char oc '\n';

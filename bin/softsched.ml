@@ -30,7 +30,7 @@ let known_designs () =
   String.concat ", "
     (List.map (fun (e : Hls_bench.Suite.entry) -> e.name) Hls_bench.Suite.all)
 
-let graph_of_spec spec =
+let load_design spec =
   match Hls_bench.Suite.find spec with
   | entry -> entry.Hls_bench.Suite.build ()
   | exception Not_found ->
@@ -53,6 +53,16 @@ let graph_of_spec spec =
            "unknown design %S: expected a benchmark name (%s) or a path to a \
             .beh/.dfg file"
            spec (known_designs ()))
+
+(* A design the resources cannot execute is refused as it is loaded,
+   like a malformed one. *)
+let executable ~resources name g =
+  match Hard.Resources.check resources g with
+  | Ok () -> g
+  | Error m -> failwith (name ^ ": " ^ m)
+
+let graph_of_spec ~resources spec =
+  executable ~resources spec (load_design spec)
 
 let design_arg =
   let doc =
@@ -248,7 +258,7 @@ let parse_portfolio spec =
 
 let run_schedule design resources meta_s engine race seed tel =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = graph_of_spec ~resources design in
   (* a bad meta name is a usage error, not an engine's Invalid_argument *)
   let (_ : Soft.Meta.t) = meta_of_name ~resources meta_s in
   let o =
@@ -373,7 +383,7 @@ let table_cmd =
 
 let run_dot design with_schedule resources tel =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = graph_of_spec ~resources design in
   if with_schedule then begin
     let s, _ =
       Tel_cli.run tel
@@ -405,15 +415,15 @@ let dot_cmd =
 (* verilog, sim and vliw bind each operation to its operands: a vertex
    with another operand count than its operation's arity is an error in
    the design, reported before anything is bound. *)
-let bindable_graph_of_spec design =
-  let g = graph_of_spec design in
+let bindable_graph_of_spec ~resources design =
+  let g = graph_of_spec ~resources design in
   match Dfg.Eval.check g with
   | Ok () -> g
   | Error m -> failwith (design ^ ": " ^ m)
 
 let run_verilog design resources meta_s tel =
   term_of_failure @@ fun () ->
-  let g = bindable_graph_of_spec design in
+  let g = bindable_graph_of_spec ~resources design in
   let meta = meta_of_name ~resources meta_s in
   let state =
     Tel_cli.run tel
@@ -436,7 +446,7 @@ let verilog_cmd =
 
 let run_sim design resources inputs vcd_path testbench tel =
   term_of_failure @@ fun () ->
-  let g = bindable_graph_of_spec design in
+  let g = bindable_graph_of_spec ~resources design in
   let env =
     List.map
       (fun kv ->
@@ -516,7 +526,7 @@ let sim_cmd =
 
 let run_map design resources =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = graph_of_spec ~resources design in
   let before = Soft.Scheduler.csteps ~resources g in
   let result = Techmap.Mapper.schedule_driven ~resources g in
   Printf.printf "fused cells: %d\n" (List.length result.Techmap.Mapper.accepted);
@@ -547,6 +557,7 @@ let run_retime workload resources =
     | "pipeline" -> Retime.Workloads.pipeline ~stages:5 ~slack_registers:2
     | other -> failwith (Printf.sprintf "unknown workload %S (ring|correlator|pipeline)" other)
   in
+  ignore (executable ~resources workload (Modulo.Loop_graph.body g));
   let o = Retime.Retimer.constrained ~resources g in
   Printf.printf
     "combinational period: %d -> %d\nscheduled csteps:     %d -> %d\nlag: %s\n"
@@ -568,7 +579,7 @@ let retime_cmd =
 
 let run_vliw design resources =
   term_of_failure @@ fun () ->
-  let g = bindable_graph_of_spec design in
+  let g = bindable_graph_of_spec ~resources design in
   let state = Soft.Scheduler.run ~resources g in
   let binding = Rtl.Binding.of_state state in
   let prog = Vliw.Emit.run binding in
@@ -592,9 +603,8 @@ let run_report design resources meta_s audit json_path =
   term_of_failure @@ fun () ->
   let meta = meta_of_name ~resources meta_s in
   let report =
-    Qor.Flow.run ?audit_rate:audit ~meta ~tool_version:Version.version
-      ~resources ~design
-      ~build:(fun () -> graph_of_spec design)
+    Qor.Flow.run ?audit_rate:audit ~meta ~resources ~design
+      ~build:(fun () -> graph_of_spec ~resources design)
       ()
   in
   print_string (Qor.Report.summary report);
@@ -687,7 +697,7 @@ let diff_cmd =
 
 let run_selfcheck design resources =
   term_of_failure @@ fun () ->
-  let g = graph_of_spec design in
+  let g = graph_of_spec ~resources design in
   let failures = ref 0 in
   let report label = function
     | Ok () -> Printf.printf "  ok    %s\n" label
@@ -1129,8 +1139,7 @@ let run_modulo design resources budget unroll json_path =
   match json_path with
   | Some path ->
     let report =
-      Qor.Loop_flow.run ?budget ~tool_version:Version.version ~resources
-        ~design
+      Qor.Loop_flow.run ?budget ~resources ~design
         ~build:(fun () -> loop_of_spec design)
         ()
     in
@@ -1192,7 +1201,7 @@ let () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let doc = "soft (threaded) scheduling for high level synthesis" in
-  let info = Cmd.info "softsched" ~version:Version.version ~doc in
+  let info = Cmd.info "softsched" ~version:Stamp.version ~doc in
   let group =
     Cmd.group info
       [ schedule_cmd; table_cmd; dot_cmd; verilog_cmd; sim_cmd;

@@ -56,7 +56,11 @@ let count_operations g =
       | _ -> acc + 1)
     0 g
 
-let run ?(control_overhead = 1) ~resources cfg =
+(* Cycles a control transfer costs: the FSM registers the branch
+   condition and switches states. *)
+let control_overhead = 1
+
+let run ~resources cfg =
   let live = Cfg.live_sets cfg in
   let n = Cfg.n_blocks cfg in
   let block_csteps = Array.make n 0 in
@@ -103,7 +107,7 @@ type comparison = {
   blocks : int;
 }
 
-let shortest_path ?(control_overhead = 1) cfg (block_csteps : int array) =
+let shortest_path cfg (block_csteps : int array) =
   let n = Cfg.n_blocks cfg in
   let memo = Array.make n None in
   let rec shortest id =
@@ -124,17 +128,16 @@ let shortest_path ?(control_overhead = 1) cfg (block_csteps : int array) =
   in
   shortest 0
 
-let versus_if_conversion ?(control_overhead = 1) ~resources ast =
+let versus_if_conversion ~resources ast =
   let superblock = Lower.run (Ssa.of_ast ast) in
   let superblock_csteps =
     Schedule.length (Scheduler.run_to_schedule ~resources superblock)
   in
   let cfg = Cfg.of_ast ast in
-  let report = run ~control_overhead ~resources cfg in
+  let report = run ~resources cfg in
   {
     superblock_csteps;
     multi_block_worst = report.worst_case_latency;
-    multi_block_best =
-      shortest_path ~control_overhead cfg report.block_csteps;
+    multi_block_best = shortest_path cfg report.block_csteps;
     blocks = report.n_blocks;
   }

@@ -6,8 +6,8 @@ open Import
     Each basic block becomes a little behavioral program whose inputs
     and outputs are its live-in/live-out sets; the threaded scheduler
     runs on its lowered dataflow graph under the shared resource
-    configuration. Control transfers cost [control_overhead] cycles
-    (the FSM must register the branch condition and switch states). *)
+    configuration. A control transfer costs one cycle (the FSM must
+    register the branch condition and switch states). *)
 
 type report = {
   block_csteps : int array;  (** per block id *)
@@ -17,10 +17,9 @@ type report = {
   total_operations : int;  (** real ops across all block DFGs *)
 }
 
-val run :
-  ?control_overhead:int -> resources:Resources.t -> Cfg.t -> report
-(** Default [control_overhead = 1]. Every per-block schedule is checked
-    against the resources before the report is assembled. *)
+val run : resources:Resources.t -> Cfg.t -> report
+(** Every per-block schedule is checked against the resources before
+    the report is assembled. *)
 
 type comparison = {
   superblock_csteps : int;  (** if-converted single block *)
@@ -29,7 +28,6 @@ type comparison = {
   blocks : int;
 }
 
-val versus_if_conversion :
-  ?control_overhead:int -> resources:Resources.t -> Ast.program -> comparison
+val versus_if_conversion : resources:Resources.t -> Ast.program -> comparison
 (** The ablation: the same behavior scheduled as one speculating super
     block (phis as selects) vs as branching basic blocks. *)

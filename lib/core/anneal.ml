@@ -18,8 +18,10 @@ let evaluate ~tie ~resources g order =
 
 let ties = [| `First; `Balance; `Pack |]
 
-let run ?(seed = 0) ?(iterations = 400) ?deadline ?(init_temp = 2.0)
-    ?(cooling = 0.985) ~resources g =
+let init_temp = 2.0
+let cooling = 0.985
+
+let run ?(seed = 0) ?(iterations = 400) ?deadline ~resources g =
   let n = Graph.n_vertices g in
   let rng = Random.State.make [| seed; 0x50f7; n |] in
   let order = Array.of_list (Meta.topological g) in

@@ -25,12 +25,12 @@ type outcome = {
 }
 
 val run :
-  ?seed:int -> ?iterations:int -> ?deadline:float -> ?init_temp:float ->
-  ?cooling:float -> resources:Resources.t -> Graph.t -> outcome
+  ?seed:int -> ?iterations:int -> ?deadline:float ->
+  resources:Resources.t -> Graph.t -> outcome
 (** Starts from the topological order with the [`First] tie-break (so
     the result is never worse than {!Scheduler.run}'s default),
     proposes [iterations] moves (default 400) with geometric cooling
-    ([init_temp] 2.0, [cooling] 0.985), and returns the best
+    (temperature 2.0, factor 0.985 per move), and returns the best
     (order, tie) visited. [deadline] is an absolute instant on the
     [Unix.gettimeofday] scale: once passed, the walk stops after the
     current evaluation. Deterministic given [seed] (default 0) when the

@@ -88,10 +88,10 @@ exception Stopped
 
 type result = { schedule : Schedule.t; stopped : bool }
 
-(* One attempt at a fixed deadline. Returns starts or raises
-   Infeasible when some operation misses its latest start, or Stopped
-   when [should_stop] fires (polled once per control step). *)
-let attempt ~should_stop ~resources ~deadline g =
+(* One fill at a fixed deadline. Returns starts or raises Infeasible
+   when some operation misses its latest start, or Stopped when
+   [should_stop] fires (polled once per control step). *)
+let fill ~should_stop ~resources ~deadline g =
   let n = Graph.n_vertices g in
   let pinned = Array.make n None in
   let all_classes = [ Resources.Alu; Resources.Multiplier; Resources.Memory ] in
@@ -179,24 +179,46 @@ let attempt ~should_stop ~resources ~deadline g =
   if !n_pinned < n then raise Infeasible;
   Array.map (function Some s -> s | None -> 0) pinned
 
+let attempt ~resources ~deadline g =
+  match fill ~should_stop:(fun () -> false) ~resources ~deadline g with
+  | starts -> Some starts
+  | exception Infeasible -> None
+
+(* Where the deadline search can first succeed. A fill pins every
+   operation at a start no later than its deadline D, and no cycle
+   holds more than u busy operations of a class with u units; an
+   operation of delay d started by D is done by D + d. So a class whose
+   operations' delays sum to W, the longest being d_max, fits its W
+   busy cycles into u·(D + d_max) unit-cycles only if
+   D >= ceil(W / u) - d_max. A fill at a deadline below any of these
+   bounds raises Infeasible, so a search that starts at the largest of
+   them and the critical path finds the deadline, and the schedule,
+   that a search from the critical path finds. *)
+let lower_bound ~resources g =
+  List.fold_left
+    (fun acc (cls, units) ->
+      let work = ref 0 and longest = ref 0 in
+      Graph.iter_vertices
+        (fun v ->
+          let d = Graph.delay g v in
+          if d > 0 && Resources.can_execute cls (Graph.op g v) then begin
+            work := !work + d;
+            longest := max !longest d
+          end)
+        g;
+      max acc (((!work + units - 1) / units) - !longest))
+    (Paths.diameter g) (Resources.classes resources)
+
 let run ?(should_stop = fun () -> false) ~resources g =
-  Graph.iter_vertices
-    (fun v ->
-      match Resources.class_of_op (Graph.op g v) with
-      | Some cls when Resources.count resources cls = 0 && Graph.delay g v > 0
-        ->
-        invalid_arg
-          (Printf.sprintf "Fdls: %s needs a %s but none is configured"
-             (Graph.name g v)
-             (Resources.class_name cls))
-      | Some _ | None -> ())
-    g;
-  let lower = Paths.diameter g in
+  (match Resources.check resources g with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("Fdls: " ^ m));
+  let lower = lower_bound ~resources g in
   (* every attempt keeps per-cycle distribution graphs *)
   if lower > Schedule.cycle_cap then
     failwith
-      (Printf.sprintf
-         "Fdls: critical path of %d control steps is past the cycle cap of %d"
+      (Printf.sprintf "Fdls: %s of %d control steps is past the cycle cap of %d"
+         (if lower = Paths.diameter g then "critical path" else "resource bound")
          lower Schedule.cycle_cap);
   (* generous upper bound: serialise everything *)
   let upper = Graph.total_delay g + 1 in
@@ -204,7 +226,7 @@ let run ?(should_stop = fun () -> false) ~resources g =
     if deadline > upper then
       failwith "Fdls.run: no feasible deadline found (bug)"
     else
-      match attempt ~should_stop ~resources ~deadline g with
+      match fill ~should_stop ~resources ~deadline g with
       | starts -> { schedule = Schedule.make g ~starts; stopped = false }
       | exception Infeasible -> search (deadline + 1)
       | exception Stopped ->

@@ -19,11 +19,19 @@ type result = {
 
 val run :
   ?should_stop:(unit -> bool) -> resources:Resources.t -> Graph.t -> result
-(** Searches deadlines upward from the critical path until the force-
-    guided fill succeeds; the result is precedence- and resource-valid
-    (checked by the test suite). [should_stop] (a race deadline) is
-    polled once per control step of each attempt; when it fires, the
-    search is abandoned for {!List_sched.run}'s schedule and [stopped]
-    is set. @raise Invalid_argument if some operation's class has no
-    units. @raise Failure, naming both, on a critical path longer than
-    {!Schedule.cycle_cap}. *)
+(** Searches deadlines upward until the force-guided fill succeeds
+    ({!attempt}); the result is precedence- and resource-valid (checked
+    by the test suite). The search starts at the larger of the critical
+    path and every unit class's bound: no fill at a deadline below
+    either can succeed. [should_stop] (a race deadline) is polled once
+    per control step of each attempt; when it fires, the search is
+    abandoned for {!List_sched.run}'s schedule and [stopped] is set.
+    @raise Invalid_argument if some operation's class has no units
+    ({!Resources.check}). @raise Failure, naming both, when the search
+    would start past {!Schedule.cycle_cap}. *)
+
+val attempt :
+  resources:Resources.t -> deadline:int -> Graph.t -> int array option
+(** One force-guided fill with every start at most [deadline]: the
+    starts, or [None] when some operation would miss its latest
+    start. *)

@@ -2,16 +2,9 @@ open Import
 
 (* Shared engine: returns start times and the dispatch order. *)
 let engine ~resources g =
-  Graph.iter_vertices
-    (fun v ->
-      match Resources.class_of_op (Graph.op g v) with
-      | Some cls when Resources.count resources cls = 0 && Graph.delay g v > 0 ->
-        invalid_arg
-          (Printf.sprintf "List_sched: %s needs a %s but none is configured"
-             (Graph.name g v)
-             (Resources.class_name cls))
-      | Some _ | None -> ())
-    g;
+  (match Resources.check resources g with
+  | Ok () -> ()
+  | Error m -> invalid_arg ("List_sched: " ^ m));
   let n = Graph.n_vertices g in
   (* Priority: sink distance (Definition 1), the classic heuristic. *)
   let prio = Paths.sink_distances g in

@@ -52,6 +52,21 @@ let class_name = function
   | Multiplier -> "mul"
   | Memory -> "mem"
 
+let check t g =
+  let rec from v =
+    if v = Graph.n_vertices g then Ok ()
+    else
+      match class_of_op (Graph.op g v) with
+      | Some cls when count t cls = 0 && Graph.delay g v > 0 ->
+        Error
+          (Printf.sprintf "%s (%s) needs a %s unit but none is configured"
+             (Graph.name g v)
+             (Op.to_string (Graph.op g v))
+             (class_name cls))
+      | Some _ | None -> from (v + 1)
+  in
+  from 0
+
 let to_string t =
   String.concat ", "
     (List.map

@@ -34,6 +34,12 @@ val can_execute : fu_class -> Op.t -> bool
 
 val class_name : fu_class -> string
 
+val check : t -> Graph.t -> (unit, string) result
+(** Can the configuration execute the graph? An operation with a unit
+    class and a positive delay needs one unit of that class. [Error]
+    names the first operation (by id) that has none, its op and the
+    class, e.g. ["m2 (mul) needs a mul unit but none is configured"]. *)
+
 val to_string : t -> string
 (** Paper-style, e.g. ["2 alu, 1 mul"]. *)
 

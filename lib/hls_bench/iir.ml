@@ -1,7 +1,8 @@
 open Import
 
-let graph ?(sections = 2) () =
-  if sections < 1 then invalid_arg "Iir.graph: need at least one section";
+let sections = 2
+
+let graph () =
   let g = Graph.create () in
   let input name = Graph.add_vertex g ~name (Op.Input name) in
   let binop name op l r =
@@ -39,10 +40,9 @@ let n_alu_ops = 8
    being inputs and become genuine recurrences — distance-1 and
    distance-2 reads of each section's own [w]. The critical recurrence
    cycle is [w -> m1 -> s1 -> w] (1 + 2 + 1 cycles of delay over
-   distance 1), so RecMII = 4; with the default 2 sections the ten
-   two-cycle multiplies make ResMII = 10 under 2 multipliers. *)
-let loop ?(sections = 2) () =
-  if sections < 1 then invalid_arg "Iir.loop: need at least one section";
+   distance 1), so RecMII = 4; with 2 sections the ten two-cycle
+   multiplies make ResMII = 10 under 2 multipliers. *)
+let loop () =
   let g = Loop_graph.create () in
   let input name = Loop_graph.add_vertex g ~name (Op.Input name) in
   let binop name op (l, dl) (r, dr) =

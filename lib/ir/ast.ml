@@ -57,25 +57,6 @@ let binop_symbol = function
   | Shl -> "<<"
   | Shr -> ">>"
 
-let assigned_variables body =
-  let seen = Hashtbl.create 16 in
-  let order = ref [] in
-  let note x =
-    if not (Hashtbl.mem seen x) then begin
-      Hashtbl.replace seen x ();
-      order := x :: !order
-    end
-  in
-  let rec walk = function
-    | Assign (x, _) -> note x
-    | If (_, then_block, else_block) ->
-      List.iter walk then_block;
-      List.iter walk else_block
-    | Repeat (_, body) -> List.iter walk body
-  in
-  List.iter walk body;
-  List.rev !order
-
 let rec free_vars = function
   | Int _ -> []
   | Var x -> [ x ]

@@ -53,10 +53,6 @@ type program = {
 val op_of_binop : binop -> Dfg.Op.t
 val binop_symbol : binop -> string
 
-val assigned_variables : stmt list -> string list
-(** Every variable assigned anywhere in the block, without duplicates,
-    in first-assignment order. *)
-
 val validate : program -> (unit, string) result
 (** Static checks: no assignment to an input, every output assigned,
     every variable read after it is defined (inputs count as defined;

@@ -255,14 +255,7 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | _ -> None
 
-let member_exn key v =
-  match member key v with
-  | Some x -> x
-  | None -> raise (Parse_error (Printf.sprintf "missing field %S" key))
-
 let to_num = function Num f -> Some f | _ -> None
-let to_str = function Str s -> Some s | _ -> None
-let to_arr = function Arr l -> Some l | _ -> None
 
 let num f = Num f
 let int i = Num (float_of_int i)

@@ -37,12 +37,7 @@ val to_string : ?minify:bool -> t -> string
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)
 
-val member_exn : string -> t -> t
-(** @raise Parse_error if the field is absent or [t] is not an object. *)
-
 val to_num : t -> float option
-val to_str : t -> string option
-val to_arr : t -> t list option
 
 val num : float -> t
 (** {!Num}, as a function (handy in folds). *)

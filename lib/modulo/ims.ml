@@ -245,28 +245,15 @@ let try_ii g ~resources ~ii ~budget =
   in
   loop budget
 
-let run ?budget ?max_ii ~resources g =
+let run ?budget ~resources g =
   match Loop_graph.well_formed g with
   | Error m -> Error ("Ims.run: " ^ m)
   | Ok () -> (
     let n = Loop_graph.n_vertices g in
-    (* unit availability: same contract as List_sched *)
-    let missing = ref None in
-    Loop_graph.iter_vertices
-      (fun v ->
-        if occupies g v && !missing = None then
-          match Resources.class_of_op (Loop_graph.op g v) with
-          | Some c when Resources.count resources c = 0 ->
-            missing :=
-              Some
-                (Printf.sprintf
-                   "Ims.run: %s needs a %s unit but the configuration has none"
-                   (Loop_graph.name g v) (Resources.class_name c))
-          | _ -> ())
-      g;
-    match !missing with
-    | Some m -> Error m
-    | None ->
+    let body = Loop_graph.body g in
+    match Resources.check resources body with
+    | Error m -> Error ("Ims.run: " ^ m)
+    | Ok () ->
       if n = 0 then
         Ok
           ( Mschedule.make g ~ii:1 ~starts:[||],
@@ -278,17 +265,24 @@ let run ?budget ?max_ii ~resources g =
         let res_mii = Mii.res_mii ~resources g in
         let rec_mii = Mii.rec_mii g in
         let mii = max res_mii rec_mii in
+        (* every candidate II gets a reservation table of II slots *)
+        if mii > Schedule.cycle_cap then
+          failwith
+            (Printf.sprintf
+               "Ims.run: minimum initiation interval of %d cycles is past the \
+                cycle cap of %d"
+               mii Schedule.cycle_cap);
         let budget = match budget with Some b -> b | None -> max 128 (8 * n) in
         (* the serial fallback: one iteration at a time; II = its
            length satisfies every recurrence (distance >= 1 buys a
            whole iteration of slack) and its reservation table is the
-           schedule's own per-cycle usage *)
-        let serial = List_sched.run ~resources (Loop_graph.body g) in
+           schedule's own per-cycle usage; searching past it is
+           pointless *)
+        let serial = List_sched.run ~resources body in
         let serial_ii = max 1 (Schedule.length serial) in
-        let max_ii = match max_ii with Some m -> m | None -> serial_ii in
         let placements = ref 0 and evictions = ref 0 and tried = ref 0 in
         let rec search ii =
-          if ii > max_ii then begin
+          if ii > serial_ii then begin
             let starts =
               Array.init n (fun v -> Schedule.start serial v)
             in

@@ -12,11 +12,12 @@ open Import
     feasible start, scanning [II] consecutive slots of the modulo
     reservation table. When no slot fits, the operation is forced in
     and the conflicting occupants (lowest height first) plus any
-    now-violated successors are evicted. If every candidate up to
-    [max_ii] exhausts its budget, the serial fallback — the loop body
-    list-scheduled, II = its length — is returned; it is always valid,
-    so {!run} only fails on an unschedulable kernel (a needed unit
-    class with zero units, or a zero-distance cycle). *)
+    now-violated successors are evicted. If every candidate up to the
+    serial fallback's II exhausts its budget, the serial fallback — the
+    loop body list-scheduled, II = its length — is returned; it is
+    always valid, so {!run} only fails on an unschedulable kernel (a
+    needed unit class with zero units, or a zero-distance cycle) or an
+    MII past the cycle cap. *)
 
 type stats = {
   mii : int;  (** the bound the search started from *)
@@ -31,12 +32,14 @@ type stats = {
 
 val run :
   ?budget:int ->
-  ?max_ii:int ->
   resources:Resources.t ->
   Loop_graph.t ->
   (Mschedule.t * stats, string) result
 (** [budget] is the per-candidate-II placement allowance, default
-    [max 128 (8 * n_vertices)]. [max_ii] caps the search, default
-    the serial fallback length (searching past it is pointless).
+    [max 128 (8 * n_vertices)]. The search stops at the serial
+    fallback's length (searching past it is pointless).
     The result passes [Mschedule.check ~resources] by construction;
-    determinism: same kernel, same resources, same schedule. *)
+    determinism: same kernel, same resources, same schedule. [Error]
+    on an ill-formed kernel or one the resources cannot execute
+    ({!Resources.check}). @raise Failure, naming both, when the MII is
+    past {!Schedule.cycle_cap}. *)

@@ -24,7 +24,7 @@ let mean = function
   | [] -> 0.0
   | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
 
-let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
+let run ?audit_rate ?(meta = Soft.Meta.topological) ~resources
     ~design ~build () =
   let reg = M.create () in
   let counters = Telemetry.Counters.create () in
@@ -274,7 +274,7 @@ let run ?audit_rate ?(meta = Soft.Meta.topological) ?tool_version ~resources
               M.metric_i ~units:"bool" ~direction:M.Higher_better
                 "program_valid" valid;
             ] )));
-  Report.make ?tool_version
+  Report.make
     ?audit:(Option.map Audit.summary auditor)
     ~design
     ~resources:(Hard.Resources.to_string resources)

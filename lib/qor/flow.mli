@@ -18,9 +18,8 @@ val phases : string list
     which the schema tests pin down. *)
 
 val run :
-  ?audit_rate:int -> ?meta:Soft.Meta.t -> ?tool_version:string ->
-  resources:Hard.Resources.t -> design:string ->
-  build:(unit -> Dfg.Graph.t) -> unit -> Report.t
+  ?audit_rate:int -> ?meta:Soft.Meta.t -> resources:Hard.Resources.t ->
+  design:string -> build:(unit -> Dfg.Graph.t) -> unit -> Report.t
 (** [audit_rate] enables the invariant auditor ([1] = check every
     commit); [meta] defaults to {!Soft.Meta.topological}. [build] is
     called inside the [lower] span, and once more to hand technology

@@ -8,7 +8,7 @@ module M = Metrics
 let phases = [ "loop_lower"; "mii"; "modulo_schedule"; "verify" ]
 let unroll_iterations = 3
 
-let run ?budget ?tool_version ~resources ~design ~build () =
+let run ?budget ~resources ~design ~build () =
   let reg = M.create () in
   let counters = Telemetry.Counters.create () in
   let span name f = M.with_span ~counters reg name f in
@@ -99,6 +99,6 @@ let run ?budget ?tool_version ~resources ~design ~build () =
           M.metric_i ~units:"cycles" "unrolled_csteps"
             (Hard.Schedule.length unrolled);
         ] ));
-  Report.make ?tool_version ~design
+  Report.make ~design
     ~resources:(Hard.Resources.to_string resources)
     (M.spans reg)

@@ -29,8 +29,7 @@ val unroll_iterations : int
     state, epilogue all appear). *)
 
 val run :
-  ?budget:int -> ?tool_version:string ->
-  resources:Hard.Resources.t -> design:string ->
+  ?budget:int -> resources:Hard.Resources.t -> design:string ->
   build:(unit -> Modulo.Loop_graph.t) -> unit -> Report.t
 (** [budget] forwards to {!Modulo.Ims.run}. @raise Invalid_argument
     when the kernel is ill-formed or needs a unit class the

@@ -45,11 +45,15 @@ let counter_deltas ~(before : Telemetry.Counters.snapshot)
         (k, va -. vb))
     a
 
-(* [quick_stat]'s minor count moves only at a minor collection (and
-   5.1's [Gc.counters] reads the live minor heap at an eighth). *)
+(* Minor words from [Gc.minor_words]: 5.1's [Gc.counters] reads the
+   live minor heap at an eighth. Major and promoted words from
+   [Gc.counters], which count major allocations not yet folded in by a
+   major slice: [quick_stat]'s major words lag its promoted words, so a
+   minor collection inside a span took its promoted words off the
+   span's count. *)
 let allocated_words () =
-  let s = Gc.quick_stat () in
-  Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let with_span ?counters t phase f =
   let before = Option.map Telemetry.Counters.snapshot counters in

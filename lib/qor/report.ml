@@ -15,23 +15,8 @@ type t = {
   audit : Audit.summary option;
 }
 
-(* --- git stamp ------------------------------------------------------ *)
-
-let git_describe () =
-  match
-    let ic =
-      Unix.open_process_in "git describe --always --dirty 2>/dev/null"
-    in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> Some line
-    | _ -> None
-  with
-  | Some line -> line
-  | None | (exception _) -> "unknown"
-
-let make ?(tool_version = "dev") ?git ?audit ~design ~resources spans =
-  let git = match git with Some g -> g | None -> git_describe () in
+let make ?audit ~design ~resources spans =
+  let tool_version = Stamp.version and git = Stamp.git in
   { design; resources; tool_version; git; spans; audit }
 
 (* --- serialisation -------------------------------------------------- *)

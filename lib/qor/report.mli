@@ -39,10 +39,10 @@ type t = {
 }
 
 val make :
-  ?tool_version:string -> ?git:string -> ?audit:Audit.summary ->
-  design:string -> resources:string -> Metrics.span list -> t
-(** [tool_version] defaults to ["dev"]; [git] defaults to
-    {!git_describe}[ ()]. *)
+  ?audit:Audit.summary -> design:string -> resources:string ->
+  Metrics.span list -> t
+(** Stamped with the build that runs it: [tool_version] is
+    {!Stamp.version} and [git] is {!Stamp.git}. *)
 
 val to_json : t -> Json.t
 val to_string : t -> string
@@ -62,7 +62,3 @@ val load : string -> (t, string) result
 val summary : t -> string
 (** Human-readable digest: one line per phase with wall time, allocation
     and headline metrics, then the audit verdict. *)
-
-val git_describe : unit -> string
-(** [git describe --always --dirty], or ["unknown"] when git or the
-    repository is unavailable. Never raises. *)

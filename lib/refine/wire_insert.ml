@@ -41,8 +41,8 @@ type comparison = {
   pessimistic_csteps : int;
 }
 
-let compare_strategies ~resources ~meta ?(model = Floorplan.default_model)
-    graph =
+let compare_strategies ~resources ~meta graph =
+  let model = Floorplan.default_model in
   let g = Graph.copy graph in
   let state = Scheduler.run ~meta ~resources g in
   let original_csteps = Schedule.length (Threaded_graph.to_schedule state) in

@@ -30,9 +30,8 @@ type comparison = {
 }
 
 val compare_strategies :
-  resources:Resources.t -> meta:Meta.t -> ?model:Floorplan.delay_model ->
-  Graph.t -> comparison
-(** Full experiment on a fresh copy of [graph]: schedule ignoring
-    wires, place, then (a) refine softly with actual delays and (b)
-    rebuild a schedule where every cross-unit edge carries the worst-
-    case delay. *)
+  resources:Resources.t -> meta:Meta.t -> Graph.t -> comparison
+(** Full experiment on a fresh copy of [graph] under
+    {!Floorplan.default_model}: schedule ignoring wires, place, then
+    (a) refine softly with actual delays and (b) rebuild a schedule
+    where every cross-unit edge carries the worst-case delay. *)

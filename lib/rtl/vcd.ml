@@ -23,7 +23,7 @@ let of_run ?(module_name = "design") binding ~env =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
   line "$date generated by softsched $end";
-  line "$version softsched 1.0.0 $end";
+  line "$version softsched %s $end" Stamp.version;
   line "$timescale 1 ns $end";
   line "$scope module %s $end" module_name;
   (* signal table: registers, memory slots, output ports *)

@@ -9,8 +9,8 @@
    one atomic tick clock, and eviction removes the minimum-tick node
    across all shards. Observable behaviour (which entry an over-
    capacity add evicts, the fold_mru order, the persistence format) is
-   therefore identical to the old single-mutex cache — the QCheck
-   oracle in test_serve holds the sharded cache to exactly that.
+   therefore that of a single LRU — the QCheck oracle in test_serve
+   holds the cache to exactly that.
 
    The cache counts its evictions and nothing else: hits and misses are
    the service's to count, once per request, in its metrics plane. *)
@@ -41,23 +41,22 @@ type 'a t = {
 
 type stats = { length : int; capacity : int; evictions : int; shards : int }
 
-let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+(* A power of two, so the shard is the key's hash masked. *)
+let n_shards = 16
 
-let create ?(shards = 16) ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Cache.create: non-positive capacity";
-  if shards <= 0 then invalid_arg "Cache.create: non-positive shards";
-  let n = pow2_at_least shards 1 in
   let mk () =
     {
       lock = Mutex.create ();
-      table = Hashtbl.create (min (max 16 (capacity / n)) 1024);
+      table = Hashtbl.create (min (max 16 (capacity / n_shards)) 1024);
       mru = None;
       lru = None;
     }
   in
   {
-    shards = Array.init n (fun _ -> mk ());
-    mask = n - 1;
+    shards = Array.init n_shards (fun _ -> mk ());
+    mask = n_shards - 1;
     capacity;
     clock = Atomic.make 0;
     size = Atomic.make 0;

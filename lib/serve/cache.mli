@@ -1,15 +1,14 @@
 (** Sharded, thread-safe LRU memo of fingerprint key → schedule result.
 
-    The table is split across power-of-two shards selected by the key's
-    leading hash digits; each shard pairs a hash table with an
-    intrusive recency list behind its own mutex, so concurrent warm
-    lookups for different keys proceed in parallel. Recency and
-    capacity are {e global}: every touch is stamped from one atomic
-    clock and eviction removes the globally least-recent entry, so the
-    observable behaviour (which lookups find their entry, evictions,
-    {!fold_mru} order, the persistence format) is exactly that of a
-    single LRU — the sharded and single-mutex caches are
-    QCheck-equivalent by test.
+    The table is split across 16 shards selected by the key's leading
+    hash digits; each shard pairs a hash table with an intrusive
+    recency list behind its own mutex, so concurrent warm lookups for
+    different keys proceed in parallel. Recency and capacity are
+    {e global}: every touch is stamped from one atomic clock and
+    eviction removes the globally least-recent entry, so the observable
+    behaviour (which lookups find their entry, evictions, {!fold_mru}
+    order, the persistence format) is exactly that of a single LRU — a
+    QCheck property holds the cache to an LRU model.
 
     The cache only caches: it counts its evictions, but whether a
     request was a hit or a miss is the caller's to count (the service
@@ -25,12 +24,9 @@ type stats = {
   shards : int;
 }
 
-val create : ?shards:int -> capacity:int -> unit -> 'a t
-(** [capacity] is the global entry budget (not per shard). [shards]
-    defaults to 16 and is rounded up to a power of two; [~shards:1]
-    reproduces the old single-mutex cache exactly.
-    @raise Invalid_argument on a non-positive capacity or shard
-    count. *)
+val create : capacity:int -> unit -> 'a t
+(** [capacity] is the global entry budget (not per shard).
+    @raise Invalid_argument on a non-positive capacity. *)
 
 val find_if :
   'a t -> string -> ('a -> bool) -> [ `Hit of 'a | `Rejected | `Absent ]

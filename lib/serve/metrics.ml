@@ -412,9 +412,7 @@ let to_prometheus ~(cache : Cache.stats) t =
       counter "softsched_requests_degraded_total"
         "Requests whose deadline overran (fast-placed tail)." t.degraded;
       counter "softsched_busy_turnaways_total"
-        "Connections turned away at the connection cap, and requests \
-         answered busy because the pool queue was full."
-        t.busy_turnaways;
+        "Connections turned away at the connection cap." t.busy_turnaways;
       counter "softsched_slow_requests_total"
         "Requests over the slow-log threshold." t.slow;
       counter "softsched_races_total" "Engine races run." t.races;

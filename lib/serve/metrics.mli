@@ -19,7 +19,7 @@
 
 (** Per-request phase timings in nanoseconds. Each layer fills in its
     own phase as the request passes through ({!Service.respond}: parse,
-    queue wait, emit, total; {!Service.execute}: cache lookup,
+    queue wait, emit, total; the cache step inside it: cache lookup,
     schedule), then {!Service.respond} hands the span to {!record}
     exactly once. *)
 type span = {

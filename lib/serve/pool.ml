@@ -86,21 +86,15 @@ let worker pool =
   in
   loop ()
 
-let create ?queue_cap ~jobs () =
+let create ~jobs () =
   if jobs <= 0 then invalid_arg "Pool.create: non-positive jobs";
-  let queue_cap =
-    match queue_cap with
-    | Some c when c <= 0 -> invalid_arg "Pool.create: non-positive queue_cap"
-    | Some c -> c
-    | None -> 4 * jobs
-  in
   let pool =
     {
       lock = Mutex.create ();
       not_empty = Condition.create ();
       queue = Queue.create ();
       waiting = Atomic.make 0;
-      queue_cap;
+      queue_cap = 4 * jobs;
       workers = [];
       draining = false;
     }

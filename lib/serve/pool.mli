@@ -18,20 +18,19 @@ val backend : string
 
 val default_jobs : unit -> int
 (** Detected core count (≥ 1): [Domain.recommended_domain_count] on
-    5.x, [/proc/cpuinfo] / [getconf] on 4.14 — the CLI's default for
+    5.x, [/proc/cpuinfo] on 4.14 — the CLI's default for
     [--jobs]. *)
 
-val create : ?queue_cap:int -> jobs:int -> unit -> t
-(** [jobs] workers; [queue_cap] (the bound {!offer} checks) defaults to
-    [4 * jobs]. @raise Invalid_argument on non-positive sizes. *)
+val create : jobs:int -> unit -> t
+(** [jobs] workers. @raise Invalid_argument on non-positive [jobs]. *)
 
 val fork : ?pool:t -> (unit -> 'a) -> 'a future
-(** Queue a job on [pool]'s workers, past [queue_cap] too. Without a
+(** Queue a job on [pool]'s workers, past {!offer}'s bound too. Without a
     pool, or on a draining one, the job runs only when its future is
     {!run_here} or {!await}ed. *)
 
 val offer : t -> (unit -> 'a) -> [ `Draining | `Full | `Future of 'a future ]
-(** Non-blocking admission: [`Full] while [queue_cap] jobs wait
+(** Non-blocking admission: [`Full] while [4 * jobs] jobs wait
     unclaimed (forked ones included), [`Draining] during shutdown. *)
 
 val run_here : 'a future -> unit

@@ -19,5 +19,4 @@ val name : string
 
 val default_jobs : unit -> int
 (** Detected core count: [Domain.recommended_domain_count] on 5.x;
-    [/proc/cpuinfo] (then [getconf _NPROCESSORS_ONLN], then 1) on
-    4.14. Always at least 1. *)
+    [/proc/cpuinfo] (else 1) on 4.14. Always at least 1. *)

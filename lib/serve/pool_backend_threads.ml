@@ -11,7 +11,7 @@ let join = Thread.join
 let name = "threads"
 
 (* No Domain.recommended_domain_count before 5.0: count processor
-   entries in /proc/cpuinfo, fall back to getconf, then to 1. *)
+   entries in /proc/cpuinfo, else 1 (--jobs sets it explicitly). *)
 let cores_from_proc () =
   match open_in "/proc/cpuinfo" with
   | exception Sys_error _ -> None
@@ -29,20 +29,4 @@ let cores_from_proc () =
     close_in ic;
     if !n > 0 then Some !n else None
 
-let cores_from_getconf () =
-  match Unix.open_process_in "getconf _NPROCESSORS_ONLN 2>/dev/null" with
-  | exception _ -> None
-  | ic ->
-    let line = try Some (input_line ic) with End_of_file -> None in
-    let status = Unix.close_process_in ic in
-    (match (status, line) with
-    | Unix.WEXITED 0, Some l -> int_of_string_opt (String.trim l)
-    | _ -> None)
-
-let default_jobs () =
-  let n =
-    match cores_from_proc () with
-    | Some n -> n
-    | None -> ( match cores_from_getconf () with Some n -> n | None -> 1)
-  in
-  max 1 n
+let default_jobs () = Option.value ~default:1 (cores_from_proc ())

@@ -210,7 +210,7 @@ let await_turn t = function
 
 (* -- request -> graph ------------------------------------------------- *)
 
-let build_graph spec =
+let load_spec spec =
   match spec with
   | Protocol.Named n -> (
     match Suite.find n with
@@ -226,6 +226,12 @@ let build_graph spec =
   | Protocol.Inline_beh text -> (
     try Ok (Ir.Lower.of_source text)
     with e -> Error (Printf.sprintf "bad source: %s" (Printexc.to_string e)))
+
+(* A graph the request's resources cannot execute is refused before it
+   is fingerprinted or memoized. *)
+let build_graph (req : Protocol.request) =
+  Result.bind (load_spec req.spec) (fun g ->
+      Result.map (fun () -> g) (Resources.check req.resources g))
 
 (* Effort variants of one design are distinct cache entries: the fast
    key is the bare fingerprint key (so persisted caches from before the
@@ -265,7 +271,7 @@ let prepare t (req : Protocol.request) =
   match Memo.find t.memo payload with
   | Some key -> Ok { req; key; payload; graph = None }
   | None -> (
-    match build_graph req.spec with
+    match build_graph req with
     | Error _ as e -> e
     | Ok g ->
       let key, canon =
@@ -281,7 +287,7 @@ let with_graph p =
   match p.graph with
   | Some _ -> p
   | None -> (
-    match build_graph p.req.Protocol.spec with
+    match build_graph p.req with
     | Ok g -> { p with graph = Some (g, Fingerprint.canon g) }
     | Error m -> failwith m)
 
@@ -456,20 +462,13 @@ let compute ?pool ?deadline t (p : prepared) =
   o
 
 (* [turn], if given, is released once [p] has taken its place: found
-   its entry, or led or joined the computation of its key. *)
-let run ?pool ?deadline ?span ?turn t (p : prepared) =
+   its entry, or led or joined the computation of its key. [span]
+   accumulates the cache-lookup and schedule phases; a wait for a
+   computation in flight counts as schedule. *)
+let run ?pool ?deadline ~(span : Metrics.span) ?turn t (p : prepared) =
   let now = Telemetry.now_ns in
-  let add_span f =
-    match span with
-    | None -> fun _ -> ()
-    | Some sp -> fun ns -> f sp ns
-  in
-  let add_lookup =
-    add_span (fun (sp : Metrics.span) ns -> sp.lookup_ns <- sp.lookup_ns + ns)
-  in
-  let add_schedule =
-    add_span (fun (sp : Metrics.span) ns -> sp.schedule_ns <- sp.schedule_ns + ns)
-  in
+  let add_lookup ns = span.lookup_ns <- span.lookup_ns + ns in
+  let add_schedule ns = span.schedule_ns <- span.schedule_ns + ns in
   let t0 = now () in
   let lookup p = Cache.find_if t.cache p.key (certifies p) in
   let found, p =
@@ -556,7 +555,8 @@ let run ?pool ?deadline ?span ?turn t (p : prepared) =
       fresh ()
     | Error _ -> fresh ())
 
-let execute ?pool ?deadline ?span t p = run ?pool ?deadline ?span t p
+let execute ?pool ?deadline t p =
+  run ?pool ?deadline ~span:(Metrics.span ()) t p
 
 (* -- one request line, end to end ------------------------------------- *)
 

@@ -58,8 +58,10 @@ type prepared
 val prepare : t -> Protocol.request -> (prepared, string) result
 (** Digest the payload; if the memo knows it, that is the whole job (a
     digest hit: no graph is built). Otherwise resolve the spec
-    (registry lookup / parse / lower), validate, and compute the cache
-    key and the certificate in one fingerprint pass. *)
+    (registry lookup / parse / lower), validate (a DAG the request's
+    resources can execute: {!Resources.check}'s message is the error),
+    and compute the cache key and the certificate in one fingerprint
+    pass. *)
 
 type outcome
 (** A {!Protocol.result} plus memoized renderings of its response core
@@ -78,19 +80,16 @@ val line :
     on [result_of], but reuses the memoized core. *)
 
 val execute :
-  ?pool:Pool.t -> ?deadline:float -> ?span:Metrics.span -> t -> prepared ->
-  outcome * bool
+  ?pool:Pool.t -> ?deadline:float -> t -> prepared -> outcome * bool
 (** Returns [(outcome, cached)]. A race forks its racers onto [pool],
     the one the caller runs on ({!Race.run}). [deadline] is an absolute
     [Unix.gettimeofday] instant: once it passes, the remaining
     operations are fast-placed (first feasible position — still a valid
     threaded schedule, marked [degraded]) instead of diameter-optimised.
-    [span] (if given) accumulates the cache-lookup and schedule phase
-    durations (a wait for a computation in flight counts as schedule);
-    timing never changes the result. A request joins a computation in
-    flight only when that computation's deadline is no later than
-    [deadline] (none counts as infinite); otherwise it computes its own
-    result. May raise (scheduler errors, a reply that fails validation,
+    A request joins a computation in flight only when that
+    computation's deadline is no later than [deadline] (none counts as
+    infinite); otherwise it computes its own result. May raise
+    (scheduler errors, a reply that fails validation,
     evicted-and-unbuildable specs). *)
 
 type turn

@@ -46,7 +46,8 @@ let match_at g cell root =
       }
   | exception No -> None
 
-let all_matches ?(library = Cell.default_library) g =
+let all_matches g =
   List.concat_map
-    (fun v -> List.filter_map (fun cell -> match_at g cell v) library)
+    (fun v ->
+      List.filter_map (fun cell -> match_at g cell v) Cell.default_library)
     (Topo.sort g)

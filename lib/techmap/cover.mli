@@ -18,7 +18,7 @@ val match_at : Graph.t -> Cell.t -> Graph.vertex -> match_ option
     Internal (non-root) pattern vertices must feed only their pattern
     parent — fusing them must not steal a value someone else reads. *)
 
-val all_matches : ?library:Cell.t list -> Graph.t -> match_ list
-(** Every match of every library cell, roots in topological order;
-    overlapping matches are all reported (selection is the mapper's
-    job). Default library: {!Cell.default_library}. *)
+val all_matches : Graph.t -> match_ list
+(** Every match of every cell of {!Cell.default_library}, roots in
+    topological order; overlapping matches are all reported (selection
+    is the mapper's job). *)

@@ -95,7 +95,7 @@ let apply_matches g matches =
       |> List.sort compare;
   }
 
-let greedy ?library g =
+let greedy g =
   let used = Hashtbl.create 16 in
   let accepted =
     List.filter
@@ -106,15 +106,15 @@ let greedy ?library g =
           List.iter (fun v -> Hashtbl.replace used v ()) fp;
           true
         end)
-      (Cover.all_matches ?library g)
+      (Cover.all_matches g)
   in
   apply_matches g accepted
 
 let csteps ~resources result =
   Schedule.length (Scheduler.run_to_schedule ~resources result.mapped)
 
-let schedule_driven ?library ~resources g =
-  let candidates = Cover.all_matches ?library g in
+let schedule_driven ~resources g =
+  let candidates = Cover.all_matches g in
   let evaluate matches =
     csteps ~resources (apply_matches g matches)
   in

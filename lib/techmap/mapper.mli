@@ -23,12 +23,11 @@ val apply_matches : Graph.t -> Cover.match_ list -> result
 (** Build the mapped graph for a set of non-overlapping matches.
     @raise Invalid_argument if two matches share a vertex. *)
 
-val greedy : ?library:Cell.t list -> Graph.t -> result
+val greedy : Graph.t -> result
 (** Structure-only baseline: accept matches in topological order of
     their roots whenever they do not overlap earlier acceptances. *)
 
-val schedule_driven :
-  ?library:Cell.t list -> resources:Resources.t -> Graph.t -> result
+val schedule_driven : resources:Resources.t -> Graph.t -> result
 (** The kernel-driven mapper: a candidate is accepted only if the
     threaded schedule of the resulting graph is no longer than without
     it. Polynomial: one threaded scheduling run per candidate. *)

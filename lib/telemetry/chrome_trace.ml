@@ -9,8 +9,7 @@
    Perfetto plots them over the run. Load the file in chrome://tracing
    or https://ui.perfetto.dev. *)
 
-let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
-    (events : Events.timed list) =
+let to_string ?(tracks = []) (events : Events.timed list) =
   let free_tid =
     let max_tid =
       List.fold_left
@@ -45,7 +44,7 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
         ("args", Json.Obj [ (series, Json.int value) ]);
       ]
   in
-  meta ~name:"process_name" ~tid:0 ~value:process_name;
+  meta ~name:"process_name" ~tid:0 ~value:"softsched scheduler";
   List.iter (fun (tid, name) -> meta ~name:"thread_name" ~tid ~value:name) tracks;
   if not (List.mem_assoc free_tid tracks) then
     meta ~name:"thread_name" ~tid:free_tid ~value:"free (zero-resource)";
@@ -113,8 +112,8 @@ let to_string ?(process_name = "softsched scheduler") ?(tracks = [])
        ])
   ^ "\n"
 
-let write ?process_name ?tracks ~path events =
+let write ?tracks ~path events =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string ?process_name ?tracks events))
+    (fun () -> output_string oc (to_string ?tracks events))

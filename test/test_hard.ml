@@ -131,12 +131,12 @@ let test_schedule_gantt () =
 
 let test_asap_alap () =
   let g, a, m, b = chain3 () in
-  let asap = Hard.Asap.run g in
+  let asap = S.make g ~starts:(Paths.asap_starts g) in
   check Alcotest.int "asap length = diameter" (Paths.diameter g)
     (S.length asap);
   check Alcotest.int "asap a" 0 (S.start asap a);
   check Alcotest.int "asap b" 3 (S.start asap b);
-  let alap = Hard.Alap.run ~deadline:6 g in
+  let alap = S.make g ~starts:(Paths.alap_starts g ~deadline:6) in
   check Alcotest.int "alap b" 5 (S.start alap b);
   check Alcotest.int "alap m" 3 (S.start alap m);
   check Alcotest.bool "alap valid" true (S.check alap = Ok ())
@@ -284,6 +284,43 @@ let test_fdls_unschedulable () =
      ignore (Hard.Fdls.run ~resources:(R.make [ (R.Alu, 1) ]) g);
      Alcotest.fail "expected Invalid_argument"
    with Invalid_argument _ -> ())
+
+(* The search [Fdls.run] replaced, kept as its oracle: every deadline
+   upward from the critical path until a fill succeeds. *)
+let fdls_from_critical_path ~resources g =
+  let rec search deadline =
+    match Hard.Fdls.attempt ~resources ~deadline g with
+    | Some starts -> starts
+    | None -> search (deadline + 1)
+  in
+  search (Paths.diameter g)
+
+let fdls_as_oracle ~resources g =
+  S.starts (Hard.Fdls.run ~resources g).Hard.Fdls.schedule
+  = fdls_from_critical_path ~resources g
+
+let test_fdls_oracle_on_benchmarks () =
+  List.iter
+    (fun (e : Hls_bench.Suite.entry) ->
+      List.iter
+        (fun (label, r) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s/%s as from the critical path" e.name label)
+            true
+            (fdls_as_oracle ~resources:r (e.build ())))
+        R.fig3_all)
+    Hls_bench.Suite.all
+
+(* One unit of each class besides the Figure 3 sets, so the class bound
+   often starts the search above the critical path. *)
+let prop_fdls_oracle =
+  QCheck.Test.make ~name:"FDLS equals the search from the critical path"
+    ~count:100 seeded_dag (fun spec ->
+      let g = graph_of spec in
+      List.for_all
+        (fun r -> fdls_as_oracle ~resources:r g)
+        (R.make [ (R.Alu, 1); (R.Multiplier, 1); (R.Memory, 1) ]
+        :: List.map snd R.fig3_all))
 
 (* --- External stops (a race deadline) -------------------------------- *)
 
@@ -621,6 +658,8 @@ let () =
           Alcotest.test_case "competitive" `Quick
             test_fdls_competitive_with_list;
           Alcotest.test_case "unschedulable" `Quick test_fdls_unschedulable;
+          Alcotest.test_case "as from the critical path" `Quick
+            test_fdls_oracle_on_benchmarks;
         ] );
       ( "external stops",
         [
@@ -644,6 +683,6 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_list_sched_valid; prop_fdls_valid;
+          [ prop_list_sched_valid; prop_fdls_valid; prop_fdls_oracle;
             prop_exact_not_worse_than_list; prop_sweep_matches_per_cycle ] );
     ]

@@ -348,6 +348,25 @@ let test_ims_errors () =
       (String.length m > 0)
   | Ok _ -> Alcotest.fail "expected Error: mul needed, none configured")
 
+(* The largest chain a .dfg accepts (total delay 2^53 - 1): its MII is
+   past the cycle cap, where one reservation table would not fit in
+   memory, so the search is refused before its first II, naming both. *)
+let test_ims_past_the_cap () =
+  let g =
+    L.of_dag
+      (Dfg.Serial.of_string
+         "vertex a mul 9007199254740989\nvertex b mul 1\nvertex c add\nedge a b\nedge b c\n")
+  in
+  let message =
+    Printf.sprintf
+      "Ims.run: minimum initiation interval of 4503599627370495 cycles is \
+       past the cycle cap of %d"
+      Hard.Schedule.cycle_cap
+  in
+  match Ims.run ~resources:two_two g with
+  | exception Failure m -> check Alcotest.string "refused" message m
+  | _ -> Alcotest.fail "ims should refuse an MII past the cap"
+
 let test_ims_trivial_and_fallback () =
   (* empty kernel *)
   (match Ims.run ~resources:two_two (L.create ()) with
@@ -355,9 +374,10 @@ let test_ims_trivial_and_fallback () =
     check Alcotest.int "empty kernel II 1" 1 ms.MS.ii;
     check Alcotest.bool "no fallback" false st.Ims.serial_fallback
   | Error m -> Alcotest.fail m);
-  (* max_ii below MII forces the serial fallback, which is still valid *)
+  (* a zero placement budget fails every II and forces the serial
+     fallback, which is still valid *)
   let g = Hls_bench.Fir.loop () in
-  match Ims.run ~max_ii:1 ~resources:two_two g with
+  match Ims.run ~budget:0 ~resources:two_two g with
   | Ok (ms, st) ->
     check Alcotest.bool "fallback used" true st.Ims.serial_fallback;
     check Alcotest.bool "fallback is valid" true
@@ -497,6 +517,7 @@ let () =
             test_ims_textbook_kernels;
           Alcotest.test_case "deterministic" `Quick test_ims_deterministic;
           Alcotest.test_case "errors" `Quick test_ims_errors;
+          Alcotest.test_case "MII past the cap" `Quick test_ims_past_the_cap;
           Alcotest.test_case "trivial + fallback" `Quick
             test_ims_trivial_and_fallback;
           Alcotest.test_case "budget starvation" `Quick

@@ -9,7 +9,7 @@ let resources = Hard.Resources.fig3_2alu_2mul
 let build name () = (Hls_bench.Suite.find name).Hls_bench.Suite.build ()
 
 let run ?audit_rate name =
-  Qor.Flow.run ?audit_rate ~tool_version:"test" ~resources ~design:name
+  Qor.Flow.run ?audit_rate ~resources ~design:name
     ~build:(build name) ()
 
 (* --- Json ----------------------------------------------------------- *)
@@ -165,6 +165,22 @@ let test_report_schema () =
     | Ok r -> check Alcotest.bool "round-trip is QoR-identical" true
                 (Qor.Diff.ok r && r.Qor.Diff.regressions = []
                 && r.Qor.Diff.improvements = [])
+
+(* A report names the build that ran it, wherever it runs: the same
+   stamp with the working directory inside the checkout and outside
+   any. *)
+let test_report_stamp () =
+  let here = Sys.getcwd () in
+  let inside = run "HAL" in
+  Sys.chdir (Filename.get_temp_dir_name ());
+  let outside =
+    Fun.protect ~finally:(fun () -> Sys.chdir here) (fun () -> run "HAL")
+  in
+  check Alcotest.string "same git stamp" inside.Qor.Report.git
+    outside.Qor.Report.git;
+  check Alcotest.string "the build's git stamp" Stamp.git outside.Qor.Report.git;
+  check Alcotest.string "the build's version" Stamp.version
+    outside.Qor.Report.tool_version
 
 let test_report_rejects_foreign () =
   let reject s =
@@ -351,6 +367,7 @@ let () =
             test_report_schema;
           Alcotest.test_case "rejects foreign files" `Quick
             test_report_rejects_foreign;
+          Alcotest.test_case "stamp from the build" `Quick test_report_stamp;
         ] );
       ( "diff gate",
         [

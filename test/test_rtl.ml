@@ -384,6 +384,10 @@ let test_vcd_structure () =
   let env = [ ("x", 2); ("y", 3); ("u", 4); ("dx", 5); ("a", 10) ] in
   let vcd = Rtl.Vcd.of_run binding ~env in
   check Alcotest.bool "header" true (contains ~needle:"$timescale" vcd);
+  check Alcotest.bool "version of the build" true
+    (contains
+       ~needle:(Printf.sprintf "$version softsched %s $end" Stamp.version)
+       vcd);
   check Alcotest.bool "enddefinitions" true
     (contains ~needle:"$enddefinitions" vcd);
   check Alcotest.bool "registers declared" true

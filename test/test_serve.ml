@@ -220,9 +220,8 @@ let test_cache_telemetry_counters () =
    pure reference model (mru-first assoc list) and the sharded cache
    replay one random interleaved find/add trace and must agree on every
    find result, the eviction count, the length and the final recency
-   order — for any shard count, any capacity, and keys both
-   hex-prefixed (the shard fast path) and not (the Hashtbl.hash
-   fallback). *)
+   order — for any capacity, and keys both hex-prefixed (the shard
+   fast path) and not (the Hashtbl.hash fallback). *)
 module Lru_model = struct
   type t = {
     capacity : int;
@@ -262,8 +261,8 @@ let cache_trace_arb =
       if tag = 0 then return (C_find k)
       else map (fun v -> C_add (k, v)) (int_range 0 99))
   in
-  let print_ops (shards, cap, ops) =
-    Printf.sprintf "shards=%d cap=%d %s" shards cap
+  let print_ops (cap, ops) =
+    Printf.sprintf "cap=%d %s" cap
       (String.concat ";"
          (List.map
             (function
@@ -273,14 +272,13 @@ let cache_trace_arb =
   in
   ( keys,
     QCheck.make ~print:print_ops
-      QCheck.Gen.(
-        triple (oneofl [ 1; 2; 4; 8 ]) (int_range 1 5) (list_size (int_range 1 60) op)) )
+      QCheck.Gen.(pair (int_range 1 5) (list_size (int_range 1 60) op)) )
 
 let prop_sharded_cache_oracle =
   let keys, arb = cache_trace_arb in
   QCheck.Test.make ~name:"sharded cache is observably a single LRU" ~count:300
-    arb (fun (shards, capacity, ops) ->
-      let c = Cache.create ~shards ~capacity () in
+    arb (fun (capacity, ops) ->
+      let c = Cache.create ~capacity () in
       let m = Lru_model.create capacity in
       List.iter
         (function
@@ -316,7 +314,7 @@ let prop_sharded_cache_oracle =
    are two steps). *)
 let test_cache_stats_snapshot_under_load () =
   let jobs = 4 in
-  let c = Cache.create ~shards:4 ~capacity:32 () in
+  let c = Cache.create ~capacity:32 () in
   let p = Pool.create ~jobs () in
   let finds = 2000 and adds = 2000 in
   let futs =
@@ -342,7 +340,7 @@ let test_cache_stats_snapshot_under_load () =
   let s = Cache.stats c in
   check Alcotest.bool "settled under capacity" true
     (s.Cache.length <= s.Cache.capacity);
-  check Alcotest.int "shards surfaced" 4 s.Cache.shards
+  check Alcotest.int "shards surfaced" 16 s.Cache.shards
 
 (* --- pool ------------------------------------------------------------ *)
 
@@ -366,7 +364,7 @@ let test_pool_exception_captured () =
   Pool.shutdown p
 
 let test_pool_cancel_and_drain () =
-  let p = Pool.create ~jobs:1 ~queue_cap:8 () in
+  let p = Pool.create ~jobs:1 () in
   let gate = Mutex.create () in
   let cond = Condition.create () in
   let release = ref false in
@@ -417,7 +415,7 @@ let test_pool_fork_after_drain () =
    increment must land, and shutdown must run everything already
    queued — drain exactness is what the daemon's SIGTERM relies on. *)
 let test_pool_parallel_hammer () =
-  let p = Pool.create ~jobs:4 ~queue_cap:64 () in
+  let p = Pool.create ~jobs:4 () in
   let hits = Atomic.make 0 in
   let n = 300 in
   let futs =
@@ -448,7 +446,7 @@ let test_pool_parallel_hammer () =
   List.iter (fun f -> ignore (Pool.await f)) futs2
 
 let test_pool_offer_backpressure () =
-  let p = Pool.create ~jobs:1 ~queue_cap:1 () in
+  let p = Pool.create ~jobs:1 () in
   let gate = Mutex.create () in
   let cond = Condition.create () in
   let release = ref false in
@@ -461,13 +459,16 @@ let test_pool_offer_backpressure () =
         Mutex.unlock gate)
   in
   Thread.delay 0.05 (* let the worker claim the blocker *);
-  (* One queue slot: the first offer is admitted, the second bounces. *)
-  (match Pool.offer p (fun () -> ()) with
-  | `Future _ -> ()
-  | `Full | `Draining -> Alcotest.fail "first offer should be admitted");
+  (* Four queue slots per worker: four offers are admitted, the fifth
+     bounces. *)
+  for i = 1 to 4 do
+    match Pool.offer p (fun () -> ()) with
+    | `Future _ -> ()
+    | `Full | `Draining -> Alcotest.failf "offer %d should be admitted" i
+  done;
   (match Pool.offer p (fun () -> ()) with
   | `Full -> ()
-  | `Future _ | `Draining -> Alcotest.fail "second offer should bounce Full");
+  | `Future _ | `Draining -> Alcotest.fail "fifth offer should bounce Full");
   Mutex.lock gate;
   release := true;
   Condition.broadcast cond;
@@ -1879,6 +1880,24 @@ let test_overflow_is_an_error () =
   check Alcotest.int "nothing scheduled" 0 (paths service).Metrics.misses;
   check Alcotest.int "nothing cached" 0 (Service.cache_stats service).Cache.length
 
+(* Resources without a class the design needs: a clean error reply that
+   names the operation, its op and the class, not an engine's
+   Invalid_argument; nothing is scheduled, cached or memoized. *)
+let test_missing_unit_is_an_error () =
+  let service = Service.create () in
+  let out =
+    Batch.run_lines service ~jobs:1 [ {|{"design":"HAL","resources":"2alu"}|} ]
+  in
+  let reply = List.hd out in
+  check Alcotest.bool "status error" true (contains reply {|"status":"error"|});
+  check Alcotest.bool "names the operation, its op and the class" true
+    (contains reply {|"error":"m1 (mul) needs a mul unit but none is configured"|});
+  check Alcotest.bool "no Invalid_argument" false
+    (contains reply "Invalid_argument");
+  check Alcotest.int "nothing scheduled" 0 (paths service).Metrics.misses;
+  check Alcotest.int "nothing cached" 0 (Service.cache_stats service).Cache.length;
+  check Alcotest.int "nothing memoized" 0 (fst (Service.memo service))
+
 let test_digest_paths () =
   let service = Service.create ~cache_capacity:2 () in
   let no_parse () = (paths service).Metrics.no_parse in
@@ -2420,6 +2439,8 @@ let () =
           Alcotest.test_case "remapped across calls" `Quick test_remap_across_calls;
           Alcotest.test_case "validator" `Quick test_validator;
           Alcotest.test_case "overflow is an error" `Quick test_overflow_is_an_error;
+          Alcotest.test_case "missing unit is an error" `Quick
+            test_missing_unit_is_an_error;
           Alcotest.test_case "digest paths and memo bound" `Quick test_digest_paths;
           Alcotest.test_case "single flight" `Quick test_single_flight;
           Alcotest.test_case "single flight deadline" `Quick
