@@ -72,9 +72,9 @@ let to_string = function
   | Load -> "ld"
   | Store -> "st"
   | Wire -> "wd"
-  | Const c -> Printf.sprintf "const(%d)" c
-  | Input s -> Printf.sprintf "in(%s)" s
-  | Output s -> Printf.sprintf "out(%s)" s
+  | Const c -> "const(" ^ string_of_int c ^ ")"
+  | Input s -> "in(" ^ s ^ ")"
+  | Output s -> "out(" ^ s ^ ")"
 
 let symbol = function
   | Add -> "+"

@@ -17,71 +17,100 @@ let to_string g =
     g;
   Buffer.contents buf
 
-(* One closure call per line, to [add_vertex] or [add_edge]: [of_string]
-   runs on every cache miss of the scheduling service. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
+(* [of_string] runs on every cache miss of the scheduling service, so
+   the text is scanned once, by index: a line's first five tokens are
+   enough to tell its form and its error apart, and they are kept as
+   offsets. Only the tokens a line is made of become strings: names,
+   ops and numerals. One closure call per line, to [add_vertex] or
+   [add_edge]. *)
 let read ~distances
     ~(add_vertex : ?delay:int -> ?name:string -> Op.t -> 'v)
     ~(add_edge : 'v -> 'v -> int -> unit) text =
-  let by_name = Hashtbl.create 32 in
+  let n = String.length text in
+  let by_name = Names.create (1 + (n / 32)) in
   let fail line msg = raise (Parse_error (Printf.sprintf "line %d: %s" line msg)) in
-  let lookup line name =
-    match Hashtbl.find_opt by_name name with
+  let first = Array.make 5 0 and last = Array.make 5 0 in
+  let token k = String.sub text first.(k) (last.(k) - first.(k)) in
+  let rec same k word i =
+    i = String.length word || (text.[first.(k) + i] = word.[i] && same k word (i + 1))
+  in
+  let is k word = last.(k) - first.(k) = String.length word && same k word 0 in
+  let lookup line k =
+    let name = token k in
+    match Names.find_opt by_name name with
     | Some v -> v
     | None -> fail line (Printf.sprintf "undeclared vertex %S" name)
   in
-  List.iteri
-    (fun index raw ->
-      let line = index + 1 in
-      let content =
-        match String.index_opt raw '#' with
-        | Some i -> String.sub raw 0 i
-        | None -> raw
+  let rec word j stop =
+    if j = stop then j
+    else match text.[j] with ' ' | '\t' | '\r' | '#' -> j | _ -> word (j + 1) stop
+  in
+  (* The tokens of [i, stop) up to a '#', separated by blanks, tabs and
+     CRs; their count, stopping at five. *)
+  let rec tokens i stop count =
+    if count = 5 || i = stop || text.[i] = '#' then count
+    else
+      match text.[i] with
+      | ' ' | '\t' | '\r' -> tokens (i + 1) stop count
+      | _ ->
+        let j = word i stop in
+        first.(count) <- i;
+        last.(count) <- j;
+        tokens j stop (count + 1)
+  in
+  let rec line_end i = if i = n || text.[i] = '\n' then i else line_end (i + 1) in
+  let rec lines line start =
+    let stop = line_end start in
+    (match tokens start stop 0 with
+    | 0 -> ()
+    | count when count >= 3 && is 0 "vertex" ->
+      let name = token 1 in
+      if Names.mem by_name name then
+        fail line (Printf.sprintf "duplicate vertex %S" name);
+      let op =
+        match Op.of_string (token 2) with
+        | Some op -> op
+        | None -> fail line (Printf.sprintf "unknown op %S" (token 2))
       in
-      let words =
-        List.filter (fun w -> w <> "") (String.split_on_char ' '
-          (String.map (function '\t' | '\r' -> ' ' | c -> c) content))
+      let delay =
+        if count = 3 then None
+        else if count > 4 then fail line "trailing tokens after delay"
+        else
+          match int_of_string_opt (token 3) with
+          | Some d when d >= 0 -> Some d
+          | Some _ -> fail line "negative delay"
+          | None -> fail line (Printf.sprintf "bad delay %S" (token 3))
       in
-      match words with
-      | [] -> ()
-      | "vertex" :: name :: op_text :: rest ->
-        if Hashtbl.mem by_name name then
-          fail line (Printf.sprintf "duplicate vertex %S" name);
-        let op =
-          match Op.of_string op_text with
-          | Some op -> op
-          | None -> fail line (Printf.sprintf "unknown op %S" op_text)
-        in
-        let delay =
-          match rest with
-          | [] -> None
-          | [ d ] ->
-            (match int_of_string_opt d with
-            | Some d when d >= 0 -> Some d
-            | Some _ -> fail line "negative delay"
-            | None -> fail line (Printf.sprintf "bad delay %S" d))
-          | _ -> fail line "trailing tokens after delay"
-        in
-        let v =
-          try add_vertex ?delay ~name op
-          with Invalid_argument _ ->
-            fail line "delay takes the total delay past 2^53 - 1"
-        in
-        Hashtbl.replace by_name name v
-      | "edge" :: src :: dst :: rest when distances || rest = [] ->
-        let u = lookup line src and v = lookup line dst in
-        let distance =
-          match rest with
-          | [] -> 0
-          | [ d ] ->
-            (match int_of_string_opt d with
-            | Some d when d >= 0 -> d
-            | Some _ -> fail line "negative distance"
-            | None -> fail line (Printf.sprintf "bad distance %S" d))
-          | _ -> fail line "trailing tokens after distance"
-        in
-        (try add_edge u v distance with Invalid_argument m -> fail line m)
-      | word :: _ -> fail line (Printf.sprintf "unknown directive %S" word))
-    (String.split_on_char '\n' text)
+      let v =
+        try add_vertex ?delay ~name op
+        with Invalid_argument _ ->
+          fail line "delay takes the total delay past 2^53 - 1"
+      in
+      Names.add by_name name v
+    | count when count >= 3 && (distances || count = 3) && is 0 "edge" ->
+      let u = lookup line 1 in
+      let v = lookup line 2 in
+      let distance =
+        if count = 3 then 0
+        else if count > 4 then fail line "trailing tokens after distance"
+        else
+          match int_of_string_opt (token 3) with
+          | Some d when d >= 0 -> d
+          | Some _ -> fail line "negative distance"
+          | None -> fail line (Printf.sprintf "bad distance %S" (token 3))
+      in
+      (try add_edge u v distance with Invalid_argument m -> fail line m)
+    | _ -> fail line (Printf.sprintf "unknown directive %S" (token 0)));
+    if stop < n then lines (line + 1) (stop + 1)
+  in
+  lines 1 0
 
 let of_string text =
   let g = Graph.create () in

@@ -24,77 +24,107 @@ let parse (s : string) : t =
   let n = String.length s in
   let pos = ref 0 in
   let fail m = raise (Parse_error (Printf.sprintf "%s at byte %d" m !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
   in
   let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected '%c'" c)
+    if at c then incr pos else fail (Printf.sprintf "expected '%c'" c)
   in
   let literal word value =
     String.iter expect word;
     value
   in
+  (* The 4 hex digits of a \u escape at [i] (as [int_of_string] reads
+     them), or [None]. *)
+  let u_code i = int_of_string_opt ("0x" ^ String.sub s i 4) in
+  (* Basic-multilingual-plane only; enough for our own output, which
+     never escapes beyond control characters. *)
+  let utf8_length code = if code < 0x80 then 1 else if code < 0x800 then 2 else 3 in
+  (* A string whose opening quote is behind [pos]. The first scan
+     checks every escape, failing where a byte-by-byte decoder would,
+     and counts the decoded bytes up to the closing quote. Without
+     escapes the string is then one [String.sub]; with them, the runs
+     between escapes are blitted into bytes of the counted length. *)
   let string_body () =
-    let b = Buffer.create 16 in
-    let rec go () =
+    let start = !pos in
+    let rec scan len =
       if !pos >= n then fail "unterminated string"
       else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'u' ->
-            advance ();
+        match String.unsafe_get s !pos with
+        | '"' -> len
+        | '\\' -> (
+          incr pos;
+          if !pos >= n then fail "bad escape";
+          match String.unsafe_get s !pos with
+          | 'u' ->
+            incr pos;
             if !pos + 4 > n then fail "truncated \\u escape";
-            let code =
-              match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
-              | Some c -> c
-              | None -> fail "bad \\u escape"
-            in
-            pos := !pos + 4;
-            (* Basic-multilingual-plane only; enough for our own output,
-               which never escapes beyond control characters. *)
-            if code < 0x80 then Buffer.add_char b (Char.chr code)
+            (match u_code !pos with
+            | Some code ->
+              pos := !pos + 4;
+              scan (len + utf8_length code)
+            | None -> fail "bad \\u escape")
+          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+            incr pos;
+            scan (len + 1)
+          | _ -> fail "bad escape")
+        | _ ->
+          incr pos;
+          scan (len + 1)
+    in
+    let len = scan 0 in
+    let stop = !pos in
+    incr pos;
+    if len = stop - start then String.sub s start len
+    else begin
+      let out = Bytes.create len in
+      let put o code = Bytes.unsafe_set out o (Char.unsafe_chr code) in
+      let rec next j = match String.unsafe_get s j with '"' | '\\' -> j | _ -> next (j + 1) in
+      let rec copy i o =
+        let j = next i in
+        Bytes.blit_string s i out o (j - i);
+        let o = o + (j - i) in
+        if j < stop then
+          match s.[j + 1] with
+          | 'u' ->
+            let code = Option.get (u_code (j + 2)) in
+            if code < 0x80 then put o code
             else if code < 0x800 then begin
-              Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
+              put o (0xC0 lor (code lsr 6));
+              put (o + 1) (0x80 lor (code land 0x3F))
             end
             else begin
-              Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-              Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-              Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-            end
-          | Some '"' -> Buffer.add_char b '"'; advance ()
-          | Some '\\' -> Buffer.add_char b '\\'; advance ()
-          | Some '/' -> Buffer.add_char b '/'; advance ()
-          | Some 'b' -> Buffer.add_char b '\b'; advance ()
-          | Some 'f' -> Buffer.add_char b '\012'; advance ()
-          | Some 'n' -> Buffer.add_char b '\n'; advance ()
-          | Some 'r' -> Buffer.add_char b '\r'; advance ()
-          | Some 't' -> Buffer.add_char b '\t'; advance ()
-          | _ -> fail "bad escape");
-          go ()
-        | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
+              put o (0xE0 lor (code lsr 12));
+              put (o + 1) (0x80 lor ((code lsr 6) land 0x3F));
+              put (o + 2) (0x80 lor (code land 0x3F))
+            end;
+            copy (j + 6) (o + utf8_length code)
+          | c ->
+            Bytes.set out o
+              (match c with
+              | 'b' -> '\b'
+              | 'f' -> '\012'
+              | 'n' -> '\n'
+              | 'r' -> '\r'
+              | 't' -> '\t'
+              | c -> c);
+            copy (j + 2) (o + 1)
+      in
+      copy start 0;
+      Bytes.unsafe_to_string out
+    end
   in
   let number () =
     let start = !pos in
     (* JSON grammar: an optional leading '-' only ('+' is not a number
        start), then digits/fraction/exponent *)
-    if !pos < n && s.[!pos] = '-' then advance ();
+    if at '-' then incr pos;
     if not (!pos < n && s.[!pos] >= '0' && s.[!pos] <= '9') then
       fail "bad number";
     let is_num_char = function
@@ -102,7 +132,7 @@ let parse (s : string) : t =
       | _ -> false
     in
     while !pos < n && is_num_char s.[!pos] do
-      advance ()
+      incr pos
     done;
     match float_of_string_opt (String.sub s start (!pos - start)) with
     | Some f -> Num f
@@ -110,66 +140,62 @@ let parse (s : string) : t =
   in
   let rec value depth =
     skip_ws ();
-    match peek () with
-    | Some ('{' | '[') when depth = max_depth ->
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | ('{' | '[') when depth = max_depth ->
       fail (Printf.sprintf "nesting deeper than %d levels" max_depth)
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          expect '"';
-          let key = string_body () in
-          skip_ws ();
-          expect ':';
-          let v = value (depth + 1) in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected ',' or '}'"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
+      else members depth []
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         Arr []
       end
-      else begin
-        let rec elements acc =
-          let v = value (depth + 1) in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected ',' or ']'"
-        in
-        elements []
-      end
-    | Some '"' ->
-      advance ();
+      else elements depth []
+    | '"' ->
+      incr pos;
       Str (string_body ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> number ()
-    | None -> fail "unexpected end of input"
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ -> number ()
+  and members depth acc =
+    skip_ws ();
+    expect '"';
+    let key = string_body () in
+    skip_ws ();
+    expect ':';
+    let v = value (depth + 1) in
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      members depth ((key, v) :: acc)
+    end
+    else if at '}' then begin
+      incr pos;
+      Obj (List.rev ((key, v) :: acc))
+    end
+    else fail "expected ',' or '}'"
+  and elements depth acc =
+    let v = value (depth + 1) in
+    skip_ws ();
+    if at ',' then begin
+      incr pos;
+      elements depth (v :: acc)
+    end
+    else if at ']' then begin
+      incr pos;
+      Arr (List.rev (v :: acc))
+    end
+    else fail "expected ',' or ']'"
   in
   let v = value 0 in
   skip_ws ();
@@ -181,29 +207,43 @@ let parse_result s =
 
 (* --- printing ------------------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
+(* A string in quotes, escaped. The runs between bytes that need an
+   escape go into the buffer whole, so a string with nothing to escape
+   is one blit. *)
+let add_string b s =
+  Buffer.add_char b '"';
+  let from = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | ('"' | '\\' | '\000' .. '\031') as c ->
+      Buffer.add_substring b s !from (i - !from);
+      from := i + 1;
+      (match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
       | '\r' -> Buffer.add_string b "\\r"
       | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+      | c ->
+        Buffer.add_string b "\\u00";
+        Buffer.add_char b "0123456789abcdef".[Char.code c lsr 4];
+        Buffer.add_char b "0123456789abcdef".[Char.code c land 0xF])
+    | _ -> ()
+  done;
+  Buffer.add_substring b s !from (String.length s - !from);
+  Buffer.add_char b '"'
 
-let number_to_string f =
+(* An integral value below 10^15 is an exact OCaml int; [string_of_int]
+   prints it as "%.0f" does, except -0. Anything else takes the
+   shortest of 12 and 17 significant digits that round-trips. *)
+let add_number b f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
+    Buffer.add_string b
+      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
   else
-    (* shortest representation that round-trips *)
     let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    Buffer.add_string b
+      (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
 
 let to_string ?(minify = false) v =
   let b = Buffer.create 1024 in
@@ -213,8 +253,8 @@ let to_string ?(minify = false) v =
   let rec go depth = function
     | Null -> Buffer.add_string b "null"
     | Bool x -> Buffer.add_string b (string_of_bool x)
-    | Num f -> Buffer.add_string b (number_to_string f)
-    | Str s -> Buffer.add_char b '"'; Buffer.add_string b (escape s); Buffer.add_char b '"'
+    | Num f -> add_number b f
+    | Str s -> add_string b s
     | Arr [] -> Buffer.add_string b "[]"
     | Arr items ->
       Buffer.add_char b '[';
@@ -236,9 +276,7 @@ let to_string ?(minify = false) v =
         (fun i (k, v) ->
           if i > 0 then begin Buffer.add_char b ','; newline () end;
           indent (depth + 1);
-          Buffer.add_char b '"';
-          Buffer.add_string b (escape k);
-          Buffer.add_char b '"';
+          add_string b k;
           Buffer.add_string b colon;
           go (depth + 1) v)
         fields;

@@ -31,8 +31,14 @@ val parse_result : string -> (t, string) result
 
 val to_string : ?minify:bool -> t -> string
 (** Serialises with two-space indentation ([minify] drops whitespace).
-    Numbers that hold integral values print without a decimal point;
-    other numbers print with enough digits to round-trip. *)
+    Integral numbers below 10{^15} in magnitude print as integers ([-0.]
+    as [-0]); other numbers print with the shorter of 12 and 17
+    significant digits that round-trips. Strings escape the quote, the
+    backslash, newline, carriage return and tab by name, other control
+    characters as [\u00xx], and nothing else. Printing is byte-for-byte
+    that of the earlier printer (per-string buffers and [Printf]),
+    which [test/test_oracles.ml] keeps as its oracle: replies, reports
+    and cache files are unchanged by it. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)
