@@ -314,8 +314,8 @@ let telemetry_linearity () =
     "(per call stays flat as |V| grows 256x: the scan starts at each\n\
     \ thread's feasibility window and examines feasible slots only, so\n\
     \ on these graphs it is constant per call, well inside Theorem 3's\n\
-    \ linear bound. The run time includes the O(V+E) telemetry summary\n\
-    \ after every call.)\n";
+    \ linear bound. The run time includes the telemetry summary after\n\
+    \ every call, which reads maintained figures in O(K).)\n";
   Printf.printf "\nLemma 7 audit: observed thread degrees vs the K bound\n";
   Printf.printf "%-4s %8s %8s %8s %10s\n" "BM" "K" "max in" "max out" "bound";
   List.iter

@@ -196,24 +196,25 @@ module Tel_cli = struct
         Hashtbl.replace counts name (i + 1);
         (k, Printf.sprintf "%s %d" name i))
 
-  (* Install a counting + recording sink around [f] when any telemetry
-     output was requested, then emit the requested artifacts.
-     [vertex] renders vertex ids; [tracks_of] names the trace tracks
-     from [f]'s result (the scheduling state knows its threads).
-     [log] receives the "wrote …" notes and the counter dump — batch
-     and serve point it at stderr, their stdout belongs to the
-     protocol. *)
+  (* Install a counting sink around [f] when any telemetry output was
+     requested, then emit the requested artifacts. The sink records the
+     events only when a trace file is written from them, so [--stats]
+     alone holds none in memory. [vertex] renders vertex ids;
+     [tracks_of] names the trace tracks from [f]'s result (the
+     scheduling state knows its threads). [log] receives the "wrote …"
+     notes and the counter dump — batch and serve point it at stderr,
+     their stdout belongs to the protocol. *)
   let run ?(log = stdout) o ~vertex ~tracks_of f =
     if not (active o) then f ()
     else begin
       let counters = Telemetry.Counters.create () in
       let recorder = Telemetry.Recorder.create () in
+      let count = Telemetry.Counters.sink counters in
       (* Locked: batch, serve and races feed it from several domains. *)
       let sink =
         Telemetry.locked
-          (Telemetry.tee
-             (Telemetry.Counters.sink counters)
-             (Telemetry.Recorder.sink recorder))
+          (if o.trace = None && o.text = None then count
+           else Telemetry.tee count (Telemetry.Recorder.sink recorder))
       in
       let result = Telemetry.with_sink sink f in
       let events = Telemetry.Recorder.events recorder in

@@ -15,7 +15,10 @@ let min (a : int) b = if a <= b then a else b
    [stale] says [tdist] must be recomputed before it is read.
    [above]/[below] prune the frontier walks and matter only while the
    vertex is unscheduled: [above] is set once it may have a scheduled
-   G-ancestor, [below] once it may have a scheduled G-descendant. *)
+   G-ancestor, [below] once it may have a scheduled G-descendant.
+   [in_deg]/[out_deg] are the vertex's thread degrees: its thread
+   neighbour on that side, plus its explicit preds/succs that live in a
+   thread (Lemma 7's observable; see [degree_in]). *)
 type node = {
   mutable scheduled : bool;
   mutable thread : int;
@@ -29,6 +32,8 @@ type node = {
   mutable stale : bool;
   mutable above : bool;
   mutable below : bool;
+  mutable in_deg : int;
+  mutable out_deg : int;
 }
 
 let fresh_node () =
@@ -45,6 +50,8 @@ let fresh_node () =
     stale = false;
     above = false;
     below = false;
+    in_deg = 0;
+    out_deg = 0;
   }
 
 module Vec = Dfg.Vec
@@ -76,10 +83,16 @@ module Tel = Telemetry
    [stack]. A vertex is marked iff its entry equals [stamp], so bumping
    the stamp clears every mark at once. The scratch is never shared
    with a [copy]: the naive scheduler interleaves a state with its
-   trials. *)
+   trials.
+
+   [edges] counts the state edges and [in_hist]/[out_hist] the vertices
+   of each thread degree, kept as the commit links and unlinks (see
+   [degree_in]), so the end-of-call summary reads them in O(K). *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
+  by_class : (Resources.fu_class * int list) list;
+      (* class -> its threads, ascending; shared by copies *)
   head : int array; (* thread -> first vertex or -1 *)
   tail : int array;
   nodes : node Vec.t;
@@ -87,6 +100,9 @@ type t = {
   mutable lat : int array;
   mutable ear : int array;
   mutable n_scheduled : int;
+  mutable edges : int;
+  mutable in_hist : int array;
+  mutable out_hist : int array;
   mutable gen : int;
   mutable diameter : int;
   mutable walked : int;
@@ -102,16 +118,21 @@ type t = {
 type position = { thread : int; after : Graph.vertex option }
 
 let create graph ~resources =
+  let per_class = Resources.classes resources in
   let classes =
-    Array.concat
-      (List.map
-         (fun (cls, n) -> Array.make n cls)
-         (Resources.classes resources))
+    Array.concat (List.map (fun (cls, n) -> Array.make n cls) per_class)
+  in
+  let by_class, _ =
+    List.fold_left
+      (fun (acc, first) (cls, n) ->
+        ((cls, List.init n (fun i -> first + i)) :: acc, first + n))
+      ([], 0) per_class
   in
   let width = max (Array.length classes) 1 in
   {
     graph;
     classes;
+    by_class;
     head = Array.make width (-1);
     tail = Array.make width (-1);
     nodes = Vec.create ~dummy:(fresh_node ()) ();
@@ -119,6 +140,9 @@ let create graph ~resources =
     lat = [||];
     ear = [||];
     n_scheduled = 0;
+    edges = 0;
+    in_hist = Array.make (width + 2) 0;
+    out_hist = Array.make (width + 2) 0;
     gen = Graph.generation graph;
     diameter = 0;
     walked = 0;
@@ -332,28 +356,6 @@ let state_graph t =
     (scheduled_vertices t);
   g
 
-let rec count_in_threads t = function
-  | [] -> 0
-  | x :: rest ->
-    (if (Vec.get t.nodes x).thread >= 0 then 1 else 0) + count_in_threads t rest
-
-(* Edge count and Lemma-7 degree maxima of the current state — shared by
-   [stats] and the telemetry end-of-call summary, so the two can never
-   disagree. A thread neighbour always lives in a thread. *)
-let edge_degree_stats t =
-  let edges = ref 0 and max_in = ref 0 and max_out = ref 0 in
-  Vec.iter
-    (fun n ->
-      if n.scheduled then begin
-        let prev = if n.prev >= 0 then 1 else 0 in
-        let next = if n.next >= 0 then 1 else 0 in
-        edges := !edges + next + List.length n.succs;
-        max_in := max !max_in (prev + count_in_threads t n.preds);
-        max_out := max !max_out (next + count_in_threads t n.succs)
-      end)
-    t.nodes;
-  (!edges, !max_in, !max_out)
-
 (* --- select ------------------------------------------------------- *)
 
 (* Breadth-first walk of G from [start], over preds if [backward] and
@@ -431,13 +433,15 @@ let is_free_op t v =
   Graph.delay t.graph v = 0
   || Resources.class_of_op (Graph.op t.graph v) = None
 
+let rec threads_of cls = function
+  | [] -> []
+  | (c, ks) :: rest ->
+    if Resources.equal_class c cls then ks else threads_of cls rest
+
 let allowed_threads t v =
   match Resources.class_of_op (Graph.op t.graph v) with
   | None -> []
-  | Some cls ->
-    List.filter
-      (fun k -> Resources.equal_class t.classes.(k) cls)
-      (List.init (n_threads t) Fun.id)
+  | Some cls -> threads_of cls t.by_class
 
 (* --- window vectors ----------------------------------------------------- *)
 
@@ -543,6 +547,48 @@ let predicted_cost t v position =
 
 (* --- commit ------------------------------------------------------- *)
 
+(* The state's edges are each scheduled vertex's thread successor and
+   its explicit successors. A vertex's thread degree counts its thread
+   neighbour on that side and its explicit neighbours there that live in
+   a thread, and [in_hist.(d)] ([out_hist.(d)]) counts the vertices of
+   in-degree (out-degree) d >= 1. An unscheduled vertex has no state
+   edge, so the maxima over the scheduled vertices are the largest d with
+   a vertex, 0 if none. Lemma 7 bounds a degree by K, and a histogram of
+   K + 2 slots grows only if that bound fails. Threads are fixed before
+   a vertex gains an edge, so [splice] and the explicit-edge updates
+   below keep all three exact. *)
+let rec top hist d = if d = 0 || hist.(d) > 0 then d else top hist (d - 1)
+let max_degree hist = top hist (Array.length hist - 1)
+
+(* Move a vertex from degree [d] to [d'] in [hist], which holds [d']. *)
+let move hist d d' =
+  if d > 0 then hist.(d) <- hist.(d) - 1;
+  if d' > 0 then hist.(d') <- hist.(d') + 1
+
+(* [hist] copied into 2·[d] slots, for a degree [d] past its end. *)
+let grown hist d =
+  let a = Array.make (2 * d) 0 in
+  Array.blit hist 0 a 0 (Array.length hist);
+  a
+
+let degree_in t n delta =
+  let d = n.in_deg + delta in
+  if d >= Array.length t.in_hist then t.in_hist <- grown t.in_hist d;
+  move t.in_hist n.in_deg d;
+  n.in_deg <- d
+
+let degree_out t n delta =
+  let d = n.out_deg + delta in
+  if d >= Array.length t.out_hist then t.out_hist <- grown t.out_hist d;
+  move t.out_hist n.out_deg d;
+  n.out_deg <- d
+
+(* Count the explicit edge [p -> v] in ([delta] = 1) or out (-1). *)
+let count_explicit t (np : node) (nv : node) delta =
+  t.edges <- t.edges + delta;
+  if nv.thread >= 0 then degree_out t np delta;
+  if np.thread >= 0 then degree_in t nv delta
+
 let add_explicit_edge t p v =
   let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
   (* [memq]: on ints physical equality is equality, without the
@@ -550,13 +596,17 @@ let add_explicit_edge t p v =
   if not (List.memq v np.succs) then begin
     np.succs <- v :: np.succs;
     nv.preds <- p :: nv.preds;
+    count_explicit t np nv 1;
     if Tel.enabled () then Tel.emit (Tel.Edge_added { src = p; dst = v })
   end
 
+(* Every caller removes an edge the state holds, so it is counted out
+   once. *)
 let remove_explicit_edge t p v =
   let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
   np.succs <- List.filter (fun x -> x <> v) np.succs;
   nv.preds <- List.filter (fun x -> x <> p) nv.preds;
+  count_explicit t np nv (-1);
   if Tel.enabled () then Tel.emit (Tel.Edge_removed { src = p; dst = v })
 
 let rec find_in_thread t k = function
@@ -647,12 +697,21 @@ let link_descendant t ~v ~k q =
 let splice t v { thread = k; after } =
   let nv = Vec.get t.nodes v in
   nv.thread <- k;
+  (* v joins with no state edge. At the head it gains [v -> first]; after
+     w, [w -> v] and [v -> next] replace [w -> next], or w gains its
+     first thread successor. *)
   (match after with
   | None ->
     let first = t.head.(k) in
     nv.prev <- -1;
     nv.next <- first;
-    if first >= 0 then (Vec.get t.nodes first).prev <- v
+    if first >= 0 then begin
+      let nf = Vec.get t.nodes first in
+      nf.prev <- v;
+      t.edges <- t.edges + 1;
+      degree_out t nv 1;
+      degree_in t nf 1
+    end
     else t.tail.(k) <- v;
     t.head.(k) <- v
   | Some w ->
@@ -663,8 +722,16 @@ let splice t v { thread = k; after } =
     nv.prev <- w;
     nv.next <- next;
     nw.next <- v;
-    if next >= 0 then (Vec.get t.nodes next).prev <- v
-    else t.tail.(k) <- v);
+    t.edges <- t.edges + 1;
+    degree_in t nv 1;
+    if next >= 0 then begin
+      (Vec.get t.nodes next).prev <- v;
+      degree_out t nv 1
+    end
+    else begin
+      t.tail.(k) <- v;
+      degree_out t nw 1
+    end);
   (* The members before v keep their positions. *)
   let rec renumber x i =
     if x >= 0 then begin
@@ -994,20 +1061,18 @@ let thread_population t k =
   in
   walk t.head.(k) 0
 
-(* End-of-call telemetry summary: the maintained diameter plus an O(V+E)
-   recount of edges and degree maxima — only ever run with a sink
-   installed, never on the production path. *)
+(* End-of-call telemetry summary, from the maintained diameter, edge
+   count and degree histograms: O(K), only with a sink installed. *)
 let emit_schedule_done t ~v ~thread ~scanned ~relabelled0 ~walked0 ~t0 =
-  let state_edges, max_in, max_out = edge_degree_stats t in
   let summary =
     {
       Tel.scanned;
       relabelled = t.relabelled - relabelled0;
       walked = t.walked - walked0;
       diameter = t.diameter;
-      state_edges;
-      max_thread_in_degree = max_in;
-      max_thread_out_degree = max_out;
+      state_edges = t.edges;
+      max_thread_in_degree = max_degree t.in_hist;
+      max_thread_out_degree = max_degree t.out_hist;
       elapsed_ns = Tel.now_ns () - t0;
     }
   in
@@ -1123,9 +1188,6 @@ let stats ?(with_softness = false) t =
   let scheduled = scheduled_vertices t in
   let in_thread v = (Vec.get t.nodes v).thread >= 0 in
   let n_in_threads = List.length (List.filter in_thread scheduled) in
-  let n_state_edges, max_thread_in_degree, max_thread_out_degree =
-    edge_degree_stats t
-  in
   let ordered_pairs =
     if with_softness then
       Some (Reach.count_pairs (Reach.of_graph (state_graph t)))
@@ -1135,9 +1197,9 @@ let stats ?(with_softness = false) t =
     n_scheduled = t.n_scheduled;
     n_in_threads;
     n_free = t.n_scheduled - n_in_threads;
-    n_state_edges;
-    max_thread_in_degree;
-    max_thread_out_degree;
+    n_state_edges = t.edges;
+    max_thread_in_degree = max_degree t.in_hist;
+    max_thread_out_degree = max_degree t.out_hist;
     ordered_pairs;
   }
 
@@ -1161,11 +1223,14 @@ let copy t =
              stale = n.stale;
              above = n.above;
              below = n.below;
+             in_deg = n.in_deg;
+             out_deg = n.out_deg;
            }))
     t.nodes;
   {
     graph = t.graph;
     classes = Array.copy t.classes;
+    by_class = t.by_class;
     head = Array.copy t.head;
     tail = Array.copy t.tail;
     nodes;
@@ -1173,6 +1238,9 @@ let copy t =
     lat = Array.copy t.lat;
     ear = Array.copy t.ear;
     n_scheduled = t.n_scheduled;
+    edges = t.edges;
+    in_hist = Array.copy t.in_hist;
+    out_hist = Array.copy t.out_hist;
     gen = t.gen;
     diameter = t.diameter;
     walked = 0;

@@ -78,16 +78,17 @@ let ancestors r v =
   check r v;
   collect r.up.(v) r.n
 
+(* Set bits per byte value, so a row is counted a byte at a time. *)
+let popcount8 =
+  let rec bits b = if b = 0 then 0 else (b land 1) + bits (b lsr 1) in
+  String.init 256 (fun b -> Char.chr (bits b))
+
 let count_pairs r =
   let count = ref 0 in
   for v = 0 to r.n - 1 do
     let row = r.down.(v) in
-    let len = Bytes.length row in
-    for i = 0 to len - 1 do
-      let byte = Bytes.get_uint8 row i in
-      for b = 0 to 7 do
-        if byte land (1 lsl b) <> 0 then incr count
-      done
+    for i = 0 to Bytes.length row - 1 do
+      count := !count + Char.code popcount8.[Bytes.get_uint8 row i]
     done
   done;
   !count

@@ -367,17 +367,25 @@ let core_fields ~want_schedule (r : result) =
       [ ("schedule", Json.Arr (List.map slot_to_json r.assignment)) ]
     else []
   in
-  let s = Json.to_string ~minify:true (Json.Obj fields) in
-  (* drop the opening brace: the prefix supplies it *)
-  String.sub s 1 (String.length s - 1)
+  Json.to_string ~minify:true (Json.Obj fields)
 
+(* The line is the prefix, then the core without its opening brace (the
+   prefix opens the object), written once into bytes of its exact size:
+   a 450-vertex core is about 20 KB. *)
 let ok_line_with_core ?id ~trace ~cached core =
-  Printf.sprintf "{\"id\":%s,\"trace\":%s,\"status\":\"ok\",\"cached\":%b,%s"
-    (match id with
-    | Some i -> Json.to_string ~minify:true (Json.str i)
-    | None -> "null")
-    (Json.to_string ~minify:true (Json.str trace))
-    cached core
+  let prefix =
+    Printf.sprintf "{\"id\":%s,\"trace\":%s,\"status\":\"ok\",\"cached\":%b,"
+      (match id with
+      | Some i -> Json.to_string ~minify:true (Json.str i)
+      | None -> "null")
+      (Json.to_string ~minify:true (Json.str trace))
+      cached
+  in
+  let p = String.length prefix and c = String.length core - 1 in
+  let line = Bytes.create (p + c) in
+  Bytes.blit_string prefix 0 line 0 p;
+  Bytes.blit_string core 1 line p c;
+  Bytes.unsafe_to_string line
 
 let ok_line ?id ~trace ~cached ~want_schedule (r : result) =
   ok_line_with_core ?id ~trace ~cached (core_fields ~want_schedule r)

@@ -94,13 +94,15 @@ val ok_line :
   string
 
 val core_fields : want_schedule:bool -> result -> string
-(** The result-dependent tail of an ok line (from ["degraded"…] to the
-    closing brace). Only depends on the result, so it can be rendered
-    once and reused — see {!Service}. *)
+(** The result-dependent part of an ok line, printed as a JSON object
+    whose fields end the line (from ["degraded"…] to the closing
+    brace). Only depends on the result, so it can be rendered once and
+    reused — see {!Service}. *)
 
 val ok_line_with_core :
   ?id:string -> trace:string -> cached:bool -> string -> string
-(** Splice a {!core_fields} rendering under a per-request prefix;
+(** Splice a {!core_fields} rendering under a per-request prefix, which
+    takes the place of its opening brace;
     [ok_line] ≡ [ok_line_with_core … (core_fields …)], byte for byte. *)
 
 val error_line :

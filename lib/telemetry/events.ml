@@ -6,8 +6,8 @@
    event only behind [enabled ()]. *)
 
 (* End-of-call summary. Computed by the scheduler itself (it owns the
-   state) and only when a sink is installed, so the O(V+E) passes it
-   needs never run in production. *)
+   state) and only when a sink is installed, which [report] always
+   does: from figures the state keeps as it links, in O(K) per call. *)
 type summary = {
   scanned : int;  (* candidate positions examined by this schedule call *)
   relabelled : int;  (* vertices the commit's label propagation processed *)

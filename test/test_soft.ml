@@ -788,17 +788,18 @@ let minor_words_per_vertex_call ~layers =
 let test_schedule_allocation_bound () =
   let per_vertex_call = minor_words_per_vertex_call ~layers:40 in
   check Alcotest.bool
-    (Printf.sprintf "%.1f minor words per vertex per call <= 16"
+    (Printf.sprintf "%.2f minor words per vertex per call <= 1"
        per_vertex_call)
-    true (per_vertex_call <= 16.);
-  (* At |V| = 3200 a call allocates less than one word per vertex: what
+    true (per_vertex_call <= 1.);
+  (* At |V| = 3200 a call allocates an eighth of a word per vertex: what
      it allocates (the frontier lists, the scan's positions) must not
      grow with the number of scheduled vertices. *)
   let per_vertex_call = minor_words_per_vertex_call ~layers:320 in
   check Alcotest.bool
-    (Printf.sprintf "%.2f minor words per vertex per call <= 1 at |V| = 3200"
+    (Printf.sprintf
+       "%.3f minor words per vertex per call <= 0.125 at |V| = 3200"
        per_vertex_call)
-    true (per_vertex_call <= 1.)
+    true (per_vertex_call <= 0.125)
 
 (* Each call's label propagation, counted by the telemetry summary, must
    process no more vertices than the from-scratch labelling pass it

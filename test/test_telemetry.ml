@@ -167,6 +167,154 @@ let test_refinement_bit_identity () =
     (refined_starts ~instrument:false)
     (refined_starts ~instrument:true)
 
+(* --- the summary's figures, maintained -------------------------------- *)
+
+(* The sweep the kernel ran at the end of every traced call before it
+   kept the state's edge count and degree histograms as it links; the
+   oracle of those figures. Its loop is the old one, with the node
+   fields it read taken from the state's public view: a vertex's thread
+   neighbours from [thread_members], its explicit edges from
+   [state_graph] less those neighbours. *)
+let edge_degree_stats st =
+  let sg = T.state_graph st in
+  let n = Graph.n_vertices sg in
+  let prev_of = Array.make n (-1) and next_of = Array.make n (-1) in
+  for k = 0 to T.n_threads st - 1 do
+    let rec link = function
+      | a :: (b :: _ as rest) ->
+        next_of.(a) <- b;
+        prev_of.(b) <- a;
+        link rest
+      | _ -> ()
+    in
+    link (T.thread_members st k)
+  done;
+  let count_in_threads xs =
+    List.length (List.filter (fun x -> T.thread_of st x <> None) xs)
+  in
+  let edges = ref 0 and max_in = ref 0 and max_out = ref 0 in
+  for v = 0 to n - 1 do
+    if T.is_scheduled st v then begin
+      let preds = List.filter (fun x -> x <> prev_of.(v)) (Graph.preds sg v) in
+      let succs = List.filter (fun x -> x <> next_of.(v)) (Graph.succs sg v) in
+      let prev = if prev_of.(v) >= 0 then 1 else 0 in
+      let next = if next_of.(v) >= 0 then 1 else 0 in
+      edges := !edges + next + List.length succs;
+      max_in := max !max_in (prev + count_in_threads preds);
+      max_out := max !max_out (next + count_in_threads succs)
+    end
+  done;
+  (!edges, !max_in, !max_out)
+
+let stats_figures st =
+  let s = T.stats st in
+  (s.T.n_state_edges, s.T.max_thread_in_degree, s.T.max_thread_out_degree)
+
+(* Schedule [g] in [order] under a sink that checks each call's summary
+   and [stats] against the sweep on the state being scheduled: half the
+   order into a state, then the rest into it and, alternating with
+   [schedule_degraded] (which emits no summary and is checked after each
+   call), into a copy; then ECO, spill and wire-insertion mutations of
+   the live state, whose own [schedule] calls the sink checks. Returns
+   the number of disagreements. *)
+let figure_mismatches ~resources g order =
+  let watched = ref (T.create g ~resources) and bad = ref 0 in
+  let agree figures =
+    let oracle = edge_degree_stats !watched in
+    if figures <> oracle || stats_figures !watched <> oracle then incr bad
+  in
+  let sink = function
+    | Tel.Schedule_done { summary = s; _ } ->
+      agree (s.state_edges, s.max_thread_in_degree, s.max_thread_out_degree)
+    | _ -> ()
+  in
+  Tel.with_sink sink (fun () ->
+      let st = !watched in
+      let half = List.length order / 2 in
+      let first = List.filteri (fun i _ -> i < half) order in
+      let rest = List.filteri (fun i _ -> i >= half) order in
+      List.iter (T.schedule st) first;
+      let copy = T.copy st in
+      List.iter (T.schedule st) rest;
+      watched := copy;
+      List.iteri
+        (fun i v ->
+          if i mod 2 = 0 then T.schedule copy v
+          else begin
+            T.schedule_degraded copy v;
+            agree (stats_figures copy)
+          end)
+        rest;
+      watched := st;
+      (match Graph.edges g with
+      | (src, dst) :: _ ->
+        ignore (Refine.Eco.insert_on_edge st ~src ~dst ~op:Dfg.Op.Add ())
+      | [] -> ());
+      (match Graph.vertices g with
+      | a :: b :: _ ->
+        ignore (Refine.Eco.add_consumer st ~inputs:[ a; b ] ~op:Dfg.Op.Add ())
+      | _ -> ());
+      (match List.find_opt (fun v -> Graph.succs g v <> []) order with
+      | Some value -> ignore (Refine.Spill.apply st ~value)
+      | None -> ());
+      ignore
+        (Refine.Wire_insert.apply st (Refine.Floorplan.place st)
+           Refine.Floorplan.default_model));
+  !bad
+
+(* Random and layered DAGs, each under every meta and a random order, on
+   the three Figure 3 configurations (each with a memory port to spill
+   through). *)
+let dag_spec =
+  QCheck.make
+    ~print:(fun (layered, n, seed) ->
+      Printf.sprintf "layered=%b n=%d seed=%d" layered n seed)
+    QCheck.Gen.(triple bool (int_range 1 40) (int_range 0 100_000))
+
+let prop_summary_figures_equal_sweep =
+  QCheck.Test.make ~name:"edge count and degree maxima equal the sweep"
+    ~count:30 dag_spec (fun (layered, n, seed) ->
+      let build () =
+        let rng = Random.State.make [| seed |] in
+        if layered then
+          Dfg.Generate.layered rng ~layers:((n / 5) + 1) ~width:5 ~fanin:2
+        else Dfg.Generate.random_dag rng ~n ~edge_prob:0.2
+      in
+      List.for_all
+        (fun (_, resources) ->
+          List.for_all
+            (fun (_, meta) ->
+              let g = build () in
+              figure_mismatches ~resources g (meta g) = 0)
+            (("random", Soft.Meta.random ~seed) :: Soft.Meta.fig3 ~resources))
+        R.fig3_all)
+
+(* A sink costs O(K) per call: the summary reads the maintained figures
+   instead of sweeping the state, so at |V| = 12,800 a traced run stays
+   within twice the untraced one (the sweep made it about 100 times
+   slower). CPU seconds, the best of three alternating runs each, with
+   10 ms for the clock's grain. *)
+let test_sink_adds_no_linear_term () =
+  let g =
+    Dfg.Generate.layered (Random.State.make [| 2026 |]) ~layers:1280
+      ~width:10 ~fanin:3
+  in
+  let plain () = ignore (Soft.Scheduler.run ~resources:two_two g) in
+  let traced () = Tel.with_sink (Tel.Counters.sink (Tel.Counters.create ())) plain in
+  let time f =
+    let t0 = Sys.time () in
+    f ();
+    Sys.time () -. t0
+  in
+  let runs = List.init 3 (fun _ -> (time plain, time traced)) in
+  let best pick = List.fold_left (fun acc r -> min acc (pick r)) infinity runs in
+  let plain_s = best fst and traced_s = best snd in
+  check Alcotest.bool
+    (Printf.sprintf "traced %.3f s <= 2 x untraced %.3f s + 0.01 s" traced_s
+       plain_s)
+    true
+    (traced_s <= (2. *. plain_s) +. 0.01)
+
 let test_sink_restored () =
   check Alcotest.bool "telemetry disabled outside with_sink" false
     (Tel.enabled ());
@@ -381,6 +529,12 @@ let () =
           Alcotest.test_case "bit-identical refinement (spill+wire)" `Quick
             test_refinement_bit_identity;
           Alcotest.test_case "sink install/restore" `Quick test_sink_restored;
+        ] );
+      ( "summary figures",
+        [
+          QCheck_alcotest.to_alcotest prop_summary_figures_equal_sweep;
+          Alcotest.test_case "a sink adds no O(V) term" `Quick
+            test_sink_adds_no_linear_term;
         ] );
       ( "exporters",
         [
