@@ -1,16 +1,14 @@
 open Import
 
-(* Int-specialised: this compiler has no flambda, so [Stdlib.max]/[min]
-   stay polymorphic calls into [caml_greaterequal]/[caml_lessequal],
-   and the kernel takes one per state edge it relabels. *)
+(* Int-specialised: this compiler has no flambda, so [Stdlib.max] stays
+   a polymorphic call into [caml_greaterequal], and the kernel takes one
+   per state edge it relabels. *)
 let max (a : int) b = if a >= b then a else b
-let min (a : int) b = if a <= b then a else b
 
 (* One record per graph vertex. [thread = -1] means the vertex is either
    unscheduled or scheduled free (zero-resource); [scheduled]
-   disambiguates. [pos] orders vertices within their thread: a splice
-   renumbers from the new vertex to the tail, so appending is O(1).
-   [preds]/[succs] hold only the explicit (cross-thread or free) edges;
+   disambiguates. [preds]/[succs] hold only the explicit (cross-thread or
+   free) edges;
    consecutive thread members are implicitly ordered via [prev]/[next].
    [stale] says [tdist] must be recomputed before it is read.
    [above]/[below] prune the frontier walks and matter only while the
@@ -24,7 +22,6 @@ type node = {
   mutable thread : int;
   mutable prev : int;
   mutable next : int;
-  mutable pos : int;
   mutable preds : int list;
   mutable succs : int list;
   mutable sdist : int;
@@ -42,7 +39,6 @@ let fresh_node () =
     thread = -1;
     prev = -1;
     next = -1;
-    pos = -1;
     preds = [];
     succs = [];
     sdist = 0;
@@ -54,7 +50,10 @@ let fresh_node () =
     out_deg = 0;
   }
 
-module Vec = Dfg.Vec
+(* Every spare slot of a node store holds this one record; only the
+   slots below [n_nodes] are read or written. *)
+let spare = fresh_node ()
+
 module Tel = Telemetry
 
 (* [sdist] of every scheduled vertex and [diameter] are kept exact
@@ -63,6 +62,12 @@ module Tel = Telemetry
    commit marks stale the committed vertex's state ancestors whose sink
    distance may have grown ([mark_stale]), and a read recomputes a stale
    value ([tdist_of]).
+
+   The per-vertex stores are flat arrays grown in [sync]: [nodes] (its
+   first [n_nodes] slots are the graph's vertices), [delay] (a vertex's
+   delay never changes once it exists) and [pos], which orders the
+   members of a thread: a splice renumbers from the new vertex to the
+   tail, so appending is O(1). [pop] counts each thread's members.
 
    [lat]/[ear] are the window vectors, one row of [width] entries per
    vertex: [lat.(x * width + j)] is the latest member of thread j that
@@ -80,14 +85,19 @@ module Tel = Telemetry
    the walks, the stale marking, the vector pushes and [precedes]
    borrow [order] as their queue, and the walks and [precedes] stamp
    visits into [up]/[down]; [tdist_of] keeps its depth-first stack in
-   [stack]. A vertex is marked iff its entry equals [stamp], so bumping
+   [stack]; the frontier walks write the frontiers of the vertex being
+   placed into [anc] and [desc], the first [n_anc] and [n_desc]
+   entries. A vertex is marked iff its entry equals [stamp], so bumping
    the stamp clears every mark at once. The scratch is never shared
    with a [copy]: the naive scheduler interleaves a state with its
    trials.
 
    [edges] counts the state edges and [in_hist]/[out_hist] the vertices
    of each thread degree, kept as the commit links and unlinks (see
-   [degree_in]), so the end-of-call summary reads them in O(K). *)
+   [degree_in]), so the end-of-call summary reads them in O(K).
+
+   [best_thread] .. [ties] are the running best of the scan in progress
+   (see [offer]). *)
 type t = {
   graph : Graph.t;
   classes : Resources.fu_class array; (* thread -> its unit class *)
@@ -95,7 +105,11 @@ type t = {
       (* class -> its threads, ascending; shared by copies *)
   head : int array; (* thread -> first vertex or -1 *)
   tail : int array;
-  nodes : node Vec.t;
+  pop : int array;
+  mutable nodes : node array;
+  mutable n_nodes : int;
+  mutable delay : int array;
+  mutable pos : int array;
   width : int;
   mutable lat : int array;
   mutable ear : int array;
@@ -113,6 +127,16 @@ type t = {
   mutable up : int array;
   mutable down : int array;
   mutable stamp : int;
+  mutable qtail : int;
+  mutable anc : int array;
+  mutable n_anc : int;
+  mutable desc : int array;
+  mutable n_desc : int;
+  mutable best_thread : int;
+  mutable best_after : int;
+  mutable best_cost : int;
+  mutable best_weight : int;
+  mutable ties : int;
 }
 
 type position = { thread : int; after : Graph.vertex option }
@@ -135,7 +159,11 @@ let create graph ~resources =
     by_class;
     head = Array.make width (-1);
     tail = Array.make width (-1);
-    nodes = Vec.create ~dummy:(fresh_node ()) ();
+    pop = Array.make width 0;
+    nodes = [||];
+    n_nodes = 0;
+    delay = [||];
+    pos = [||];
     width;
     lat = [||];
     ear = [||];
@@ -153,6 +181,16 @@ let create graph ~resources =
     up = [||];
     down = [||];
     stamp = 0;
+    qtail = 0;
+    anc = [||];
+    n_anc = 0;
+    desc = [||];
+    n_desc = 0;
+    best_thread = -1;
+    best_after = -1;
+    best_cost = 0;
+    best_weight = 0;
+    ties = 0;
   }
 
 let graph t = t.graph
@@ -184,10 +222,32 @@ let grow_scratch t n =
     t.order <- Array.make cap 0;
     t.stack <- Array.make cap 0;
     t.up <- Array.make cap 0;
-    t.down <- Array.make cap 0
+    t.down <- Array.make cap 0;
+    t.anc <- Array.make cap 0;
+    t.desc <- Array.make cap 0
   end
 
-(* Grow the node store and the kernel scratch to match the (possibly
+(* Give every vertex from [n_nodes] up to [n] its node, delay and (none)
+   position, growing the stores by doubling. *)
+let grow_nodes t n =
+  if Array.length t.nodes < n then begin
+    let cap = max n (2 * Array.length t.nodes) in
+    let extend a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.n_nodes;
+      b
+    in
+    t.nodes <- extend t.nodes spare;
+    t.delay <- extend t.delay 0;
+    t.pos <- extend t.pos (-1)
+  end;
+  for v = t.n_nodes to n - 1 do
+    t.nodes.(v) <- fresh_node ();
+    t.delay.(v) <- Graph.delay t.graph v
+  done;
+  t.n_nodes <- n
+
+(* Grow the node stores and the kernel scratch to match the (possibly
    mutated) graph. A changed graph may have new vertices and new paths
    the flags do not know of, so every unscheduled vertex, new ones
    included, is flagged both ways: a flag set in error only lengthens a
@@ -195,27 +255,26 @@ let grow_scratch t n =
    mutate states whose original vertices are all scheduled, so the
    reset flags only the vertices they add. *)
 let sync t =
-  while Vec.length t.nodes < Graph.n_vertices t.graph do
-    ignore (Vec.push t.nodes (fresh_node ()))
-  done;
-  grow_scratch t (Graph.n_vertices t.graph);
+  let n = Graph.n_vertices t.graph in
+  if t.n_nodes < n then grow_nodes t n;
+  grow_scratch t n;
   let gen = Graph.generation t.graph in
   if gen <> t.gen then begin
     t.gen <- gen;
-    Vec.iter
-      (fun n ->
-        if not n.scheduled then begin
-          n.above <- true;
-          n.below <- true
-        end)
-      t.nodes
+    for v = 0 to t.n_nodes - 1 do
+      let n = t.nodes.(v) in
+      if not n.scheduled then begin
+        n.above <- true;
+        n.below <- true
+      end
+    done
   end
 
 let node t v =
   if v < 0 || v >= Graph.n_vertices t.graph then
     invalid_arg (Printf.sprintf "Threaded_graph: unknown vertex %d" v);
   sync t;
-  Vec.get t.nodes v
+  t.nodes.(v)
 
 let is_scheduled t v = (node t v).scheduled
 let n_scheduled t = t.n_scheduled
@@ -230,27 +289,27 @@ let thread_members t k =
   sync t;
   let rec walk v acc =
     if v < 0 then List.rev acc
-    else walk (Vec.get t.nodes v).next (v :: acc)
+    else walk t.nodes.(v).next (v :: acc)
   in
   walk t.head.(k) []
 
 (* State successors of a scheduled vertex: the implicit thread
    neighbour plus the explicit cross edges. *)
 let state_succs t v =
-  let n = Vec.get t.nodes v in
+  let n = t.nodes.(v) in
   if n.next >= 0 then n.next :: n.succs else n.succs
 
 let scheduled_vertices t =
   let acc = ref [] in
-  for v = Vec.length t.nodes - 1 downto 0 do
-    if (Vec.get t.nodes v).scheduled then acc := v :: !acc
+  for v = t.n_nodes - 1 downto 0 do
+    if t.nodes.(v).scheduled then acc := v :: !acc
   done;
   !acc
 
 let rec max_sdist t vs acc =
   match vs with
   | [] -> acc
-  | v :: rest -> max_sdist t rest (max acc (Vec.get t.nodes v).sdist)
+  | v :: rest -> max_sdist t rest (max acc t.nodes.(v).sdist)
 
 (* --- lazy sink distances ----------------------------------------------- *)
 
@@ -263,21 +322,21 @@ let rec max_sdist t vs acc =
    relabel. *)
 let rec first_stale t = function
   | [] -> -1
-  | x :: rest -> if (Vec.get t.nodes x).stale then x else first_stale t rest
+  | x :: rest -> if t.nodes.(x).stale then x else first_stale t rest
 
 let rec max_fresh_tdist t vs acc =
   match vs with
   | [] -> acc
-  | v :: rest -> max_fresh_tdist t rest (max acc (Vec.get t.nodes v).tdist)
+  | v :: rest -> max_fresh_tdist t rest (max acc t.nodes.(v).tdist)
 
 let refresh t x =
   t.stack.(0) <- x;
   let top = ref 1 in
   while !top > 0 do
     let y = t.stack.(!top - 1) in
-    let ny = Vec.get t.nodes y in
+    let ny = t.nodes.(y) in
     let s =
-      if ny.next >= 0 && (Vec.get t.nodes ny.next).stale then ny.next
+      if ny.next >= 0 && t.nodes.(ny.next).stale then ny.next
       else first_stale t ny.succs
     in
     if s >= 0 then begin
@@ -285,8 +344,8 @@ let refresh t x =
       incr top
     end
     else begin
-      let after = if ny.next >= 0 then (Vec.get t.nodes ny.next).tdist else 0 in
-      ny.tdist <- max_fresh_tdist t ny.succs after + Graph.delay t.graph y;
+      let after = if ny.next >= 0 then t.nodes.(ny.next).tdist else 0 in
+      ny.tdist <- max_fresh_tdist t ny.succs after + t.delay.(y);
       ny.stale <- false;
       t.relabelled <- t.relabelled + 1;
       decr top
@@ -294,7 +353,7 @@ let refresh t x =
   done
 
 let tdist_of t x =
-  let nx = Vec.get t.nodes x in
+  let nx = t.nodes.(x) in
   if nx.stale then refresh t x;
   nx.tdist
 
@@ -326,13 +385,13 @@ let rec enqueue_all t xs tail =
    answer feasibility. *)
 let precedes t u v =
   sync t;
-  (Vec.get t.nodes u).scheduled
-  && (Vec.get t.nodes v).scheduled
+  t.nodes.(u).scheduled
+  && t.nodes.(v).scheduled
   && begin
        t.stamp <- t.stamp + 1;
        let head = ref 0 and tail = ref (enqueue_all t (state_succs t u) 0) in
        while !head < !tail && t.down.(v) <> t.stamp do
-         let w = Vec.get t.nodes t.order.(!head) in
+         let w = t.nodes.(t.order.(!head)) in
          incr head;
          tail := enqueue_all t w.succs (enqueue t w.next !tail)
        done;
@@ -344,7 +403,7 @@ let state_graph t =
   let g = Graph.create () in
   Graph.iter_vertices
     (fun v ->
-      let scheduled = (Vec.get t.nodes v).scheduled in
+      let scheduled = t.nodes.(v).scheduled in
       let delay = if scheduled then Graph.delay t.graph v else 0 in
       let op = if scheduled then Graph.op t.graph v else Op.Const 0 in
       let id = Graph.add_vertex g ~delay ~name:(Graph.name t.graph v) op in
@@ -358,58 +417,78 @@ let state_graph t =
 
 (* --- select ------------------------------------------------------- *)
 
-(* Breadth-first walk of G from [start], over preds if [backward] and
-   succs otherwise, with [order] as the queue: a neighbour [x] is queued
-   (and later expanded) iff [enter x]. The three closures are made once
-   per walk, not per vertex. Counts the queued vertices into [walked]. *)
-let walk t ~backward enter start =
-  let tail = ref 0 in
-  let visit x =
-    if enter x then begin
-      t.order.(!tail) <- x;
-      incr tail
-    end
-  in
-  let expand w =
-    if backward then Graph.iter_preds visit t.graph w
-    else Graph.iter_succs visit t.graph w
-  in
-  expand start;
+(* The walks are breadth-first over G, with [order] as the queue and
+   [qtail] its tail. A walk expands a vertex by folding a step over its
+   preds (if [backward]) or succs; the step threads the state itself as
+   the fold's accumulator and queues a neighbour iff it enters it, so a
+   walk allocates nothing. Counts the queued vertices into [walked]. *)
+let queue t x =
+  t.order.(t.qtail) <- x;
+  t.qtail <- t.qtail + 1;
+  t
+
+let expand t ~backward step w =
+  ignore
+    (if backward then Graph.fold_preds step t t.graph w
+     else Graph.fold_succs step t t.graph w)
+
+let walk t ~backward step start =
+  t.qtail <- 0;
+  expand t ~backward step start;
   let head = ref 0 in
-  while !head < !tail do
-    expand t.order.(!head);
+  while !head < t.qtail do
+    expand t ~backward step t.order.(!head);
     incr head
   done;
-  t.walked <- t.walked + !tail
+  t.walked <- t.walked + t.qtail
 
-(* v's scheduled frontier: the scheduled vertices reached from v in G
-   (over preds if [backward], else succs) through unscheduled vertices
-   only. The state refines ≺_G, so each scheduled G-ancestor of v (the
-   paper's "∀p, p ≺_G v") precedes some frontier vertex in the state:
-   the frontier has the same up-set and the same maximum [sdist] as the
-   full ancestor set, and linking v to it orders v after every one. The
-   walk enters an unscheduled vertex only if its flag says a scheduled
-   vertex may lie beyond it, marks visits into [up]/[down], and builds
-   its list before [scan_positions] bumps the stamp. *)
-let frontier t ~backward v =
+(* v's scheduled frontiers: the scheduled vertices reached from v in G
+   (over preds for [anc], over succs for [desc]) through unscheduled
+   vertices only. The state refines ≺_G, so each scheduled G-ancestor of
+   v (the paper's "∀p, p ≺_G v") precedes some frontier vertex in the
+   state: the frontier has the same up-set and the same maximum [sdist]
+   as the full ancestor set, and linking v to it orders v after every
+   one. A walk enters an unscheduled vertex only if its flag says a
+   scheduled vertex may lie beyond it, and marks visits into [up]/[down].
+   The frontiers are written into the [anc]/[desc] scratch in the order
+   the walks find them. Their readers go from the last found to the
+   first: [link] adds and drops edges in that order, and the telemetry
+   stream shows it. *)
+let step_up t x =
+  if t.up.(x) = t.stamp then t
+  else begin
+    t.up.(x) <- t.stamp;
+    let nx = t.nodes.(x) in
+    if nx.scheduled then begin
+      t.anc.(t.n_anc) <- x;
+      t.n_anc <- t.n_anc + 1;
+      t
+    end
+    else if nx.above then queue t x
+    else t
+  end
+
+let step_down t x =
+  if t.down.(x) = t.stamp then t
+  else begin
+    t.down.(x) <- t.stamp;
+    let nx = t.nodes.(x) in
+    if nx.scheduled then begin
+      t.desc.(t.n_desc) <- x;
+      t.n_desc <- t.n_desc + 1;
+      t
+    end
+    else if nx.below then queue t x
+    else t
+  end
+
+let frontiers t v =
   t.stamp <- t.stamp + 1;
-  let stamp = t.stamp and mark = if backward then t.up else t.down in
-  let found = ref [] in
-  walk t ~backward
-    (fun x ->
-      mark.(x) <> stamp
-      && begin
-           mark.(x) <- stamp;
-           let nx = Vec.get t.nodes x in
-           if nx.scheduled then begin
-             found := x :: !found;
-             false
-           end
-           else if backward then nx.above
-           else nx.below
-         end)
-    v;
-  !found
+  t.n_anc <- 0;
+  walk t ~backward:true step_up v;
+  t.stamp <- t.stamp + 1;
+  t.n_desc <- 0;
+  walk t ~backward:false step_down v
 
 (* [x] was just scheduled: flag its unscheduled G-ancestors [below] and
    its unscheduled G-descendants [above], through unscheduled vertices.
@@ -417,20 +496,38 @@ let frontier t ~backward v =
    direction, so the walk stops at a vertex already flagged, and each
    vertex is queued at most once per direction between two generation
    changes. *)
+let flag_below t y =
+  let ny = t.nodes.(y) in
+  if ny.scheduled || ny.below then t
+  else begin
+    ny.below <- true;
+    queue t y
+  end
+
+let flag_above t y =
+  let ny = t.nodes.(y) in
+  if ny.scheduled || ny.above then t
+  else begin
+    ny.above <- true;
+    queue t y
+  end
+
 let spread t x =
-  walk t ~backward:true
-    (fun y ->
-      let ny = Vec.get t.nodes y in
-      (not (ny.scheduled || ny.below)) && (ny.below <- true; true))
-    x;
-  walk t ~backward:false
-    (fun y ->
-      let ny = Vec.get t.nodes y in
-      (not (ny.scheduled || ny.above)) && (ny.above <- true; true))
-    x
+  walk t ~backward:true flag_below x;
+  walk t ~backward:false flag_above x
+
+(* The largest [sdist] over the ancestor frontier and the largest
+   (forced) [tdist] over the descendant frontier, from index [i] down. *)
+let rec max_anc_sdist t i acc =
+  if i < 0 then acc
+  else max_anc_sdist t (i - 1) (max acc t.nodes.(t.anc.(i)).sdist)
+
+let rec max_desc_tdist t i acc =
+  if i < 0 then acc
+  else max_desc_tdist t (i - 1) (max acc (tdist_of t t.desc.(i)))
 
 let is_free_op t v =
-  Graph.delay t.graph v = 0
+  t.delay.(v) = 0
   || Resources.class_of_op (Graph.op t.graph v) = None
 
 let rec threads_of cls = function
@@ -450,7 +547,7 @@ let allowed_threads t v =
    frontier, and the down-set of its descendant frontier meets k in a
    suffix, starting at the earliest [ear] entry. Entries of one column
    are members of one thread, compared by [pos]; -1 is none. *)
-let pos t x = (Vec.get t.nodes x).pos
+let pos t x = t.pos.(x)
 
 (* Whether member [c] lies beyond [cur] (-1 for none) in their thread:
    later if [later], else earlier. *)
@@ -458,81 +555,92 @@ let beyond t ~later c cur =
   cur < 0 || if later then pos t c > pos t cur else pos t c < pos t cur
 
 (* The latest ([later]) or earliest entry of column k of [rows] over
-   [vs], or [acc]: a window bound over a frontier. *)
-let rec bound t rows ~later k vs acc =
-  match vs with
-  | [] -> acc
-  | x :: rest ->
-    let c = rows.((x * t.width) + k) in
-    bound t rows ~later k rest
+   the frontier [front] from index [i] down, or [acc]: a window bound. *)
+let rec bound t rows ~later k front i acc =
+  if i < 0 then acc
+  else begin
+    let c = rows.((front.(i) * t.width) + k) in
+    bound t rows ~later k front (i - 1)
       (if c >= 0 && beyond t ~later c acc then c else acc)
+  end
 
-(* All feasible positions for [v] with their costs, in deterministic
-   scan order, plus the number of slots examined (the Theorem 3 work
-   measure). Thread k's window runs from [lo] to [hi]: the head slot is
-   feasible iff [lo] is none, and the slot after w iff
-   pos lo <= pos w < pos hi (a missing [hi] counts as +∞). That is, the
-   member before the slot is outside the down-set of v's [descendants]
-   and the member after it outside the up-set of its [ancestors] — the
-   two frontiers of v. The scan starts at the window, so every slot it
-   examines is feasible. Costs read the maintained labels, forcing each
-   stale [tdist] they need. [trace] reports each feasible candidate to
-   the telemetry sink — only the [schedule] path sets it, so
-   introspection helpers stay silent. *)
-let scan_positions ?(trace = false) t v ~ancestors ~descendants =
-  let intrinsic_src = max_sdist t ancestors 0 in
-  let intrinsic_snk = max_tdist t descendants 0 in
-  let delay_v = Graph.delay t.graph v in
-  let result = ref [] in
-  let scanned = ref 0 in
-  List.iter
-    (fun k ->
-      let lo = bound t t.lat ~later:true k ancestors (-1) in
-      let hi = bound t t.ear ~later:false k descendants (-1) in
-      (* Position at the head of thread k. *)
+(* The positions after each window member from [w] on, up to [hi]
+   (exclusive): each is offered to [f] with its anchor and cost. Returns
+   [scanned] plus the slots examined. *)
+let rec scan_after t ~src ~snk ~delay_v f k hi w scanned =
+  if w >= 0 && w <> hi then begin
+    let nw = t.nodes.(w) in
+    let next = nw.next in
+    let tdist_next = if next < 0 then 0 else tdist_of t next in
+    f k w (max nw.sdist src + max tdist_next snk + delay_v);
+    scan_after t ~src ~snk ~delay_v f k hi next (scanned + 1)
+  end
+  else scanned
+
+let rec scan_threads t ~src ~snk ~delay_v f ks scanned =
+  match ks with
+  | [] -> scanned
+  | k :: rest ->
+    let lo = bound t t.lat ~later:true k t.anc (t.n_anc - 1) (-1) in
+    let hi = bound t t.ear ~later:false k t.desc (t.n_desc - 1) (-1) in
+    let scanned =
       if lo < 0 then begin
         let first = t.head.(k) in
-        incr scanned;
         let tdist_next = if first < 0 then 0 else tdist_of t first in
-        let cost =
-          max 0 intrinsic_src + max tdist_next intrinsic_snk + delay_v
-        in
-        result := ({ thread = k; after = None }, cost) :: !result;
-        if trace then
-          Tel.emit (Tel.Candidate { v; thread = k; after = None; cost })
-      end;
-      (* Positions after each member of the window. *)
-      let rec after_each w =
-        if w >= 0 && w <> hi then begin
-          let nw = Vec.get t.nodes w in
-          let next = nw.next in
-          incr scanned;
-          let tdist_next = if next < 0 then 0 else tdist_of t next in
-          let cost =
-            max nw.sdist intrinsic_src
-            + max tdist_next intrinsic_snk
-            + delay_v
-          in
-          result := ({ thread = k; after = Some w }, cost) :: !result;
-          if trace then
-            Tel.emit (Tel.Candidate { v; thread = k; after = Some w; cost });
-          after_each next
-        end
-      in
-      after_each (if lo < 0 then t.head.(k) else lo))
-    (allowed_threads t v);
-  (List.rev !result, !scanned)
+        f k (-1) (src + max tdist_next snk + delay_v);
+        scanned + 1
+      end
+      else scanned
+    in
+    let scanned =
+      scan_after t ~src ~snk ~delay_v f k hi
+        (if lo < 0 then t.head.(k) else lo)
+        scanned
+    in
+    scan_threads t ~src ~snk ~delay_v f rest scanned
 
-let costed_positions t v =
-  scan_positions t v
-    ~ancestors:(frontier t ~backward:true v)
-    ~descendants:(frontier t ~backward:false v)
+(* The select scan: offers every feasible position of [v] to
+   [f thread anchor cost] (anchor -1 for the head of the thread) in
+   deterministic scan order, and returns the number of slots examined
+   (the Theorem 3 work measure). Thread k's window runs from [lo] to
+   [hi]: the head slot is feasible iff [lo] is none, and the slot after
+   w iff pos lo <= pos w < pos hi (a missing [hi] counts as +∞). That
+   is, the member before the slot is outside the down-set of v's
+   descendant frontier and the member after it outside the up-set of its
+   ancestor frontier, as [frontiers] left them. The scan starts at the
+   window, so every slot it examines is feasible. Costs read the maintained
+   labels, forcing each stale [tdist] they need. [schedule], the
+   introspection helpers and [commit_at] all read positions through
+   this one scan. *)
+let scan t v f =
+  let src = max_anc_sdist t (t.n_anc - 1) 0 in
+  let snk = max_desc_tdist t (t.n_desc - 1) 0 in
+  scan_threads t ~src ~snk ~delay_v:t.delay.(v) f (allowed_threads t v) 0
+
+let anchor_of = function None -> -1 | Some w -> w
+let after_of a = if a < 0 then None else Some a
+
+(* Whether [position] is among v's feasible positions, and its cost
+   ([None] if not). *)
+let cost_at t v { thread; after } =
+  let anchor = anchor_of after in
+  let cost = ref (-1) in
+  ignore
+    (scan t v (fun k a c ->
+         if k = thread && a = anchor then cost := c));
+  if !cost < 0 then None else Some !cost
 
 let feasible_positions t v =
   sync t;
-  if (Vec.get t.nodes v).scheduled then []
-  else if is_free_op t v then []
-  else List.map fst (fst (costed_positions t v))
+  if t.nodes.(v).scheduled || is_free_op t v then []
+  else begin
+    frontiers t v;
+    let found = ref [] in
+    ignore
+      (scan t v (fun k a _ ->
+           found := { thread = k; after = after_of a } :: !found));
+    List.rev !found
+  end
 
 let sink_distance t v =
   if not (node t v).scheduled then
@@ -541,7 +649,8 @@ let sink_distance t v =
 
 let predicted_cost t v position =
   sync t;
-  match List.assoc_opt position (fst (costed_positions t v)) with
+  frontiers t v;
+  match cost_at t v position with
   | Some cost -> cost
   | None -> invalid_arg "Threaded_graph.predicted_cost: infeasible position"
 
@@ -590,7 +699,7 @@ let count_explicit t (np : node) (nv : node) delta =
   if np.thread >= 0 then degree_in t nv delta
 
 let add_explicit_edge t p v =
-  let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
+  let np = t.nodes.(p) and nv = t.nodes.(v) in
   (* [memq]: on ints physical equality is equality, without the
      polymorphic [compare] call of [List.mem]. *)
   if not (List.memq v np.succs) then begin
@@ -603,7 +712,7 @@ let add_explicit_edge t p v =
 (* Every caller removes an edge the state holds, so it is counted out
    once. *)
 let remove_explicit_edge t p v =
-  let np = Vec.get t.nodes p and nv = Vec.get t.nodes v in
+  let np = t.nodes.(p) and nv = t.nodes.(v) in
   np.succs <- List.filter (fun x -> x <> v) np.succs;
   nv.preds <- List.filter (fun x -> x <> p) nv.preds;
   count_explicit t np nv (-1);
@@ -612,17 +721,17 @@ let remove_explicit_edge t p v =
 let rec find_in_thread t k = function
   | [] -> None
   | x :: rest ->
-    if (Vec.get t.nodes x).thread = k then Some x else find_in_thread t k rest
+    if t.nodes.(x).thread = k then Some x else find_in_thread t k rest
 
 (* p's unique explicit successor living in thread k, if any. *)
-let succ_in_thread t p k = find_in_thread t k (Vec.get t.nodes p).succs
-let pred_in_thread t q k = find_in_thread t k (Vec.get t.nodes q).preds
+let succ_in_thread t p k = find_in_thread t k t.nodes.(p).succs
+let pred_in_thread t q k = find_in_thread t k t.nodes.(q).preds
 
 (* Tighten edges between the freshly placed [v] and one vertex [p] of
    its ancestor frontier (Figure 2 (a)(b)(c), with the same-thread-pred
    collapse repair of DESIGN.md §2.4). [k] is v's thread (-1 if free). *)
 let link_ancestor t ~v ~k p =
-  let np = Vec.get t.nodes p in
+  let np = t.nodes.(p) in
   if np.thread = k && k >= 0 then
     (* Same thread: feasibility guaranteed p sits before v; implicit. *)
     ()
@@ -633,8 +742,7 @@ let link_ancestor t ~v ~k p =
         match succ_in_thread t p k with
         | None -> true
         | Some e ->
-          let ne = Vec.get t.nodes e and nv = Vec.get t.nodes v in
-          if ne.pos < nv.pos then false (* p -> e -> … -> v implied *)
+          if pos t e < pos t v then false (* p -> e -> … -> v implied *)
           else begin
             remove_explicit_edge t p e;
             (* p ≺ e stays implied via p -> v -> … -> e. *)
@@ -647,8 +755,7 @@ let link_ancestor t ~v ~k p =
       if np.thread >= 0 then begin
         match pred_in_thread t v np.thread with
         | Some p' when p' <> p ->
-          let np' = Vec.get t.nodes p' in
-          if np'.pos >= np.pos then () (* existing pred is later: keep it *)
+          if pos t p' >= pos t p then () (* existing pred is later: keep it *)
           else begin
             remove_explicit_edge t p' v;
             add_explicit_edge t p v
@@ -662,7 +769,7 @@ let link_ancestor t ~v ~k p =
 (* Mirror image for a vertex [q] of v's descendant frontier
    (Figure 2 (d)(e)(f)). *)
 let link_descendant t ~v ~k q =
-  let nq = Vec.get t.nodes q in
+  let nq = t.nodes.(q) in
   if nq.thread = k && k >= 0 then ()
   else begin
     let wanted =
@@ -671,8 +778,7 @@ let link_descendant t ~v ~k q =
         match pred_in_thread t q k with
         | None -> true
         | Some e ->
-          let ne = Vec.get t.nodes e and nv = Vec.get t.nodes v in
-          if ne.pos > nv.pos then false (* v -> … -> e -> q implied *)
+          if pos t e > pos t v then false (* v -> … -> e -> q implied *)
           else begin
             remove_explicit_edge t e q;
             true
@@ -682,8 +788,7 @@ let link_descendant t ~v ~k q =
       if nq.thread >= 0 then begin
         match succ_in_thread t v nq.thread with
         | Some q' when q' <> q ->
-          let nq' = Vec.get t.nodes q' in
-          if nq'.pos <= nq.pos then () (* existing succ is earlier: keep *)
+          if pos t q' <= pos t q then () (* existing succ is earlier: keep *)
           else begin
             remove_explicit_edge t v q';
             add_explicit_edge t v q
@@ -694,19 +799,27 @@ let link_descendant t ~v ~k q =
     end
   end
 
-let splice t v { thread = k; after } =
-  let nv = Vec.get t.nodes v in
+(* Number the members of a thread from [x] on, starting at [i]. *)
+let rec renumber t x i =
+  if x >= 0 then begin
+    t.pos.(x) <- i;
+    renumber t t.nodes.(x).next (i + 1)
+  end
+
+(* Place [v] in thread [k] after [w], or at its head if [w] is -1. *)
+let splice t v k w =
+  let nv = t.nodes.(v) in
   nv.thread <- k;
+  t.pop.(k) <- t.pop.(k) + 1;
   (* v joins with no state edge. At the head it gains [v -> first]; after
      w, [w -> v] and [v -> next] replace [w -> next], or w gains its
      first thread successor. *)
-  (match after with
-  | None ->
+  (if w < 0 then begin
     let first = t.head.(k) in
     nv.prev <- -1;
     nv.next <- first;
     if first >= 0 then begin
-      let nf = Vec.get t.nodes first in
+      let nf = t.nodes.(first) in
       nf.prev <- v;
       t.edges <- t.edges + 1;
       degree_out t nv 1;
@@ -714,8 +827,9 @@ let splice t v { thread = k; after } =
     end
     else t.tail.(k) <- v;
     t.head.(k) <- v
-  | Some w ->
-    let nw = Vec.get t.nodes w in
+  end
+  else begin
+    let nw = t.nodes.(w) in
     if nw.thread <> k then
       invalid_arg "Threaded_graph.splice: anchor not in the target thread";
     let next = nw.next in
@@ -725,29 +839,27 @@ let splice t v { thread = k; after } =
     t.edges <- t.edges + 1;
     degree_in t nv 1;
     if next >= 0 then begin
-      (Vec.get t.nodes next).prev <- v;
+      t.nodes.(next).prev <- v;
       degree_out t nv 1
     end
     else begin
       t.tail.(k) <- v;
       degree_out t nw 1
-    end);
-  (* The members before v keep their positions. *)
-  let rec renumber x i =
-    if x >= 0 then begin
-      let n = Vec.get t.nodes x in
-      n.pos <- i;
-      renumber n.next (i + 1)
     end
-  in
-  renumber v (if nv.prev >= 0 then pos t nv.prev + 1 else 0)
+  end);
+  (* The members before v keep their positions. *)
+  renumber t v (if nv.prev >= 0 then pos t nv.prev + 1 else 0)
 
 (* Re-tighten the edges between the freshly placed [v] (thread [k], -1
    if free) and its two frontiers. A scheduled G-ancestor off the
    frontier already precedes a frontier vertex, so it needs no edge. *)
-let link t ~v ~k ~ancestors ~descendants =
-  List.iter (fun p -> link_ancestor t ~v ~k p) ancestors;
-  List.iter (fun q -> link_descendant t ~v ~k q) descendants
+let link t ~v ~k =
+  for i = t.n_anc - 1 downto 0 do
+    link_ancestor t ~v ~k t.anc.(i)
+  done;
+  for i = t.n_desc - 1 downto 0 do
+    link_descendant t ~v ~k t.desc.(i)
+  done
 
 (* --- window vectors at commit ------------------------------------------ *)
 
@@ -791,7 +903,7 @@ let rec push_all t rows ~later ~src xs tail =
 (* Push [src]'s row on from [x]: to its state successors if [later],
    else to its predecessors. *)
 let push_from t rows ~later ~src x tail =
-  let nx = Vec.get t.nodes x in
+  let nx = t.nodes.(x) in
   if later then
     push_all t rows ~later ~src nx.succs
       (push_to t rows ~later ~src nx.next tail)
@@ -817,7 +929,7 @@ let push_row t rows ~later v =
    it, and the push stops there. Each vertex is queued at most once per
    push. *)
 let set_windows t v =
-  let nv = Vec.get t.nodes v in
+  let nv = t.nodes.(v) in
   let w = t.width in
   if nv.prev >= 0 then ignore (merge_row t t.lat ~later:true ~src:nv.prev v);
   merge_rows t t.lat ~later:true nv.preds v;
@@ -882,8 +994,8 @@ let rec sift_down t size x kx i =
 let relax t ~v ~label x size =
   if x = v then
     failwith "Threaded_graph.relabel: scheduling state contains a cycle";
-  let nx = Vec.get t.nodes x in
-  let l = label + Graph.delay t.graph x in
+  let nx = t.nodes.(x) in
+  let l = label + t.delay.(x) in
   if l <= nx.sdist then size
   else begin
     nx.sdist <- l;
@@ -903,7 +1015,7 @@ let rec relax_all t ~v ~label xs size =
 
 (* Push [w]'s sdist to its state successors. *)
 let relax_neighbours t ~v w size =
-  let nw = Vec.get t.nodes w in
+  let nw = t.nodes.(w) in
   let size =
     if nw.next >= 0 then relax t ~v ~label:nw.sdist nw.next size else size
   in
@@ -932,8 +1044,8 @@ let propagate t v =
    via + delay x > tdist x; if it does not, no ancestor's grows through
    it. [via] is -1 above v's predecessors. Returns the new tail. *)
 let mark t ~via x tail =
-  let nx = Vec.get t.nodes x in
-  if nx.stale || (via >= 0 && via + Graph.delay t.graph x <= nx.tdist) then
+  let nx = t.nodes.(x) in
+  if nx.stale || (via >= 0 && via + t.delay.(x) <= nx.tdist) then
     tail
   else begin
     nx.stale <- true;
@@ -947,14 +1059,14 @@ let rec mark_all t ~via xs tail =
   | x :: rest -> mark_all t ~via rest (mark t ~via x tail)
 
 let mark_preds t ~via x tail =
-  let nx = Vec.get t.nodes x in
+  let nx = t.nodes.(x) in
   let tail = if nx.prev >= 0 then mark t ~via nx.prev tail else tail in
   mark_all t ~via nx.preds tail
 
 (* Mark stale every state ancestor of [v] whose sink distance may have
    grown; returns how many were marked. *)
 let mark_stale t v =
-  let via = (Vec.get t.nodes v).tdist in
+  let via = t.nodes.(v).tdist in
   let tail = ref (mark_preds t ~via v 0) and head = ref 0 in
   while !head < !tail do
     let x = t.order.(!head) in
@@ -969,9 +1081,9 @@ let mark_stale t v =
    above it. Counts v, the vertices popped and the new marks into
    [relabelled]. *)
 let relabel t v =
-  let nv = Vec.get t.nodes v in
-  let delay_v = Graph.delay t.graph v in
-  let before = if nv.prev >= 0 then (Vec.get t.nodes nv.prev).sdist else 0 in
+  let nv = t.nodes.(v) in
+  let delay_v = t.delay.(v) in
+  let before = if nv.prev >= 0 then t.nodes.(nv.prev).sdist else 0 in
   nv.sdist <- max_sdist t nv.preds before + delay_v;
   let after = if nv.next >= 0 then tdist_of t nv.next else 0 in
   nv.tdist <- max_tdist t nv.succs after + delay_v;
@@ -979,26 +1091,26 @@ let relabel t v =
   let below = propagate t v in
   t.relabelled <- t.relabelled + 1 + below + mark_stale t v
 
-(* [ancestors]/[descendants] are v's frontiers, as computed for the scan
-   that chose [position]: placing v changes neither list. *)
-let commit t v position ~ancestors ~descendants =
-  let nv = Vec.get t.nodes v in
-  splice t v position;
+(* Place [v] in thread [k] after [w] (-1: at the head). The frontiers
+   are v's, as computed for the scan that chose the position: placing v
+   changes neither. *)
+let commit t v k w =
+  let nv = t.nodes.(v) in
+  splice t v k w;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  link t ~v ~k:position.thread ~ancestors ~descendants;
+  link t ~v ~k;
   spread t v;
   set_windows t v;
   relabel t v
 
 let commit_free t v =
-  let nv = Vec.get t.nodes v in
-  let ancestors = frontier t ~backward:true v in
-  let descendants = frontier t ~backward:false v in
+  let nv = t.nodes.(v) in
+  frontiers t v;
   nv.thread <- -1;
   nv.scheduled <- true;
   t.n_scheduled <- t.n_scheduled + 1;
-  link t ~v ~k:(-1) ~ancestors ~descendants;
+  link t ~v ~k:(-1);
   spread t v;
   set_windows t v;
   relabel t v
@@ -1010,12 +1122,10 @@ let commit_at t v position =
     invalid_arg "Threaded_graph.commit_at: vertex already scheduled";
   if is_free_op t v then
     invalid_arg "Threaded_graph.commit_at: zero-resource op is placed free";
-  let ancestors = frontier t ~backward:true v in
-  let descendants = frontier t ~backward:false v in
-  let costed, _ = scan_positions t v ~ancestors ~descendants in
-  if not (List.mem_assoc position costed) then
+  frontiers t v;
+  if cost_at t v position = None then
     invalid_arg "Threaded_graph.commit_at: infeasible position";
-  commit t v position ~ancestors ~descendants
+  commit t v position.thread (anchor_of position.after)
 
 let no_thread t v =
   invalid_arg
@@ -1029,37 +1139,27 @@ let schedule_degraded t v =
   if not nv.scheduled then
     if is_free_op t v then commit_free t v
     else begin
-      let ancestors = frontier t ~backward:true v in
-      let descendants = frontier t ~backward:false v in
-      let position =
-        match (allowed_threads t v, descendants) with
+      frontiers t v;
+      let k, w =
+        match (allowed_threads t v, t.n_desc) with
         | [], _ -> no_thread t v
-        | k0 :: ks, [] ->
+        | k0 :: ks, 0 ->
           (* Every tail slot is feasible: take the earliest-finishing. *)
           let finish k =
-            if t.tail.(k) < 0 then 0 else (Vec.get t.nodes t.tail.(k)).sdist
+            if t.tail.(k) < 0 then 0 else t.nodes.(t.tail.(k)).sdist
           in
           let k =
             List.fold_left
               (fun k j -> if finish j < finish k then j else k)
               k0 ks
           in
-          let last = t.tail.(k) in
-          { thread = k; after = (if last < 0 then None else Some last) }
-        | k :: _, _ :: _ ->
-          let lo = bound t t.lat ~later:true k ancestors (-1) in
-          { thread = k; after = (if lo < 0 then None else Some lo) }
+          (k, t.tail.(k))
+        | k :: _, _ -> (k, bound t t.lat ~later:true k t.anc (t.n_anc - 1) (-1))
       in
-      commit t v position ~ancestors ~descendants
+      commit t v k w
     end
 
 type tie_break = [ `First | `Balance | `Pack ]
-
-let thread_population t k =
-  let rec walk v acc =
-    if v < 0 then acc else walk (Vec.get t.nodes v).next (acc + 1)
-  in
-  walk t.head.(k) 0
 
 (* End-of-call telemetry summary, from the maintained diameter, edge
    count and degree histograms: O(K), only with a sink installed. *)
@@ -1083,6 +1183,35 @@ let tie_rule_name = function
   | `Balance -> "balance"
   | `Pack -> "pack"
 
+(* A tie's weight under [tie]: none for [`First], so the first minimum
+   in scan order stands; the thread's population for [`Balance]; minus
+   it for [`Pack]. *)
+let weigh t tie k =
+  match tie with `First -> 0 | `Balance -> t.pop.(k) | `Pack -> -t.pop.(k)
+
+(* Offer a candidate to the running best of the scan in progress: a
+   strictly lower cost takes over and restarts the tie count; an equal
+   cost counts one more tie and takes over only on a strictly lower
+   weight. So the best is the first position in scan order of minimum
+   weight among those of minimum cost. *)
+let offer t tie k w cost =
+  let weight = weigh t tie k in
+  if t.ties = 0 || cost < t.best_cost then begin
+    t.best_thread <- k;
+    t.best_after <- w;
+    t.best_cost <- cost;
+    t.best_weight <- weight;
+    t.ties <- 1
+  end
+  else if cost = t.best_cost then begin
+    t.ties <- t.ties + 1;
+    if weight < t.best_weight then begin
+      t.best_thread <- k;
+      t.best_after <- w;
+      t.best_weight <- weight
+    end
+  end
+
 let schedule ?(tie = `First) t v =
   sync t;
   let nv = node t v in
@@ -1101,54 +1230,27 @@ let schedule ?(tie = `First) t v =
           ~t0
     end
     else begin
-      let ancestors = frontier t ~backward:true v in
-      let descendants = frontier t ~backward:false v in
-      let costed, scanned =
-        scan_positions ~trace:tel t v ~ancestors ~descendants
+      frontiers t v;
+      t.ties <- 0;
+      let scanned =
+        scan t v (fun k w cost ->
+            if tel then
+              Tel.emit
+                (Tel.Candidate { v; thread = k; after = after_of w; cost });
+            offer t tie k w cost)
       in
-      match costed with
-      | [] -> no_thread t v
-      | (first_pos, first_cost) :: rest ->
-        let best_cost =
-          List.fold_left (fun acc (_, c) -> min acc c) first_cost rest
-        in
-        let minima =
-          List.filter (fun (_, c) -> c = best_cost)
-            ((first_pos, first_cost) :: rest)
-        in
-        if tel && List.length minima > 1 then
+      if t.ties = 0 then no_thread t v;
+      let k = t.best_thread and w = t.best_after and cost = t.best_cost in
+      if tel then begin
+        if t.ties > 1 then
           Tel.emit
-            (Tel.Tie_break
-               { v; rule = tie_rule_name tie; ties = List.length minima });
-        let best_pos =
-          match tie, minima with
-          | _, [] -> assert false
-          | `First, (p, _) :: _ -> p
-          | (`Balance | `Pack), (p0, _) :: rest ->
-            let weigh p =
-              let population = thread_population t p.thread in
-              if tie = `Pack then -population else population
-            in
-            fst
-              (List.fold_left
-                 (fun (bp, bw) (p, _) ->
-                   let w = weigh p in
-                   if w < bw then (p, w) else (bp, bw))
-                 (p0, weigh p0) rest)
-        in
-        if tel then
-          Tel.emit
-            (Tel.Chosen
-               {
-                 v;
-                 thread = best_pos.thread;
-                 after = best_pos.after;
-                 cost = best_cost;
-               });
-        commit t v best_pos ~ancestors ~descendants;
-        if tel then
-          emit_schedule_done t ~v ~thread:(Some best_pos.thread) ~scanned
-            ~relabelled0 ~walked0 ~t0
+            (Tel.Tie_break { v; rule = tie_rule_name tie; ties = t.ties });
+        Tel.emit (Tel.Chosen { v; thread = k; after = after_of w; cost })
+      end;
+      commit t v k w;
+      if tel then
+        emit_schedule_done t ~v ~thread:(Some k) ~scanned ~relabelled0
+          ~walked0 ~t0
     end
   end
 
@@ -1166,9 +1268,9 @@ let to_schedule ?(placement = `Asap) t =
   let dia = t.diameter in
   let starts =
     Array.init (Graph.n_vertices t.graph) (fun v ->
-        let n = Vec.get t.nodes v in
+        let n = t.nodes.(v) in
         match placement with
-        | `Asap -> n.sdist - Graph.delay t.graph v
+        | `Asap -> n.sdist - t.delay.(v)
         | `Alap -> dia - tdist_of t v)
   in
   Schedule.make t.graph ~starts
@@ -1186,7 +1288,7 @@ type stats = {
 let stats ?(with_softness = false) t =
   sync t;
   let scheduled = scheduled_vertices t in
-  let in_thread v = (Vec.get t.nodes v).thread >= 0 in
+  let in_thread v = t.nodes.(v).thread >= 0 in
   let n_in_threads = List.length (List.filter in_thread scheduled) in
   let ordered_pairs =
     if with_softness then
@@ -1205,35 +1307,24 @@ let stats ?(with_softness = false) t =
 
 let copy t =
   sync t;
-  let nodes = Vec.create ~capacity:(Vec.length t.nodes) ~dummy:(fresh_node ()) () in
-  Vec.iter
-    (fun n ->
-      ignore
-        (Vec.push nodes
-           {
-             scheduled = n.scheduled;
-             thread = n.thread;
-             prev = n.prev;
-             next = n.next;
-             pos = n.pos;
-             preds = n.preds;
-             succs = n.succs;
-             sdist = n.sdist;
-             tdist = n.tdist;
-             stale = n.stale;
-             above = n.above;
-             below = n.below;
-             in_deg = n.in_deg;
-             out_deg = n.out_deg;
-           }))
-    t.nodes;
+  (* A fresh record per vertex; the spare slots keep [spare]. *)
+  let nodes =
+    Array.mapi
+      (fun v n ->
+        if v < t.n_nodes then { n with scheduled = n.scheduled } else n)
+      t.nodes
+  in
   {
     graph = t.graph;
     classes = Array.copy t.classes;
     by_class = t.by_class;
     head = Array.copy t.head;
     tail = Array.copy t.tail;
+    pop = Array.copy t.pop;
     nodes;
+    n_nodes = t.n_nodes;
+    delay = Array.copy t.delay;
+    pos = Array.copy t.pos;
     width = t.width;
     lat = Array.copy t.lat;
     ear = Array.copy t.ear;
@@ -1251,4 +1342,14 @@ let copy t =
     up = [||];
     down = [||];
     stamp = 0;
+    qtail = 0;
+    anc = [||];
+    n_anc = 0;
+    desc = [||];
+    n_desc = 0;
+    best_thread = -1;
+    best_after = -1;
+    best_cost = 0;
+    best_weight = 0;
+    ties = 0;
   }

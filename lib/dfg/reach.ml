@@ -1,7 +1,8 @@
 (* Row v of [down] is a bitset over vertices: bit u set iff v reaches u.
    Rows are sized in whole 64-bit words so unions run 8 bytes at a
-   time. *)
-type t = { n : int; down : Bytes.t array; up : Bytes.t array }
+   time. The one matrix answers both directions: v's ancestors are the
+   rows with bit v set. *)
+type t = { n : int; down : Bytes.t array }
 
 let bit_set row u = Bytes.set_uint8 row (u lsr 3)
     (Bytes.get_uint8 row (u lsr 3) lor (1 lsl (u land 7)))
@@ -21,8 +22,9 @@ let row_or ~into src =
 let of_graph g =
   let n = Graph.n_vertices g in
   let row_bytes = max 8 (((n + 63) / 64) * 8) in
-  let make () = Array.init (max n 1) (fun _ -> Bytes.make row_bytes '\000') in
-  let r = { n; down = make (); up = make () } in
+  let r =
+    { n; down = Array.init (max n 1) (fun _ -> Bytes.make row_bytes '\000') }
+  in
   let order = Topo.sort g in
   (* Reverse topological sweep: v reaches the union of its successors'
      reach sets plus the successors themselves. *)
@@ -34,14 +36,6 @@ let of_graph g =
           row_or ~into:r.down.(v) r.down.(s))
         g v)
     (List.rev order);
-  List.iter
-    (fun v ->
-      Graph.iter_preds
-        (fun p ->
-          bit_set r.up.(v) p;
-          row_or ~into:r.up.(v) r.up.(p))
-        g v)
-    order;
   r
 
 let check r v =
@@ -74,9 +68,14 @@ let descendants r v =
   check r v;
   collect r.down.(v) r.n
 
+(* Column v of the rows, ascending. *)
 let ancestors r v =
   check r v;
-  collect r.up.(v) r.n
+  let acc = ref [] in
+  for u = r.n - 1 downto 0 do
+    if bit_get r.down.(u) v then acc := u :: !acc
+  done;
+  !acc
 
 (* Set bits per byte value, so a row is counted a byte at a time. *)
 let popcount8 =

@@ -24,6 +24,8 @@ val descendants : t -> Graph.vertex -> Graph.vertex list
 (** Strict descendants, ascending id order. *)
 
 val ancestors : t -> Graph.vertex -> Graph.vertex list
+(** Strict ancestors, ascending id order. The index keeps only the
+    descendant rows, so this reads one bit of every row: O(V). *)
 
 val count_pairs : t -> int
 (** Number of ordered pairs [(u, v)] with [u ≺ v] — a measure of how

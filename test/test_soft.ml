@@ -785,21 +785,24 @@ let minor_words_per_vertex_call ~layers =
   List.iter (T.schedule st) order;
   (Gc.minor_words () -. before) /. float_of_int (n * n)
 
+(* A call allocates a constant: the vertex's node record, the scan's
+   callback and the cons cells of the explicit edges it links, about 38
+   words (0.096 per vertex at |V| = 400, 0.012 at 3200). The scan keeps
+   its best in place and the frontiers live in scratch, so nothing a
+   call allocates grows with the number of scheduled vertices; a list
+   of positions or frontier lists would. *)
 let test_schedule_allocation_bound () =
   let per_vertex_call = minor_words_per_vertex_call ~layers:40 in
   check Alcotest.bool
-    (Printf.sprintf "%.2f minor words per vertex per call <= 1"
+    (Printf.sprintf "%.3f minor words per vertex per call <= 0.1"
        per_vertex_call)
-    true (per_vertex_call <= 1.);
-  (* At |V| = 3200 a call allocates an eighth of a word per vertex: what
-     it allocates (the frontier lists, the scan's positions) must not
-     grow with the number of scheduled vertices. *)
+    true (per_vertex_call <= 0.1);
   let per_vertex_call = minor_words_per_vertex_call ~layers:320 in
   check Alcotest.bool
     (Printf.sprintf
-       "%.3f minor words per vertex per call <= 0.125 at |V| = 3200"
+       "%.4f minor words per vertex per call <= 0.0125 at |V| = 3200"
        per_vertex_call)
-    true (per_vertex_call <= 0.125)
+    true (per_vertex_call <= 0.0125)
 
 (* Each call's label propagation, counted by the telemetry summary, must
    process no more vertices than the from-scratch labelling pass it
@@ -1018,6 +1021,209 @@ let prop_feasibility_oracle =
             R.fig3_all)
         [ graph_of; dag_with_free_ops ])
 
+(* --- the list-building select, kept as an oracle ------------------------ *)
+
+(* The kernel's select as it was before the scan kept its best in place:
+   build the list of costed positions in scan order, then pick from it.
+   Windows and labels come from the public reads ([precedes], the thread
+   members, [Paths] on the exported state graph, [Reach] on G) instead of
+   the window vectors and the maintained labels; the scan and the costs
+   are the old kernel's. Thread k's window runs from [lo], the latest
+   member under some scheduled G-ancestor of v, to [hi], the earliest
+   member above some scheduled G-descendant; the head slot is feasible
+   iff [lo] is none. *)
+let list_scan st v =
+  let g = T.graph st in
+  match R.class_of_op (Graph.op g v) with
+  | Some cls when Graph.delay g v > 0 && not (T.is_scheduled st v) ->
+    let sg = T.state_graph st in
+    let sdist = Paths.source_distances sg and tdist = Paths.sink_distances sg in
+    let reach = Reach.of_graph g in
+    let scheduled = List.filter (T.is_scheduled st) (Graph.vertices g) in
+    let ancestors = List.filter (fun a -> Reach.precedes reach a v) scheduled
+    and descendants =
+      List.filter (fun d -> Reach.precedes reach v d) scheduled
+    in
+    let preceq a b = a = b || T.precedes st a b in
+    let largest dist = List.fold_left (fun m x -> max m dist.(x)) 0 in
+    let intrinsic_src = largest sdist ancestors
+    and intrinsic_snk = largest tdist descendants in
+    let delay_v = Graph.delay g v in
+    let result = ref [] in
+    for k = 0 to T.n_threads st - 1 do
+      if R.equal_class (T.thread_class st k) cls then begin
+        let members = T.thread_members st k in
+        let lo =
+          List.fold_left
+            (fun lo m -> if List.exists (preceq m) ancestors then m else lo)
+            (-1) members
+        in
+        let hi =
+          List.fold_right
+            (fun m hi ->
+              if List.exists (fun d -> preceq d m) descendants then m else hi)
+            members (-1)
+        in
+        let tdist_first = function [] -> 0 | x :: _ -> tdist.(x) in
+        if lo < 0 then
+          result :=
+            ( { T.thread = k; after = None },
+              max 0 intrinsic_src
+              + max (tdist_first members) intrinsic_snk
+              + delay_v )
+            :: !result;
+        let rec after_each = function
+          | w :: rest when w <> hi ->
+            result :=
+              ( { T.thread = k; after = Some w },
+                max sdist.(w) intrinsic_src
+                + max (tdist_first rest) intrinsic_snk
+                + delay_v )
+              :: !result;
+            after_each rest
+          | _ -> ()
+        in
+        let rec from = function
+          | w :: _ as window when w = lo -> window
+          | _ :: rest -> from rest
+          | [] -> []
+        in
+        after_each (if lo < 0 then members else from members)
+      end
+    done;
+    List.rev !result
+  | _ -> []
+
+(* The old selection over [list_scan]'s list: the minimum cost, then
+   among the positions reaching it the first in scan order ([`First]) or
+   the first on the emptiest ([`Balance]) or fullest ([`Pack]) thread.
+   Returns the position, its cost and the number of ties. *)
+let list_select st ~tie costed =
+  match costed with
+  | [] -> None
+  | (_, first_cost) :: rest ->
+    let best_cost =
+      List.fold_left (fun acc (_, c) -> min acc c) first_cost rest
+    in
+    let minima = List.filter (fun (_, c) -> c = best_cost) costed in
+    let best_pos =
+      match (tie, minima) with
+      | _, [] -> assert false
+      | `First, (p, _) :: _ -> p
+      | (`Balance | `Pack), (p0, _) :: rest ->
+        let weigh p =
+          let population = List.length (T.thread_members st p.T.thread) in
+          if tie = `Pack then -population else population
+        in
+        fst
+          (List.fold_left
+             (fun (bp, bw) (p, _) ->
+               let w = weigh p in
+               if w < bw then (p, w) else (bp, bw))
+             (p0, weigh p0) rest)
+    in
+    Some (best_pos, best_cost, List.length minima)
+
+(* Where [v] sits in the state: its thread and its thread predecessor. *)
+let placement_of st v =
+  match T.thread_of st v with
+  | None -> None
+  | Some k ->
+    let rec before prev = function
+      | x :: rest -> if x = v then prev else before (Some x) rest
+      | [] -> None
+    in
+    Some { T.thread = k; after = before None (T.thread_members st k) }
+
+(* One call against the oracle: [feasible_positions] and [predicted_cost]
+   must give the oracle's list, and [schedule] must commit the oracle's
+   choice. With [traced], the call runs under a recorder, whose
+   candidates, tie-break and chosen position must be the oracle's
+   too. *)
+let call_matches_oracle st ~tie ~traced v =
+  let costed = list_scan st v in
+  let expected = list_select st ~tie costed in
+  let listed =
+    T.feasible_positions st v = List.map fst costed
+    && List.for_all (fun (p, c) -> T.predicted_cost st v p = c) costed
+  in
+  let recorder = Telemetry.Recorder.create () in
+  if traced then
+    Telemetry.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
+        T.schedule ~tie st v)
+  else T.schedule ~tie st v;
+  let events =
+    List.map
+      (fun (e : Telemetry.timed) -> e.event)
+      (Telemetry.Recorder.events recorder)
+  in
+  let placed =
+    match expected with
+    | None -> T.is_scheduled st v
+    | Some (p, _, _) -> placement_of st v = Some p
+  in
+  let stream_ok =
+    (not traced)
+    ||
+    let candidates =
+      List.filter_map
+        (function
+          | Telemetry.Candidate { thread; after; cost; _ } ->
+            Some ({ T.thread; after }, cost)
+          | _ -> None)
+        events
+    and ties =
+      List.filter_map
+        (function Telemetry.Tie_break { ties; _ } -> Some ties | _ -> None)
+        events
+    and chosen =
+      List.filter_map
+        (function
+          | Telemetry.Chosen { thread; after; cost; _ } ->
+            Some ({ T.thread; after }, cost)
+          | _ -> None)
+        events
+    in
+    candidates = costed
+    &&
+    match expected with
+    | None -> ties = [] && chosen = []
+    | Some (p, c, n) ->
+      chosen = [ (p, c) ] && ties = if n > 1 then [ n ] else []
+  in
+  listed && placed && stream_ok
+
+let prop_select_equals_list_oracle =
+  QCheck.Test.make ~name:"select equals the list-building oracle" ~count:12
+    seeded_dag (fun ((n, _, seed) as spec) ->
+      List.for_all
+        (fun build ->
+          List.for_all
+            (fun (_, resources) ->
+              List.for_all
+                (fun meta ->
+                  List.for_all
+                    (fun tie ->
+                      List.for_all
+                        (fun traced ->
+                          let g = build () in
+                          let st = T.create g ~resources in
+                          List.for_all
+                            (fun v -> call_matches_oracle st ~tie ~traced v)
+                            (meta g))
+                        [ false; true ])
+                    [ `First; `Balance; `Pack ])
+                (Meta.random ~seed :: List.map snd (Meta.fig3 ~resources)))
+            R.fig3_all)
+        [
+          (fun () -> dag_with_free_ops spec);
+          (fun () ->
+            Generate.layered (Random.State.make [| seed |])
+              ~layers:(1 + (n / 5)) ~width:4 ~fanin:2);
+          (fun () ->
+            Generate.series_parallel (Random.State.make [| seed |]) ~size:n);
+        ])
+
 (* Past the deadline from the first vertex on, every placement is the
    degraded one; the state must still be a correct threaded state whose
    export is resource-valid. *)
@@ -1220,6 +1426,104 @@ let test_decision_digest () =
       (List.length mismatches)
       (String.concat "\n" mismatches)
 
+(* Every event the kernel emits on the eight suite designs, kind and
+   fields in order, without the clock ([at_ns], [elapsed_ns]), reduced to
+   one MD5 per design and tie rule. A design's text covers each Figure 3
+   configuration under each of its four metas. A kernel change that keeps
+   the stream keeps every digest; a reordered candidate, a missing
+   tie-break or an edge event moved between calls changes it. *)
+let event_text b = function
+  | Telemetry.Schedule_start { v; name } ->
+    Printf.bprintf b "start %d %s\n" v name
+  | Candidate { v; thread; after; cost } ->
+    Printf.bprintf b "candidate %d %d %d %d\n" v thread
+      (Option.value after ~default:(-1))
+      cost
+  | Tie_break { v; rule; ties } -> Printf.bprintf b "tie %d %s %d\n" v rule ties
+  | Chosen { v; thread; after; cost } ->
+    Printf.bprintf b "chosen %d %d %d %d\n" v thread
+      (Option.value after ~default:(-1))
+      cost
+  | Edge_added { src; dst } -> Printf.bprintf b "edge+ %d %d\n" src dst
+  | Edge_removed { src; dst } -> Printf.bprintf b "edge- %d %d\n" src dst
+  | Free_placed { v; name } -> Printf.bprintf b "free %d %s\n" v name
+  | Schedule_done { v; thread; summary = s } ->
+    Printf.bprintf b "done %d %d %d %d %d %d %d %d %d\n" v
+      (Option.value thread ~default:(-1))
+      s.scanned s.relabelled s.walked s.diameter s.state_edges
+      s.max_thread_in_degree s.max_thread_out_degree
+
+let event_digest build ~tie =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (_, resources) ->
+      List.iter
+        (fun (_, meta) ->
+          let g = build () in
+          let recorder = Telemetry.Recorder.create () in
+          Telemetry.with_sink (Telemetry.Recorder.sink recorder) (fun () ->
+              T.schedule_all ~tie (T.create g ~resources) (meta g));
+          List.iter
+            (fun (e : Telemetry.timed) -> event_text b e.event)
+            (Telemetry.Recorder.events recorder))
+        (Meta.fig3 ~resources))
+    R.fig3_all;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Taken from the kernel whose select built a list of costed positions. *)
+let expected_event_digests =
+  [
+    ("HAL first", "2a23010eb7ab074e19a17f901abdf6a5");
+    ("HAL balance", "4e51cb5705a1a95a6133871ddc01ef32");
+    ("HAL pack", "777ba3aaa66d9380e7ebcc31f51bd7e4");
+    ("AR first", "9931a6017843fc9f2e40c1382061f7c8");
+    ("AR balance", "e12d4a33e5b0209ea1ce71d7b691cdba");
+    ("AR pack", "2c4473beba633c04cb1597a988baa0b7");
+    ("EF first", "c5c5f938e9438c7c1e62c76fceb24596");
+    ("EF balance", "f33ee9b7517df6d925ac2c828a7c7b5d");
+    ("EF pack", "996f2e25f0234035d3d606be0a813472");
+    ("FIR first", "08263dcc605848d529ce960c3bc5e2b5");
+    ("FIR balance", "d5c43bed7dba5157409480ade2fff67e");
+    ("FIR pack", "f51a2b0a980dab6c06725553b8863cd6");
+    ("DCT first", "11e4e7b9d791ccb31b2412ee7bd67de1");
+    ("DCT balance", "f64f4f148e963b44ff988bb3b8aa2229");
+    ("DCT pack", "c30ffd1902efad0d3e963016cd652b6f");
+    ("IIR first", "eeac06c1c1fad8e8afecc2706f053cf5");
+    ("IIR balance", "6deafc431534e629709538da28eccb18");
+    ("IIR pack", "77bc752d6f0d99ed2468d3b99c63c018");
+    ("MM3 first", "b7917aae0bc8f86cb7c6f9d79b0cc5e0");
+    ("MM3 balance", "dbbe7854b65e8a808159d2e262e0acfb");
+    ("MM3 pack", "2d396d006047b7735b3151d8e952b3ce");
+    ("CONV first", "3cebac61408bdbc710f5f0c64129d1a5");
+    ("CONV balance", "363b16e1cf61a65f58d993cf384b715e");
+    ("CONV pack", "e56afe988625f4aef6cabe0f16a02af2");
+  ]
+
+let test_event_digest () =
+  let mismatches =
+    List.concat_map
+      (fun e ->
+        List.filter_map
+          (fun tie ->
+            let rule =
+              match tie with
+              | `First -> "first"
+              | `Balance -> "balance"
+              | `Pack -> "pack"
+            in
+            let label = e.Hls_bench.Suite.name ^ " " ^ rule in
+            let actual = event_digest e.Hls_bench.Suite.build ~tie in
+            match List.assoc_opt label expected_event_digests with
+            | Some expected when expected = actual -> None
+            | _ -> Some (Printf.sprintf "(%S, %S);" label actual))
+          [ `First; `Balance; `Pack ])
+      Hls_bench.Suite.all
+  in
+  if mismatches <> [] then
+    Alcotest.failf "event stream changed on %d design/tie pair(s):\n%s"
+      (List.length mismatches)
+      (String.concat "\n" mismatches)
+
 (* --- the engine list ------------------------------------------------ *)
 
 (* The portfolio is one static list: a suite that links soft and not the
@@ -1317,7 +1621,10 @@ let () =
           Alcotest.test_case "threads view" `Quick test_render_threads;
         ] );
       ( "kernel",
-        [ Alcotest.test_case "decision digest" `Quick test_decision_digest ] );
+        [
+          Alcotest.test_case "decision digest" `Quick test_decision_digest;
+          Alcotest.test_case "event digest" `Quick test_event_digest;
+        ] );
       ("engine", [ Alcotest.test_case "static list" `Quick test_engine_list ]);
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -1335,6 +1642,7 @@ let () =
             prop_relabelling_bound;
             prop_closure_property;
             prop_feasibility_oracle;
+            prop_select_equals_list_oracle;
             prop_degraded_state_valid;
           ] );
     ]
