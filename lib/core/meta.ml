@@ -4,7 +4,7 @@ type t = Graph.t -> Graph.vertex list
 
 let dfs g = Topo.dfs_preorder g
 
-let topological g = Topo.sort g
+let topological g = Array.to_list (Topo.order g)
 
 (* Longest-path peeling: find the maximum delay-weighted path among the
    not-yet-assigned vertices, remove it, repeat. Each pass is a linear
@@ -12,7 +12,7 @@ let topological g = Topo.sort g
 let path_partition g =
   let n = Graph.n_vertices g in
   let assigned = Array.make n false in
-  let order = Topo.sort g in
+  let order = Topo.order g in
   let paths = ref [] in
   let remaining = ref n in
   while !remaining > 0 do
@@ -20,7 +20,7 @@ let path_partition g =
        at v; choice.(v): predecessor on that path. *)
     let dist = Array.make n min_int in
     let choice = Array.make n (-1) in
-    List.iter
+    Array.iter
       (fun v ->
         if not assigned.(v) then begin
           dist.(v) <- Graph.delay g v;

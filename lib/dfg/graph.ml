@@ -8,11 +8,83 @@ type node = {
   succs : vertex Vec.t; (* insertion order; duplicate-free *)
 }
 
+(* The edge set: the pair (u, v) packed as one int, [u lsl 31 lor v],
+   in an open-addressing table with linear probing (-1 marks a free
+   slot), kept at most half full. A lookup allocates nothing and hashes
+   an int. Packing is injective while ids stay below 2^31, which
+   [add_vertex] enforces. *)
+module Edge_set = struct
+  (* [shift] is 63 minus log2 of the table's length. *)
+  type t = { mutable slots : int array; mutable shift : int; mutable count : int }
+
+  let free = -1
+  let max_vertices = 1 lsl 31
+  let create () = { slots = Array.make 64 free; shift = 63 - 6; count = 0 }
+  let copy s = { s with slots = Array.copy s.slots }
+  let[@inline] key u v = (u lsl 31) lor v
+
+  (* Fibonacci hashing: the top bits of the key times an odd constant. *)
+  let[@inline] home s key = (key * 0x1E3779B97F4A7C15) lsr s.shift
+
+  (* The slot holding [key], or the free slot that ends its probe run. *)
+  let rec probe slots key i =
+    let k = Array.unsafe_get slots i in
+    if k = key || k = free then i
+    else probe slots key ((i + 1) land (Array.length slots - 1))
+
+  let[@inline] find s key = probe s.slots key (home s key)
+  let mem s u v =
+    let key = key u v in
+    Array.unsafe_get s.slots (find s key) = key
+
+  let grow s =
+    let old = s.slots in
+    s.slots <- Array.make (2 * Array.length old) free;
+    s.shift <- s.shift - 1;
+    Array.iter (fun key -> if key <> free then s.slots.(find s key) <- key) old
+
+  (* [add s u v] is [false] when the pair is already present. *)
+  let add s u v =
+    let key = key u v in
+    let i = find s key in
+    if s.slots.(i) = key then false
+    else begin
+      s.slots.(i) <- key;
+      s.count <- s.count + 1;
+      if 2 * s.count > Array.length s.slots then grow s;
+      true
+    end
+
+  (* Backward-shift deletion: each later key of the probe run that may
+     fill the hole moves into it, so no tombstone is left behind. *)
+  let remove s u v =
+    let slots = s.slots in
+    let mask = Array.length slots - 1 in
+    let key = key u v in
+    let hole = ref (find s key) in
+    if slots.(!hole) = key then begin
+      s.count <- s.count - 1;
+      let j = ref ((!hole + 1) land mask) in
+      while slots.(!j) <> free do
+        let h = home s slots.(!j) in
+        (* the key at [j] may move iff its home is not cyclically in
+           (hole, j] *)
+        if if !hole <= !j then h <= !hole || h > !j else h <= !hole && h > !j
+        then begin
+          slots.(!hole) <- slots.(!j);
+          hole := !j
+        end;
+        j := (!j + 1) land mask
+      done;
+      slots.(!hole) <- free
+    end
+end
+
 type t = {
   nodes : node Vec.t;
   mutable n_edges : int;
   mutable total_delay : int;
-  edge_set : (vertex * vertex, unit) Hashtbl.t;
+  edge_set : Edge_set.t;
   mutable generation : int; (* bumped by every structural change *)
 }
 
@@ -26,7 +98,7 @@ let create () =
     nodes = Vec.create ~dummy:dummy_node ();
     n_edges = 0;
     total_delay = 0;
-    edge_set = Hashtbl.create 64;
+    edge_set = Edge_set.create ();
     generation = 0;
   }
 
@@ -49,8 +121,12 @@ let add_vertex g ?delay ?name op =
     invalid_arg
       (Printf.sprintf "Graph.add_vertex: delay %d takes the total delay past %d"
          delay max_total_delay);
-  g.total_delay <- g.total_delay + delay;
   let id = Vec.length g.nodes in
+  if id >= Edge_set.max_vertices then
+    invalid_arg
+      (Printf.sprintf "Graph.add_vertex: more than %d vertices"
+         Edge_set.max_vertices);
+  g.total_delay <- g.total_delay + delay;
   let name = match name with Some n -> n | None -> Printf.sprintf "v%d" id in
   let _index =
     Vec.push g.nodes
@@ -67,15 +143,14 @@ let add_vertex g ?delay ?name op =
 
 let mem_edge g u v =
   ignore (node g u);
-  Hashtbl.mem g.edge_set (u, v)
+  v >= 0 && v < n_vertices g && Edge_set.mem g.edge_set u v
 
 let add_edge g u v =
   if u = v then invalid_arg "Graph.add_edge: self loop";
   let nu = node g u and nv = node g v in
-  if not (Hashtbl.mem g.edge_set (u, v)) then begin
+  if Edge_set.add g.edge_set u v then begin
     ignore (Vec.push nu.succs v);
     ignore (Vec.push nv.preds u);
-    Hashtbl.add g.edge_set (u, v) ();
     bump g;
     g.n_edges <- g.n_edges + 1
   end
@@ -97,13 +172,13 @@ let vec_remove_all vec x =
 
 let remove_edge g u v =
   let nu = node g u and nv = node g v in
-  if not (Hashtbl.mem g.edge_set (u, v)) then
+  if not (Edge_set.mem g.edge_set u v) then
     invalid_arg (Printf.sprintf "Graph.remove_edge: no edge %d -> %d" u v);
   ignore (Vec.remove_first nu.succs v);
   (* The edge is gone entirely, so every operand slot reading [u] goes
      with it (they can only repeat after a {!replace_operand} merge). *)
   vec_remove_all nv.preds u;
-  Hashtbl.remove g.edge_set (u, v);
+  Edge_set.remove g.edge_set u v;
   bump g;
   g.n_edges <- g.n_edges - 1
 
@@ -129,13 +204,12 @@ let replace_operand g v ~old_pred ~new_pred =
        invariant when operands were previously merged. *)
     if not (Vec.mem old_pred nv.preds) then begin
       ignore (Vec.remove_first n_old.succs v);
-      Hashtbl.remove g.edge_set (old_pred, v);
+      Edge_set.remove g.edge_set old_pred v;
       bump g;
       g.n_edges <- g.n_edges - 1
     end;
-    if not (Hashtbl.mem g.edge_set (new_pred, v)) then begin
+    if Edge_set.add g.edge_set new_pred v then begin
       ignore (Vec.push n_new.succs v);
-      Hashtbl.add g.edge_set (new_pred, v) ();
       bump g;
       g.n_edges <- g.n_edges + 1
     end
@@ -179,24 +253,45 @@ let edges g =
 let sources g = List.filter (fun v -> in_degree g v = 0) (vertices g)
 let sinks g = List.filter (fun v -> out_degree g v = 0) (vertices g)
 
-(* Kahn's algorithm; a graph is a DAG iff every vertex gets popped. *)
-let is_dag g =
+(* Kahn's algorithm with FIFO ties: the sources in id order, then each
+   vertex once its last in-edge is spent, its predecessors' successor
+   lists read in insertion order. The order array doubles as the
+   queue. *)
+let kahn g =
   let n = n_vertices g in
   let indeg = Array.make n 0 in
-  iter_edges (fun _ v -> indeg.(v) <- indeg.(v) + 1) g;
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let popped = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    incr popped;
-    iter_succs
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      g u
+  for u = 0 to n - 1 do
+    let succs = (Vec.get g.nodes u).succs in
+    for i = 0 to Vec.length succs - 1 do
+      let v = Vec.get succs i in
+      indeg.(v) <- indeg.(v) + 1
+    done
   done;
-  !popped = n
+  let order = Array.make n 0 in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let succs = (Vec.get g.nodes order.(!head)).succs in
+    incr head;
+    for i = 0 to Vec.length succs - 1 do
+      let v = Vec.get succs i in
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        order.(!tail) <- v;
+        incr tail
+      end
+    done
+  done;
+  (order, !tail)
+
+(* A graph is a DAG iff every vertex gets popped. *)
+let is_dag g = snd (kahn g) = n_vertices g
 
 let copy g =
   let nodes = Vec.create ~capacity:(max 1 (n_vertices g)) ~dummy:dummy_node () in
@@ -211,7 +306,7 @@ let copy g =
     nodes;
     n_edges = g.n_edges;
     total_delay = g.total_delay;
-    edge_set = Hashtbl.copy g.edge_set;
+    edge_set = Edge_set.copy g.edge_set;
     generation = g.generation;
   }
 

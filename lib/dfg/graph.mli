@@ -11,11 +11,12 @@
     operand list for evaluation of non-commutative operations.
 
     Adjacency is stored in growable int arrays ({!Vec}), with a hashed
-    edge set alongside, so [add_edge] and [mem_edge] are O(1) expected
-    and amortised. Every structural change bumps a {!generation}
-    counter, so a client holding derived state (notably the frontier
-    flags in [Soft.Threaded_graph]) can tell that the graph changed
-    without diffing it. *)
+    edge set of packed id pairs alongside, so [add_edge] and [mem_edge]
+    are O(1) expected and amortised and allocate nothing. Every
+    structural change bumps a {!generation} counter, so a client
+    holding derived state (notably the frontier flags in
+    [Soft.Threaded_graph]) can tell that the graph changed without
+    diffing it. *)
 
 type t
 type vertex = int
@@ -30,8 +31,9 @@ val max_total_delay : int
 val add_vertex : t -> ?delay:int -> ?name:string -> Op.t -> vertex
 (** Adds an operation vertex. [delay] defaults to {!Delay.of_op}.
     [name] is a debugging / output label. @raise Invalid_argument on a
-    negative delay, or one that takes {!total_delay} past
-    {!max_total_delay}, leaving the graph unchanged. *)
+    negative delay, one that takes {!total_delay} past
+    {!max_total_delay}, or a vertex past the 2{^31}st (the edge set
+    packs a pair of ids into one int), leaving the graph unchanged. *)
 
 val add_edge : t -> vertex -> vertex -> unit
 (** [add_edge g u v] records the dependence [u -> v] ("u before v").
@@ -104,7 +106,14 @@ val sources : t -> vertex list
 val sinks : t -> vertex list
 (** Vertices with no successors (the paper's "primary outputs"). *)
 
+val kahn : t -> vertex array * int
+(** Kahn's algorithm with FIFO ties, the order array doubling as its
+    queue: [(order, k)], where the first [k] entries of [order] are the
+    vertices in the order popped, sources first in id order. [k] is
+    {!n_vertices} iff the graph is a DAG. {!Topo.order} reads it. *)
+
 val is_dag : t -> bool
+(** [kahn] pops every vertex. *)
 
 val copy : t -> t
 

@@ -51,6 +51,15 @@ let is_commutative = function
   | Load | Store | Wire | Const _ | Input _ | Output _ ->
     false
 
+(* [prefix ^ body ^ ")"] as one string. *)
+let wrap prefix body =
+  let p = String.length prefix and n = String.length body in
+  let b = Bytes.create (p + n + 1) in
+  Bytes.blit_string prefix 0 b 0 p;
+  Bytes.blit_string body 0 b p n;
+  Bytes.set b (p + n) ')';
+  Bytes.unsafe_to_string b
+
 let to_string = function
   | Add -> "add"
   | Sub -> "sub"
@@ -72,9 +81,9 @@ let to_string = function
   | Load -> "ld"
   | Store -> "st"
   | Wire -> "wd"
-  | Const c -> "const(" ^ string_of_int c ^ ")"
-  | Input s -> "in(" ^ s ^ ")"
-  | Output s -> "out(" ^ s ^ ")"
+  | Const c -> wrap "const(" (string_of_int c)
+  | Input s -> wrap "in(" s
+  | Output s -> wrap "out(" s
 
 let symbol = function
   | Add -> "+"
@@ -101,47 +110,48 @@ let symbol = function
   | Input s -> s
   | Output s -> s
 
-let of_string s =
-  match s with
-  | "add" -> Some Add
-  | "sub" -> Some Sub
-  | "mul" -> Some Mul
-  | "div" -> Some Div
-  | "neg" -> Some Neg
-  | "lt" -> Some Lt
-  | "gt" -> Some Gt
-  | "eq" -> Some Eq
-  | "and" -> Some And
-  | "or" -> Some Or
-  | "xor" -> Some Xor
-  | "shl" -> Some Shl
-  | "shr" -> Some Shr
-  | "mac" -> Some Mac
-  | "msu" -> Some Msu
-  | "select" -> Some Select
-  | "mov" -> Some Mov
-  | "ld" -> Some Load
-  | "st" -> Some Store
-  | "wd" -> Some Wire
-  | s ->
-    let wrapped ~prefix =
-      let pl = String.length prefix in
-      if
-        String.length s > pl + 1
-        && String.sub s 0 pl = prefix
-        && s.[pl] = '(' && s.[String.length s - 1] = ')'
-      then Some (String.sub s (pl + 1) (String.length s - pl - 2))
-      else None
-    in
-    (match wrapped ~prefix:"const" with
-    | Some body -> int_of_string_opt body |> Option.map (fun c -> Const c)
-    | None ->
-      (match wrapped ~prefix:"in" with
+(* The spellings without a body, each with its answer. *)
+let plain =
+  Array.map
+    (fun op -> (to_string op, Some op))
+    [| Add; Sub; Mul; Div; Neg; Lt; Gt; Eq; And; Or; Xor; Shl; Shr; Mac; Msu;
+       Select; Mov; Load; Store; Wire |]
+
+(* Does [word] sit in [s] at [pos], from its byte [i] on? *)
+let rec spelled word s pos i =
+  i = String.length word
+  || (String.unsafe_get s (pos + i) = String.unsafe_get word i
+     && spelled word s pos (i + 1))
+
+let rec find_plain s pos len k =
+  if k = Array.length plain then None
+  else
+    let word, op = plain.(k) in
+    if String.length word = len && spelled word s pos 0 then op
+    else find_plain s pos len (k + 1)
+
+(* The body of [prefix(body)], the body possibly empty. *)
+let wrapped prefix s pos len =
+  let pl = String.length prefix in
+  if len > pl + 1 && spelled prefix s pos 0 && s.[pos + pl] = '(' && s.[pos + len - 1] = ')'
+  then Some (String.sub s (pos + pl + 1) (len - pl - 2))
+  else None
+
+(* The spelling in [s] from [pos], [len] bytes long, read where it
+   lies: only the body of a [const(…)], [in(…)] or [out(…)] becomes a
+   string. *)
+let of_substring s pos len =
+  match find_plain s pos len 0 with
+  | Some _ as op -> op
+  | None -> (
+    match wrapped "const" s pos len with
+    | Some body -> Option.map (fun c -> Const c) (int_of_string_opt body)
+    | None -> (
+      match wrapped "in" s pos len with
       | Some name -> Some (Input name)
-      | None ->
-        (match wrapped ~prefix:"out" with
-        | Some name -> Some (Output name)
-        | None -> None)))
+      | None -> Option.map (fun name -> Output name) (wrapped "out" s pos len)))
+
+let of_string s = of_substring s 0 (String.length s)
 
 let pp fmt op = Format.pp_print_string fmt (to_string op)
 

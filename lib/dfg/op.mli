@@ -45,6 +45,11 @@ val to_string : t -> string
 val of_string : string -> t option
 (** Inverse of {!to_string} (e.g. ["mul"], ["const(3)"], ["in(x)"]). *)
 
+val of_substring : string -> int -> int -> t option
+(** [of_substring s pos len] is [of_string (String.sub s pos len)],
+    read in place: only the body of a [const(…)], [in(…)] or [out(…)]
+    spelling becomes a string. *)
+
 val pp : Format.formatter -> t -> unit
 
 val symbol : t -> string

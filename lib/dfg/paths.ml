@@ -1,25 +1,24 @@
 let source_distances g =
   let sdist = Array.make (Graph.n_vertices g) 0 in
-  let order = Topo.sort g in
-  List.iter
+  Array.iter
     (fun v ->
       let best =
         Graph.fold_preds (fun acc p -> max acc sdist.(p)) 0 g v
       in
       sdist.(v) <- best + Graph.delay g v)
-    order;
+    (Topo.order g);
   sdist
 
 let sink_distances g =
   let tdist = Array.make (Graph.n_vertices g) 0 in
-  let order = List.rev (Topo.sort g) in
-  List.iter
-    (fun v ->
-      let best =
-        Graph.fold_succs (fun acc s -> max acc tdist.(s)) 0 g v
-      in
-      tdist.(v) <- best + Graph.delay g v)
-    order;
+  let order = Topo.order g in
+  for i = Array.length order - 1 downto 0 do
+    let v = order.(i) in
+    let best =
+      Graph.fold_succs (fun acc s -> max acc tdist.(s)) 0 g v
+    in
+    tdist.(v) <- best + Graph.delay g v
+  done;
   tdist
 
 let distance_through g v =

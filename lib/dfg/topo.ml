@@ -3,25 +3,13 @@ let indegrees g =
   Graph.iter_edges (fun _ v -> indeg.(v) <- indeg.(v) + 1) g;
   indeg
 
-let sort g =
-  let indeg = indegrees g in
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = ref [] in
-  let count = ref 0 in
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    order := u :: !order;
-    incr count;
-    Graph.iter_succs
-      (fun v ->
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v queue)
-      g u
-  done;
-  if !count <> Graph.n_vertices g then
-    invalid_arg "Topo.sort: graph has a cycle";
-  List.rev !order
+let kahn name g =
+  let order, popped = Graph.kahn g in
+  if popped <> Graph.n_vertices g then invalid_arg (name ^ ": graph has a cycle");
+  order
+
+let order g = kahn "Topo.order" g
+let sort g = Array.to_list (kahn "Topo.sort" g)
 
 (* Priority-queue Kahn: the ready set is re-scanned for its minimum.
    O(V^2) worst case, fine for scheduling-sized graphs. *)

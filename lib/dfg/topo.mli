@@ -3,9 +3,14 @@
     These are the raw material for the paper's {e meta schedules}: the
     order in which operations are fed to the online scheduler. *)
 
+val order : Graph.t -> Graph.vertex array
+(** A topological order (Kahn, FIFO tie-breaking — deterministic):
+    {!Graph.kahn}'s. @raise Invalid_argument if the graph has a
+    cycle. *)
+
 val sort : Graph.t -> Graph.vertex list
-(** A topological order (Kahn, FIFO tie-breaking — deterministic).
-    @raise Invalid_argument if the graph has a cycle. *)
+(** {!order} as a list. @raise Invalid_argument if the graph has a
+    cycle. *)
 
 val sort_by : Graph.t -> compare:(Graph.vertex -> Graph.vertex -> int)
   -> Graph.vertex list

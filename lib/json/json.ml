@@ -40,9 +40,20 @@ let parse (s : string) : t =
     String.iter expect word;
     value
   in
-  (* The 4 hex digits of a \u escape at [i] (as [int_of_string] reads
-     them), or [None]. *)
-  let u_code i = int_of_string_opt ("0x" ^ String.sub s i 4) in
+  (* The 4 hex digits of a \u escape at [i], or -1: exactly four
+     digits, no sign and no '_' separator. *)
+  let u_code i =
+    let rec go i k code =
+      if k = 0 then code
+      else
+        match String.unsafe_get s i with
+        | '0' .. '9' as c -> go (i + 1) (k - 1) ((code lsl 4) lor (Char.code c - 48))
+        | 'a' .. 'f' as c -> go (i + 1) (k - 1) ((code lsl 4) lor (Char.code c - 87))
+        | 'A' .. 'F' as c -> go (i + 1) (k - 1) ((code lsl 4) lor (Char.code c - 55))
+        | _ -> -1
+    in
+    go i 4 0
+  in
   (* Basic-multilingual-plane only; enough for our own output, which
      never escapes beyond control characters. *)
   let utf8_length code = if code < 0x80 then 1 else if code < 0x800 then 2 else 3 in
@@ -65,11 +76,10 @@ let parse (s : string) : t =
           | 'u' ->
             incr pos;
             if !pos + 4 > n then fail "truncated \\u escape";
-            (match u_code !pos with
-            | Some code ->
-              pos := !pos + 4;
-              scan (len + utf8_length code)
-            | None -> fail "bad \\u escape")
+            let code = u_code !pos in
+            if code < 0 then fail "bad \\u escape";
+            pos := !pos + 4;
+            scan (len + utf8_length code)
           | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
             incr pos;
             scan (len + 1)
@@ -93,7 +103,7 @@ let parse (s : string) : t =
         if j < stop then
           match s.[j + 1] with
           | 'u' ->
-            let code = Option.get (u_code (j + 2)) in
+            let code = u_code (j + 2) in
             if code < 0x80 then put o code
             else if code < 0x800 then begin
               put o (0xC0 lor (code lsr 6));
@@ -233,17 +243,35 @@ let add_string b s =
   Buffer.add_substring b s !from (String.length s - !from);
   Buffer.add_char b '"'
 
-(* An integral value below 10^15 is an exact OCaml int; [string_of_int]
-   prints it as "%.0f" does, except -0. Anything else takes the
-   shortest of 12 and 17 significant digits that round-trips. *)
+(* The decimal digits of [i], as [string_of_int] spells them, written
+   in place; [i] is an integral number below 10^15 in magnitude. *)
+let rec add_digits b i =
+  if i < 0 then begin
+    Buffer.add_char b '-';
+    add_digits b (-i)
+  end
+  else begin
+    if i >= 10 then add_digits b (i / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (i mod 10)))
+  end
+
+(* An integral value below 10^15 is an exact OCaml int, printed as
+   "%.0f" prints it, except -0. Anything else takes the shortest of 12
+   and 17 significant digits that round-trips. *)
 let add_number b f =
   if Float.is_integer f && Float.abs f < 1e15 then
-    Buffer.add_string b
-      (if f = 0. && Float.sign_bit f then "-0" else string_of_int (int_of_float f))
+    if f = 0. && Float.sign_bit f then Buffer.add_string b "-0"
+    else add_digits b (int_of_float f)
   else
     let s = Printf.sprintf "%.12g" f in
     Buffer.add_string b
       (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+
+(* [add_number b (float_of_int i)], without boxing the float: below
+   10^15 [float_of_int] is exact and [int_of_float] gives [i] back. *)
+let add_int b i =
+  if i > -1_000_000_000_000_000 && i < 1_000_000_000_000_000 then add_digits b i
+  else add_number b (float_of_int i)
 
 let to_string ?(minify = false) v =
   let b = Buffer.create 1024 in

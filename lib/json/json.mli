@@ -40,6 +40,12 @@ val to_string : ?minify:bool -> t -> string
     which [test/test_oracles.ml] keeps as its oracle: replies, reports
     and cache files are unchanged by it. *)
 
+val add_string : Buffer.t -> string -> unit
+(** The string in quotes, escaped as {!to_string} escapes it. *)
+
+val add_int : Buffer.t -> int -> unit
+(** What {!to_string} prints for [int i], with no float boxed. *)
+
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)
 

@@ -71,7 +71,14 @@ type pass = {
 
 let pass g =
   let n = Graph.n_vertices g in
-  let ops = Array.init n (fun v -> Op.to_string (Graph.op g v)) in
+  (* Filled in place: [Array.init] would make the array with the first
+     vertex's string, and an array past the minor heap's size limit
+     (256 words) made with a young value forces a minor collection,
+     stop-the-world in a daemon with two domains. *)
+  let ops = Array.make n "" in
+  for v = 0 to n - 1 do
+    ops.(v) <- Op.to_string (Graph.op g v)
+  done;
   let seed = Bytes.create (8 * n) in
   for v = 0 to n - 1 do
     let op = ops.(v) in
@@ -83,7 +90,7 @@ let pass g =
   done;
   let start, preds = adjacency g Graph.in_degree Graph.iter_preds in
   let sstart, succs = adjacency g Graph.out_degree Graph.iter_succs in
-  let order = Array.of_list (Topo.sort g) in
+  let order = Topo.order g in
   (* forward: operand-ordered fold over predecessor signatures *)
   let fwd = Bytes.create (8 * n) in
   for k = 0 to n - 1 do

@@ -342,32 +342,48 @@ let result_of_json j =
    result, so the service memoizes its rendering per cache entry — on
    the warm path, answering is a string splice. *)
 
+(* The core is written straight into one buffer, sized from the
+   number of slots: the bytes [Json.to_string ~minify:true] prints for
+   the object of these fields (strings and numbers go through its own
+   [add_string] and [add_int]), without building that object. *)
 let core_fields ~want_schedule (r : result) =
-  let fields =
-    [
-      ("degraded", Json.Bool r.degraded);
-      ("fingerprint", Json.str r.fingerprint);
-      ("design", Json.str r.design);
-      ("resources", Json.str r.resources_str);
-      ("meta", Json.str r.meta);
-    ]
-    (* Fast-path responses have no engine field, preserving the batch
-       byte-identity contract; race/exhaustive responses carry the
-       engine that produced the schedule. *)
-    @ (match r.engine with
-      | Some e -> [ ("engine", Json.str e) ]
-      | None -> [])
-    @ [
-        ("vertices", Json.int r.vertices);
-        ("edges", Json.int r.edges);
-        ("diameter", Json.int r.diameter);
-      ]
-    @
-    if want_schedule then
-      [ ("schedule", Json.Arr (List.map slot_to_json r.assignment)) ]
-    else []
+  let b =
+    Buffer.create (256 + if want_schedule then 64 * List.length r.assignment else 0)
   in
-  Json.to_string ~minify:true (Json.Obj fields)
+  let str key s =
+    Buffer.add_string b key;
+    Json.add_string b s
+  and int key i =
+    Buffer.add_string b key;
+    Json.add_int b i
+  in
+  Buffer.add_string b
+    (if r.degraded then "{\"degraded\":true" else "{\"degraded\":false");
+  str ",\"fingerprint\":" r.fingerprint;
+  str ",\"design\":" r.design;
+  str ",\"resources\":" r.resources_str;
+  str ",\"meta\":" r.meta;
+  (* Fast-path responses have no engine field, preserving the batch
+     byte-identity contract; race/exhaustive responses carry the
+     engine that produced the schedule. *)
+  (match r.engine with Some e -> str ",\"engine\":" e | None -> ());
+  int ",\"vertices\":" r.vertices;
+  int ",\"edges\":" r.edges;
+  int ",\"diameter\":" r.diameter;
+  if want_schedule then begin
+    Buffer.add_string b ",\"schedule\":[";
+    List.iteri
+      (fun i s ->
+        str (if i = 0 then "{\"v\":" else ",{\"v\":") s.vertex;
+        str ",\"op\":" s.op;
+        (match s.unit_ with Some k -> int ",\"unit\":" k | None -> ());
+        int ",\"step\":" s.step;
+        Buffer.add_char b '}')
+      r.assignment;
+    Buffer.add_char b ']'
+  end;
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* The line is the prefix, then the core without its opening brace (the
    prefix opens the object), written once into bytes of its exact size:

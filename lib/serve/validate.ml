@@ -43,14 +43,14 @@ let check_exn g resources (slots : Protocol.slot list) =
       incr v)
     slots;
   if !v <> n then fail "%d slots for %d vertices" !v n;
-  let needy = ref [] and named = ref 0 in
+  let needy = ref 0 and named = ref 0 in
   for v = n - 1 downto 0 do
     match (Resources.class_of_op (Graph.op g v), unit_.(v)) with
     | None, None -> ()
     | None, Some k ->
       fail "vertex %s needs no unit but runs on unit %d" (Graph.name g v) k
     | Some _, u ->
-      needy := v :: !needy;
+      incr needy;
       if u <> None then incr named
   done;
   let occupancy = if !named > 0 then None else Some resources in
@@ -59,23 +59,33 @@ let check_exn g resources (slots : Protocol.slot list) =
   | Error m -> raise (Invalid m)
   | exception Invalid_argument m -> raise (Invalid m));
   if !named > 0 then begin
-    let needy = Array.of_list !needy in
-    if !named < Array.length needy then fail "only some operations name a unit";
-    let unit_of v = Option.get unit_.(v) in
-    let class_of v = Option.get (Resources.class_of_op (Graph.op g v)) in
-    Array.sort
+    if !named < !needy then fail "only some operations name a unit";
+    (* Every operation that needs a unit names one, and no other does:
+       the units, read once into ints, and those operations sorted on
+       (unit, step), ties in vertex order. *)
+    let units = Array.map (function Some k -> k | None -> -1) unit_ in
+    let needy = Array.make !needy 0 and m = ref 0 in
+    Array.iteri
+      (fun v u ->
+        if u <> None then begin
+          needy.(!m) <- v;
+          incr m
+        end)
+      unit_;
+    Array.stable_sort
       (fun a b ->
-        match Int.compare (unit_of a) (unit_of b) with
+        match Int.compare units.(a) units.(b) with
         | 0 -> Int.compare step.(a) step.(b)
         | c -> c)
       needy;
+    let class_of v = Option.get (Resources.class_of_op (Graph.op g v)) in
     (* runs of one unit, in step order: one class, no two busy
        operations at once; and per class, no more units than the count *)
     let used = Array.make 3 0 and busy_until = ref 0 in
     Array.iteri
       (fun i v ->
-        let k = unit_of v and c = class_of v in
-        if i = 0 || unit_of needy.(i - 1) <> k then begin
+        let k = units.(v) and c = class_of v in
+        if i = 0 || units.(needy.(i - 1)) <> k then begin
           used.(class_index c) <- used.(class_index c) + 1;
           busy_until := 0
         end

@@ -51,7 +51,7 @@ let test_json_rejects () =
   List.iter bad
     [
       ""; "{"; "[1,]"; "{\"a\":}"; "nul"; "{} trailing"; "\"unterminated";
-      "{\"a\" 1}"; "[1 2]"; "+5";
+      "{\"a\" 1}"; "[1 2]"; "+5"; "\"\\u1_23\""; "\"\\u12_3\"";
     ]
 
 let test_json_numbers () =
